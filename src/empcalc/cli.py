@@ -239,6 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
+    if args.seed < 0:
+        raise InputFormatError(f"--seed must be >= 0, got {args.seed}")
     criteria = None
     if getattr(args, "criteria", None):
         try:

@@ -5,6 +5,18 @@ per row.  A single leading header row is tolerated (detected by a
 non-numeric first cell) and blank lines are ignored.  Writing uses 17
 significant digits, which round-trips IEEE doubles exactly, so
 write -> read -> write is byte-stable.
+
+Reading is done in one pass.  A row parser (the csv module, one row at a
+time) reads up to and including the first data row, which settles the
+header.  The rest is read in blocks of whole lines, about 1 MiB each, and
+np.loadtxt parses each block.  A block that np.loadtxt rejects, or that
+does not give two columns, goes to the row parser, and the next block
+goes to np.loadtxt again.  Such blocks hold quoted cells, whitespace-only
+or comma-only lines, wrong column counts, non-numeric cells, carriage
+returns that do not end a line, or tokens such as ``1_0`` that float()
+accepts and np.loadtxt does not.  The values, and every error
+with its 1-based physical line number, are the same as if the row parser
+had read the whole input.
 """
 
 from __future__ import annotations
@@ -12,12 +24,26 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
+import re
+import warnings
+from itertools import chain
 from typing import IO, Union
+
+import numpy as np
 
 from .errors import InputFormatError
 from .sample import PairedSample
 
 PathOrFile = Union[str, IO]
+
+# Characters of whole lines handed to one np.loadtxt call.
+_BLOCK_CHARS = 1 << 20
+
+# A carriage return with more text after it on the same line, or a bare
+# carriage return ending a line.  np.loadtxt may split such text into
+# lines differently from the row parser, so it is left to the row parser.
+_INNER_CR = re.compile(r"\r[^\r\n]")
 
 
 def read_paired_csv(source: PathOrFile) -> PairedSample:
@@ -33,32 +59,97 @@ def read_paired_csv(source: PathOrFile) -> PairedSample:
 
 
 def _parse(fh) -> PairedSample:
-    xs: list[float] = []
-    ys: list[float] = []
-    header_allowed = True
-    reader = csv.reader(fh)
-    for row in reader:
-        line = reader.line_num
-        cells = [c.strip() for c in row]
-        if not any(cells):
-            continue
-        if len(cells) != 2:
-            raise InputFormatError(f"line {line}: expected 2 columns, got {len(cells)}")
-        try:
-            x = float(cells[0])
-            y = float(cells[1])
-        except ValueError:
-            bad = cells[0] if not _is_number(cells[0]) else cells[1]
-            if header_allowed:
-                header_allowed = False
-                continue
-            raise InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
-        header_allowed = False
-        xs.append(x)
-        ys.append(y)
+    lines = iter(fh.readline, "")
+    # The row parser takes everything up to and including the first data
+    # row, so the header rule lives in one place.
+    xs, ys, line_offset = _read_rows(lines, header_allowed=True)
+    x_parts, y_parts = [xs], [ys]
+    while block := fh.readlines(_BLOCK_CHARS):
+        values = _load_block(block)
+        if values is None:
+            # A quoted record that runs past the block's end is read whole.
+            xs, ys, used = _read_rows(chain(block, lines), line_offset, stop=len(block))
+        else:
+            xs, ys, used = values[:, 0], values[:, 1], len(block)
+        x_parts.append(xs)
+        y_parts.append(ys)
+        line_offset += used
+    xs = np.concatenate(x_parts)
     if len(xs) < 2:
         raise InputFormatError(f"need at least 2 data rows, got {len(xs)}")
-    return PairedSample(xs, ys)
+    return PairedSample(xs, np.concatenate(y_parts))
+
+
+def _load_block(block: list[str]):
+    """The (k, 2) values of a block of lines, or None if the row parser must take it.
+
+    An empty result means the block held only blank lines.
+    """
+    text = "".join(block)
+    if "\r" in text and _INNER_CR.search(text):
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        try:
+            values = np.loadtxt(_io.StringIO(text), delimiter=",", comments=None,
+                                ndmin=2)
+        except ValueError:
+            return None
+    if values.size == 0:
+        return values.reshape(0, 2)
+    return values if values.shape[1] == 2 else None
+
+
+def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
+               stop: float = math.inf):
+    """Row-parse ``lines``; return the x values, the y values and the lines read.
+
+    Blank rows are skipped.  With ``header_allowed`` the first non-blank
+    row is skipped if it is not numeric, and reading ends after the first
+    data row.  Otherwise reading ends with the record that reaches line
+    ``stop``, or at the end of ``lines``.  Error line numbers count from
+    ``line_offset``.
+    """
+    xs: list[float] = []
+    ys: list[float] = []
+    first_row_only = header_allowed
+    reader = csv.reader(lines)
+    for row in reader:
+        try:
+            x, y = row
+            x = float(x)
+            y = float(y)
+        except ValueError:
+            # Parse the row again with its cells stripped, as float() does
+            # not strip every character that str.strip() does.  This path
+            # also settles blank rows, the header row and errors.
+            cells = [c.strip() for c in row]
+            if not any(cells):
+                x = None
+            else:
+                line = line_offset + reader.line_num
+                if len(cells) != 2:
+                    raise InputFormatError(
+                        f"line {line}: expected 2 columns, got {len(cells)}") from None
+                try:
+                    x = float(cells[0])
+                    y = float(cells[1])
+                except ValueError:
+                    if not header_allowed:
+                        bad = cells[0] if not _is_number(cells[0]) else cells[1]
+                        raise InputFormatError(
+                            f"line {line}: non-numeric value {bad!r}") from None
+                    x = None
+                header_allowed = False
+        if x is not None:
+            xs.append(x)
+            ys.append(y)
+            if first_row_only:
+                break
+        if reader.line_num >= stop:
+            break
+    return xs, ys, reader.line_num
 
 
 def _is_number(token: str) -> bool:

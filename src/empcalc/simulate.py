@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise InputFormatError(f"reps ≥ 100 required, got {self.reps}")
         if self.threads < 0:
             raise InputFormatError(f"threads must be >= 0, got {self.threads}")
+        if self.seed < 0:
+            raise InputFormatError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_threads(self) -> int:
         return self.threads if self.threads > 0 else default_threads()

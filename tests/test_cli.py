@@ -155,6 +155,14 @@ def test_simulate_rejects_small_reps(capsys):
     assert "reps ≥ 100 required" in err
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--law", "gaussian", "--rho", "0.5",
+                             "--n", "100", "--reps", "100", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error: --seed must be >= 0, got -1" in err
+
+
 def test_simulate_failed_check_exits_one(capsys):
     # n=2 is legal but cannot pass; the report must still be emitted
     code, out, _ = run_cli(capsys, "simulate", "--law", "gaussian", "--rho", "0.5",

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import assume, given, settings, strategies as st
 
 import empcalc as ec
@@ -256,6 +257,26 @@ def test_estimate_moments_uses_n_denominator():
     assert m.var_x == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_estimate_moments_matches_two_pass_reference(shift, scale):
+    """The fused products match two-pass np.mean(dx**p * dy**q) at any location and scale."""
+    rng = derive_rng(2025, 3)
+    z1, z2 = rng.standard_normal(2000), rng.standard_normal(2000)
+    x = z1 + 0.3 * z1 * z1                  # skewed, so the odd moments are far from 0
+    y = 0.6 * x + z2
+    s = ec.PairedSample(shift + scale * x, -shift + scale * y)
+    m = ec.estimate_moments(s)
+    dx, dy = s.xs - s.xs.mean(), s.ys - s.ys.mean()
+    expected = {"mu_x": s.xs.mean(), "mu_y": s.ys.mean()}
+    for name, (px, py) in {"var_x": (2, 0), "var_y": (0, 2), "cov_xy": (1, 1),
+                           "m22": (2, 2), "m31": (3, 1), "m13": (1, 3),
+                           "m40": (4, 0), "m04": (0, 4)}.items():
+        expected[name] = np.mean(dx ** px * dy ** py)
+    for name, want in expected.items():
+        assert getattr(m, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
 def test_estimate_moments_heavy_tail_warning():
     # one extreme outlier among n points drives plug-in kurtosis to ~n
     xs = np.concatenate([np.ones(100), -np.ones(100), [1e4]])
@@ -324,6 +345,15 @@ def test_zero_correlation_degenerate_sigma1():
         warnings.simplefilter("ignore")  # small-n warning fires first
         with pytest.raises(ec.DegenerateSampleError):
             ec.test_zero_correlation(s)
+
+
+def test_zero_correlation_p_value_keeps_relative_accuracy_in_the_tail():
+    # z from about 6.7 to 12.5: 2 (1 - Phi(|z|)) is off by ~1% at the low end, 0.0 past 8.3
+    for i, rho in enumerate((0.08, 0.12, 0.16, 0.2)):
+        s = ec.GaussianLaw(rho).sample(5000, derive_rng(31, i))
+        z, p_value = ec.test_zero_correlation(s)
+        assert 5.0 <= abs(z) <= 15.0
+        assert p_value == pytest.approx(2.0 * sps.norm.sf(abs(z)), rel=1e-12, abs=0.0)
 
 
 def test_zero_correlation_calibrated_under_independence():

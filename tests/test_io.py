@@ -1,14 +1,16 @@
 """Tests for CSV sample parsing/writing and report serialization."""
 
+import csv
 import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
+from empcalc import io as ec_io
 
 
 def parse(text: str):
@@ -68,6 +70,131 @@ def test_read_from_path(tmp_path):
     s = ec.read_paired_csv(str(path))
     assert s.n == 2
 
+
+def reference_row_parser(fh):
+    """The reader as it was before block parsing: the csv module, one row at a time."""
+    xs, ys = [], []
+    header_allowed = True
+    reader = csv.reader(fh)
+    for row in reader:
+        line = reader.line_num
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != 2:
+            raise ec.InputFormatError(f"line {line}: expected 2 columns, got {len(cells)}")
+        try:
+            x = float(cells[0])
+            y = float(cells[1])
+        except ValueError:
+            bad = cells[0] if not _is_number(cells[0]) else cells[1]
+            if header_allowed:
+                header_allowed = False
+                continue
+            raise ec.InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
+        header_allowed = False
+        xs.append(x)
+        ys.append(y)
+    if len(xs) < 2:
+        raise ec.InputFormatError(f"need at least 2 data rows, got {len(xs)}")
+    return ec.PairedSample(xs, ys)
+
+
+def _is_number(token):
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def outcome(read, text, newline):
+    """The parsed values as bytes, or the error type and message."""
+    try:
+        s = read(io.StringIO(text, newline=newline))
+    except (ec.InputFormatError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return s.xs.tobytes(), s.ys.tobytes()
+
+
+number_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from([" 2.5 ", "+.5", "-0", "1e-400", "\t-1\x0c", "\xa07e1\u2003", "\x1c4\x1f"]),
+)
+data_lines = st.builds("{},{}".format, number_tokens, number_tokens)
+odd_lines = st.one_of(
+    st.sampled_from(["", "   ", "\t", ",", " , ", "x,y", "1", "1,2,3", "1,2,", '"1.5",2',
+                     '3,"4"', '"5\n",6', "oops,5", "1,zz", "# 1,2",
+                     "3,4\r5,6", "7,8\r", "\r", "1,\r2"]),
+    st.builds("{},{}".format,
+              st.sampled_from(["1_0", "nan", "-inf", "Infinity", "1e500", "abc", '"7"', "",
+                               "1__0"]),
+              number_tokens),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    rows = draw(st.lists(data_lines, max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd_lines))
+    if draw(st.booleans()):
+        rows.insert(0, "x,y")
+    eol = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = eol.join(rows)
+    if rows and draw(st.booleans()):
+        text += eol
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 7, 40, 200]), st.sampled_from(["\n", ""]))
+def test_block_reader_matches_row_parser(text, block_chars, newline):
+    """Values, or the error and its line number, equal the row parser's for any block size.
+
+    ``newline=""`` splits lines as a file opened by path does, the default as
+    io.StringIO does.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ec_io, "_BLOCK_CHARS", block_chars)
+        got = outcome(ec.read_paired_csv, text, newline)
+    assert got == outcome(reference_row_parser, text, newline)
+
+
+class _Pipe(io.RawIOBase):
+    """A readable byte stream that cannot seek, as stdin fed by a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        return self._data.readinto(buf)
+
+
+def test_read_unseekable_stream_reports_line_past_first_block(monkeypatch):
+    monkeypatch.setattr(ec_io, "_BLOCK_CHARS", 64)
+    lines = ["x,y"] + [f"{i},{2 * i}" for i in range(1, 60)] + ["7,oops", "3,4"]
+    stream = io.TextIOWrapper(io.BufferedReader(_Pipe("\n".join(lines).encode())))
+    assert not stream.seekable()
+    with pytest.raises(ec.InputFormatError, match=r"^line 61: non-numeric value 'oops'$"):
+        ec.read_paired_csv(stream)
+
+
+
+def test_quoted_record_across_block_end(monkeypatch):
+    """A quoted cell holding a newline is read whole, and later line numbers still count it."""
+    monkeypatch.setattr(ec_io, "_BLOCK_CHARS", 1)
+    text = 'x,y\n1,2\n"3\n",4\n5,6\n'
+    s = parse(text)
+    assert s.xs.tolist() == [1.0, 3.0, 5.0]
+    assert s.ys.tolist() == [2.0, 4.0, 6.0]
+    with pytest.raises(ec.InputFormatError, match=r"^line 6: non-numeric value 'oops'$"):
+        parse(text + "7,oops\n")
 
 # ----------------------------------------------------------------- write
 

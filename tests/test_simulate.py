@@ -72,6 +72,8 @@ def test_config_validation_messages():
         ec.ExperimentConfig(law, n=100, reps=50)
     with pytest.raises(ec.InputFormatError):
         ec.ExperimentConfig(law, n=100, reps=100, threads=-2)
+    with pytest.raises(ec.InputFormatError, match="seed must be >= 0, got -1"):
+        ec.ExperimentConfig(law, n=100, reps=100, seed=-1)
     with pytest.raises(ec.InputFormatError, match="BivariateLaw"):
         ec.ExperimentConfig("gaussian", n=100, reps=100)
 
