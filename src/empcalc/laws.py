@@ -6,11 +6,19 @@ recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
 Monte Carlo integration on a deterministic batch.
 
-Sampling is pinned down to the uniform-bit level so that equal seeds give
-bit-identical samples on any platform: normals come from the Box-Muller
-transform applied to ``rng.random()`` uniforms, uniform and exponential
-marginals are standardized analytically, and composite laws document the
-order in which they consume draws.
+Sampling is pinned down to the uniform level: every draw is a transform
+of ``rng.random()`` uniforms taken in a documented order (normals by the
+Box-Muller transform, uniform and exponential marginals standardized
+analytically, composite laws consuming their parts in declaration order),
+so equal seeds consume identical uniforms everywhere.  The transformed
+values are bit-identical for one numpy build on one CPU; numpy may send
+``log1p``, ``cos`` and ``sin`` to CPU-specific SIMD code, so another
+machine can differ in the last bits.
+
+Laws draw in blocks: :meth:`BivariateLaw.draw_block` fills row r of a
+block with n pairs from generator r alone, taking that generator's
+uniforms in exactly the order a single sample would, and transforms the
+whole block at once.  :meth:`BivariateLaw.sample` is the one-row block.
 
 The four named marginals are pre-standardized to mean 0, variance 1:
 
@@ -42,19 +50,39 @@ from .streams import derive_rng
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _normal_column(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on pairs of uniforms.
+def _uniform_block(rngs: Sequence[np.random.Generator], width: int) -> np.ndarray:
+    """A (len(rngs), width) block of uniforms; row r is drawn from rngs[r] alone."""
+    u = np.empty((len(rngs), width))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return u
 
-    Draws ceil(n/2) uniform pairs; each pair (u1, u2) yields the two
-    variates r cos(theta), r sin(theta) with r = sqrt(-2 log(1 - u1)) and
-    theta = 2 pi u2.  With u1 in [0, 1), log1p(-u1) is always finite.
+
+def _normal_uniforms(n: int) -> int:
+    return 2 * ((n + 1) // 2)
+
+
+def _normal_block(u: np.ndarray, n: int) -> np.ndarray:
+    """Box-Muller in place: n standard normals per row of a uniform block.
+
+    Each row holds m = ceil(n/2) uniforms u1 then m uniforms u2; each pair
+    (u1, u2) yields the two variates r cos(theta), r sin(theta) with
+    r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2.  With u1 in [0, 1),
+    log1p(-u1) is always finite.  Returns the (rows, n) view of ``u``
+    holding all cosine variates, then the sine variates.
     """
     m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * np.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    r, theta = u[:, :m], u[:, m:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(theta, 2.0 * np.pi, out=theta)
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    np.multiply(theta, r, out=theta)
+    np.multiply(cos, r, out=r)
+    return u[:, :n]
 
 
 def _normal_double_factorial(k: int) -> float:
@@ -84,26 +112,44 @@ def _subfactorial(k: int) -> float:
 
 @dataclass(frozen=True)
 class Marginal:
-    """A named standardized univariate law: sampler plus raw moments."""
+    """A named standardized univariate law: block sampler plus raw moments.
+
+    ``uniforms(n)`` is how many uniforms n draws consume, and
+    ``transform(u, n)`` maps a (rows, uniforms(n)) block of them, possibly
+    in place, to (rows, n) draws.
+    """
 
     name: str
-    draw: Callable[[np.random.Generator, int], np.ndarray]
+    uniforms: Callable[[int], int]
+    transform: Callable[[np.ndarray, int], np.ndarray]
     raw_moment: Callable[[int], float]
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. draws from ``rng`` (a one-row block)."""
+        return self.transform(_uniform_block([rng], self.uniforms(n)), n)[0]
+
+
+def _one_per_draw(n: int) -> int:
+    return n
 
 
 MARGINALS: dict[str, Marginal] = {
     "standard_normal": Marginal(
-        "standard_normal", lambda rng, n: _normal_column(rng, n), _normal_double_factorial),
+        "standard_normal", _normal_uniforms, _normal_block, _normal_double_factorial),
     "uniform_std": Marginal(
-        "uniform_std", lambda rng, n: (rng.random(n) - 0.5) * math.sqrt(12.0),
+        "uniform_std", _one_per_draw, lambda u, n: (u - 0.5) * math.sqrt(12.0),
         _uniform_std_moment),
     "exponential_std": Marginal(
-        "exponential_std", lambda rng, n: -np.log1p(-rng.random(n)) - 1.0,
-        _subfactorial),
+        "exponential_std", _one_per_draw, lambda u, n: -np.log1p(-u) - 1.0, _subfactorial),
     "rademacher": Marginal(
-        "rademacher", lambda rng, n: np.where(rng.random(n) < 0.5, -1.0, 1.0),
+        "rademacher", _one_per_draw, lambda u, n: np.where(u < 0.5, -1.0, 1.0),
         lambda k: 0.0 if k % 2 == 1 else 1.0),
 }
+
+
+def _normal_column(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n standard normals from ``rng`` (Box-Muller)."""
+    return MARGINALS["standard_normal"].draw(rng, n)
 
 
 def get_marginal(name) -> Marginal:
@@ -117,25 +163,28 @@ def get_marginal(name) -> Marginal:
 
 
 class BivariateLaw(PolynomialMomentOracle):
-    """A bivariate law: i.i.d. sampler plus exact raw moments.
+    """A bivariate law: i.i.d. block sampler plus exact raw moments.
 
-    Subclasses implement ``_draw`` (coordinate arrays, no container, so
-    composite laws can draw sub-batches of any size) and ``raw_moment``.
+    Subclasses implement ``draw_block`` (coordinate arrays, no container,
+    so composite laws can draw sub-batches of any size) and ``raw_moment``.
     """
 
     kind: str = ""
+    _fallback: Optional[SamplingMoments] = None
 
     @abstractmethod
-    def _draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Return (xs, ys) arrays of n i.i.d. draws using only ``rng``."""
+    def draw_block(self, rngs: Sequence[np.random.Generator],
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys), each of shape (len(rngs), n): row r holds n i.i.d.
+        pairs drawn from rngs[r] alone, in the order a single sample takes."""
 
     @abstractmethod
     def describe(self) -> dict:
         """JSON-ready echo of the law's construction parameters."""
 
     def sample(self, n: int, rng: np.random.Generator) -> PairedSample:
-        xs, ys = self._draw(int(n), rng)
-        return PairedSample(xs, ys)
+        xs, ys = self.draw_block([rng], int(n))
+        return PairedSample(xs[0], ys[0])
 
     def _validated_raw(self, i: int, j: int) -> float:
         if i < 0 or j < 0:
@@ -181,7 +230,14 @@ class BivariateLaw(PolynomialMomentOracle):
         return SamplingMoments(self.sample, budget=budget, seed=seed)
 
     def sampling_oracle(self) -> SamplingMoments:
-        return self.monte_carlo()
+        """The law's one Monte Carlo fallback (seed 0, default budget), drawn once.
+
+        Every non-polynomial expectation and covariance of this law shares
+        its batch.
+        """
+        if self._fallback is None:
+            self._fallback = self.monte_carlo()
+        return self._fallback
 
 
 def sample_law(law: BivariateLaw, n: int, stream) -> PairedSample:
@@ -215,22 +271,48 @@ class GaussianLaw(BivariateLaw):
     def describe(self) -> dict:
         return {"kind": "gaussian", "rho": self.rho_param}
 
-    def _draw(self, n, rng):
-        z1 = _normal_column(rng, n)
-        z2 = _normal_column(rng, n)
-        return z1, self.rho_param * z1 + math.sqrt(1.0 - self.rho_param ** 2) * z2
+    def draw_block(self, rngs, n):
+        w = _normal_uniforms(n)
+        u = _uniform_block(rngs, 2 * w)
+        z1 = _normal_block(u[:, :w], n)
+        ys = _normal_block(u[:, w:], n)
+        np.multiply(ys, math.sqrt(1.0 - self.rho_param ** 2), out=ys)
+        ys += self.rho_param * z1
+        return z1, ys
 
     def raw_moment(self, i: int, j: int) -> float:
+        """M(i, j) by the Isserlis recursion, unrolled on an explicit stack.
+
+        The memo fills in the recursion's own order: M(a-2, b), then
+        M(a-1, b-1), then M(a, b).
+        """
         if i < 0 or j < 0:
             return 0.0
+        memo = self._memo
         key = (i, j)
-        if key not in self._memo:
-            if i > 0:
-                self._memo[key] = ((i - 1) * self.raw_moment(i - 2, j)
-                                   + self.rho_param * j * self.raw_moment(i - 1, j - 1))
+        if key in memo:
+            return memo[key]
+        stack = [key]
+        while stack:
+            a, b = top = stack[-1]
+            low = (a - 2, b) if a > 0 else (0, b - 2)
+            diag = (a - 1, b - 1)
+            need_low = low[0] >= 0 and low[1] >= 0 and low not in memo
+            need_diag = a > 0 and b > 0 and diag not in memo
+            if need_low or need_diag:
+                # low goes on top, so it is filled first
+                if need_diag:
+                    stack.append(diag)
+                if need_low:
+                    stack.append(low)
+                continue
+            stack.pop()
+            if a > 0:
+                memo[top] = ((a - 1) * memo.get(low, 0.0)
+                             + self.rho_param * b * memo.get(diag, 0.0))
             else:
-                self._memo[key] = (j - 1) * self.raw_moment(0, j - 2)
-        return self._memo[key]
+                memo[top] = (b - 1) * memo.get(low, 0.0)
+        return memo[key]
 
 
 class IndependentLaw(BivariateLaw):
@@ -251,10 +333,11 @@ class IndependentLaw(BivariateLaw):
                 "marginal_x": self.marginal_x.name,
                 "marginal_y": self.marginal_y.name}
 
-    def _draw(self, n, rng):
-        xs = np.asarray(self.marginal_x.draw(rng, n), dtype=float)
-        ys = np.asarray(self.marginal_y.draw(rng, n), dtype=float)
-        return xs, ys
+    def draw_block(self, rngs, n):
+        kx = self.marginal_x.uniforms(n)
+        u = _uniform_block(rngs, kx + self.marginal_y.uniforms(n))
+        return (self.marginal_x.transform(u[:, :kx], n),
+                self.marginal_y.transform(u[:, kx:], n))
 
     def raw_moment(self, i: int, j: int) -> float:
         return self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
@@ -294,17 +377,20 @@ class MixtureLaw(BivariateLaw):
                 "components": [c.describe() for c in self.components],
                 "weights": list(self.weights)}
 
-    def _draw(self, n, rng):
-        picks = np.searchsorted(self._cut, rng.random(n), side="right")
-        xs = np.empty(n)
-        ys = np.empty(n)
-        for k, comp in enumerate(self.components):
-            mask = picks == k
-            nk = int(mask.sum())
-            if nk:
-                cx, cy = comp._draw(nk, rng)
-                xs[mask] = cx
-                ys[mask] = cy
+    def draw_block(self, rngs, n):
+        # sub-batch sizes depend on each row's picks, so rows are filled
+        # one at a time, each component drawing a one-row block
+        xs = np.empty((len(rngs), n))
+        ys = np.empty((len(rngs), n))
+        for row, rng in enumerate(rngs):
+            picks = np.searchsorted(self._cut, rng.random(n), side="right")
+            for k, comp in enumerate(self.components):
+                mask = picks == k
+                nk = int(mask.sum())
+                if nk:
+                    cx, cy = comp.draw_block([rng], nk)
+                    xs[row, mask] = cx[0]
+                    ys[row, mask] = cy[0]
         return xs, ys
 
     def raw_moment(self, i: int, j: int) -> float:
@@ -349,8 +435,8 @@ class DiscreteLaw(BivariateLaw):
                 "ys": self.atom_ys.tolist(),
                 "weights": self.atom_weights.tolist()}
 
-    def _draw(self, n, rng):
-        idx = np.searchsorted(self._cut, rng.random(n), side="right")
+    def draw_block(self, rngs, n):
+        idx = np.searchsorted(self._cut, _uniform_block(rngs, n), side="right")
         return self.atom_xs[idx], self.atom_ys[idx]
 
     def supports_exact(self, f: StatFunction) -> bool:

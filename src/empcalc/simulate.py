@@ -15,9 +15,17 @@ Two experiment drivers:
   Gram matrix entrywise and each nondegenerate coordinate against its
   normal marginal.
 
-Replicate i uses the generator stream derived from (seed, i), never a
-shared sequential generator, so results are identical for any worker
-count; workers only fill disjoint slots of the result buffer.
+Replicates run in blocks.  A block holds about 32k draws per coordinate
+(rows = 32768 // n replicates, at least one), so block boundaries depend
+only on (n, reps).  Replicate i draws its uniforms from the generator
+stream derived from (seed, i), never a shared sequential generator, in the
+order a single ``law.sample`` call takes them, into row i of its block;
+the law transforms the whole block at once and rho_n or G_n(f) is reduced
+across the block.  Results are therefore identical for any worker count:
+workers take whole blocks, which are stacked in replicate order.  A
+failing check names the first failing replicate, with the message the
+per-sample routines (``PairedSample``, ``compute_rho_n``, ``gn_eval``)
+would give.
 """
 
 from __future__ import annotations
@@ -30,14 +38,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import compute_rho_n, population_rho, sigma_squared
-from .empirical import gamma_matrix, gn_eval
+from .correlation import population_rho, sigma_squared
+from .empirical import gamma_matrix
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
                      InputFormatError, SimulationError)
 from .functions import StatFunction
 from .laws import BivariateLaw
 from .normal import standard_normal_cdf
-from .sample import PairedSample
 from .streams import derive_rng
 
 THREADS_ENV_VAR = "EMPCALC_THREADS"
@@ -47,6 +54,9 @@ DEFAULT_KS_TOL = 0.03
 
 # a predicted variance below this cannot be used to standardize replicates
 DEGENERATE_VARIANCE_FLOOR = 1e-12
+
+# draws per coordinate in one block of replicates; rows = this // n
+_BLOCK_ELEMENTS = 32_768
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -161,12 +171,53 @@ def ks_statistic(values, cdf: Callable) -> float:
                             np.abs(f_vals - (i - 1) / m)).max())
 
 
-def _map_replicates(worker: Callable[[int], object], reps: int, threads: int) -> list:
-    """Run worker(0..reps-1), gathering results in index order."""
+def _blocks(n: int, reps: int) -> list[tuple[int, int]]:
+    """The (lo, hi) replicate ranges of a run; they depend on (n, reps) only."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    return [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+
+
+def _map_replicates(kernel: Callable[[int, int], np.ndarray], n: int, reps: int,
+                    threads: int) -> np.ndarray:
+    """Run kernel(lo, hi) over the replicate blocks, stacked in index order."""
+    blocks = _blocks(n, reps)
     if threads <= 1:
-        return [worker(i) for i in range(reps)]
+        return np.concatenate([kernel(lo, hi) for lo, hi in blocks])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(reps)))
+        return np.concatenate(list(pool.map(lambda b: kernel(*b), blocks)))
+
+
+def _raise_first_failure(lo: int, failures) -> None:
+    """Raise SimulationError for the first failing replicate of a block.
+
+    ``failures`` lists (bad_rows, error) pairs in the order one replicate's
+    checks run; ``error(row)`` builds the inner EmpcalcError.  Of the checks
+    the first failing row fails, the earliest is reported.
+    """
+    first = None
+    for bad, error in failures:
+        rows = np.flatnonzero(bad)
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (int(rows[0]), error)
+    if first is not None:
+        row, error = first
+        exc = error(row)
+        raise SimulationError(f"replicate {lo + row} failed: {exc}") from exc
+
+
+def _draw_replicates(cfg: ExperimentConfig, lo: int, hi: int):
+    """Replicates lo..hi-1 as (xs, ys) blocks plus the non-finite draw check.
+
+    The blocks stop before the first replicate with a non-finite draw: no
+    later replicate can fail first, so later checks need only the rows
+    before it.
+    """
+    xs, ys = cfg.law.draw_block([replicate_rng(cfg.seed, i) for i in range(lo, hi)], cfg.n)
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    bad_rows = bad.any(axis=1)
+    cut = int(np.argmax(bad_rows)) if bad_rows.any() else hi - lo
+    return xs[:cut], ys[:cut], (bad_rows, lambda row: InputFormatError(
+        f"non-finite observation at index {int(np.flatnonzero(bad[row])[0])}"))
 
 
 def run_clt_experiment(cfg: ExperimentConfig,
@@ -187,15 +238,20 @@ def run_clt_experiment(cfg: ExperimentConfig,
             "replicates cannot be standardized")
     sqrt_n = math.sqrt(cfg.n)
 
-    def one(i: int) -> float:
-        rng = replicate_rng(cfg.seed, i)
-        try:
-            s = law.sample(cfg.n, rng)
-            return sqrt_n * (compute_rho_n(s) - rho_true)
-        except EmpcalcError as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
+    def kernel(lo: int, hi: int) -> np.ndarray:
+        # rho_n per row, as compute_rho_n takes it: centre, then sums of products
+        xs, ys, nonfinite = _draw_replicates(cfg, lo, hi)
+        dx = xs - xs.mean(axis=1, keepdims=True)
+        dy = ys - ys.mean(axis=1, keepdims=True)
+        sxx = (dx * dx).sum(axis=1)
+        syy = (dy * dy).sum(axis=1)
+        _raise_first_failure(lo, [
+            nonfinite,
+            ((sxx <= 0.0) | (syy <= 0.0),
+             lambda row: DegenerateSampleError("degenerated marginal"))])
+        return sqrt_n * ((dx * dy).sum(axis=1) / np.sqrt(sxx * syy) - rho_true)
 
-    t = np.asarray(_map_replicates(one, cfg.reps, cfg.resolved_threads()))
+    t = _map_replicates(kernel, cfg.n, cfg.reps, cfg.resolved_threads())
     emp_mean = float(t.mean())
     emp_var = float(t.var(ddof=1))
     ks = ks_statistic(t / math.sqrt(predicted), standard_normal_cdf)
@@ -235,16 +291,32 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     law = cfg.law
     means = [law.expectation(f) for f in fs]
     predicted = gamma_matrix(fs, law)
+    n = cfg.n
+    sqrt_n = math.sqrt(n)
 
-    def one(i: int) -> list[float]:
-        rng = replicate_rng(cfg.seed, i)
-        try:
-            s = law.sample(cfg.n, rng)
-            return [gn_eval(s, f, mu) for f, mu in zip(fs, means)]
-        except EmpcalcError as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
+    def kernel(lo: int, hi: int) -> np.ndarray:
+        # G_n(f) per row, as gn_eval takes it; the means are finite here,
+        # because a non-finite one makes gamma_matrix raise
+        xs, ys, nonfinite = _draw_replicates(cfg, lo, hi)
+        failures = [nonfinite]
+        g = np.zeros((len(xs), len(fs)))
+        for j, (f, mu) in enumerate(zip(fs, means)):
+            try:
+                vals = np.asarray(f(xs, ys), dtype=float)
+                if vals.shape != xs.shape:
+                    raise EvaluationError(f"{f.label} returned shape {vals.shape}, "
+                                          f"expected {xs.shape}")
+            except EmpcalcError as exc:
+                # an error for the whole block is charged to its first replicate
+                failures.append((np.ones(1, dtype=bool), lambda row, exc=exc: exc))
+                break
+            failures.append((~np.isfinite(vals).all(axis=1), lambda row, f=f:
+                             EvaluationError(f"non-finite evaluation of {f.label}")))
+            g[:, j] = (vals.sum(axis=1) - n * mu) / sqrt_n
+        _raise_first_failure(lo, failures)
+        return g
 
-    g = np.asarray(_map_replicates(one, cfg.reps, cfg.resolved_threads()))
+    g = _map_replicates(kernel, n, cfg.reps, cfg.resolved_threads())
     emp_cov = np.atleast_2d(np.cov(g, rowvar=False, ddof=1))
     max_abs_err = float(np.abs(emp_cov - predicted.entries).max())
 

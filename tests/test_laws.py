@@ -78,6 +78,65 @@ def test_marginal_draws_match_reference_distribution():
         assert ec.ks_statistic(draws, cdf) < crit, name
 
 
+def _reference_draw(law, n, rng):
+    """Each law's draws written out one sample at a time: the reference the
+    block sampler must match bit for bit."""
+    def normal(k):
+        m = (k + 1) // 2
+        u1 = rng.random(m)
+        u2 = rng.random(m)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        theta = 2.0 * np.pi * u2
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k]
+
+    marginal = {"standard_normal": normal,
+                "uniform_std": lambda k: (rng.random(k) - 0.5) * math.sqrt(12.0),
+                "exponential_std": lambda k: -np.log1p(-rng.random(k)) - 1.0,
+                "rademacher": lambda k: np.where(rng.random(k) < 0.5, -1.0, 1.0)}
+
+    def draw(law, k):
+        if law.kind == "gaussian":
+            z1 = normal(k)
+            z2 = normal(k)
+            return z1, law.rho_param * z1 + math.sqrt(1.0 - law.rho_param ** 2) * z2
+        if law.kind == "independent":
+            xs = marginal[law.marginal_x.name](k)
+            return xs, marginal[law.marginal_y.name](k)
+        idx = np.searchsorted(law._cut, rng.random(k), side="right")
+        if law.kind == "discrete":
+            return law.atom_xs[idx], law.atom_ys[idx]
+        xs, ys = np.empty(k), np.empty(k)
+        for c, comp in enumerate(law.components):
+            mask = idx == c
+            if mask.any():
+                xs[mask], ys[mask] = draw(comp, int(mask.sum()))
+        return xs, ys
+
+    return draw(law, n)
+
+
+def test_samples_are_bit_identical_to_reference_draws():
+    names = sorted(MARGINALS)
+    laws = [ec.GaussianLaw(0.45), ec.GaussianLaw(-0.9)]
+    laws += [ec.IndependentLaw(a, b) for a in names for b in names]
+    laws.append(ec.MixtureLaw([ec.GaussianLaw(0.8),
+                               ec.MixtureLaw([ec.IndependentLaw("rademacher", "uniform_std"),
+                                              ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
+                                             [0.5, 0.5])],
+                              [0.6, 0.4]))
+    laws.append(ec.DiscreteLaw([0.0, 1.0, -2.0], [1.0, -1.0, 0.5], [0.2, 0.3, 0.5]))
+    for law in laws:
+        for n in (2, 3, 100, 101):
+            s = law.sample(n, derive_rng(19, n))
+            xs, ys = _reference_draw(law, n, derive_rng(19, n))
+            assert np.array_equal(s.xs, xs) and np.array_equal(s.ys, ys), (law.describe(), n)
+    for name in names:
+        for n in (1, 7, 1000):
+            assert np.array_equal(get_marginal(name).draw(derive_rng(5, n), n),
+                                  _reference_draw(ec.IndependentLaw(name, name), n,
+                                                  derive_rng(5, n))[0]), (name, n)
+
+
 def test_unknown_marginal_lists_available_names():
     with pytest.raises(ec.InputFormatError, match="standard_normal"):
         get_marginal("cauchy")
@@ -121,6 +180,45 @@ def test_gaussian_bivariate_moments():
     assert m.m13 == pytest.approx(1.5, rel=1e-14)
     assert m.m40 == pytest.approx(3.0, rel=1e-14)
     assert law.rho() == pytest.approx(0.5, rel=1e-15)
+
+
+def test_gaussian_raw_moment_is_iterative():
+    # a recursive evaluation overflows Python's stack long before order 3000
+    law = ec.GaussianLaw(0.3)
+    assert law.raw_moment(3000, 0) == math.inf  # 2999!! overflows a double
+    assert law.raw_moment(40, 0) == pytest.approx(sps.norm.moment(40), rel=1e-12)
+    assert law.raw_moment(301, 0) == 0.0
+    with pytest.raises(ec.MomentError, match="raw moment \\(3000,0\\)"):
+        law.poly_expectation({(3000, 0): 1.0})
+
+
+def test_gaussian_raw_moment_matches_recursive_memo():
+    # the unrolled recursion fills the memo with the same values, bit for bit
+    law = ec.GaussianLaw(-0.37)
+    memo = {(0, 0): 1.0}
+
+    def recursive(i, j):
+        if i < 0 or j < 0:
+            return 0.0
+        if (i, j) not in memo:
+            if i > 0:
+                memo[(i, j)] = ((i - 1) * recursive(i - 2, j)
+                                + law.rho_param * j * recursive(i - 1, j - 1))
+            else:
+                memo[(i, j)] = (j - 1) * recursive(0, j - 2)
+        return memo[(i, j)]
+
+    for i, j in ((9, 7), (12, 0), (0, 11), (4, 4), (25, 13)):
+        assert law.raw_moment(i, j) == recursive(i, j)
+    assert law._memo == memo
+
+
+def test_sampling_oracle_is_one_cached_fallback():
+    law = ec.GaussianLaw(0.5)
+    first = law.sampling_oracle()
+    assert law.sampling_oracle() is first
+    assert (first.seed, first.budget) == (0, 1_000_000)
+    assert ec.GaussianLaw(0.5).sampling_oracle() is not first
 
 
 def test_gaussian_rejects_affine_rho():

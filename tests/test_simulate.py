@@ -12,6 +12,7 @@ import pytest
 import scipy.stats as sps
 
 import empcalc as ec
+from empcalc import simulate
 from empcalc.laws import _normal_column
 from empcalc.simulate import default_threads
 from empcalc.streams import derive_rng
@@ -256,3 +257,204 @@ def test_lemma1_report_shape():
     assert d["config"]["functions"] == ["pi1", "p"]
     check_names = [c["name"] for c in d["checks"]]
     assert check_names == ["max_cov_abs_error", "min_eigenvalue", "max_marginal_ks"]
+
+
+# ----------------------------------------------------- the block kernel
+
+_MARGINALS = ("standard_normal", "uniform_std", "exponential_std", "rademacher")
+
+
+def _kernel_laws():
+    laws = [ec.GaussianLaw(0.45)]
+    laws += [ec.IndependentLaw(a, b) for k, a in enumerate(_MARGINALS)
+             for b in _MARGINALS[k:]]
+    laws.append(ec.MixtureLaw([ec.GaussianLaw(0.8),
+                               ec.IndependentLaw("uniform_std", "exponential_std")],
+                              [0.6, 0.4]))
+    laws.append(ec.DiscreteLaw([0.0, 1.0, -2.0, 3.5], [1.0, -1.0, 0.5, 2.0],
+                               [0.1, 0.2, 0.3, 0.4]))
+    return laws
+
+
+def _captured_ks_inputs(monkeypatch):
+    seen = []
+    real = simulate.ks_statistic
+
+    def capture(values, cdf):
+        seen.append(np.array(values, dtype=float))
+        return real(values, cdf)
+
+    monkeypatch.setattr(simulate, "ks_statistic", capture)
+    return seen
+
+
+def test_block_rows_follow_n():
+    assert simulate._blocks(100, 2000)[0] == (0, 327)
+    assert simulate._blocks(2000, 5000)[:2] == [(0, 16), (16, 32)]
+    assert simulate._blocks(40_000, 3) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n, reps", [(2, 503), (3, 337), (100, 103), (101, 103)])
+def test_block_rows_are_bit_identical_to_single_samples(monkeypatch, n, reps):
+    # small blocks, so every reps ends in a partial block
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 1000)
+    blocks = simulate._blocks(n, reps)
+    rows = blocks[0][1]
+    assert len(blocks) > 1 and reps % rows != 0
+    assert blocks[-1][1] == reps
+    for law in _kernel_laws():
+        cfg = ec.ExperimentConfig(law, n=n, reps=reps, seed=91)
+        for lo, hi in blocks:
+            xs, ys, _ = simulate._draw_replicates(cfg, lo, hi)
+            assert xs.shape == ys.shape == (hi - lo, n)
+            for row, i in enumerate(range(lo, hi)):
+                s = law.sample(n, derive_rng(91, i))
+                assert np.array_equal(xs[row], s.xs), (law.describe(), n, i)
+                assert np.array_equal(ys[row], s.ys), (law.describe(), n, i)
+
+
+@pytest.mark.parametrize("n", [3, 100, 101])
+def test_clt_values_match_per_replicate_rho_n(monkeypatch, n):
+    seen = _captured_ks_inputs(monkeypatch)
+    reps = 400
+    for law in _kernel_laws():
+        if n == 3 and (law.kind == "discrete" or "rademacher" in str(law.describe())):
+            continue  # atoms make degenerate replicates likely at n = 3; covered below
+        rep = ec.run_clt_experiment(ec.ExperimentConfig(law, n=n, reps=reps, seed=8))
+        block = seen.pop() * math.sqrt(rep.results["predicted_sigma2"])
+        rho_true = rep.results["rho_true"]
+        loop = np.array([math.sqrt(n) * (ec.compute_rho_n(law.sample(n, derive_rng(8, i)))
+                                         - rho_true) for i in range(reps)])
+        # relative to the values' scale: single values can sit near 0
+        assert np.abs(block - loop).max() <= 1e-12 * np.abs(loop).max(), law.describe()
+
+
+def test_lemma1_values_match_per_replicate_gn_eval(monkeypatch):
+    seen = _captured_ks_inputs(monkeypatch)
+    cos1 = ec.StatFunction(lambda x, y: np.cos(x), "cos(pi1)")
+    fs = [ec.pi1, ec.pi2, ec.p, ec.pi1 ** 2 - 0.5 * ec.pi2, cos1]
+    n, reps = 101, 350
+    laws = _kernel_laws()
+    for law in [laws[k] for k in (0, 3, 9, 10, 11, 12)]:
+        rep = ec.run_lemma1_experiment(fs, ec.ExperimentConfig(law, n=n, reps=reps, seed=4))
+        # ks_statistic saw G_n(f_j) / sd_j for each coordinate that is not degenerate
+        live = [j for j in range(len(fs)) if j not in rep.results["degenerate_coordinates"]]
+        sds = np.sqrt(np.diag(rep.results["predicted_cov"]))[live]
+        assert len(seen) == len(live)
+        block = np.column_stack([v * sd for v, sd in zip(seen, sds)])
+        seen.clear()
+        means = [law.expectation(fs[j]) for j in live]
+        loop = np.array([[ec.gn_eval(s, fs[j], mu) for j, mu in zip(live, means)]
+                         for s in (law.sample(n, derive_rng(4, i)) for i in range(reps))])
+        assert np.abs(block - loop).max() <= 1e-12 * np.abs(loop).max(), law.describe()
+
+
+def _per_replicate_failure(law, n, seed, reps, evaluate):
+    """The message a replicate-by-replicate loop over single samples gives."""
+    for i in range(reps):
+        try:
+            evaluate(law.sample(n, derive_rng(seed, i)))
+        except ec.EmpcalcError as exc:
+            return f"replicate {i} failed: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_degenerate_replicate_in_later_block_keeps_its_index(monkeypatch, threads):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 64)  # 6 rows at n = 10
+    law = ec.IndependentLaw("rademacher", "uniform_std")  # P(degenerate) = 1/512
+    expected = _per_replicate_failure(law, 10, 6, 5000, ec.compute_rho_n)
+    assert expected is not None and int(expected.split()[1]) >= 12
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=10, reps=5000, seed=6,
+                                                  threads=threads))
+    assert str(info.value) == expected
+    assert expected.endswith("degenerated marginal")
+    assert isinstance(info.value.__cause__, ec.DegenerateSampleError)
+
+
+def test_first_of_many_failing_replicates_in_a_block_is_reported():
+    # at n = 2 half the rademacher replicates are degenerate, so one block
+    # holds many failing rows
+    law = ec.IndependentLaw("rademacher", "rademacher")
+    for seed in range(6):
+        expected = _per_replicate_failure(law, 2, seed, 100, ec.compute_rho_n)
+        with pytest.raises(ec.SimulationError) as info:
+            ec.run_clt_experiment(ec.ExperimentConfig(law, n=2, reps=100, seed=seed))
+        assert str(info.value) == expected
+
+
+class _CappedGaussian(ec.GaussianLaw):
+    """Gaussian whose draws above 3 become +inf: a law with non-finite draws."""
+
+    def draw_block(self, rngs, n):
+        xs, ys = super().draw_block(rngs, n)
+        xs[xs > 3.0] = np.inf
+        return xs, ys
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_draw_reports_replicate_and_observation(monkeypatch):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)  # 3 rows at n = 20
+    law = _CappedGaussian(0.2)
+    expected = _per_replicate_failure(law, 20, 2, 2000, ec.compute_rho_n)
+    assert expected is not None and int(expected.split()[1]) >= 3
+    assert "non-finite observation at index" in expected
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=20, reps=2000, seed=2))
+    assert str(info.value) == expected
+    assert isinstance(info.value.__cause__, ec.InputFormatError)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lemma1_non_finite_draw_is_reported_before_non_finite_value(monkeypatch):
+    # a non-finite draw also makes f non-finite; the draw check runs first
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)
+    law = _CappedGaussian(0.2)
+    expected = _per_replicate_failure(
+        law, 20, 2, 2000, lambda s: [ec.gn_eval(s, f, 0.0) for f in (ec.pi1, ec.pi2)])
+    assert "non-finite observation at index" in expected
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_lemma1_experiment([ec.pi1, ec.pi2],
+                                 ec.ExperimentConfig(law, n=20, reps=2000, seed=2))
+    assert str(info.value) == expected
+
+
+def test_lemma1_non_finite_value_reports_first_replicate(monkeypatch):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)
+    # polynomial mean (exact 0), but the callable is infinite above 3.5
+    capped = ec.StatFunction(lambda x, y: np.where(x > 3.5, np.inf, x), "capped", {(1, 0): 1.0})
+    fs = [ec.pi2, capped]
+    law = ec.GaussianLaw(0.2)
+    expected = _per_replicate_failure(
+        law, 20, 6, 2000, lambda s: [ec.gn_eval(s, f, law.expectation(f)) for f in fs])
+    assert expected is not None and int(expected.split()[1]) >= 6
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_lemma1_experiment(fs, ec.ExperimentConfig(law, n=20, reps=2000, seed=6))
+    assert str(info.value) == expected
+    assert str(info.value).endswith("non-finite evaluation of capped")
+
+
+def test_lemma1_rejects_function_of_wrong_shape():
+    scalar = ec.StatFunction(lambda x, y: 1.0, "one", {(0, 0): 1.0})
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.2), n=50, reps=100, seed=1)
+    with pytest.raises(ec.SimulationError,
+                       match=r"replicate 0 failed: one returned shape \(\), expected \(100, 50\)"):
+        ec.run_lemma1_experiment([ec.pi1, scalar], cfg)
+
+
+def test_lemma1_with_non_polynomial_function_draws_one_fallback_batch(monkeypatch):
+    law = ec.GaussianLaw(0.5)
+    sizes = []
+    real = law.sample
+
+    def counting(n, rng):
+        sizes.append(n)
+        return real(n, rng)
+
+    monkeypatch.setattr(law, "sample", counting)
+    cos1 = ec.StatFunction(lambda x, y: np.cos(x), "cos(pi1)")
+    rep = ec.run_lemma1_experiment([ec.pi1, ec.pi2, ec.p, cos1],
+                                   ec.ExperimentConfig(law, n=100, reps=100, seed=3))
+    assert sizes == [1_000_000]
+    assert rep.results["predicted_cov"][3][3] > 0.0
