@@ -30,7 +30,7 @@ from .laws import (MARGINALS, BivariateLaw, DiscreteLaw, GaussianLaw,
                    IndependentLaw, Marginal, MixtureLaw, get_marginal,
                    law_from_spec, sample_law)
 from .simulate import (CheckResult, ExperimentConfig, SimulationReport,
-                       default_threads, ks_statistic, replicate_rng,
+                       default_threads, ks_statistic,
                        run_clt_experiment, run_lemma1_experiment)
 from .io import (read_paired_csv, report_to_csv, report_to_json,
                  write_paired_csv)
@@ -54,7 +54,7 @@ __all__ = [
     "gamma_estimate", "gamma_matrix",
     "get_marginal", "gn_eval", "ks_statistic", "law_from_spec",
     "moments_from_oracle", "mul", "p", "pi1", "pi2", "population_rho",
-    "read_paired_csv", "replicate_rng", "report_to_csv", "report_to_json",
+    "read_paired_csv", "report_to_csv", "report_to_json",
     "run_acceptance", "run_clt_experiment",
     "run_lemma1_experiment", "sample_law", "sigma1_squared", "sigma_squared",
     "smooth_map", "standard_normal_cdf", "standard_normal_pdf",

@@ -89,7 +89,7 @@ def cmd_estimate(cfg: RunConfig) -> tuple[dict, int]:
     rho_n = compute_rho_n(sample)
     sigma_hat2 = sigma_squared(m)
     half = 1.96 * math.sqrt(sigma_hat2 / sample.n)
-    z, p_value = test_zero_correlation(sample)
+    z, p_value = test_zero_correlation(sample, moments=m, rho_n=rho_n)
     report = {
         "command": "estimate",
         "config": {"input": cfg.input_path or "-"},

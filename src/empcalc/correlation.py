@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -270,7 +270,8 @@ class ZeroCorrelationTest(NamedTuple):
     p_value: float
 
 
-def test_zero_correlation(s: PairedSample) -> ZeroCorrelationTest:
+def test_zero_correlation(s: PairedSample, *, moments: Optional[BivariateMoments] = None,
+                          rho_n: Optional[float] = None) -> ZeroCorrelationTest:
     """Two-sided z-test of rho = 0 based on the null asymptotics.
 
     z = sqrt(n) rho_n / sigma1_hat with sigma1_hat^2 the plug-in
@@ -278,16 +279,21 @@ def test_zero_correlation(s: PairedSample) -> ZeroCorrelationTest:
     The p-value is erfc(|z|/sqrt(2)), which keeps its relative accuracy
     far into the tail instead of rounding to 0.  The normal approximation
     is poor below a few dozen observations, so n < 30 draws a warning.
+
+    A caller that already holds ``estimate_moments(s)`` and
+    ``compute_rho_n(s)`` passes them as ``moments`` and ``rho_n``; they
+    are then not computed again.
     """
     if s.n < 30:
         warnings.warn(f"n = {s.n} < 30: the normal approximation may be unreliable",
                       stacklevel=2)
-    m = estimate_moments(s)
+    m = estimate_moments(s) if moments is None else moments
     s1_sq = sigma1_squared(m)
     if s1_sq < 1e-12:
         raise DegenerateSampleError(
             f"plug-in sigma1^2 = {s1_sq:g} is below 1e-12; z statistic undefined")
-    rho_n = compute_rho_n(s)
+    if rho_n is None:
+        rho_n = compute_rho_n(s)
     z = math.sqrt(s.n) * rho_n / math.sqrt(s1_sq)
     return ZeroCorrelationTest(z, math.erfc(abs(z) / math.sqrt(2.0)))
 

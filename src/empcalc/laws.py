@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .streams import derive_rng
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _uniform_block(rngs: Sequence[np.random.Generator], width: int) -> np.ndarray:
+def _uniform_block(rngs: Collection[np.random.Generator], width: int) -> np.ndarray:
     """A (len(rngs), width) block of uniforms; row r is drawn from rngs[r] alone."""
     u = np.empty((len(rngs), width))
     for row, rng in zip(u, rngs):
@@ -173,10 +173,16 @@ class BivariateLaw(PolynomialMomentOracle):
     _fallback: Optional[SamplingMoments] = None
 
     @abstractmethod
-    def draw_block(self, rngs: Sequence[np.random.Generator],
+    def draw_block(self, rngs: Collection[np.random.Generator],
                    n: int) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys), each of shape (len(rngs), n): row r holds n i.i.d.
-        pairs drawn from rngs[r] alone, in the order a single sample takes."""
+        pairs drawn from rngs[r] alone, in the order a single sample takes.
+
+        ``rngs`` is sized, ``len(rngs)`` rows, and is iterated once, in row
+        order: the Monte Carlo experiments pass a
+        :class:`~empcalc.streams.BlockStreams`, which builds each row's
+        generator only when its row is reached.
+        """
 
     @abstractmethod
     def describe(self) -> dict:

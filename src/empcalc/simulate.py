@@ -20,7 +20,9 @@ Replicates run in blocks.  A block holds about 32k draws per coordinate
 only on (n, reps).  Replicate i draws its uniforms from the generator
 stream derived from (seed, i), never a shared sequential generator, in the
 order a single ``law.sample`` call takes them, into row i of its block;
-the law transforms the whole block at once and rho_n or G_n(f) is reduced
+the streams of a block are derived together (:class:`BlockStreams`), each
+row getting its own generator object, so worker threads never share one.
+The law transforms the whole block at once and rho_n or G_n(f) is reduced
 across the block.  Results are therefore identical for any worker count:
 workers take whole blocks, which are stacked in replicate order.  A
 failing check names the first failing replicate, with the message the
@@ -45,7 +47,7 @@ from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
 from .functions import StatFunction
 from .laws import BivariateLaw
 from .normal import standard_normal_cdf
-from .streams import derive_rng
+from .streams import BlockStreams
 
 THREADS_ENV_VAR = "EMPCALC_THREADS"
 
@@ -57,11 +59,6 @@ DEGENERATE_VARIANCE_FLOOR = 1e-12
 
 # draws per coordinate in one block of replicates; rows = this // n
 _BLOCK_ELEMENTS = 32_768
-
-
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """The stream for replicate ``index`` under root ``seed``."""
-    return derive_rng(seed, index)
 
 
 def default_threads() -> int:
@@ -212,7 +209,7 @@ def _draw_replicates(cfg: ExperimentConfig, lo: int, hi: int):
     later replicate can fail first, so later checks need only the rows
     before it.
     """
-    xs, ys = cfg.law.draw_block([replicate_rng(cfg.seed, i) for i in range(lo, hi)], cfg.n)
+    xs, ys = cfg.law.draw_block(BlockStreams(cfg.seed, (), lo, hi), cfg.n)
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     bad_rows = bad.any(axis=1)
     cut = int(np.argmax(bad_rows)) if bad_rows.any() else hi - lo

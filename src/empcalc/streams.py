@@ -1,28 +1,174 @@
 """Deterministic random stream derivation.
 
-All randomness in this package flows through numpy's SeedSequence so that
-a (root seed, key path) pair always names the same stream, independent of
+A (root seed, key path) pair always names the same stream, independent of
 thread scheduling, platform, or how many other streams were drawn first.
 Replicate i of an experiment uses ``derive_rng(seed, i)``; nested contexts
 extend the key path instead of consuming draws from a shared generator.
+
+The stream named by (seed, key) is numpy's: the PCG64 generator that
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``
+builds.  The package reproduces SeedSequence's hash (pool size 4) itself,
+in fixed 32-bit arithmetic that runs on Python integers for one stream
+and on uint32 arrays for a block of streams whose keys differ only in
+the last element; the tests check it against numpy's SeedSequence.
+PCG64 takes the four hashed 64-bit words through numpy's ISeedSequence
+interface and applies its own seeding step; a block of streams
+(:class:`BlockStreams`) builds each row's generator only when its row is
+reached.
 """
 
 from __future__ import annotations
 
+import operator
+from typing import Iterator
+
 import numpy as np
+
+_M32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+# SeedSequence's hash constants
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative integer, lowest first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seeds and keys must be non-negative, got {value}")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """The running hash constant: (value xored in, value multiplied by) per step."""
+    while True:
+        xor = const
+        const = (const * mult) & _M32
+        yield xor, const
+
+
+# The hash works elementwise on Python ints and on uint32 arrays alike: a
+# Python-int product is cut to 32 bits before it meets an array, so every
+# operand fits the arrays' uint32, whose arithmetic wraps as SeedSequence's
+# C code does.
+
+def _hashmix(value, consts):
+    xor, mult = next(consts)
+    value = ((value ^ xor) * mult) & _M32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (((_MIX_MULT_L * x) & _M32) - ((_MIX_MULT_R * y) & _M32)) & _M32
+    return value ^ (value >> 16)
+
+
+def _entropy(seed: int, key, last=()) -> list:
+    """SeedSequence's assembled entropy: the run words zero-padded to the
+    pool size, then the key words (``last`` holds the words of a final key
+    element given per row, as uint32 arrays).
+
+    SeedSequence pads only when a key follows; without one its hash reads
+    missing pool words as zeros, so padding always hashes the same.
+    """
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    return run + [w for k in key for w in _words(k)] + list(last)
+
+
+def _generate_state(entropy: list) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for assembled entropy.
+
+    Returns shape (4,) when every word is an int, else (rows, 4).
+    """
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    out = np.array([_hashmix(pool[i % _POOL_SIZE], consts)
+                    for i in range(2 * _POOL_SIZE)], dtype=np.uint64).T
+    # uint32 word pairs read as little-endian uint64s, one C-ordered row per stream
+    return np.ascontiguousarray(out[..., 0::2] | (out[..., 1::2] << 32))
+
+
+class _SeedWords:
+    """Hands PCG64 the four uint64 words its SeedSequence would generate.
+
+    Registered as a numpy ``ISeedSequence``, which PCG64 seeds itself from.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("derived streams only provide PCG64's four uint64 seed words")
+        return self.words
+
+
+def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """A fresh PCG64 generator for each row of seed words, in row order."""
+    # registered here rather than at import, so that commands which draw
+    # nothing never load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Return the generator uniquely named by ``seed`` and a key path.
 
-    The derivation is counter-based: spawn_key indexing into SeedSequence,
-    never sequential draws from a parent generator.  Two calls with equal
-    arguments produce independent generator objects in identical states.
+    The derivation is counter-based: the key path is SeedSequence's spawn
+    key, never a count of draws from a parent generator.  Two calls with
+    equal arguments produce independent generator objects in identical
+    states.  The generator's ``bit_generator.seed_seq`` holds only its
+    seed words, so ``Generator.spawn`` is unavailable: extend the key
+    path instead.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    return next(_generators(_generate_state(_entropy(seed, key))[np.newaxis]))
+
+
+class BlockStreams:
+    """The generators ``derive_rng(seed, *key, i)`` for i in lo..hi-1.
+
+    Their seed words are hashed as one block; keys of one uint32 width go
+    together, so a block crossing 2^32 takes two passes.  ``len`` is the
+    row count.  Iteration yields each row's generator in row order, built
+    only when reached, so a block holds one generator at a time; every
+    iteration starts the streams afresh.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, seed: int, key: tuple, lo: int, hi: int):
+        parts = [np.empty((0, 4), dtype=np.uint64)]
+        while lo < hi:
+            width = len(_words(lo))
+            end = min(hi, 1 << (32 * width))
+            index = np.arange(lo, end, dtype=np.uint64 if end <= 1 << 64 else object)
+            last = [((index >> (32 * j)) & _M32).astype(np.uint32) for j in range(width)]
+            parts.append(_generate_state(_entropy(seed, key, last)))
+            lo = end
+        self._words = np.concatenate(parts)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        return _generators(self._words)
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Collapse (seed, key path) to a single integer seed for sub-experiments."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_generate_state(_entropy(seed, key))[0])

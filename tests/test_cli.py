@@ -7,6 +7,7 @@ report, stderr the diagnostics, and the exit code must follow the
 
 import io
 import json
+import warnings
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_estimate_reads_stdin(monkeypatch, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--input", "-")
     assert code == 0
     assert json.loads(out)["results"]["rho_n"] == pytest.approx(0.8, rel=1e-14)
+
+
+def test_estimate_warns_about_kurtosis_once(tmp_path, capsys):
+    # one outlier among 200 rows puts the x kurtosis near 200, over the threshold
+    rows = [f"{i % 7 - 3},{i * 3 % 5 - 2}" for i in range(199)] + ["1000,1"]
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "estimate", "--input", path)
+    assert code == 0
+    assert json.loads(out)["results"]["n"] == 200
+    assert len([w for w in caught if "kurtosis" in str(w.message)]) == 1
 
 
 def test_estimate_reports_bad_line_number(tmp_path, capsys):
