@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .acceptance import DEFAULT_SEED, run_acceptance
-from .correlation import (compute_rho_n, correlation_expansion, estimate_moments,
-                          sigma1_squared, sigma_squared, test_zero_correlation)
+from .correlation import (correlation_expansion, estimate_moments, sigma1_squared,
+                          sigma_squared, test_zero_correlation)
 from .empirical import asymptotic_variance
 from .errors import EmpcalcError, InputFormatError
 from .functions import p, pi1, pi2
@@ -86,7 +86,7 @@ def cmd_estimate(cfg: RunConfig) -> tuple[dict, int]:
     else:
         sample = read_paired_csv(cfg.input_path)
     m = estimate_moments(sample)
-    rho_n = compute_rho_n(sample)
+    rho_n = m.cov_xy / math.sqrt(m.var_x * m.var_y)
     sigma_hat2 = sigma_squared(m)
     half = 1.96 * math.sqrt(sigma_hat2 / sample.n)
     z, p_value = test_zero_correlation(sample, moments=m, rho_n=rho_n)

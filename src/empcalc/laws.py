@@ -6,18 +6,20 @@ recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
 Monte Carlo integration on a deterministic batch.
 
-Sampling is pinned down to the uniform level: every draw is a transform
-of ``rng.random()`` uniforms taken in a documented order (normals by the
-Box-Muller transform, uniform and exponential marginals standardized
-analytically, composite laws consuming their parts in declaration order),
-so equal seeds consume identical uniforms everywhere.  The transformed
-values are bit-identical for one numpy build on one CPU; numpy may send
-``log1p``, ``cos`` and ``sin`` to CPU-specific SIMD code, so another
-machine can differ in the last bits.
+Sampling is pinned down to the stream level: normals are numpy's
+ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
+other marginal is a transform of ``Generator.random`` uniforms (uniform
+and exponential marginals standardized analytically), and composite laws
+consume their parts in declaration order, so equal seeds consume
+identical stream words everywhere.  Values are bit-identical for one
+numpy build on one CPU.  Another machine can differ in the last bits:
+the ziggurat calls the C library's ``exp`` and logarithm only on its rare
+rejection path, and numpy may send the exponential marginal's ``log1p``
+to CPU-specific SIMD code.
 
 Laws draw in blocks: :meth:`BivariateLaw.draw_block` fills row r of a
 block with n pairs from generator r alone, taking that generator's
-uniforms in exactly the order a single sample would, and transforms the
+values in exactly the order a single sample would, and transforms the
 whole block at once.  :meth:`BivariateLaw.sample` is the one-row block.
 
 The four named marginals are pre-standardized to mean 0, variance 1:
@@ -50,39 +52,16 @@ from .streams import derive_rng
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _uniform_block(rngs: Collection[np.random.Generator], width: int) -> np.ndarray:
-    """A (len(rngs), width) block of uniforms; row r is drawn from rngs[r] alone."""
-    u = np.empty((len(rngs), width))
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
-    return u
-
-
-def _normal_uniforms(n: int) -> int:
-    return 2 * ((n + 1) // 2)
-
-
-def _normal_block(u: np.ndarray, n: int) -> np.ndarray:
-    """Box-Muller in place: n standard normals per row of a uniform block.
-
-    Each row holds m = ceil(n/2) uniforms u1 then m uniforms u2; each pair
-    (u1, u2) yields the two variates r cos(theta), r sin(theta) with
-    r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2.  With u1 in [0, 1),
-    log1p(-u1) is always finite.  Returns the (rows, n) view of ``u``
-    holding all cosine variates, then the sine variates.
-    """
-    m = (n + 1) // 2
-    r, theta = u[:, :m], u[:, m:]
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    np.multiply(r, -2.0, out=r)
-    np.sqrt(r, out=r)
-    np.multiply(theta, 2.0 * np.pi, out=theta)
-    cos = np.cos(theta)
-    np.sin(theta, out=theta)
-    np.multiply(theta, r, out=theta)
-    np.multiply(cos, r, out=r)
-    return u[:, :n]
+def _fill_block(rngs: Collection[np.random.Generator], n: int,
+                methods: Sequence[str]) -> np.ndarray:
+    """A (len(rngs), len(methods) * n) block; row r holds, from rngs[r] alone,
+    n values of each named Generator method (``random`` or
+    ``standard_normal``) in turn."""
+    block = np.empty((len(rngs), len(methods) * n))
+    for row, rng in zip(block, rngs):
+        for k, method in enumerate(methods):
+            getattr(rng, method)(out=row[k * n:(k + 1) * n])
+    return block
 
 
 def _normal_double_factorial(k: int) -> float:
@@ -114,42 +93,32 @@ def _subfactorial(k: int) -> float:
 class Marginal:
     """A named standardized univariate law: block sampler plus raw moments.
 
-    ``uniforms(n)`` is how many uniforms n draws consume, and
-    ``transform(u, n)`` maps a (rows, uniforms(n)) block of them, possibly
-    in place, to (rows, n) draws.
+    ``method`` names the Generator method (``random`` or
+    ``standard_normal``) whose n values make n draws, and ``transform``
+    maps a (rows, n) block of them, possibly in place, to the draws.
     """
 
     name: str
-    uniforms: Callable[[int], int]
-    transform: Callable[[np.ndarray, int], np.ndarray]
+    method: str
+    transform: Callable[[np.ndarray], np.ndarray]
     raw_moment: Callable[[int], float]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws from ``rng`` (a one-row block)."""
-        return self.transform(_uniform_block([rng], self.uniforms(n)), n)[0]
-
-
-def _one_per_draw(n: int) -> int:
-    return n
+        return self.transform(_fill_block([rng], n, (self.method,)))[0]
 
 
 MARGINALS: dict[str, Marginal] = {
     "standard_normal": Marginal(
-        "standard_normal", _normal_uniforms, _normal_block, _normal_double_factorial),
+        "standard_normal", "standard_normal", lambda z: z, _normal_double_factorial),
     "uniform_std": Marginal(
-        "uniform_std", _one_per_draw, lambda u, n: (u - 0.5) * math.sqrt(12.0),
-        _uniform_std_moment),
+        "uniform_std", "random", lambda u: (u - 0.5) * math.sqrt(12.0), _uniform_std_moment),
     "exponential_std": Marginal(
-        "exponential_std", _one_per_draw, lambda u, n: -np.log1p(-u) - 1.0, _subfactorial),
+        "exponential_std", "random", lambda u: -np.log1p(-u) - 1.0, _subfactorial),
     "rademacher": Marginal(
-        "rademacher", _one_per_draw, lambda u, n: np.where(u < 0.5, -1.0, 1.0),
+        "rademacher", "random", lambda u: np.where(u < 0.5, -1.0, 1.0),
         lambda k: 0.0 if k % 2 == 1 else 1.0),
 }
-
-
-def _normal_column(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals from ``rng`` (Box-Muller)."""
-    return MARGINALS["standard_normal"].draw(rng, n)
 
 
 def get_marginal(name) -> Marginal:
@@ -256,7 +225,9 @@ class GaussianLaw(BivariateLaw):
     """Standard bivariate Gaussian with correlation rho, |rho| < 1.
 
     Pairs are generated as (Z1, rho Z1 + sqrt(1 - rho^2) Z2) from two
-    independent standard normal columns, Z1 drawn in full before Z2.
+    independent columns of ziggurat standard normals, Z1 drawn in full
+    before Z2; the ziggurat's rare rejections call ``exp`` and a
+    logarithm, so the last bits can depend on the platform's C library.
     Raw moments follow the Isserlis recursion
 
         M(i, j) = (i - 1) M(i-2, j) + rho j M(i-1, j-1),
@@ -278,10 +249,8 @@ class GaussianLaw(BivariateLaw):
         return {"kind": "gaussian", "rho": self.rho_param}
 
     def draw_block(self, rngs, n):
-        w = _normal_uniforms(n)
-        u = _uniform_block(rngs, 2 * w)
-        z1 = _normal_block(u[:, :w], n)
-        ys = _normal_block(u[:, w:], n)
+        z = _fill_block(rngs, n, ("standard_normal", "standard_normal"))
+        z1, ys = z[:, :n], z[:, n:]
         np.multiply(ys, math.sqrt(1.0 - self.rho_param ** 2), out=ys)
         ys += self.rho_param * z1
         return z1, ys
@@ -340,10 +309,9 @@ class IndependentLaw(BivariateLaw):
                 "marginal_y": self.marginal_y.name}
 
     def draw_block(self, rngs, n):
-        kx = self.marginal_x.uniforms(n)
-        u = _uniform_block(rngs, kx + self.marginal_y.uniforms(n))
-        return (self.marginal_x.transform(u[:, :kx], n),
-                self.marginal_y.transform(u[:, kx:], n))
+        mx, my = self.marginal_x, self.marginal_y
+        block = _fill_block(rngs, n, (mx.method, my.method))
+        return mx.transform(block[:, :n]), my.transform(block[:, n:])
 
     def raw_moment(self, i: int, j: int) -> float:
         return self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
@@ -442,7 +410,7 @@ class DiscreteLaw(BivariateLaw):
                 "weights": self.atom_weights.tolist()}
 
     def draw_block(self, rngs, n):
-        idx = np.searchsorted(self._cut, _uniform_block(rngs, n), side="right")
+        idx = np.searchsorted(self._cut, _fill_block(rngs, n, ("random",)), side="right")
         return self.atom_xs[idx], self.atom_ys[idx]
 
     def supports_exact(self, f: StatFunction) -> bool:

@@ -17,7 +17,7 @@ Two experiment drivers:
 
 Replicates run in blocks.  A block holds about 32k draws per coordinate
 (rows = 32768 // n replicates, at least one), so block boundaries depend
-only on (n, reps).  Replicate i draws its uniforms from the generator
+only on (n, reps).  Replicate i draws its values from the generator
 stream derived from (seed, i), never a shared sequential generator, in the
 order a single ``law.sample`` call takes them, into row i of its block;
 the streams of a block are derived together (:class:`BlockStreams`), each

@@ -11,7 +11,8 @@ builds.  The package reproduces SeedSequence's hash (pool size 4) itself,
 in fixed 32-bit arithmetic that runs on Python integers for one stream
 and on uint32 arrays for a block of streams whose keys differ only in
 the last element; the tests check it against numpy's SeedSequence.
-PCG64 takes the four hashed 64-bit words through numpy's ISeedSequence
+The hash state after a seed's own words is cached per seed, so a stream
+or a block hashes only its key words and the output.  PCG64 takes the four hashed 64-bit words through numpy's ISeedSequence
 interface and applies its own seeding step; a block of streams
 (:class:`BlockStreams`) builds each row's generator only when its row is
 reached.
@@ -19,6 +20,7 @@ reached.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterator
 
@@ -67,33 +69,43 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-def _entropy(seed: int, key, last=()) -> list:
-    """SeedSequence's assembled entropy: the run words zero-padded to the
-    pool size, then the key words (``last`` holds the words of a final key
-    element given per row, as uint32 arrays).
+def _mix_in(pool: list, words, consts) -> None:
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
 
-    SeedSequence pads only when a key follows; without one its hash reads
-    missing pool words as zeros, so padding always hashes the same.
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool after hashing the run words of ``seed``, and the
+    hash constant it continues from.
+
+    The run words are zero-padded to the pool size.  SeedSequence pads
+    only when a key follows; without one its hash reads missing pool
+    words as zeros, so padding always hashes the same.
     """
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    return run + [w for k in key for w in _words(k)] + list(last)
-
-
-def _generate_state(entropy: list) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` for assembled entropy.
-
-    Returns shape (4,) when every word is an int, else (rows, 4).
-    """
     consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    pool = [_hashmix(word, consts) for word in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    _mix_in(pool, run[_POOL_SIZE:], consts)
+    return tuple(pool), next(consts)[0]
+
+
+def _generate_state(seed: int, key, last=()) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``.
+
+    ``last`` holds the words of a further key element given per row, as
+    uint32 arrays.  Returns shape (4,) when ``last`` is empty, else (rows, 4).
+    """
+    pool, const = _seed_pool(seed)
+    pool = list(pool)
+    consts = _hash_constants(const, _MULT_A)
+    _mix_in(pool, [w for k in key for w in _words(k)] + list(last), consts)
     consts = _hash_constants(_INIT_B, _MULT_B)
     out = np.array([_hashmix(pool[i % _POOL_SIZE], consts)
                     for i in range(2 * _POOL_SIZE)], dtype=np.uint64).T
@@ -136,7 +148,7 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     seed words, so ``Generator.spawn`` is unavailable: extend the key
     path instead.
     """
-    return next(_generators(_generate_state(_entropy(seed, key))[np.newaxis]))
+    return next(_generators(_generate_state(seed, key)[np.newaxis]))
 
 
 class BlockStreams:
@@ -158,7 +170,7 @@ class BlockStreams:
             end = min(hi, 1 << (32 * width))
             index = np.arange(lo, end, dtype=np.uint64 if end <= 1 << 64 else object)
             last = [((index >> (32 * j)) & _M32).astype(np.uint32) for j in range(width)]
-            parts.append(_generate_state(_entropy(seed, key, last)))
+            parts.append(_generate_state(seed, key, last))
             lo = end
         self._words = np.concatenate(parts)
 
@@ -171,4 +183,4 @@ class BlockStreams:
 
 def derive_seed(seed: int, *key: int) -> int:
     """Collapse (seed, key path) to a single integer seed for sub-experiments."""
-    return int(_generate_state(_entropy(seed, key))[0])
+    return int(_generate_state(seed, key)[0])

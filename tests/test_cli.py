@@ -7,6 +7,7 @@ report, stderr the diagnostics, and the exit code must follow the
 
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -64,6 +65,16 @@ def test_estimate_warns_about_kurtosis_once(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["results"]["n"] == 200
     assert len([w for w in caught if "kurtosis" in str(w.message)]) == 1
+
+
+def test_estimate_rho_n_is_taken_from_the_reported_moments(tmp_path, capsys):
+    # on these rows a second centring pass would give rho_n one ulp away
+    rows = [f"{i * 37 % 101 / 7:.3f},{i * 53 % 89 / 3 + i / 50:.3f}" for i in range(500)]
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "estimate", "--input", path)
+    assert code == 0
+    r = json.loads(out)["results"]
+    assert r["rho_n"] == r["cov_xy"] / math.sqrt(r["var_x"] * r["var_y"])
 
 
 def test_estimate_reports_bad_line_number(tmp_path, capsys):

@@ -82,12 +82,7 @@ def _reference_draw(law, n, rng):
     """Each law's draws written out one sample at a time: the reference the
     block sampler must match bit for bit."""
     def normal(k):
-        m = (k + 1) // 2
-        u1 = rng.random(m)
-        u2 = rng.random(m)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * np.pi * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:k]
+        return rng.standard_normal(k)
 
     marginal = {"standard_normal": normal,
                 "uniform_std": lambda k: (rng.random(k) - 0.5) * math.sqrt(12.0),

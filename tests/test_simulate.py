@@ -13,7 +13,7 @@ import scipy.stats as sps
 
 import empcalc as ec
 from empcalc import simulate
-from empcalc.laws import _normal_column
+from empcalc.laws import MARGINALS
 from empcalc.simulate import default_threads
 from empcalc.streams import derive_rng
 
@@ -57,7 +57,7 @@ def test_ks_calibration_on_true_normal_draws():
     m = 500
     crit = 1.63 / math.sqrt(m)
     hits = sum(
-        ec.ks_statistic(_normal_column(derive_rng(606, t), m),
+        ec.ks_statistic(MARGINALS["standard_normal"].draw(derive_rng(606, t), m),
                         ec.standard_normal_cdf) < crit
         for t in range(100))
     assert hits >= 98
