@@ -12,7 +12,8 @@ the CriterionResult itself for logging.
 
 All randomness is derived from one root seed through keyed streams, so
 two runs with the same seed produce identical results regardless of
-worker budget or criterion subset.
+worker budget or criterion subset.  Every criterion takes the seed and
+the worker budget; only the Monte Carlo criteria use the budget.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class CriterionResult:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
+                                     threads: int = 0) -> CriterionResult:
     """sigma_squared under exact Gaussian moments equals (1 - rho^2)^2."""
     start = time.perf_counter()
     grid = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.8)
@@ -78,11 +80,11 @@ def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED) -> CriterionResul
     return CriterionResult(1, "gaussian_closed_form", checks, elapsed)
 
 
-def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 0) -> CriterionResult:
     """sqrt(n)(rho_n - rho) matches N(0, 0.5625) for gaussian(0.5)."""
     start = time.perf_counter()
     cfg = ExperimentConfig(law=GaussianLaw(0.5), n=2000, reps=5000,
-                           seed=derive_seed(seed, 2))
+                           seed=derive_seed(seed, 2), threads=threads)
     report = run_clt_experiment(cfg, variance_rtol=0.10, ks_tol=0.03)
     elapsed = time.perf_counter() - start
     checks = list(report.checks)
@@ -90,14 +92,15 @@ def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(2, "clt_gaussian", checks, elapsed)
 
 
-def criterion_3_independent_pairings(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_3_independent_pairings(seed: int = DEFAULT_SEED,
+                                     threads: int = 0) -> CriterionResult:
     """All marginal pairings give sqrt(n) rho_n close to N(0, 1)."""
     start = time.perf_counter()
     checks = []
     pairs = list(combinations_with_replacement(PAIRING_MARGINALS, 2))
     for idx, (mx, my) in enumerate(pairs):
         cfg = ExperimentConfig(law=IndependentLaw(mx, my), n=2000, reps=5000,
-                               seed=derive_seed(seed, 3, idx))
+                               seed=derive_seed(seed, 3, idx), threads=threads)
         report = run_clt_experiment(cfg, variance_rtol=0.10, ks_tol=0.03)
         for c in report.checks:
             checks.append(CheckResult(f"{c.name}[{mx},{my}]", c.value,
@@ -124,7 +127,8 @@ def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
     raise RuntimeError("could not draw a usable discrete law in 200 attempts")
 
 
-def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
+                                        threads: int = 0) -> CriterionResult:
     """Combinator pipeline and closed-form variance agree on random laws.
 
     The pipeline route integrates its influence by atom enumeration
@@ -145,11 +149,12 @@ def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED) -> CriterionRe
     return CriterionResult(4, "pipeline_vs_closed_form", checks, elapsed)
 
 
-def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 0) -> CriterionResult:
     """(G_n(pi1), G_n(pi2), G_n(p)) is jointly normal with the Gram matrix."""
     start = time.perf_counter()
     law = GaussianLaw(0.5)
-    cfg = ExperimentConfig(law=law, n=1000, reps=5000, seed=derive_seed(seed, 5))
+    cfg = ExperimentConfig(law=law, n=1000, reps=5000, seed=derive_seed(seed, 5),
+                           threads=threads)
     report = run_lemma1_experiment([pi1, pi2, p], cfg, cov_atol=0.05, ks_tol=0.03)
     # frozen exact Gram matrix for the standardized Gaussian at rho = 0.5
     expected = np.array([[1.0, 0.5, 0.0],
@@ -224,8 +229,12 @@ def _check_thread_invariance(seed: int) -> CheckResult:
     return CheckResult("report_thread_invariance", float(ok), 1.0, ok)
 
 
-def criterion_6_exact_invariants(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Deterministic identities: linearity, invariance, algebra, round trips."""
+def criterion_6_exact_invariants(seed: int = DEFAULT_SEED,
+                                 threads: int = 0) -> CriterionResult:
+    """Deterministic identities: linearity, invariance, algebra, round trips.
+
+    The thread-invariance check compares its own fixed budgets, 1 and 4.
+    """
     start = time.perf_counter()
     checks = [
         _check_linearity(seed),
@@ -238,7 +247,8 @@ def criterion_6_exact_invariants(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(6, "exact_invariants", checks, elapsed)
 
 
-def criterion_7_test_calibration(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_7_test_calibration(seed: int = DEFAULT_SEED,
+                                 threads: int = 0) -> CriterionResult:
     """The zero-correlation z-test rejects at its nominal 5% level."""
     start = time.perf_counter()
     law = IndependentLaw("standard_normal", "standard_normal")
@@ -266,13 +276,18 @@ ALL_CRITERIA = {
 }
 
 
-def run_acceptance(numbers=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) in numeric order."""
+def run_acceptance(numbers=None, seed: int = DEFAULT_SEED,
+                   threads: int = 0) -> list[CriterionResult]:
+    """Run the selected criteria (all by default) in numeric order.
+
+    ``threads`` is the worker budget of every Monte Carlo experiment a
+    criterion runs, as in :class:`~empcalc.simulate.ExperimentConfig`.
+    """
     if numbers is None:
         numbers = sorted(ALL_CRITERIA)
     results = []
     for num in numbers:
         if num not in ALL_CRITERIA:
             raise InputFormatError(f"unknown acceptance criterion {num}; valid: 1..7")
-        results.append(ALL_CRITERIA[num](seed))
+        results.append(ALL_CRITERIA[num](seed, threads))
     return results

@@ -166,7 +166,7 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
-    results = run_acceptance(cfg.criteria, seed=cfg.seed)
+    results = run_acceptance(cfg.criteria, seed=cfg.seed, threads=cfg.threads)
     for r in results:
         print(f"criterion {r.number} ({r.name}): "
               f"{'pass' if r.passed else 'FAIL'} in {r.runtime_seconds:.2f}s",

@@ -17,10 +17,16 @@ the ziggurat calls the C library's ``exp`` and logarithm only on its rare
 rejection path, and numpy may send the exponential marginal's ``log1p``
 to CPU-specific SIMD code.
 
-Laws draw in blocks: :meth:`BivariateLaw.draw_block` fills row r of a
-block with n pairs from generator r alone, taking that generator's
-values in exactly the order a single sample would, and transforms the
-whole block at once.  :meth:`BivariateLaw.sample` is the one-row block.
+Every law draws in two parts, one for the stream and one for the
+arithmetic.  The raw fill takes, from one generator, the values k pairs
+consume, in the order a single sample takes them, into the law's raw
+buffers at a running offset: a leaf law calls the Generator methods it
+names in ``methods``, one run of k values each; a mixture draws its k
+pick-uniforms, then fills each picked component's buffers in declaration
+order.  The transform then maps a whole buffer to (xs, ys) at once.
+:meth:`BivariateLaw.draw_block` fills row r of a block from generator r
+alone and transforms the block once; :meth:`BivariateLaw.sample` is the
+one-row block.
 
 The four named marginals are pre-standardized to mean 0, variance 1:
 
@@ -52,18 +58,6 @@ from .streams import derive_rng
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _fill_block(rngs: Collection[np.random.Generator], n: int,
-                methods: Sequence[str]) -> np.ndarray:
-    """A (len(rngs), len(methods) * n) block; row r holds, from rngs[r] alone,
-    n values of each named Generator method (``random`` or
-    ``standard_normal``) in turn."""
-    block = np.empty((len(rngs), len(methods) * n))
-    for row, rng in zip(block, rngs):
-        for k, method in enumerate(methods):
-            getattr(rng, method)(out=row[k * n:(k + 1) * n])
-    return block
-
-
 def _normal_double_factorial(k: int) -> float:
     # E[Z^k] for Z ~ N(0,1): (k-1)!! for even k, 0 for odd k
     if k % 2 == 1:
@@ -89,13 +83,35 @@ def _subfactorial(k: int) -> float:
     return d
 
 
+def _uniform_std(u: np.ndarray) -> np.ndarray:
+    u -= 0.5
+    u *= math.sqrt(12.0)
+    return u
+
+
+def _exponential_std(u: np.ndarray) -> np.ndarray:
+    # -log1p(-u) - 1, the formula's operations in its order, in place
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u -= 1.0
+    return u
+
+
+def _rademacher(u: np.ndarray) -> np.ndarray:
+    # u - 0.5 is exact and negative just when u < 0.5, so its sign is the draw
+    u -= 0.5
+    return np.copysign(1.0, u, out=u)
+
+
 @dataclass(frozen=True)
 class Marginal:
-    """A named standardized univariate law: block sampler plus raw moments.
+    """A named standardized univariate law: sampler plus raw moments.
 
     ``method`` names the Generator method (``random`` or
-    ``standard_normal``) whose n values make n draws, and ``transform``
-    maps a (rows, n) block of them, possibly in place, to the draws.
+    ``standard_normal``) whose n values make n draws: the raw fill.
+    ``transform`` works elementwise on an array of them, of any shape,
+    overwrites it with the draws and returns it.
     """
 
     name: str
@@ -104,20 +120,17 @@ class Marginal:
     raw_moment: Callable[[int], float]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws from ``rng`` (a one-row block)."""
-        return self.transform(_fill_block([rng], n, (self.method,)))[0]
+        """n i.i.d. draws from ``rng``: n raw values, then the transform."""
+        return self.transform(getattr(rng, self.method)(n))
 
 
 MARGINALS: dict[str, Marginal] = {
     "standard_normal": Marginal(
         "standard_normal", "standard_normal", lambda z: z, _normal_double_factorial),
-    "uniform_std": Marginal(
-        "uniform_std", "random", lambda u: (u - 0.5) * math.sqrt(12.0), _uniform_std_moment),
-    "exponential_std": Marginal(
-        "exponential_std", "random", lambda u: -np.log1p(-u) - 1.0, _subfactorial),
+    "uniform_std": Marginal("uniform_std", "random", _uniform_std, _uniform_std_moment),
+    "exponential_std": Marginal("exponential_std", "random", _exponential_std, _subfactorial),
     "rademacher": Marginal(
-        "rademacher", "random", lambda u: np.where(u < 0.5, -1.0, 1.0),
-        lambda k: 0.0 if k % 2 == 1 else 1.0),
+        "rademacher", "random", _rademacher, lambda k: 0.0 if k % 2 == 1 else 1.0),
 }
 
 
@@ -134,23 +147,50 @@ def get_marginal(name) -> Marginal:
 class BivariateLaw(PolynomialMomentOracle):
     """A bivariate law: i.i.d. block sampler plus exact raw moments.
 
-    Subclasses implement ``draw_block`` (coordinate arrays, no container,
-    so composite laws can draw sub-batches of any size) and ``raw_moment``.
+    Sampling is split into a raw fill and a transform.  A leaf law names
+    in ``methods`` the Generator methods one pair consumes, in stream
+    order, and implements ``transform``; the default raw buffers, one row
+    per method, and fill serve it.  A composite law also overrides
+    ``_raw_buffers`` and ``_fill``.  Subclasses implement ``raw_moment``.
     """
 
     kind: str = ""
+    methods: tuple[str, ...] = ()
     _fallback: Optional[SamplingMoments] = None
 
-    @abstractmethod
     def draw_block(self, rngs: Collection[np.random.Generator],
                    n: int) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys), each of shape (len(rngs), n): row r holds n i.i.d.
         pairs drawn from rngs[r] alone, in the order a single sample takes.
+        Both arrays are the caller's own, to overwrite if it likes.
 
         ``rngs`` is sized, ``len(rngs)`` rows, and is iterated once, in row
         order: the Monte Carlo experiments pass a
         :class:`~empcalc.streams.BlockStreams`, which builds each row's
         generator only when its row is reached.
+        """
+        rows = len(rngs)
+        raw = self._raw_buffers(rows * n)
+        for row, rng in enumerate(rngs):
+            self._fill(rng, raw, row * n, n)
+        xs, ys = self.transform(raw, rows * n)
+        return xs.reshape(rows, n), ys.reshape(rows, n)
+
+    def _raw_buffers(self, size: int):
+        """Raw buffers for up to ``size`` pairs."""
+        return np.empty((len(self.methods), size))
+
+    def _fill(self, rng: np.random.Generator, raw, at: int, k: int) -> None:
+        """Fill pairs at..at+k-1 of ``raw`` from ``rng``: k values of each
+        of ``methods`` in turn."""
+        for method, buf in zip(self.methods, raw):
+            getattr(rng, method)(out=buf[at:at + k])
+
+    @abstractmethod
+    def transform(self, raw, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of the first ``size`` pairs in ``raw``, flat.
+
+        The transform works elementwise and may overwrite ``raw``.
         """
 
     @abstractmethod
@@ -236,6 +276,7 @@ class GaussianLaw(BivariateLaw):
     """
 
     kind = "gaussian"
+    methods = ("standard_normal", "standard_normal")
 
     def __init__(self, rho: float):
         rho = float(rho)
@@ -248,9 +289,8 @@ class GaussianLaw(BivariateLaw):
     def describe(self) -> dict:
         return {"kind": "gaussian", "rho": self.rho_param}
 
-    def draw_block(self, rngs, n):
-        z = _fill_block(rngs, n, ("standard_normal", "standard_normal"))
-        z1, ys = z[:, :n], z[:, n:]
+    def transform(self, raw, size):
+        z1, ys = raw[:, :size]
         np.multiply(ys, math.sqrt(1.0 - self.rho_param ** 2), out=ys)
         ys += self.rho_param * z1
         return z1, ys
@@ -302,16 +342,16 @@ class IndependentLaw(BivariateLaw):
     def __init__(self, marginal_x, marginal_y):
         self.marginal_x = get_marginal(marginal_x)
         self.marginal_y = get_marginal(marginal_y)
+        self.methods = (self.marginal_x.method, self.marginal_y.method)
 
     def describe(self) -> dict:
         return {"kind": "independent",
                 "marginal_x": self.marginal_x.name,
                 "marginal_y": self.marginal_y.name}
 
-    def draw_block(self, rngs, n):
-        mx, my = self.marginal_x, self.marginal_y
-        block = _fill_block(rngs, n, (mx.method, my.method))
-        return mx.transform(block[:, :n]), my.transform(block[:, n:])
+    def transform(self, raw, size):
+        return (self.marginal_x.transform(raw[0, :size]),
+                self.marginal_y.transform(raw[1, :size]))
 
     def raw_moment(self, i: int, j: int) -> float:
         return self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
@@ -323,6 +363,14 @@ class MixtureLaw(BivariateLaw):
     Sampling first draws one uniform per observation to pick components,
     then draws each component's sub-batch in declaration order from the
     same stream; both stages are deterministic given the stream state.
+
+    The raw buffers are the picks, a count of pairs filled per component,
+    and each component's own raw buffers, sized for every pair.  A fill
+    of k pairs appends each picked component's sub-batch to that
+    component's buffers.  The transform runs once per component over all
+    its pairs and scatters them to the positions that picked it: pairs
+    fill in position order, so a component's j-th pair goes to its j-th
+    pick.
     """
 
     kind = "mixture"
@@ -351,20 +399,30 @@ class MixtureLaw(BivariateLaw):
                 "components": [c.describe() for c in self.components],
                 "weights": list(self.weights)}
 
-    def draw_block(self, rngs, n):
-        # sub-batch sizes depend on each row's picks, so rows are filled
-        # one at a time, each component drawing a one-row block
-        xs = np.empty((len(rngs), n))
-        ys = np.empty((len(rngs), n))
-        for row, rng in enumerate(rngs):
-            picks = np.searchsorted(self._cut, rng.random(n), side="right")
-            for k, comp in enumerate(self.components):
-                mask = picks == k
-                nk = int(mask.sum())
-                if nk:
-                    cx, cy = comp.draw_block([rng], nk)
-                    xs[row, mask] = cx[0]
-                    ys[row, mask] = cy[0]
+    def _raw_buffers(self, size):
+        return (np.empty(size, dtype=np.intp), [0] * len(self.components),
+                [comp._raw_buffers(size) for comp in self.components])
+
+    def _fill(self, rng, raw, at, k):
+        picks, filled, parts = raw
+        row = picks[at:at + k]
+        row[:] = self._cut.searchsorted(rng.random(k), side="right")
+        counts = np.bincount(row, minlength=len(self.components)).tolist()
+        for c, comp in enumerate(self.components):
+            if counts[c]:
+                comp._fill(rng, parts[c], filled[c], counts[c])
+                filled[c] += counts[c]
+
+    def transform(self, raw, size):
+        picks, filled, parts = raw
+        picks = picks[:size]
+        xs = np.empty(size)
+        ys = np.empty(size)
+        for c, comp in enumerate(self.components):
+            if filled[c]:
+                at = np.flatnonzero(picks == c)
+                xs[at], ys[at] = comp.transform(parts[c], filled[c])
+            parts[c] = None  # frees the component's buffers before the next one's transform
         return xs, ys
 
     def raw_moment(self, i: int, j: int) -> float:
@@ -382,6 +440,7 @@ class DiscreteLaw(BivariateLaw):
     """
 
     kind = "discrete"
+    methods = ("random",)
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]):
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -409,9 +468,10 @@ class DiscreteLaw(BivariateLaw):
                 "ys": self.atom_ys.tolist(),
                 "weights": self.atom_weights.tolist()}
 
-    def draw_block(self, rngs, n):
-        idx = np.searchsorted(self._cut, _fill_block(rngs, n, ("random",)), side="right")
-        return self.atom_xs[idx], self.atom_ys[idx]
+    def transform(self, raw, size):
+        u = raw[0, :size]
+        idx = self._cut.searchsorted(u, side="right")
+        return np.take(self.atom_xs, idx, out=u), self.atom_ys[idx]
 
     def supports_exact(self, f: StatFunction) -> bool:
         return True

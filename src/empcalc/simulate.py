@@ -236,10 +236,11 @@ def run_clt_experiment(cfg: ExperimentConfig,
     sqrt_n = math.sqrt(cfg.n)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
-        # rho_n per row, as compute_rho_n takes it: centre, then sums of products
-        xs, ys, nonfinite = _draw_replicates(cfg, lo, hi)
-        dx = xs - xs.mean(axis=1, keepdims=True)
-        dy = ys - ys.mean(axis=1, keepdims=True)
+        # rho_n per row, as compute_rho_n takes it: centre (in place, the
+        # block is the kernel's own), then sums of products
+        dx, dy, nonfinite = _draw_replicates(cfg, lo, hi)
+        dx -= dx.mean(axis=1, keepdims=True)
+        dy -= dy.mean(axis=1, keepdims=True)
         sxx = (dx * dx).sum(axis=1)
         syy = (dy * dy).sum(axis=1)
         _raise_first_failure(lo, [

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+import empcalc.acceptance as acceptance
 from empcalc.cli import main
 
 
@@ -238,6 +239,27 @@ def test_check_subset_thread_budget_does_not_change_bytes(monkeypatch, capsys):
     monkeypatch.setenv("EMPCALC_THREADS", "4")
     _, out_threaded, _ = run_cli(capsys, *args)
     assert out_default == out_threaded
+
+
+def test_check_passes_thread_flag_to_experiments(monkeypatch, capsys):
+    budgets = []
+    real = acceptance.ExperimentConfig
+
+    def capture(*args, **kwargs):
+        cfg = real(*args, **kwargs)
+        budgets.append(cfg.threads)
+        return cfg
+
+    monkeypatch.setattr(acceptance, "ExperimentConfig", capture)
+    monkeypatch.delenv("EMPCALC_THREADS", raising=False)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run_cli(capsys, "check", "--criteria", "2", "--seed", "42",
+                               "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert budgets == [1, 2]
+    assert outs[0] == outs[1]
 
 
 def test_check_unknown_criterion(capsys):

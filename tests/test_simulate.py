@@ -273,6 +273,22 @@ def _kernel_laws():
                               [0.6, 0.4]))
     laws.append(ec.DiscreteLaw([0.0, 1.0, -2.0, 3.5], [1.0, -1.0, 0.5, 2.0],
                                [0.1, 0.2, 0.3, 0.4]))
+    # mixtures whose block transform runs per component: a nested mixture,
+    # a discrete component among three, and a component so rare that whole
+    # blocks at small n never pick it
+    laws.append(ec.MixtureLaw([ec.GaussianLaw(0.8),
+                               ec.MixtureLaw([ec.IndependentLaw("rademacher", "uniform_std"),
+                                              ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
+                                             [0.5, 0.5])],
+                              [0.6, 0.4]))
+    laws.append(ec.MixtureLaw([ec.IndependentLaw("standard_normal", "exponential_std"),
+                               ec.DiscreteLaw([0.0, 1.0, -2.0, 3.5], [1.0, -1.0, 0.5, 2.0],
+                                              [0.1, 0.2, 0.3, 0.4]),
+                               ec.GaussianLaw(-0.5)],
+                              [0.45, 0.1, 0.45]))
+    laws.append(ec.MixtureLaw([ec.GaussianLaw(-0.3),
+                               ec.IndependentLaw("uniform_std", "exponential_std")],
+                              [0.999, 0.001]))
     return laws
 
 
