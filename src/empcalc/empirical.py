@@ -157,6 +157,10 @@ class SamplingMoments(MomentOracle):
         Root seed of the batch stream.  Equal (seed, budget) pairs give
         identical results regardless of thread count, because the batch
         is drawn once on the calling thread and cached.
+
+    Once the batch is drawn, ``sampler`` is set to None: a law's bound
+    ``sample`` would otherwise tie the law and its cached oracle in a
+    reference cycle, keeping the batch alive until the cyclic collector runs.
     """
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
@@ -171,6 +175,7 @@ class SamplingMoments(MomentOracle):
     def batch(self) -> PairedSample:
         if self._batch is None:
             self._batch = self.sampler(self.budget, derive_rng(self.seed))
+            self.sampler = None
         return self._batch
 
     def _values(self, f: StatFunction) -> np.ndarray:
@@ -191,8 +196,12 @@ class SamplingMoments(MomentOracle):
         gv = self._values(g)
         w = (fv - fv.mean()) * (gv - gv.mean())
         r = w.size
-        value = float(w.sum() / (r - 1))
-        stderr = float(w.std(ddof=1) / math.sqrt(r))
+        s = w.sum()
+        value = float(s / (r - 1))
+        # w.std(ddof=1), in place on w: the same operations in numpy's order
+        w -= s / r
+        np.multiply(w, w, out=w)
+        stderr = math.sqrt(w.sum() / (r - 1)) / math.sqrt(r)
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}, {g.label})")
         return CovarianceEstimate(value, stderr, "monte_carlo")

@@ -165,9 +165,11 @@ class BivariateLaw(PolynomialMomentOracle):
         Both arrays are the caller's own, to overwrite if it likes.
 
         ``rngs`` is sized, ``len(rngs)`` rows, and is iterated once, in row
-        order: the Monte Carlo experiments pass a
-        :class:`~empcalc.streams.BlockStreams`, which builds each row's
-        generator only when its row is reached.
+        order: the Monte Carlo experiments pass a slice of the
+        :class:`~empcalc.streams.BlockStreams` hashed once for the whole
+        run, which builds each row's generator only when its row is
+        reached.  They check the returned rows for non-finite draws
+        through the row sums.
         """
         rows = len(rngs)
         raw = self._raw_buffers(rows * n)

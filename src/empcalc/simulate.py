@@ -19,15 +19,18 @@ Replicates run in blocks.  A block holds about 32k draws per coordinate
 (rows = 32768 // n replicates, at least one), so block boundaries depend
 only on (n, reps).  Replicate i draws its values from the generator
 stream derived from (seed, i), never a shared sequential generator, in the
-order a single ``law.sample`` call takes them, into row i of its block;
-the streams of a block are derived together (:class:`BlockStreams`), each
-row getting its own generator object, so worker threads never share one.
-The law transforms the whole block at once and rho_n or G_n(f) is reduced
-across the block.  Results are therefore identical for any worker count:
-workers take whole blocks, which are stacked in replicate order.  A
-failing check names the first failing replicate, with the message the
-per-sample routines (``PairedSample``, ``compute_rho_n``, ``gn_eval``)
-would give.
+order a single ``law.sample`` call takes them, into row i of its block.
+A run hashes the streams of all its replicates once
+(:class:`BlockStreams`, 32 bytes per replicate) and each block draws from
+its slice of them, each row getting its own generator object, so worker
+threads never share one.  The law transforms the whole block at once and
+rho_n or G_n(f) is reduced across the block.  The row sums that centre
+rho_n also check the draws: a non-finite draw makes its row's sum
+non-finite, so only rows with a non-finite sum are checked draw by draw.
+Results are therefore identical for any worker count: workers take whole
+blocks, which are stacked in replicate order.  A failing check names the
+first failing replicate, with the message the per-sample routines
+(``PairedSample``, ``compute_rho_n``, ``gn_eval``) would give.
 """
 
 from __future__ import annotations
@@ -202,19 +205,34 @@ def _raise_first_failure(lo: int, failures) -> None:
         raise SimulationError(f"replicate {lo + row} failed: {exc}") from exc
 
 
-def _draw_replicates(cfg: ExperimentConfig, lo: int, hi: int):
-    """Replicates lo..hi-1 as (xs, ys) blocks plus the non-finite draw check.
+def _draw_replicates(cfg: ExperimentConfig, streams: BlockStreams):
+    """A block of replicates, one per stream: (xs, ys), their row sums
+    (sx, sy) and the non-finite draw check.
 
-    The blocks stop before the first replicate with a non-finite draw: no
+    A non-finite draw makes its row's sum non-finite, so only the rows
+    whose sum is not finite are checked draw by draw; a row of finite
+    draws whose sum overflows passes.  The sums raise no floating-point
+    warning (a row holding +inf and -inf sums to nan).  Everything
+    returned stops before the first replicate with a non-finite draw: no
     later replicate can fail first, so later checks need only the rows
     before it.
     """
-    xs, ys = cfg.law.draw_block(BlockStreams(cfg.seed, (), lo, hi), cfg.n)
-    bad = ~(np.isfinite(xs) & np.isfinite(ys))
-    bad_rows = bad.any(axis=1)
-    cut = int(np.argmax(bad_rows)) if bad_rows.any() else hi - lo
-    return xs[:cut], ys[:cut], (bad_rows, lambda row: InputFormatError(
-        f"non-finite observation at index {int(np.flatnonzero(bad[row])[0])}"))
+    xs, ys = cfg.law.draw_block(streams, cfg.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = xs.sum(axis=1)
+        sy = ys.sum(axis=1)
+    flagged = np.flatnonzero(~(np.isfinite(sx) & np.isfinite(sy)))
+    cut, index = len(xs), None
+    if flagged.size:
+        bad = ~(np.isfinite(xs[flagged]) & np.isfinite(ys[flagged]))
+        bad_rows = bad.any(axis=1)
+        if bad_rows.any():
+            first = int(np.argmax(bad_rows))
+            cut, index = int(flagged[first]), int(np.flatnonzero(bad[first])[0])
+    # the check fails at the cut row alone, the first with a non-finite draw
+    return xs[:cut], ys[:cut], sx[:cut], sy[:cut], (
+        np.arange(len(xs)) == cut,
+        lambda row: InputFormatError(f"non-finite observation at index {index}"))
 
 
 def run_clt_experiment(cfg: ExperimentConfig,
@@ -233,14 +251,21 @@ def run_clt_experiment(cfg: ExperimentConfig,
         raise DegenerateSampleError(
             f"predicted asymptotic variance {predicted:g} is numerically zero; "
             "replicates cannot be standardized")
-    sqrt_n = math.sqrt(cfg.n)
+    n = cfg.n
+    sqrt_n = math.sqrt(n)
+    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
-        # rho_n per row, as compute_rho_n takes it: centre (in place, the
-        # block is the kernel's own), then sums of products
-        dx, dy, nonfinite = _draw_replicates(cfg, lo, hi)
-        dx -= dx.mean(axis=1, keepdims=True)
-        dy -= dy.mean(axis=1, keepdims=True)
+        # rho_n per row, as compute_rho_n takes it: centre on the means,
+        # sum / n as numpy's mean divides (in place, the block is the
+        # kernel's own), then sums of products
+        dx, dy, sx, sy, nonfinite = _draw_replicates(cfg, streams[lo:hi])
+        if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
+            # finite draws whose sum overflows: sum again, with the
+            # warnings the means raise
+            sx, sy = dx.sum(axis=1), dy.sum(axis=1)
+        dx -= (sx / n)[:, np.newaxis]
+        dy -= (sy / n)[:, np.newaxis]
         sxx = (dx * dx).sum(axis=1)
         syy = (dy * dy).sum(axis=1)
         _raise_first_failure(lo, [
@@ -291,11 +316,12 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     predicted = gamma_matrix(fs, law)
     n = cfg.n
     sqrt_n = math.sqrt(n)
+    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
         # G_n(f) per row, as gn_eval takes it; the means are finite here,
         # because a non-finite one makes gamma_matrix raise
-        xs, ys, nonfinite = _draw_replicates(cfg, lo, hi)
+        xs, ys, _, _, nonfinite = _draw_replicates(cfg, streams[lo:hi])
         failures = [nonfinite]
         g = np.zeros((len(xs), len(fs)))
         for j, (f, mu) in enumerate(zip(fs, means)):

@@ -12,10 +12,13 @@ in fixed 32-bit arithmetic that runs on Python integers for one stream
 and on uint32 arrays for a block of streams whose keys differ only in
 the last element; the tests check it against numpy's SeedSequence.
 The hash state after a seed's own words is cached per seed, so a stream
-or a block hashes only its key words and the output.  PCG64 takes the four hashed 64-bit words through numpy's ISeedSequence
-interface and applies its own seeding step; a block of streams
-(:class:`BlockStreams`) builds each row's generator only when its row is
-reached.
+or a block hashes only its key words and the output.  PCG64 takes the
+four hashed 64-bit words through numpy's ISeedSequence interface and
+applies its own seeding step; a block of streams (:class:`BlockStreams`)
+keeps only those words, 32 bytes per stream, and builds each row's
+generator only when its row is reached.  A Monte Carlo run hashes the
+streams of all its replicates once, as one block, and each block of
+replicates draws from a slice of it, a view of its words.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+# streams hashed per pass: the hash's temporaries take about 100 bytes per
+# stream, so a long block is hashed in pieces of this many rows
+_HASH_ROWS = 1 << 16
 
 
 def _words(value: int) -> list[int]:
@@ -108,9 +114,10 @@ def _generate_state(seed: int, key, last=()) -> np.ndarray:
     _mix_in(pool, [w for k in key for w in _words(k)] + list(last), consts)
     consts = _hash_constants(_INIT_B, _MULT_B)
     out = np.array([_hashmix(pool[i % _POOL_SIZE], consts)
-                    for i in range(2 * _POOL_SIZE)], dtype=np.uint64).T
-    # uint32 word pairs read as little-endian uint64s, one C-ordered row per stream
-    return np.ascontiguousarray(out[..., 0::2] | (out[..., 1::2] << 32))
+                    for i in range(2 * _POOL_SIZE)], dtype="<u4").T
+    # uint32 word pairs read as little-endian uint64s, one C-ordered row per
+    # stream: a view, so the hash holds no uint64 copy of its words
+    return np.ascontiguousarray(out).view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords:
@@ -154,28 +161,37 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 class BlockStreams:
     """The generators ``derive_rng(seed, *key, i)`` for i in lo..hi-1.
 
-    Their seed words are hashed as one block; keys of one uint32 width go
-    together, so a block crossing 2^32 takes two passes.  ``len`` is the
-    row count.  Iteration yields each row's generator in row order, built
-    only when reached, so a block holds one generator at a time; every
-    iteration starts the streams afresh.
+    Their seed words are hashed as one block, in passes of at most
+    ``_HASH_ROWS`` keys of one uint32 width, so a block crossing 2^32 takes
+    two passes at least.  The block keeps four uint64 words, 32 bytes, per
+    row.  ``len`` is the row count.  Iteration yields each row's generator
+    in row order, built only when reached, so a block holds one generator
+    at a time; every iteration starts the streams afresh.  A slice is the
+    block of the rows it names, a view of these words with nothing hashed
+    again: rows lo..hi-1 of ``BlockStreams(seed, key, 0, reps)`` are
+    ``BlockStreams(seed, key, lo, hi)``.
     """
 
     __slots__ = ("_words",)
 
     def __init__(self, seed: int, key: tuple, lo: int, hi: int):
-        parts = [np.empty((0, 4), dtype=np.uint64)]
+        self._words = np.empty((max(hi - lo, 0), 4), dtype=np.uint64)
+        at = 0
         while lo < hi:
             width = len(_words(lo))
-            end = min(hi, 1 << (32 * width))
+            end = min(hi, 1 << (32 * width), lo + _HASH_ROWS)
             index = np.arange(lo, end, dtype=np.uint64 if end <= 1 << 64 else object)
             last = [((index >> (32 * j)) & _M32).astype(np.uint32) for j in range(width)]
-            parts.append(_generate_state(seed, key, last))
-            lo = end
-        self._words = np.concatenate(parts)
+            self._words[at:at + end - lo] = _generate_state(seed, key, last)
+            at, lo = at + end - lo, end
 
     def __len__(self) -> int:
         return len(self._words)
+
+    def __getitem__(self, rows: slice) -> "BlockStreams":
+        block = object.__new__(BlockStreams)
+        block._words = self._words[rows]
+        return block
 
     def __iter__(self) -> Iterator[np.random.Generator]:
         return _generators(self._words)

@@ -253,6 +253,19 @@ def test_sampling_moments_rejects_tiny_budget():
         SamplingMoments(gaussian_sampler(law), budget=1, seed=0)
 
 
+def test_stderr_is_the_standard_deviation_of_the_products_over_sqrt_budget():
+    law = ec.GaussianLaw(0.6)
+    mc = SamplingMoments(gaussian_sampler(law), budget=1_000_000, seed=123)
+    s = mc.batch()
+    cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+    for f, g in ((ec.p, ec.pi1), (ec.pi2, ec.pi2), (cos_pi1, ec.p)):
+        fv, gv = f(s.xs, s.ys), g(s.xs, s.ys)
+        w = (fv - fv.mean()) * (gv - gv.mean())
+        est = mc.covariance_estimate(f, g)
+        assert est.value == float(w.sum() / (w.size - 1))
+        assert est.stderr == float(w.std(ddof=1) / math.sqrt(w.size))
+
+
 def test_doubling_budget_halves_squared_stderr():
     """Mean squared-SE ratio over repeated trials sits in the 3/sqrt(R) band.
 

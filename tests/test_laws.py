@@ -5,7 +5,9 @@ scipy is used here purely as an independent oracle for marginal moments
 and distribution functions; the package itself does not depend on it.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +217,23 @@ def test_sampling_oracle_is_one_cached_fallback():
     assert law.sampling_oracle() is first
     assert (first.seed, first.budget) == (0, 1_000_000)
     assert ec.GaussianLaw(0.5).sampling_oracle() is not first
+
+
+def test_dropped_law_frees_its_fallback_batch():
+    # the cached oracle lets go of the law's sampler once the batch is drawn,
+    # so no reference cycle keeps the batch waiting for the cyclic collector
+    gc.disable()
+    try:
+        law = ec.GaussianLaw(0.5)
+        cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+        law.expectation(cos_pi1)
+        batch = law.sampling_oracle().batch()
+        assert law.sampling_oracle().sampler is None
+        refs = weakref.ref(law), weakref.ref(batch.xs), weakref.ref(batch.ys)
+        del law, batch
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_gaussian_rejects_affine_rho():

@@ -15,7 +15,7 @@ import empcalc as ec
 from empcalc import simulate
 from empcalc.laws import MARGINALS
 from empcalc.simulate import default_threads
-from empcalc.streams import derive_rng
+from empcalc.streams import BlockStreams, derive_rng
 
 
 # ----------------------------------------------------------- ks_statistic
@@ -320,8 +320,9 @@ def test_block_rows_are_bit_identical_to_single_samples(monkeypatch, n, reps):
     assert blocks[-1][1] == reps
     for law in _kernel_laws():
         cfg = ec.ExperimentConfig(law, n=n, reps=reps, seed=91)
+        streams = BlockStreams(91, (), 0, reps)
         for lo, hi in blocks:
-            xs, ys, _ = simulate._draw_replicates(cfg, lo, hi)
+            xs, ys, *_ = simulate._draw_replicates(cfg, streams[lo:hi])
             assert xs.shape == ys.shape == (hi - lo, n)
             for row, i in enumerate(range(lo, hi)):
                 s = law.sample(n, derive_rng(91, i))
@@ -434,6 +435,75 @@ def test_lemma1_non_finite_draw_is_reported_before_non_finite_value(monkeypatch)
         ec.run_lemma1_experiment([ec.pi1, ec.pi2],
                                  ec.ExperimentConfig(law, n=20, reps=2000, seed=2))
     assert str(info.value) == expected
+
+
+class _SignedInfGaussian(ec.GaussianLaw):
+    """Gaussian whose rows with a first x draw above 1.5 hold +inf in x and
+    -inf in x (their x sum is nan) or in y (the sums are +inf and -inf)."""
+
+    def __init__(self, rho, minus_inf_in_y):
+        super().__init__(rho)
+        self.minus_inf_in_y = minus_inf_in_y
+
+    def draw_block(self, rngs, n):
+        xs, ys = super().draw_block(rngs, n)
+        rows = xs[:, 0] > 1.5
+        xs[rows, 3] = np.inf
+        (ys if self.minus_inf_in_y else xs)[rows, 5] = -np.inf
+        return xs, ys
+
+
+class _OverflowGaussian(ec.GaussianLaw):
+    """Gaussian whose rows with a first x draw above 1.5 become finite
+    draws near 1e308, whose sum overflows."""
+
+    def draw_block(self, rngs, n):
+        xs, ys = super().draw_block(rngs, n)
+        rows = xs[:, 0] > 1.5
+        xs[rows] = 1e307 * (10.0 + np.clip(xs[rows], -5.0, 5.0))
+        return xs, ys
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("minus_inf_in_y", [False, True])
+def test_row_with_both_infinities_fails_without_warning(monkeypatch, minus_inf_in_y):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)  # 3 rows at n = 20
+    law = _SignedInfGaussian(0.2, minus_inf_in_y)
+    expected = _per_replicate_failure(law, 20, 2, 2000, ec.compute_rho_n)
+    assert expected is not None and int(expected.split()[1]) >= 3
+    assert expected.endswith("non-finite observation at index 3")
+    cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(cfg)
+    assert str(info.value) == expected
+    assert isinstance(info.value.__cause__, ec.InputFormatError)
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_lemma1_experiment([ec.pi1, ec.pi2], cfg)
+    assert str(info.value) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)
+    law = _OverflowGaussian(0.2)
+    cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
+    streams = BlockStreams(2, (), 0, 2000)
+    lo, hi = next(b for b in simulate._blocks(20, 2000)
+                  if (law.draw_block(streams[b[0]:b[1]], 20)[0][:, 0] > 1e300).any())
+    xs, ys, sx, sy, (bad_rows, _) = simulate._draw_replicates(cfg, streams[lo:hi])
+    assert xs.shape == (hi - lo, 20) and np.isfinite(xs).all()
+    assert not np.isfinite(sx).all() and not bad_rows.any()
+    # compute_rho_n's mean overflows on that replicate, and so do the
+    # experiment's, with the same warning
+    i = lo + int(np.flatnonzero(~np.isfinite(sx))[0])
+    with pytest.raises(RuntimeWarning, match="overflow encountered in reduce"):
+        ec.compute_rho_n(law.sample(20, derive_rng(2, i)))
+    with pytest.raises(RuntimeWarning, match="overflow encountered in reduce"):
+        ec.run_clt_experiment(cfg)
+    # G_n(pi2) reads only the untouched ys: no warning, the plain law's report
+    plain = ec.ExperimentConfig(ec.GaussianLaw(0.2), n=20, reps=2000, seed=2)
+    assert (ec.run_lemma1_experiment([ec.pi2], cfg).to_dict()
+            == ec.run_lemma1_experiment([ec.pi2], plain).to_dict())
 
 
 def test_lemma1_non_finite_value_reports_first_replicate(monkeypatch):

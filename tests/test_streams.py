@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
-from empcalc import simulate
+from empcalc import simulate, streams
 from empcalc.streams import BlockStreams, derive_rng, derive_seed
 
 SEEDS = st.one_of(st.integers(0, 2 ** 32 + 5), st.integers(0, 2 ** 130))
@@ -61,12 +61,40 @@ def test_block_across_a_key_width_change(lo, hi):
         assert_same_stream(rng, 5, (i,))
 
 
+@pytest.mark.parametrize("lo", [0, 2 ** 32 - 10])
+def test_block_longer_than_one_hash_pass(monkeypatch, lo):
+    monkeypatch.setattr(streams, "_HASH_ROWS", 7)
+    rngs = BlockStreams(5, (1,), lo, lo + 30)
+    assert len(rngs) == 30
+    for i, rng in zip(range(lo, lo + 30), rngs):
+        assert_same_stream(rng, 5, (1, i))
+
+
 @pytest.mark.parametrize("words", range(1, 7))
 def test_run_entropy_padding_with_and_without_a_key(words):
     # the run entropy is zero-padded to four words only when a key follows it
     seed = 2 ** (32 * words) - 7
     for key in ((), (0,), (3, 2 ** 40)):
         assert_same_stream(derive_rng(seed, *key), seed, key)
+
+
+def assert_same_block(block, ref):
+    assert len(block) == len(ref)
+    for rng, want in zip(block, ref):
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.random(3), want.random(3))
+
+
+@pytest.mark.parametrize("base, size, lo, hi", [
+    (0, 40, 0, 40), (0, 40, 7, 23), (0, 40, 39, 40), (0, 40, 12, 12), (0, 40, 40, 40),
+    (2 ** 32 - 10, 20, 4, 15), (2 ** 32 - 10, 20, 10, 20), (2 ** 32 - 10, 20, 5, 5)])
+def test_slices_of_a_run_are_the_blocks_they_name(base, size, lo, hi):
+    run = BlockStreams(3, (2,), base, base + size)
+    block = run[lo:hi]
+    assert isinstance(block, BlockStreams)
+    assert np.shares_memory(block._words, run._words) or lo == hi
+    assert_same_block(block, BlockStreams(3, (2,), base + lo, base + hi))
+    assert_same_block(block, list(run)[lo:hi])
 
 
 def test_block_rows_are_distinct_generators_and_iteration_restarts():
@@ -107,8 +135,10 @@ def test_mixture_blocks_on_the_thread_pool_match_single_samples(monkeypatch):
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 7 * n)  # 15 blocks, the last partial
     cfg = ec.ExperimentConfig(law=law, n=n, reps=reps, seed=seed, threads=3)
 
+    streams = BlockStreams(seed, (), 0, reps)
+
     def kernel(lo, hi):
-        xs, ys, _ = simulate._draw_replicates(cfg, lo, hi)
+        xs, ys, *_ = simulate._draw_replicates(cfg, streams[lo:hi])
         return np.stack([xs, ys], axis=-1)
 
     rows = simulate._map_replicates(kernel, n, reps, cfg.resolved_threads())
