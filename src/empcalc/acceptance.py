@@ -32,11 +32,10 @@ from .empirical import asymptotic_variance, gn_eval
 from .errors import InputFormatError
 from .expansion import AsymptoticExpansion, div, mul, smooth_map
 from .functions import p, pi1, pi2
-from .io import read_paired_csv, write_paired_csv
+from .io import CheckResult, read_paired_csv, write_paired_csv
 from .laws import MARGINALS, DiscreteLaw, GaussianLaw, IndependentLaw
 from .sample import PairedSample
-from .simulate import (CheckResult, ExperimentConfig, run_clt_experiment,
-                       run_lemma1_experiment)
+from .simulate import ExperimentConfig, run_clt_experiment, run_lemma1_experiment
 from .streams import derive_rng, derive_seed
 
 DEFAULT_SEED = 42
@@ -64,7 +63,7 @@ class CriterionResult:
 
 
 def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
-                                     threads: int = 0) -> CriterionResult:
+                                     threads: int = 1) -> CriterionResult:
     """sigma_squared under exact Gaussian moments equals (1 - rho^2)^2."""
     start = time.perf_counter()
     grid = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.8)
@@ -80,7 +79,7 @@ def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
     return CriterionResult(1, "gaussian_closed_form", checks, elapsed)
 
 
-def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 0) -> CriterionResult:
+def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
     """sqrt(n)(rho_n - rho) matches N(0, 0.5625) for gaussian(0.5)."""
     start = time.perf_counter()
     cfg = ExperimentConfig(law=GaussianLaw(0.5), n=2000, reps=5000,
@@ -93,7 +92,7 @@ def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 0) -> Crit
 
 
 def criterion_3_independent_pairings(seed: int = DEFAULT_SEED,
-                                     threads: int = 0) -> CriterionResult:
+                                     threads: int = 1) -> CriterionResult:
     """All marginal pairings give sqrt(n) rho_n close to N(0, 1)."""
     start = time.perf_counter()
     checks = []
@@ -128,7 +127,7 @@ def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
 
 
 def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
-                                        threads: int = 0) -> CriterionResult:
+                                        threads: int = 1) -> CriterionResult:
     """Combinator pipeline and closed-form variance agree on random laws.
 
     The pipeline route integrates its influence by atom enumeration
@@ -149,7 +148,7 @@ def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
     return CriterionResult(4, "pipeline_vs_closed_form", checks, elapsed)
 
 
-def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 0) -> CriterionResult:
+def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
     """(G_n(pi1), G_n(pi2), G_n(p)) is jointly normal with the Gram matrix."""
     start = time.perf_counter()
     law = GaussianLaw(0.5)
@@ -230,7 +229,7 @@ def _check_thread_invariance(seed: int) -> CheckResult:
 
 
 def criterion_6_exact_invariants(seed: int = DEFAULT_SEED,
-                                 threads: int = 0) -> CriterionResult:
+                                 threads: int = 1) -> CriterionResult:
     """Deterministic identities: linearity, invariance, algebra, round trips.
 
     The thread-invariance check compares its own fixed budgets, 1 and 4.
@@ -248,7 +247,7 @@ def criterion_6_exact_invariants(seed: int = DEFAULT_SEED,
 
 
 def criterion_7_test_calibration(seed: int = DEFAULT_SEED,
-                                 threads: int = 0) -> CriterionResult:
+                                 threads: int = 1) -> CriterionResult:
     """The zero-correlation z-test rejects at its nominal 5% level."""
     start = time.perf_counter()
     law = IndependentLaw("standard_normal", "standard_normal")
@@ -277,7 +276,7 @@ ALL_CRITERIA = {
 
 
 def run_acceptance(numbers=None, seed: int = DEFAULT_SEED,
-                   threads: int = 0) -> list[CriterionResult]:
+                   threads: int = 1) -> list[CriterionResult]:
     """Run the selected criteria (all by default) in numeric order.
 
     ``threads`` is the worker budget of every Monte Carlo experiment a

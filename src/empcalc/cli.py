@@ -10,8 +10,9 @@ simulate   Monte Carlo check of the normal limit of sqrt(n)(rho_n - rho)
 lemma1     Monte Carlo check of joint normality of (G_n(f_1), .., G_n(f_k))
 check      the full acceptance suite
 
-Reports go to stdout (or --output) as JSON or CSV with the fixed
-top-level key order {command, config, results, checks, seed}; everything
+Each handler returns an :class:`~empcalc.io.Report`, which goes to stdout
+(or --output) as JSON or CSV with the fixed top-level key order
+{command, config, results, checks, seed}; everything
 else (warnings, timings) goes to stderr.  Exit codes: 0 all checks pass,
 1 a well-formed run failed a check, 2 usage, input, or execution error.
 """
@@ -22,8 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .correlation import (correlation_expansion, estimate_moments, sigma1_squared,
@@ -31,7 +30,7 @@ from .correlation import (correlation_expansion, estimate_moments, sigma1_square
 from .empirical import asymptotic_variance
 from .errors import EmpcalcError, InputFormatError
 from .functions import p, pi1, pi2
-from .io import read_paired_csv, report_to_csv, report_to_json
+from .io import CheckResult, Report, read_paired_csv, report_to_csv, report_to_json
 from .laws import BivariateLaw, GaussianLaw, IndependentLaw, law_from_spec
 from .simulate import ExperimentConfig, run_clt_experiment, run_lemma1_experiment
 
@@ -42,26 +41,6 @@ FUNCTION_REGISTRY = {
     "pi1^2": pi1 ** 2,
     "pi2^2": pi2 ** 2,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, assembled from parsed flags."""
-
-    command: str
-    input_path: Optional[str] = None
-    law: Optional[BivariateLaw] = None
-    n: int = 0
-    reps: int = 0
-    seed: int = DEFAULT_SEED
-    threads: int = 0
-    functions: tuple[str, ...] = ()
-    variance_rtol: float = 0.10
-    ks_tol: float = 0.03
-    cov_atol: float = 0.05
-    criteria: Optional[tuple[int, ...]] = None
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
 
 def _law_from_args(args) -> BivariateLaw:
@@ -77,115 +56,91 @@ def _law_from_args(args) -> BivariateLaw:
         return IndependentLaw(args.mx, args.my)
     if args.law == "mixture":
         raise InputFormatError("--law mixture requires --law-json with the full spec")
-    raise InputFormatError("no law given; use --law or --law-json")
+    raise InputFormatError(f"{args.command} requires --law or --law-json")
 
 
-def cmd_estimate(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.input_path in (None, "-"):
-        sample = read_paired_csv(sys.stdin)
-    else:
-        sample = read_paired_csv(cfg.input_path)
+def cmd_estimate(args) -> Report:
+    sample = read_paired_csv(sys.stdin if args.input == "-" else args.input)
     m = estimate_moments(sample)
     rho_n = m.cov_xy / math.sqrt(m.var_x * m.var_y)
     sigma_hat2 = sigma_squared(m)
     half = 1.96 * math.sqrt(sigma_hat2 / sample.n)
     z, p_value = test_zero_correlation(sample, moments=m, rho_n=rho_n)
-    report = {
-        "command": "estimate",
-        "config": {"input": cfg.input_path or "-"},
-        "results": {
-            "n": sample.n,
-            "rho_n": rho_n,
-            "mu_x": m.mu_x, "mu_y": m.mu_y,
-            "var_x": m.var_x, "var_y": m.var_y, "cov_xy": m.cov_xy,
-            "m22": m.m22, "m31": m.m31, "m13": m.m13,
-            "m40": m.m40, "m04": m.m04,
-            "sigma_hat2": sigma_hat2,
-            "ci95": [rho_n - half, rho_n + half],
-            "z": z,
-            "p_value": p_value,
-        },
-        "checks": [],
-        "seed": cfg.seed,
+    results = {
+        "n": sample.n,
+        "rho_n": rho_n,
+        "mu_x": m.mu_x, "mu_y": m.mu_y,
+        "var_x": m.var_x, "var_y": m.var_y, "cov_xy": m.cov_xy,
+        "m22": m.m22, "m31": m.m31, "m13": m.m13,
+        "m40": m.m40, "m04": m.m04,
+        "sigma_hat2": sigma_hat2,
+        "ci95": [rho_n - half, rho_n + half],
+        "z": z,
+        "p_value": p_value,
     }
-    return report, 0
+    return Report("estimate", {"input": args.input}, results, [], args.seed)
 
 
-def cmd_variance(cfg: RunConfig) -> tuple[dict, int]:
-    law = cfg.law
+def cmd_variance(args) -> Report:
+    law = _law_from_args(args)
     m = law.bivariate_moments()
     closed = sigma_squared(m)
     expansion = correlation_expansion(m)
     pipeline = asymptotic_variance(expansion, law)
     diff = abs(closed - pipeline)
     tol = 1e-9 * max(1.0, abs(closed))
-    ok = diff <= tol
-    report = {
-        "command": "variance",
-        "config": {"law": law.describe()},
-        "results": {
-            "rho": expansion.value,
-            "sigma2": closed,
-            "sigma2_pipeline": pipeline,
-            "abs_difference": diff,
-            "sigma1_squared": sigma1_squared(m),
-        },
-        "checks": [{"name": "pipeline_agreement", "value": diff,
-                    "threshold": tol, "pass": ok}],
-        "seed": cfg.seed,
+    results = {
+        "rho": expansion.value,
+        "sigma2": closed,
+        "sigma2_pipeline": pipeline,
+        "abs_difference": diff,
+        "sigma1_squared": sigma1_squared(m),
     }
-    return report, 0 if ok else 1
+    return Report("variance", {"law": law.describe()}, results,
+                  [CheckResult("pipeline_agreement", diff, tol, diff <= tol)], args.seed)
 
 
-def _experiment_config(cfg: RunConfig) -> ExperimentConfig:
-    return ExperimentConfig(law=cfg.law, n=cfg.n, reps=cfg.reps,
-                            seed=cfg.seed, threads=cfg.threads)
+def _experiment_config(args, law: BivariateLaw) -> ExperimentConfig:
+    return ExperimentConfig(law=law, n=args.n, reps=args.reps, seed=args.seed,
+                            threads=args.threads)
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
-    rep = run_clt_experiment(_experiment_config(cfg),
-                             variance_rtol=cfg.variance_rtol, ks_tol=cfg.ks_tol)
-    d = rep.to_dict()
-    report = {"command": "simulate", "config": d["config"],
-              "results": d["results"], "checks": d["checks"], "seed": d["seed"]}
-    return report, 0 if rep.passed else 1
+def cmd_simulate(args) -> Report:
+    return run_clt_experiment(_experiment_config(args, _law_from_args(args)),
+                              variance_rtol=args.variance_rtol, ks_tol=args.ks_tol)
 
 
-def cmd_lemma1(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_lemma1(args) -> Report:
+    law = _law_from_args(args)
     try:
-        fs = [FUNCTION_REGISTRY[name] for name in cfg.functions]
+        fs = [FUNCTION_REGISTRY[name.strip()] for name in args.functions.split(",")
+              if name.strip()]
     except KeyError as exc:
         raise InputFormatError(
             f"unknown function {exc}; available: {', '.join(sorted(FUNCTION_REGISTRY))}") from None
-    rep = run_lemma1_experiment(fs, _experiment_config(cfg),
-                                cov_atol=cfg.cov_atol, ks_tol=cfg.ks_tol)
-    d = rep.to_dict()
-    report = {"command": "lemma1", "config": d["config"],
-              "results": d["results"], "checks": d["checks"], "seed": d["seed"]}
-    return report, 0 if rep.passed else 1
+    return run_lemma1_experiment(fs, _experiment_config(args, law),
+                                 cov_atol=args.cov_atol, ks_tol=args.ks_tol)
 
 
-def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
-    results = run_acceptance(cfg.criteria, seed=cfg.seed, threads=cfg.threads)
+def cmd_check(args) -> Report:
+    criteria = None
+    if args.criteria:
+        try:
+            criteria = [int(tok) for tok in args.criteria.split(",")]
+        except ValueError:
+            raise InputFormatError(
+                f"--criteria must be comma-separated integers, got {args.criteria!r}") from None
+    results = run_acceptance(criteria, seed=args.seed, threads=args.threads)
     for r in results:
         print(f"criterion {r.number} ({r.name}): "
               f"{'pass' if r.passed else 'FAIL'} in {r.runtime_seconds:.2f}s",
               file=sys.stderr)
-    all_pass = all(r.passed for r in results)
-    flat = []
-    for r in results:
-        for c in r.checks:
-            flat.append({"name": f"criterion_{r.number}.{c.name}", "value": c.value,
-                         "threshold": c.threshold, "pass": c.passed})
-    report = {
-        "command": "check",
-        "config": {"criteria": [r.number for r in results]},
-        "results": {"criteria": [r.to_dict() for r in results],
-                    "all_pass": all_pass},
-        "checks": flat,
-        "seed": cfg.seed,
-    }
-    return report, 0 if all_pass else 1
+    checks = [CheckResult(f"criterion_{r.number}.{c.name}", c.value, c.threshold, c.passed)
+              for r in results for c in r.checks]
+    return Report("check", {"criteria": [r.number for r in results]},
+                  {"criteria": [r.to_dict() for r in results],
+                   "all_pass": all(r.passed for r in results)},
+                  checks, args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,10 +150,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "variance formulas, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, law=False, experiment=False):
+    def common(sp, handler, law=False, experiment=False, threads=False):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker budget; 0 defers to EMPCALC_THREADS")
+        if experiment or threads:
+            sp.add_argument("--threads", type=int, default=1,
+                            help="blocks of replicates run side by side")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write the report here "
                         "instead of stdout")
@@ -216,17 +173,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="estimate correlation from a CSV file")
     sp.add_argument("--input", required=True, help="CSV path, or - for stdin")
-    common(sp)
+    common(sp, cmd_estimate)
 
     sp = sub.add_parser("variance", help="exact asymptotic variance of a law")
-    common(sp, law=True)
+    common(sp, cmd_variance, law=True)
 
     sp = sub.add_parser("simulate", help="Monte Carlo check of the CLT for rho_n")
-    common(sp, law=True, experiment=True)
+    common(sp, cmd_simulate, law=True, experiment=True)
     sp.add_argument("--variance-rtol", type=float, default=0.10)
 
     sp = sub.add_parser("lemma1", help="Monte Carlo check of joint normality")
-    common(sp, law=True, experiment=True)
+    common(sp, cmd_lemma1, law=True, experiment=True)
     sp.add_argument("--functions", default="pi1,pi2,p",
                     help="comma-separated names: " + ", ".join(sorted(FUNCTION_REGISTRY)))
     sp.add_argument("--cov-atol", type=float, default=0.05)
@@ -234,61 +191,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run the acceptance suite")
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers, default all")
-    common(sp)
+    common(sp, cmd_check, threads=True)
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    if args.seed < 0:
-        raise InputFormatError(f"--seed must be >= 0, got {args.seed}")
-    criteria = None
-    if getattr(args, "criteria", None):
-        try:
-            criteria = tuple(int(tok) for tok in args.criteria.split(","))
-        except ValueError:
-            raise InputFormatError(
-                f"--criteria must be comma-separated integers, got {args.criteria!r}") from None
-    functions = ()
-    if getattr(args, "functions", None):
-        functions = tuple(tok.strip() for tok in args.functions.split(",") if tok.strip())
-    law = None
-    if getattr(args, "law", None) or getattr(args, "law_json", None):
-        law = _law_from_args(args)
-    elif args.command in ("variance", "simulate", "lemma1"):
-        raise InputFormatError(f"{args.command} requires --law or --law-json")
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        law=law,
-        n=getattr(args, "n", 0),
-        reps=getattr(args, "reps", 0),
-        seed=args.seed,
-        threads=args.threads,
-        functions=functions,
-        variance_rtol=getattr(args, "variance_rtol", 0.10),
-        ks_tol=getattr(args, "ks_tol", 0.03),
-        cov_atol=getattr(args, "cov_atol", 0.05),
-        criteria=criteria,
-        output_format=args.format,
-        output_path=args.output,
-    )
-
-
-_HANDLERS = {
-    "estimate": cmd_estimate,
-    "variance": cmd_variance,
-    "simulate": cmd_simulate,
-    "lemma1": cmd_lemma1,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _run_config(args)
-        report, code = _HANDLERS[cfg.command](cfg)
+        if args.seed < 0:
+            raise InputFormatError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "threads", 1) < 1:
+            raise InputFormatError(f"--threads must be >= 1, got {args.threads}")
+        report = args.handler(args)
     except EmpcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -298,17 +212,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report_to_json(report) if cfg.output_format == "json" else report_to_csv(report)
+    d = report.to_dict()
+    text = report_to_json(d) if args.format == "json" else report_to_csv(d)
     try:
-        if cfg.output_path:
-            with open(cfg.output_path, "w") as fh:
+        if args.output:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -91,6 +91,7 @@ class MomentOracle(ABC):
         """Gamma(f, g) = E[fg] - E[f]E[g], with provenance and stderr."""
 
     def covariance(self, f: StatFunction, g: StatFunction) -> float:
+        """Gamma(f, g), without its provenance."""
         return self.covariance_estimate(f, g).value
 
     def supports_exact(self, f: StatFunction) -> bool:
@@ -208,16 +209,6 @@ class SamplingMoments(MomentOracle):
 
     def sampling_oracle(self) -> "SamplingMoments":
         return self
-
-
-def gamma(f: StatFunction, g: StatFunction, oracle: MomentOracle) -> float:
-    """Covariance functional Gamma(f, g) = E[fg] - E[f]E[g]."""
-    return oracle.covariance(f, g)
-
-
-def gamma_estimate(f: StatFunction, g: StatFunction, oracle: MomentOracle) -> CovarianceEstimate:
-    """Gamma(f, g) with provenance (exact or Monte Carlo with stderr)."""
-    return oracle.covariance_estimate(f, g)
 
 
 @dataclass(frozen=True, eq=False)

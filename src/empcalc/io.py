@@ -1,4 +1,4 @@
-"""CSV sample files and report serialization.
+"""CSV sample files, and the report every command produces.
 
 Sample files are two numeric columns, comma-separated, one observation
 per row.  A single leading header row is tolerated (detected by a
@@ -27,8 +27,9 @@ import json
 import math
 import re
 import warnings
+from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -173,6 +174,46 @@ def _write(sample: PairedSample, fh) -> None:
     fh.write("x,y\n")
     for x, y in zip(sample.xs, sample.ys):
         fh.write(f"{x:.17g},{y:.17g}\n")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named pass/fail comparison with its threshold, for reports."""
+
+    name: str
+    value: Optional[float]
+    threshold: Optional[float]
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "value": self.value,
+                "threshold": self.threshold, "pass": self.passed}
+
+
+@dataclass
+class Report:
+    """What one command produced, for the library and the command line alike.
+
+    ``config`` echoes what determines the numbers; a worker budget is
+    never echoed, since it cannot change a value and would break report
+    determinism across machines.  ``to_dict`` fixes the key order
+    {command, config, results, checks, seed} for diffability.
+    """
+
+    command: str
+    config: dict
+    results: dict
+    checks: list[CheckResult]
+    seed: int
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self) -> dict:
+        return {"command": self.command, "config": self.config,
+                "results": self.results,
+                "checks": [c.to_dict() for c in self.checks], "seed": self.seed}
 
 
 def report_to_json(report: dict) -> str:

@@ -53,7 +53,7 @@ from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, MomentOracle,
 from .errors import AffineDependenceError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
-from .streams import derive_rng
+from .streams import derive_rng  # unused here; perfbench/tracing.py wraps it by name
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -235,13 +235,6 @@ class BivariateLaw(PolynomialMomentOracle):
             m04=self.central_moment(0, 4),
         )
 
-    def rho(self) -> float:
-        vx = self.central_moment(2, 0)
-        vy = self.central_moment(0, 2)
-        if vx <= 0.0 or vy <= 0.0:
-            raise MomentError("degenerated marginal")
-        return self.central_moment(1, 1) / math.sqrt(vx * vy)
-
     def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
         """Monte Carlo oracle over this law's sampler (deterministic batch)."""
         return SamplingMoments(self.sample, budget=budget, seed=seed)
@@ -255,12 +248,6 @@ class BivariateLaw(PolynomialMomentOracle):
         if self._fallback is None:
             self._fallback = self.monte_carlo()
         return self._fallback
-
-
-def sample_law(law: BivariateLaw, n: int, stream) -> PairedSample:
-    """Draw n i.i.d. pairs; ``stream`` is a Generator or an integer seed."""
-    rng = stream if isinstance(stream, np.random.Generator) else derive_rng(int(stream))
-    return law.sample(n, rng)
 
 
 class GaussianLaw(BivariateLaw):

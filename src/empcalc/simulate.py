@@ -36,9 +36,8 @@ first failing replicate, with the message the per-sample routines
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,11 +47,10 @@ from .empirical import gamma_matrix
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
                      InputFormatError, SimulationError)
 from .functions import StatFunction
+from .io import CheckResult, Report
 from .laws import BivariateLaw
 from .normal import standard_normal_cdf
 from .streams import BlockStreams
-
-THREADS_ENV_VAR = "EMPCALC_THREADS"
 
 DEFAULT_VARIANCE_RTOL = 0.10
 DEFAULT_KS_TOL = 0.03
@@ -64,33 +62,19 @@ DEGENERATE_VARIANCE_FLOOR = 1e-12
 _BLOCK_ELEMENTS = 32_768
 
 
-def default_threads() -> int:
-    """Worker budget from the environment, defaulting to 1."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputFormatError(
-            f"{THREADS_ENV_VAR}={raw!r} is not an integer") from None
-    if value < 1:
-        raise InputFormatError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What to simulate: law, sample size, replicate count, seed, workers.
 
-    ``threads=0`` (the default) defers to the EMPCALC_THREADS environment
-    variable, falling back to single-threaded execution.  The thread
-    budget never influences results, only wall-clock time.
+    ``threads`` (default 1) is how many blocks of replicates run side by
+    side.  It never influences results, only wall-clock time.
     """
 
     law: BivariateLaw
     n: int
     reps: int
     seed: int = 0
-    threads: int = 0
+    threads: int = 1
 
     def __post_init__(self):
         if not isinstance(self.law, BivariateLaw):
@@ -99,57 +83,10 @@ class ExperimentConfig:
             raise InputFormatError(f"n ≥ 2 required, got {self.n}")
         if self.reps < 100:
             raise InputFormatError(f"reps ≥ 100 required, got {self.reps}")
-        if self.threads < 0:
-            raise InputFormatError(f"threads must be >= 0, got {self.threads}")
+        if self.threads < 1:
+            raise InputFormatError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
             raise InputFormatError(f"seed must be >= 0, got {self.seed}")
-
-    def resolved_threads(self) -> int:
-        return self.threads if self.threads > 0 else default_threads()
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named pass/fail comparison with its threshold, for reports."""
-
-    name: str
-    value: Optional[float]
-    threshold: Optional[float]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
-                "threshold": self.threshold, "pass": self.passed}
-
-
-@dataclass
-class SimulationReport:
-    """Everything an experiment produced, ready for serialization.
-
-    ``config`` echoes what determines the numbers (law, n, reps,
-    tolerances); the worker budget is deliberately not echoed, since it
-    cannot change any value and would break report determinism across
-    machines.  Key order is fixed by construction for diffability.
-    """
-
-    experiment: str
-    config: dict
-    seed: int
-    results: dict
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "seed": self.seed,
-            "results": self.results,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def ks_statistic(values, cdf: Callable) -> float:
@@ -237,7 +174,7 @@ def _draw_replicates(cfg: ExperimentConfig, streams: BlockStreams):
 
 def run_clt_experiment(cfg: ExperimentConfig,
                        variance_rtol: float = DEFAULT_VARIANCE_RTOL,
-                       ks_tol: float = DEFAULT_KS_TOL) -> SimulationReport:
+                       ks_tol: float = DEFAULT_KS_TOL) -> Report:
     """Check sqrt(n)(rho_n - rho) against its predicted normal limit.
 
     The prediction (rho_true and sigma^2) comes from the law's exact
@@ -274,7 +211,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
              lambda row: DegenerateSampleError("degenerated marginal"))])
         return sqrt_n * ((dx * dy).sum(axis=1) / np.sqrt(sxx * syy) - rho_true)
 
-    t = _map_replicates(kernel, cfg.n, cfg.reps, cfg.resolved_threads())
+    t = _map_replicates(kernel, cfg.n, cfg.reps, cfg.threads)
     emp_mean = float(t.mean())
     emp_var = float(t.var(ddof=1))
     ks = ks_statistic(t / math.sqrt(predicted), standard_normal_cdf)
@@ -285,23 +222,21 @@ def run_clt_experiment(cfg: ExperimentConfig,
                     var_rel_err <= variance_rtol),
         CheckResult("ks_distance", ks, ks_tol, ks <= ks_tol),
     ]
-    return SimulationReport(
-        experiment="clt",
-        config={"law": law.describe(), "n": cfg.n, "reps": cfg.reps,
-                "variance_rtol": variance_rtol, "ks_tol": ks_tol},
-        seed=cfg.seed,
-        results={"rho_true": rho_true,
-                 "predicted_sigma2": predicted,
-                 "empirical_mean": emp_mean,
-                 "empirical_variance": emp_var,
-                 "ks_distance": ks},
-        checks=checks,
-    )
+    return Report(
+        "simulate",
+        {"law": law.describe(), "n": cfg.n, "reps": cfg.reps,
+         "variance_rtol": variance_rtol, "ks_tol": ks_tol},
+        {"rho_true": rho_true,
+         "predicted_sigma2": predicted,
+         "empirical_mean": emp_mean,
+         "empirical_variance": emp_var,
+         "ks_distance": ks},
+        checks, cfg.seed)
 
 
 def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
                           cov_atol: float = 0.05,
-                          ks_tol: float = DEFAULT_KS_TOL) -> SimulationReport:
+                          ks_tol: float = DEFAULT_KS_TOL) -> Report:
     """Check joint normality of (G_n(f_1), .., G_n(f_k)) against Gamma.
 
     Coordinates whose predicted variance is numerically zero (constant
@@ -340,7 +275,7 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
         _raise_first_failure(lo, failures)
         return g
 
-    g = _map_replicates(kernel, n, cfg.reps, cfg.resolved_threads())
+    g = _map_replicates(kernel, n, cfg.reps, cfg.threads)
     emp_cov = np.atleast_2d(np.cov(g, rowvar=False, ddof=1))
     max_abs_err = float(np.abs(emp_cov - predicted.entries).max())
 
@@ -365,16 +300,14 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
         worst = max(live_ks)
         checks.append(CheckResult("max_marginal_ks", worst, ks_tol, worst <= ks_tol))
 
-    return SimulationReport(
-        experiment="lemma1",
-        config={"law": law.describe(), "n": cfg.n, "reps": cfg.reps,
-                "functions": [f.label for f in fs],
-                "cov_atol": cov_atol, "ks_tol": ks_tol},
-        seed=cfg.seed,
-        results={"predicted_cov": predicted.entries.tolist(),
-                 "empirical_cov": emp_cov.tolist(),
-                 "max_cov_abs_error": max_abs_err,
-                 "ks_per_coordinate": ks_per_coord,
-                 "degenerate_coordinates": degenerate},
-        checks=checks,
-    )
+    return Report(
+        "lemma1",
+        {"law": law.describe(), "n": cfg.n, "reps": cfg.reps,
+         "functions": [f.label for f in fs],
+         "cov_atol": cov_atol, "ks_tol": ks_tol},
+        {"predicted_cov": predicted.entries.tolist(),
+         "empirical_cov": emp_cov.tolist(),
+         "max_cov_abs_error": max_abs_err,
+         "ks_per_coordinate": ks_per_coord,
+         "degenerate_coordinates": degenerate},
+        checks, cfg.seed)

@@ -232,12 +232,10 @@ def test_check_subset_is_byte_identical_across_runs(capsys):
         assert "criterion 1 (" in err and "pass" in err
 
 
-def test_check_subset_thread_budget_does_not_change_bytes(monkeypatch, capsys):
+def test_check_subset_thread_budget_does_not_change_bytes(capsys):
     args = ("check", "--criteria", "1,4,6", "--seed", "42")
-    monkeypatch.delenv("EMPCALC_THREADS", raising=False)
     _, out_default, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("EMPCALC_THREADS", "4")
-    _, out_threaded, _ = run_cli(capsys, *args)
+    _, out_threaded, _ = run_cli(capsys, *args, "--threads", "4")
     assert out_default == out_threaded
 
 
@@ -251,7 +249,6 @@ def test_check_passes_thread_flag_to_experiments(monkeypatch, capsys):
         return cfg
 
     monkeypatch.setattr(acceptance, "ExperimentConfig", capture)
-    monkeypatch.delenv("EMPCALC_THREADS", raising=False)
     outs = []
     for threads in ("1", "2"):
         code, out, _ = run_cli(capsys, "check", "--criteria", "2", "--seed", "42",
@@ -260,6 +257,21 @@ def test_check_passes_thread_flag_to_experiments(monkeypatch, capsys):
         outs.append(out)
     assert budgets == [1, 2]
     assert outs[0] == outs[1]
+
+
+def test_thread_budget_below_one_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "check", "--criteria", "1", "--threads", "0")
+    assert code == 2
+    assert out == ""
+    assert "--threads must be >= 1, got 0" in err
+
+
+def test_estimate_takes_no_thread_flag(tmp_path, capsys):
+    path = write_csv(tmp_path, FOUR_ROWS)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_check_unknown_criterion(capsys):

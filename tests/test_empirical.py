@@ -69,23 +69,23 @@ def test_gn_eval_linearity_property(a, b, seed):
 def test_gamma_of_constants_is_zero():
     law = ec.GaussianLaw(0.3)
     c = ec.constant(7.0)
-    assert ec.gamma(c, c, law) == 0.0
+    assert law.covariance(c, c) == 0.0
 
 
 def test_gamma_cross_term_vanishes_at_zero_correlation():
     law = ec.GaussianLaw(0.0)
-    assert ec.gamma(ec.pi1, ec.pi2, law) == 0.0
+    assert law.covariance(ec.pi1, ec.pi2) == 0.0
 
 
 def test_gamma_unit_variance_of_standardized_coordinate():
     for law in (ec.GaussianLaw(0.4), ec.IndependentLaw("uniform_std", "rademacher")):
-        assert ec.gamma(ec.pi1, ec.pi1, law) == pytest.approx(1.0, rel=1e-14)
-        assert ec.gamma(ec.pi2, ec.pi2, law) == pytest.approx(1.0, rel=1e-14)
+        assert law.covariance(ec.pi1, ec.pi1) == pytest.approx(1.0, rel=1e-14)
+        assert law.covariance(ec.pi2, ec.pi2) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gamma_estimate_reports_method():
     law = ec.GaussianLaw(0.5)
-    est = ec.gamma_estimate(ec.pi1, ec.pi2, law)
+    est = law.covariance_estimate(ec.pi1, ec.pi2)
     assert est.method == "exact"
     assert est.stderr == 0.0
     assert est.value == pytest.approx(0.5, rel=1e-14)
@@ -94,7 +94,7 @@ def test_gamma_estimate_reports_method():
 def test_gamma_monte_carlo_tracks_exact():
     law = ec.GaussianLaw(0.5)
     mc = law.monte_carlo(budget=200_000, seed=7)
-    est = ec.gamma_estimate(ec.pi1, ec.pi2, mc)
+    est = mc.covariance_estimate(ec.pi1, ec.pi2)
     assert est.method == "monte_carlo"
     assert est.stderr > 0.0
     assert abs(est.value - 0.5) < 4.0 * est.stderr + 1e-3
@@ -103,7 +103,7 @@ def test_gamma_monte_carlo_tracks_exact():
 def test_gamma_nonpolynomial_falls_back_to_sampling():
     law = ec.GaussianLaw(0.0)
     f = ec.StatFunction(lambda x, y: np.sin(np.asarray(x, dtype=float)), label="sin(x)")
-    est = ec.gamma_estimate(f, f, law)
+    est = law.covariance_estimate(f, f)
     assert est.method == "monte_carlo"
     # Var sin(X) = (1 - e^-2)/2 + ((1 - e^-1)... ) under N(0,1): 0.5(1-e^-2) - 0
     target = 0.5 * (1.0 - math.exp(-2.0))
@@ -116,7 +116,7 @@ def test_gamma_moment_divergence_message():
         lambda x, y: np.where(np.abs(np.asarray(x)) > 1.0, np.inf, 0.0),
         label="spike")
     with pytest.raises(ec.MomentError, match="moment does not exist under this law"):
-        ec.gamma(bad, bad, law)
+        law.covariance(bad, bad)
 
 
 discrete_atoms = st.integers(min_value=2, max_value=6).flatmap(
@@ -137,9 +137,9 @@ def test_cauchy_schwarz_for_exact_laws(atoms):
     w = np.asarray(raw_w) / np.sum(raw_w)
     law = ec.DiscreteLaw(xs, ys, w)
     for f, g in [(ec.pi1, ec.pi2), (ec.p, ec.pi1), (ec.pi1 + ec.pi2, ec.p)]:
-        gfg = ec.gamma(f, g, law)
-        gff = ec.gamma(f, f, law)
-        ggg = ec.gamma(g, g, law)
+        gfg = law.covariance(f, g)
+        gff = law.covariance(f, f)
+        ggg = law.covariance(g, g)
         assert gfg * gfg <= gff * ggg + 1e-9
 
 
@@ -150,8 +150,8 @@ def test_cauchy_schwarz_gaussian(rho):
     fams = [ec.pi1, ec.pi2, ec.p, ec.pi1**2 - 1.0, ec.pi1 * ec.pi2 - rho]
     for f in fams:
         for g in fams:
-            gfg = ec.gamma(f, g, law)
-            assert gfg * gfg <= ec.gamma(f, f, law) * ec.gamma(g, g, law) + 1e-9
+            gfg = law.covariance(f, g)
+            assert gfg * gfg <= law.covariance(f, f) * law.covariance(g, g) + 1e-9
 
 
 # ----------------------------------------------------------- gamma_matrix

@@ -177,7 +177,7 @@ def test_gaussian_bivariate_moments():
     assert m.m31 == pytest.approx(1.5, rel=1e-14)
     assert m.m13 == pytest.approx(1.5, rel=1e-14)
     assert m.m40 == pytest.approx(3.0, rel=1e-14)
-    assert law.rho() == pytest.approx(0.5, rel=1e-15)
+    assert ec.population_rho(law.bivariate_moments()) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_gaussian_raw_moment_is_iterative():
@@ -269,7 +269,7 @@ def test_independent_moments_factor():
     law = ec.IndependentLaw("uniform_std", "exponential_std")
     assert law.raw_moment(2, 3) == pytest.approx(1.0 * 2.0, rel=1e-12)
     assert law.raw_moment(4, 2) == pytest.approx(1.8 * 1.0, rel=1e-12)
-    assert law.rho() == 0.0
+    assert ec.population_rho(law.bivariate_moments()) == 0.0
 
 
 def test_independent_accepts_marginal_objects():
@@ -285,14 +285,15 @@ def test_mixture_moments_are_weighted_averages():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     # cov = 0.3*0.8 + 0.7*(-0.2); each component has unit variances, zero means
     assert law.raw_moment(1, 1) == pytest.approx(0.10, rel=1e-12)
-    assert law.rho() == pytest.approx(0.10, rel=1e-12)
+    assert ec.population_rho(law.bivariate_moments()) == pytest.approx(0.10, rel=1e-12)
     assert law.raw_moment(2, 0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mixture_sampling_consistent_with_exact_rho():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     s = law.sample(200_000, derive_rng(31))
-    assert ec.compute_rho_n(s) == pytest.approx(law.rho(), abs=0.01)
+    rho = ec.population_rho(law.bivariate_moments())
+    assert ec.compute_rho_n(s) == pytest.approx(rho, abs=0.01)
 
 
 def test_mixture_validation_errors():
@@ -358,11 +359,11 @@ def test_discrete_sampling_hits_only_atoms():
 
 def test_sampling_is_seed_deterministic():
     law = ec.GaussianLaw(0.4)
-    a = ec.sample_law(law, 1000, derive_rng(9, 1))
-    b = ec.sample_law(law, 1000, derive_rng(9, 1))
+    a = law.sample(1000, derive_rng(9, 1))
+    b = law.sample(1000, derive_rng(9, 1))
     np.testing.assert_array_equal(a.xs, b.xs)
     np.testing.assert_array_equal(a.ys, b.ys)
-    c = ec.sample_law(law, 1000, derive_rng(9, 2))
+    c = law.sample(1000, derive_rng(9, 2))
     assert not np.array_equal(a.xs, c.xs)
 
 

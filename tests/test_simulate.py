@@ -14,7 +14,6 @@ import scipy.stats as sps
 import empcalc as ec
 from empcalc import simulate
 from empcalc.laws import MARGINALS
-from empcalc.simulate import default_threads
 from empcalc.streams import BlockStreams, derive_rng
 
 
@@ -79,20 +78,12 @@ def test_config_validation_messages():
         ec.ExperimentConfig("gaussian", n=100, reps=100)
 
 
-def test_default_threads_from_environment(monkeypatch):
-    monkeypatch.delenv("EMPCALC_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("EMPCALC_THREADS", "6")
-    assert default_threads() == 6
+def test_default_threads_is_one():
     law = ec.GaussianLaw(0.0)
-    assert ec.ExperimentConfig(law, n=10, reps=100).resolved_threads() == 6
-    assert ec.ExperimentConfig(law, n=10, reps=100, threads=2).resolved_threads() == 2
-    monkeypatch.setenv("EMPCALC_THREADS", "soon")
-    with pytest.raises(ec.InputFormatError, match="EMPCALC_THREADS"):
-        default_threads()
-    monkeypatch.setenv("EMPCALC_THREADS", "0")
-    with pytest.raises(ec.InputFormatError):
-        default_threads()
+    assert ec.ExperimentConfig(law, n=10, reps=100).threads == 1
+    assert ec.ExperimentConfig(law, n=10, reps=100, threads=2).threads == 2
+    with pytest.raises(ec.InputFormatError, match="threads must be >= 1, got 0"):
+        ec.ExperimentConfig(law, n=10, reps=100, threads=0)
 
 
 # ----------------------------------------------------- run_clt_experiment
@@ -157,8 +148,8 @@ def test_clt_report_shape_and_key_order():
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.3), n=50, reps=120, seed=5)
     rep = ec.run_clt_experiment(cfg)
     d = rep.to_dict()
-    assert list(d.keys()) == ["experiment", "config", "seed", "results", "checks"]
-    assert d["experiment"] == "clt"
+    assert list(d.keys()) == ["command", "config", "results", "checks", "seed"]
+    assert d["command"] == "simulate"
     assert d["config"]["law"] == {"kind": "gaussian", "rho": 0.3}
     assert d["config"]["n"] == 50 and d["config"]["reps"] == 120
     assert "threads" not in d["config"]
@@ -252,8 +243,8 @@ def test_lemma1_report_shape():
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.1), n=60, reps=110, seed=21)
     rep = ec.run_lemma1_experiment([ec.pi1, ec.p], cfg)
     d = rep.to_dict()
-    assert list(d.keys()) == ["experiment", "config", "seed", "results", "checks"]
-    assert d["experiment"] == "lemma1"
+    assert list(d.keys()) == ["command", "config", "results", "checks", "seed"]
+    assert d["command"] == "lemma1"
     assert d["config"]["functions"] == ["pi1", "p"]
     check_names = [c["name"] for c in d["checks"]]
     assert check_names == ["max_cov_abs_error", "min_eigenvalue", "max_marginal_ks"]

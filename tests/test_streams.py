@@ -141,7 +141,7 @@ def test_mixture_blocks_on_the_thread_pool_match_single_samples(monkeypatch):
         xs, ys, *_ = simulate._draw_replicates(cfg, streams[lo:hi])
         return np.stack([xs, ys], axis=-1)
 
-    rows = simulate._map_replicates(kernel, n, reps, cfg.resolved_threads())
+    rows = simulate._map_replicates(kernel, n, reps, cfg.threads)
     assert rows.shape == (reps, n, 2)
     for i in range(reps):
         s = law.sample(n, derive_rng(seed, i))
