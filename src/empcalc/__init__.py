@@ -3,7 +3,7 @@
 The package exposes three layers:
 
 * a calculus of first-order expansions (StatFunction, AsymptoticExpansion,
-  the add/mul/div/smooth_map combinators, the covariance functional Gamma);
+  the delta method and its + - * / sugar, the covariance functional Gamma);
 * the linear-correlation worked example (plug-in estimation, the influence
   function, closed-form asymptotic variances, a zero-correlation z-test);
 * a Monte Carlo harness with exact-moment synthetic laws that verifies the
@@ -18,15 +18,14 @@ from .errors import (AffineDependenceError, DegenerateSampleError, EmpcalcError,
 from .functions import StatFunction, constant, p, pi1, pi2
 from .sample import PairedSample
 from .normal import standard_normal_cdf, standard_normal_pdf
-from .expansion import (AsymptoticExpansion, add, constant_expansion, div,
-                        from_mean, mul, smooth_map)
+from .expansion import AsymptoticExpansion, constant_expansion, delta, from_mean
 from .empirical import (CovarianceEstimate, CovarianceMatrix, MomentOracle,
                         PolynomialMomentOracle, SamplingMoments,
                         asymptotic_variance, asymptotic_variance_estimate,
                         gamma_matrix, gn_eval)
 from .correlation import (BivariateMoments, ZeroCorrelationTest, compute_rho_n,
                           correlation_expansion, correlation_influence,
-                          estimate_moments, moments_from_oracle, population_rho,
+                          estimate_moments, population_rho,
                           sigma1_squared, sigma_squared, test_zero_correlation)
 from .laws import (MARGINALS, BivariateLaw, DiscreteLaw, GaussianLaw,
                    IndependentLaw, Marginal, MixtureLaw, get_marginal,

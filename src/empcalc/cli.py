@@ -5,7 +5,7 @@ Subcommands
 estimate   read a two-column CSV, report rho_n, plug-in moments, the
            plug-in asymptotic variance, a 95% interval, and the z-test
 variance   exact asymptotic variance of a synthetic law, cross-checked
-           against the combinator pipeline
+           against the delta-method pipeline
 simulate   Monte Carlo check of the normal limit of sqrt(n)(rho_n - rho)
 lemma1     Monte Carlo check of joint normality of (G_n(f_1), .., G_n(f_k))
 check      the full acceptance suite
@@ -25,8 +25,8 @@ import math
 import sys
 
 from .acceptance import DEFAULT_SEED, run_acceptance
-from .correlation import (correlation_expansion, estimate_moments, sigma1_squared,
-                          sigma_squared, test_zero_correlation)
+from .correlation import (correlation_expansion, estimate_moments, rho_from_moments,
+                          sigma1_squared, sigma_squared, test_zero_correlation)
 from .empirical import asymptotic_variance
 from .errors import EmpcalcError, InputFormatError
 from .functions import p, pi1, pi2
@@ -45,6 +45,11 @@ FUNCTION_REGISTRY = {
 
 def _law_from_args(args) -> BivariateLaw:
     if args.law_json:
+        others = [flag for flag, value in (("--law", args.law), ("--rho", args.rho),
+                                           ("--mx", args.mx), ("--my", args.my))
+                  if value is not None]
+        if others:
+            raise InputFormatError(f"--law-json cannot be combined with {', '.join(others)}")
         return law_from_spec(json.loads(args.law_json))
     if args.law == "gaussian":
         if args.rho is None:
@@ -62,7 +67,7 @@ def _law_from_args(args) -> BivariateLaw:
 def cmd_estimate(args) -> Report:
     sample = read_paired_csv(sys.stdin if args.input == "-" else args.input)
     m = estimate_moments(sample)
-    rho_n = m.cov_xy / math.sqrt(m.var_x * m.var_y)
+    rho_n = rho_from_moments(m)
     sigma_hat2 = sigma_squared(m)
     half = 1.96 * math.sqrt(sigma_hat2 / sample.n)
     z, p_value = test_zero_correlation(sample, moments=m, rho_n=rho_n)

@@ -10,7 +10,7 @@ expansion  rho_n = rho + n^{-1/2} G_n(H) + o_P(n^{-1/2})  with influence
 so sqrt(n) (rho_n - rho) is asymptotically N(0, sigma^2) where sigma^2 is
 the closed form computed by :func:`sigma_squared` from the fourth-order
 central moment vocabulary in :class:`BivariateMoments`.  The same
-expansion can be rebuilt step by step from the combinator algebra
+expansion also follows from one delta method on five sample means
 (:func:`correlation_expansion`), which this package's acceptance suite
 checks against the closed form; the two influences differ by an additive
 constant, which the covariance functional ignores.
@@ -32,9 +32,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .empirical import MomentOracle
 from .errors import AffineDependenceError, DegenerateSampleError, MomentError
-from .expansion import AsymptoticExpansion, add, div, from_mean, mul, smooth_map
+from .expansion import AsymptoticExpansion, delta, from_mean
 from .functions import StatFunction, constant, p, pi1, pi2
 from .sample import PairedSample
 
@@ -110,6 +109,11 @@ class BivariateMoments:
         return math.sqrt(self.var_y)
 
 
+def rho_from_moments(m: BivariateMoments) -> float:
+    """cov_xy / sqrt(var_x var_y), clipped to [-1, 1]; the one place rho is computed."""
+    return max(-1.0, min(1.0, m.cov_xy / math.sqrt(m.var_x * m.var_y)))
+
+
 def population_rho(m: BivariateMoments) -> float:
     """cov_xy / sqrt(var_x var_y), clipped to [-1, 1].
 
@@ -117,15 +121,14 @@ def population_rho(m: BivariateMoments) -> float:
     other; a warning is emitted because the asymptotic machinery excludes
     that case, but the value itself is still returned.
     """
-    rho = m.cov_xy / math.sqrt(m.var_x * m.var_y)
-    rho = max(-1.0, min(1.0, rho))
+    rho = rho_from_moments(m)
     if abs(rho) >= 1.0 - AFFINE_RHO_TOL:
         warnings.warn(_AFFINE_MSG, stacklevel=2)
     return rho
 
 
 def _rho_checked(m: BivariateMoments) -> float:
-    rho = max(-1.0, min(1.0, m.cov_xy / math.sqrt(m.var_x * m.var_y)))
+    rho = rho_from_moments(m)
     if abs(rho) >= 1.0 - AFFINE_RHO_TOL:
         raise AffineDependenceError(_AFFINE_MSG)
     return rho
@@ -202,36 +205,40 @@ def correlation_influence(m: BivariateMoments) -> StatFunction:
     return h.with_label(f"corr_influence(rho={rho:.6g})")
 
 
+def _rho_of_means(ex, ey, exy, ex2, ey2):
+    # co-moment, variances, square roots, then one quotient: this order fixes
+    # the rounding of the value, which `variance` reports as rho
+    return (exy - ex * ey) / (math.sqrt(ex2 - ex * ex) * math.sqrt(ey2 - ey * ey))
+
+
+def _rho_of_means_grad(ex, ey, exy, ex2, ey2):
+    vx = ex2 - ex * ex
+    vy = ey2 - ey * ey
+    d = math.sqrt(vx) * math.sqrt(vy)
+    rho = (exy - ex * ey) / d
+    return (rho * ex / vx - ey / d, rho * ey / vy - ex / d, 1.0 / d,
+            -rho / (2.0 * vx), -rho / (2.0 * vy))
+
+
 def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
-    """Expansion of rho_n rebuilt step by step from the combinator algebra.
+    """Expansion of rho_n by one delta method on five sample means.
 
-    The numerator (sample covariance) and denominator (product of sample
-    standard deviations) are expanded separately from sample means of
-    p, pi1, pi2, pi1^2, pi2^2, then combined with div:
+    rho_n = g(mean(pi1), mean(pi2), mean(p), mean(pi1^2), mean(pi2^2)) with
 
-        numerator   = mean(p) - mean(pi1) mean(pi2)
-        variance_x  = mean(pi1^2) - mean(pi1)^2, then sqrt by delta method
-        variance_y  = likewise
-        rho_n       = numerator / (sd_x sd_y)
+        g(a, b, c, d, e) = (c - a b) / (sqrt(d - a^2) sqrt(e - b^2)),
 
-    The resulting influence differs from :func:`correlation_influence` by
-    an additive constant only, which the covariance functional ignores;
-    the value component equals population_rho(m) by construction.
+    so the influence is sum_j d_j g(P f) f_j over those five functions.
+    It differs from :func:`correlation_influence` by an additive constant
+    only, which the covariance functional ignores; the value component
+    equals population_rho(m) up to rounding.
     """
     _rho_checked(m)
-    e_x = from_mean(pi1, m.mu_x)
-    e_y = from_mean(pi2, m.mu_y)
-    e_xy = from_mean(p, m.cov_xy + m.mu_x * m.mu_y)
-    e_x2 = from_mean(pi1 ** 2, m.var_x + m.mu_x ** 2)
-    e_y2 = from_mean(pi2 ** 2, m.var_y + m.mu_y ** 2)
-
-    numerator = add(e_xy, -mul(e_x, e_y))
-    var_x = add(e_x2, -mul(e_x, e_x))
-    var_y = add(e_y2, -mul(e_y, e_y))
-    sqrt = (math.sqrt, lambda t: 0.5 / math.sqrt(t))
-    sd_x = smooth_map(var_x, *sqrt)
-    sd_y = smooth_map(var_y, *sqrt)
-    out = div(numerator, mul(sd_x, sd_y))
+    out = delta(_rho_of_means, _rho_of_means_grad,
+                from_mean(pi1, m.mu_x),
+                from_mean(pi2, m.mu_y),
+                from_mean(p, m.cov_xy + m.mu_x * m.mu_y),
+                from_mean(pi1 ** 2, m.var_x + m.mu_x ** 2),
+                from_mean(pi2 ** 2, m.var_y + m.mu_y ** 2))
     return AsymptoticExpansion(out.value,
                                out.influence.with_label("corr_influence_pipeline"))
 
@@ -296,28 +303,3 @@ def test_zero_correlation(s: PairedSample, *, moments: Optional[BivariateMoments
         rho_n = compute_rho_n(s)
     z = math.sqrt(s.n) * rho_n / math.sqrt(s1_sq)
     return ZeroCorrelationTest(z, math.erfc(abs(z) / math.sqrt(2.0)))
-
-
-def moments_from_oracle(oracle: MomentOracle) -> BivariateMoments:
-    """Assemble BivariateMoments by querying an oracle for polynomial moments.
-
-    Convenience for synthetic laws; equivalent to the law's own
-    bivariate_moments() but phrased purely through the MomentOracle
-    interface.
-    """
-    mu_x = oracle.expectation(pi1)
-    mu_y = oracle.expectation(pi2)
-    cx = pi1 - constant(mu_x)
-    cy = pi2 - constant(mu_y)
-    return BivariateMoments(
-        mu_x=mu_x,
-        mu_y=mu_y,
-        var_x=oracle.expectation(cx ** 2),
-        var_y=oracle.expectation(cy ** 2),
-        cov_xy=oracle.expectation(cx * cy),
-        m22=oracle.expectation(cx ** 2 * cy ** 2),
-        m31=oracle.expectation(cx ** 3 * cy),
-        m13=oracle.expectation(cx * cy ** 3),
-        m40=oracle.expectation(cx ** 4),
-        m04=oracle.expectation(cy ** 4),
-    )

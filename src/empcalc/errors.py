@@ -16,7 +16,7 @@ class EvaluationError(EmpcalcError, ValueError):
 
 
 class ExpansionError(EmpcalcError, ValueError):
-    """An expansion combinator was applied outside its domain."""
+    """The delta method was applied outside its domain."""
 
 
 class DegenerateSampleError(EmpcalcError, ValueError):

@@ -6,24 +6,28 @@ standing for a statistic T_n that satisfies
     T_n = value + n^{-1/2} G_n(influence) + o_P(n^{-1/2}),
 
 where G_n is the centered-and-scaled empirical average implemented in
-:mod:`empcalc.empirical`.  The combinators below push expansions through
-arithmetic and smooth maps by discarding the quadratic-and-smaller
-remainder terms, which stay o_P(n^{-1/2}):
+:mod:`empcalc.empirical`.  One rule, the delta method, pushes expansions
+through any map g that is C^1 at the expansion point: for expansions
+(A_1, L_1), .., (A_k, L_k),
 
-    add:        (A, L) + (B, H)   -> (A + B, L + H)
-    mul:        (A, L) * (B, H)   -> (A B, B L + A H)
-    div:        (A, L) / (B, H)   -> (A/B, (1/B) L - (A/B^2) H),  B != 0
-    smooth_map: g at (A, L)       -> (g(A), g'(A) L)
+    delta: g at ((A_1, L_1), .., (A_k, L_k))
+           -> (g(A_1, .., A_k), sum_j d_j g(A_1, .., A_k) L_j),
+
+dropping remainders that stay o_P(n^{-1/2}).  For T_n = g(P_n f_1, ..,
+P_n f_k) this is van der Vaart, *Asymptotic Statistics* (1998), Thm 3.1:
+sqrt(n)(T_n - g(P f)) is asymptotically N(0, Gamma(h, h)) with
+h = sum_j d_j g(P f) f_j.  The operators + - * / on expansions are this
+rule with the gradients (1, 1), (1, -1), (b, a) and (1/b, -a/b^2).
 
 The influence component is a :class:`~empcalc.functions.StatFunction`, so
-chains of combinators started from polynomial functions keep an exact
-polynomial influence, ready for exact variance computation.
+expansions started from polynomial functions keep an exact polynomial
+influence, ready for exact variance computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import math
 
@@ -47,28 +51,34 @@ class AsymptoticExpansion:
         if not isinstance(self.influence, StatFunction):
             raise ExpansionError("influence must be a StatFunction")
 
-    # arithmetic sugar; the named combinators below are the primary API
+    # arithmetic sugar over delta
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return delta(lambda a, b: a + b, lambda a, b: (1.0, 1.0), self, _coerce(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AsymptoticExpansion(-self.value, -self.influence)
+        return delta(lambda a: -a, lambda a: (-1.0,), self)
 
     def __sub__(self, other):
-        return add(self, -_coerce(other))
+        return delta(lambda a, b: a - b, lambda a, b: (1.0, -1.0), self, _coerce(other))
 
     def __rsub__(self, other):
-        return add(_coerce(other), -self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return delta(lambda a, b: a * b, lambda a, b: (b, a), self, _coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        """Quotient rule, defined only away from a vanishing denominator."""
+        other = _coerce(other)
+        if abs(other.value) <= DIV_FLOOR:
+            raise ExpansionError(
+                f"division by asymptotically degenerate denominator "
+                f"(|{other.value!r}| <= {DIV_FLOOR})")
+        return delta(lambda a, b: a / b, lambda a, b: (1.0 / b, -(a / b ** 2)), self, other)
 
 
 def _coerce(obj) -> AsymptoticExpansion:
@@ -93,40 +103,33 @@ def from_mean(f: StatFunction, mean: float) -> AsymptoticExpansion:
     return AsymptoticExpansion(float(mean), f)
 
 
-def add(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
-    return AsymptoticExpansion(a.value + b.value, a.influence + b.influence)
+def delta(g: Callable[..., float], grad: Callable[..., Sequence[float]],
+          *expansions: AsymptoticExpansion) -> AsymptoticExpansion:
+    """Delta method: push k expansions through a map ``g`` that is C^1 there.
 
-
-def mul(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
-    """Product rule; the dropped G_n(L) G_n(H) / n term is O_P(1/n)."""
-    influence = b.value * a.influence + a.value * b.influence
-    return AsymptoticExpansion(a.value * b.value, influence)
-
-
-def div(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
-    """Quotient rule, defined only away from a vanishing denominator."""
-    if abs(b.value) <= DIV_FLOOR:
-        raise ExpansionError(
-            f"division by asymptotically degenerate denominator (|{b.value!r}| <= {DIV_FLOOR})")
-    influence = (1.0 / b.value) * a.influence - (a.value / b.value ** 2) * b.influence
-    return AsymptoticExpansion(a.value / b.value, influence)
-
-
-def smooth_map(a: AsymptoticExpansion, g: Callable[[float], float],
-               g_prime: Callable[[float], float]) -> AsymptoticExpansion:
-    """Delta method: push the expansion through a C^1 map ``g``.
-
-    ``g`` and ``g_prime`` are evaluated at the expansion point only; both
-    must return finite numbers there or the expansion does not exist.
+    ``g`` and ``grad`` take the k expansion values as k arguments; ``grad``
+    returns the k partial derivatives.  Both are evaluated at the expansion
+    point only and must be finite there, or the expansion does not exist.
+    The influence is sum_j slope_j L_j, summed left to right.
     """
+    if not expansions:
+        raise ExpansionError("delta method needs at least one expansion")
+    point = [e.value for e in expansions]
     try:
-        value = float(g(a.value))
-        slope = float(g_prime(a.value))
+        value = float(g(*point))
+        slopes = [float(s) for s in grad(*point)]
     except (ArithmeticError, ValueError) as exc:
         raise ExpansionError(
-            f"delta method inapplicable at expansion point {a.value!r}: {exc}") from exc
-    if not (math.isfinite(value) and math.isfinite(slope)):
+            f"delta method inapplicable at expansion point {point!r}: {exc}") from exc
+    if len(slopes) != len(expansions):
         raise ExpansionError(
-            f"delta method inapplicable at expansion point {a.value!r}: "
-            f"g={value!r}, g'={slope!r}")
-    return AsymptoticExpansion(value, slope * a.influence)
+            f"delta method inapplicable at expansion point {point!r}: "
+            f"{len(slopes)} partials for {len(expansions)} expansions")
+    if not (math.isfinite(value) and all(map(math.isfinite, slopes))):
+        raise ExpansionError(
+            f"delta method inapplicable at expansion point {point!r}: "
+            f"g={value!r}, grad={slopes!r}")
+    influence = slopes[0] * expansions[0].influence
+    for slope, e in zip(slopes[1:], expansions[1:]):
+        influence = influence + slope * e.influence
+    return AsymptoticExpansion(value, influence)

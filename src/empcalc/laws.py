@@ -50,7 +50,7 @@ import numpy as np
 from .correlation import BivariateMoments
 from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, MomentOracle,
                         PolynomialMomentOracle, SamplingMoments)
-from .errors import AffineDependenceError, InputFormatError, MomentError
+from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
 from .streams import derive_rng  # unused here; perfbench/tracing.py wraps it by name
@@ -500,5 +500,9 @@ def law_from_spec(spec: dict) -> BivariateLaw:
             return DiscreteLaw(spec["xs"], spec["ys"], spec["weights"])
     except KeyError as exc:
         raise InputFormatError(f"law spec for kind {kind!r} is missing {exc}") from None
+    except EmpcalcError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"law spec for kind {kind!r} has a malformed value: {exc}") from None
     raise InputFormatError(
         f"unknown law kind {kind!r}; expected gaussian, independent, mixture, or discrete")

@@ -161,6 +161,37 @@ def test_variance_mixture_flag_needs_json(capsys):
     assert "--law-json" in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"kind":"gaussian","rho":"x"}',
+    '{"kind":"gaussian","rho":[1]}',
+    '{"kind":"mixture","components":[{"kind":"gaussian","rho":0.1}],"weights":"a"}',
+    '{"kind":"discrete","xs":"a","ys":[0],"weights":[1]}',
+    '{"kind":"independent","marginal_x":["x"],"marginal_y":"rademacher"}',
+])
+def test_law_json_value_of_the_wrong_type_is_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "variance", "--law-json", spec)
+    assert code == 2
+    assert out == ""
+    assert "malformed value" in err
+
+
+@pytest.mark.parametrize("command", [["variance"], ["simulate", "--n", "50", "--reps", "100"],
+                                     ["lemma1", "--n", "50", "--reps", "100"]])
+@pytest.mark.parametrize("flags, named", [
+    (["--law", "gaussian"], "--law"),
+    (["--rho", "0.3"], "--rho"),
+    (["--mx", "rademacher"], "--mx"),
+    (["--my", "rademacher"], "--my"),
+    (["--law", "independent", "--mx", "rademacher", "--my", "uniform_std"], "--law, --mx, --my"),
+])
+def test_law_json_with_other_law_flags_is_usage_error(capsys, command, flags, named):
+    code, out, err = run_cli(capsys, *command, "--law-json", '{"kind":"gaussian","rho":0.5}',
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert f"--law-json cannot be combined with {named}" in err
+
+
 # --------------------------------------------------------------- simulate
 
 def test_simulate_gaussian_reference_run(capsys):

@@ -14,7 +14,9 @@ import scipy.stats as sps
 from hypothesis import assume, example, given, settings, strategies as st
 
 import empcalc as ec
+from empcalc import correlation
 from empcalc.correlation import BivariateMoments
+from empcalc.expansion import delta
 from empcalc.streams import derive_rng
 
 
@@ -66,6 +68,17 @@ def test_population_rho_warns_at_affine_boundary():
     with pytest.warns(UserWarning, match="affine dependence, asymptotics excluded"):
         r = ec.population_rho(m)
     assert r == 1.0
+
+
+def test_rho_from_moments_is_shared_by_both_checks():
+    m = BivariateMoments(0, 0, 4.0, 9.0, 3.0, 40.0, 0.0, 0.0, 48.1, 243.1)
+    rho = correlation.rho_from_moments(m)
+    assert ec.population_rho(m) == rho
+    assert correlation._rho_checked(m) == rho
+    affine = BivariateMoments(0, 0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0)
+    assert correlation.rho_from_moments(affine) == 1.0
+    with pytest.raises(ec.AffineDependenceError):
+        correlation._rho_checked(affine)
 
 
 # ------------------------------------------------------------- compute_rho_n
@@ -319,6 +332,44 @@ def test_expansion_influence_matches_closed_form_up_to_constant():
     assert diffs.max() - diffs.min() <= 1e-10
 
 
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.5, 1.0, 1.0),
+                                   (1.5, -2.0, -2.1, 4.25, 6.5),
+                                   (-0.3, 0.7, 0.1, 2.0, 0.6)])
+def test_expansion_gradient_matches_central_differences(point):
+    grad = correlation._rho_of_means_grad(*point)
+    for j in range(5):
+        h = 1e-6
+        up = list(point)
+        down = list(point)
+        up[j] += h
+        down[j] -= h
+        numeric = (correlation._rho_of_means(*up) - correlation._rho_of_means(*down)) / (2 * h)
+        assert grad[j] == pytest.approx(numeric, rel=1e-6, abs=1e-8)
+
+
+def test_expansion_is_one_delta_call_on_five_means(monkeypatch):
+    calls = []
+
+    def counting(g, grad, *expansions):
+        calls.append([e.influence.label for e in expansions])
+        return delta(g, grad, *expansions)
+
+    monkeypatch.setattr(correlation, "delta", counting)
+    ec.correlation_expansion(standardized_moments(0.3))
+    assert calls == [["pi1", "pi2", "p", "pi1^2", "pi2^2"]]
+
+
+def test_expansion_of_a_law_on_a_tiny_scale():
+    # sd_x sd_y is about 1e-14 here, below the quotient's DIV_FLOOR; rho_n is
+    # scale-free, so the expansion exists and matches the closed form
+    law = ec.DiscreteLaw(np.array([-1.0, 0.5, 2.0, -0.5]) * 1e-7,
+                         np.array([0.5, -1.0, 1.0, 2.0]) * 1e-7, [0.2, 0.3, 0.25, 0.25])
+    m = law.bivariate_moments()
+    e = ec.correlation_expansion(m)
+    assert e.value == pytest.approx(ec.population_rho(m), rel=1e-12)
+    assert ec.asymptotic_variance(e, law) == pytest.approx(ec.sigma_squared(m), rel=1e-9)
+
+
 def test_expansion_variance_gaussian_half():
     law = ec.GaussianLaw(0.5)
     e = ec.correlation_expansion(law.bivariate_moments())
@@ -386,17 +437,6 @@ def test_zero_correlation_power_at_half_rho():
         ec.test_zero_correlation(law.sample(n, derive_rng(77, i))).p_value < 1e-3
         for i in range(runs))
     assert rejections / runs >= 0.99
-
-
-# ------------------------------------------------------- moments_from_oracle
-
-def test_moments_from_oracle_round_trip():
-    law = ec.GaussianLaw(0.5)
-    direct = law.bivariate_moments()
-    via = ec.moments_from_oracle(law)
-    for field in ("mu_x", "mu_y", "var_x", "var_y", "cov_xy",
-                  "m22", "m31", "m13", "m40", "m04"):
-        assert getattr(via, field) == pytest.approx(getattr(direct, field), rel=1e-12)
 
 
 def test_sigma_estimate_consistency_in_n():

@@ -1,7 +1,7 @@
-"""Tests for first-order asymptotic expansions and their combinators.
+"""Tests for first-order asymptotic expansions and the delta method.
 
 Expected values for the worked examples were computed by hand from the
-combinator definitions before the implementation existed.
+sum, product, quotient and chain rules before the implementation existed.
 """
 
 import math
@@ -35,14 +35,14 @@ def test_constant_expansion_has_zero_influence():
 
 def test_add_combinator():
     # (2, pi1) + (3, pi2) = (5, pi1 + pi2)
-    e = ec.add(from_mean(ec.pi1, 2.0), from_mean(ec.pi2, 3.0))
+    e = from_mean(ec.pi1, 2.0) + from_mean(ec.pi2, 3.0)
     assert e.value == 5.0
     assert e.influence(1.0, 10.0) == 11.0
 
 
 def test_mul_combinator():
     # (2, pi1) * (3, pi2) -> value 6, influence 3*pi1 + 2*pi2
-    e = ec.mul(from_mean(ec.pi1, 2.0), from_mean(ec.pi2, 3.0))
+    e = from_mean(ec.pi1, 2.0) * from_mean(ec.pi2, 3.0)
     assert e.value == 6.0
     assert e.influence(1.0, 1.0) == pytest.approx(5.0)
     assert e.influence(2.0, -1.0) == pytest.approx(3.0 * 2.0 + 2.0 * -1.0)
@@ -50,7 +50,7 @@ def test_mul_combinator():
 
 def test_div_combinator():
     # (6, pi1) / (2, pi2) -> value 3, influence pi1/2 - (3/2) pi2
-    e = ec.div(from_mean(ec.pi1, 6.0), from_mean(ec.pi2, 2.0))
+    e = from_mean(ec.pi1, 6.0) / from_mean(ec.pi2, 2.0)
     assert e.value == 3.0
     assert e.influence(4.0, 2.0) == pytest.approx(4.0 / 2.0 - 1.5 * 2.0)
 
@@ -59,23 +59,73 @@ def test_div_rejects_degenerate_denominator():
     num = from_mean(ec.pi1, 1.0)
     for b in (0.0, 5e-13, -5e-13):
         with pytest.raises(ec.ExpansionError, match="asymptotically degenerate"):
-            ec.div(num, from_mean(ec.pi2, b))
+            num / from_mean(ec.pi2, b)
 
 
-def test_smooth_map_square_root():
+def sqrt_grad(t):
+    return (0.5 / math.sqrt(t),)
+
+
+def test_delta_one_argument_square_root():
     # sqrt at 4: value 2, influence scaled by 1/(2*sqrt(4)) = 0.25
-    e = ec.smooth_map(from_mean(ec.pi1, 4.0), math.sqrt, lambda t: 0.5 / math.sqrt(t))
+    e = ec.delta(math.sqrt, sqrt_grad, from_mean(ec.pi1, 4.0))
     assert e.value == 2.0
     assert e.influence(8.0, 0.0) == pytest.approx(2.0)
 
 
-def test_smooth_map_inapplicable_point():
+def test_delta_one_argument_inapplicable_point():
     e0 = from_mean(ec.pi1, 0.0)
     with pytest.raises(ec.ExpansionError, match="delta method inapplicable"):
-        ec.smooth_map(e0, math.sqrt, lambda t: 0.5 / math.sqrt(t))
+        ec.delta(math.sqrt, sqrt_grad, e0)
     neg = from_mean(ec.pi1, -1.0)
     with pytest.raises(ec.ExpansionError, match="delta method inapplicable"):
-        ec.smooth_map(neg, math.sqrt, lambda t: 0.5 / math.sqrt(t))
+        ec.delta(math.sqrt, sqrt_grad, neg)
+
+
+def test_delta_five_arguments():
+    # g = a b + c - d e at (1, 2, 3, 4, 5): value 1*2 + 3 - 4*5 = -15,
+    # gradient (b, a, 1, -e, -d) = (2, 1, 1, -5, -4)
+    fs = [ec.pi1, ec.pi2, ec.p, ec.pi1 ** 2, ec.pi2 ** 2]
+    es = [from_mean(f, v) for f, v in zip(fs, (1.0, 2.0, 3.0, 4.0, 5.0))]
+    e = ec.delta(lambda a, b, c, d, e: a * b + c - d * e,
+              lambda a, b, c, d, e: (b, a, 1.0, -e, -d), *es)
+    assert e.value == -15.0
+    assert e.influence.poly == {(1, 0): 2.0, (0, 1): 1.0, (1, 1): 1.0, (2, 0): -5.0, (0, 2): -4.0}
+    for x, y in GRID:
+        assert e.influence(x, y) == pytest.approx(2 * x + y + x * y - 5 * x * x - 4 * y * y)
+
+
+@pytest.mark.parametrize("grad", [lambda a, b: (1.0,), lambda a, b: (1.0, 1.0, 1.0),
+                                  lambda a, b: ()])
+def test_delta_rejects_wrong_length_gradient(grad):
+    a = from_mean(ec.pi1, 2.0)
+    b = from_mean(ec.pi2, 3.0)
+    with pytest.raises(ec.ExpansionError, match="partials for 2 expansions"):
+        ec.delta(lambda s, t: s + t, grad, a, b)
+
+
+def test_delta_rejects_non_finite_gradient_and_no_arguments():
+    e = from_mean(ec.pi1, 2.0)
+    with pytest.raises(ec.ExpansionError, match="delta method inapplicable"):
+        ec.delta(lambda t: t, lambda t: (math.inf,), e)
+    with pytest.raises(ec.ExpansionError, match="at least one expansion"):
+        ec.delta(lambda: 0.0, lambda: ())
+
+
+def test_operators_give_the_hand_rules_coefficients_bit_for_bit():
+    a = AsymptoticExpansion(2.0, ec.p + 0.5 * ec.pi1)
+    b = AsymptoticExpansion(3.0, ec.pi2 ** 2 - ec.pi1)
+    L, H = a.influence, b.influence
+    for via_op, hand in [
+        (a + b, L + H),
+        (a - b, L + (-H)),
+        (-a, -L),
+        (a * b, 3.0 * L + 2.0 * H),
+        (a / b, (1.0 / 3.0) * L - (2.0 / 3.0 ** 2) * H),
+    ]:
+        assert via_op.influence.poly == hand.poly
+        for x, y in GRID:
+            assert via_op.influence(x, y) == hand(x, y)
 
 
 def test_value_must_be_finite():
@@ -89,9 +139,9 @@ def test_operator_sugar_matches_combinators():
     a = from_mean(ec.pi1, 2.0)
     b = from_mean(ec.pi2, 3.0)
     for via_op, via_fn in [
-        (a + b, ec.add(a, b)),
-        (a * b, ec.mul(a, b)),
-        (a / b, ec.div(a, b)),
+        (a + b, ec.delta(lambda s, t: s + t, lambda s, t: (1.0, 1.0), a, b)),
+        (a * b, ec.delta(lambda s, t: s * t, lambda s, t: (t, s), a, b)),
+        (a / b, ec.delta(lambda s, t: s / t, lambda s, t: (1.0 / t, -s / t ** 2), a, b)),
     ]:
         assert via_op.value == via_fn.value
         np.testing.assert_allclose(
@@ -105,7 +155,7 @@ safe_denoms = st.floats(min_value=0.1, max_value=50.0, allow_nan=False)
 
 @given(means, means)
 def test_add_is_linear_in_both_slots(a, b):
-    e = ec.add(from_mean(ec.pi1, a), from_mean(ec.pi2, b))
+    e = from_mean(ec.pi1, a) + from_mean(ec.pi2, b)
     assert e.value == a + b
     for x, y in GRID:
         assert e.influence(x, y) == pytest.approx(x + y, abs=1e-12)
@@ -119,9 +169,9 @@ def test_div_equals_mul_by_reciprocal(a, b):
     """
     num = from_mean(ec.pi1, a)
     den = from_mean(ec.pi2, b)
-    direct = ec.div(num, den)
-    recip = ec.smooth_map(den, lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
-    composed = ec.mul(num, recip)
+    direct = num / den
+    recip = ec.delta(lambda t: 1.0 / t, lambda t: (-1.0 / (t * t),), den)
+    composed = num * recip
     assert direct.value == pytest.approx(composed.value, rel=1e-12)
     np.testing.assert_allclose(
         infl_values(direct, GRID), infl_values(composed, GRID), rtol=1e-9, atol=1e-9
@@ -131,8 +181,8 @@ def test_div_equals_mul_by_reciprocal(a, b):
 @given(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
 def test_mul_self_equals_smooth_square(a):
     e = from_mean(ec.pi1, a)
-    squared = ec.mul(e, e)
-    mapped = ec.smooth_map(e, lambda t: t * t, lambda t: 2.0 * t)
+    squared = e * e
+    mapped = ec.delta(lambda t: t * t, lambda t: (2.0 * t,), e)
     assert squared.value == pytest.approx(mapped.value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(
         infl_values(squared, GRID), infl_values(mapped, GRID), rtol=1e-9, atol=1e-9

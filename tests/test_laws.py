@@ -410,6 +410,34 @@ def test_law_spec_rejects_missing_fields():
         ec.law_from_spec("gaussian")
 
 
+MALFORMED_SPECS = {
+    "gaussian_rho_string": {"kind": "gaussian", "rho": "x"},
+    "gaussian_rho_list": {"kind": "gaussian", "rho": [1]},
+    "mixture_weights_string": {"kind": "mixture", "weights": "a",
+                               "components": [{"kind": "gaussian", "rho": 0.1}]},
+    "discrete_xs_string": {"kind": "discrete", "xs": "a", "ys": [0.0], "weights": [1.0]},
+    "marginal_list": {"kind": "independent", "marginal_x": ["x"], "marginal_y": "rademacher"},
+    "nested_component": {"kind": "mixture", "weights": [1.0],
+                         "components": [{"kind": "gaussian", "rho": None}]},
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_law_spec_rejects_values_of_the_wrong_type(spec):
+    with pytest.raises(ec.InputFormatError, match="malformed value"):
+        ec.law_from_spec(spec)
+
+
+def test_law_spec_keeps_the_laws_own_errors():
+    with pytest.raises(ec.AffineDependenceError, match="gaussian rho"):
+        ec.law_from_spec({"kind": "gaussian", "rho": 1.0})
+    with pytest.raises(ec.InputFormatError, match="unknown marginal"):
+        ec.law_from_spec({"kind": "independent", "marginal_x": "x", "marginal_y": "rademacher"})
+    with pytest.raises(ec.InputFormatError, match="weights must be positive"):
+        ec.law_from_spec({"kind": "mixture", "weights": [-1.0],
+                          "components": [{"kind": "gaussian", "rho": 0.1}]})
+
+
 # -------------------------------------------------------- moment sanity
 
 def test_raw_moments_agree_with_monte_carlo():
