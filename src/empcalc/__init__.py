@@ -17,7 +17,6 @@ from .errors import (AffineDependenceError, DegenerateSampleError, EmpcalcError,
                      MomentError, SimulationError)
 from .functions import StatFunction, constant, p, pi1, pi2
 from .sample import PairedSample
-from .normal import standard_normal_cdf, standard_normal_pdf
 from .expansion import AsymptoticExpansion, constant_expansion, delta, from_mean
 from .empirical import (CovarianceEstimate, CovarianceMatrix, MomentOracle,
                         PolynomialMomentOracle, SamplingMoments,
@@ -31,10 +30,10 @@ from .laws import (MARGINALS, BivariateLaw, DiscreteLaw, GaussianLaw,
                    IndependentLaw, Marginal, MixtureLaw, get_marginal,
                    law_from_spec)
 from .simulate import (ExperimentConfig, ks_statistic, run_clt_experiment,
-                       run_lemma1_experiment)
+                       run_lemma1_experiment, standard_normal_cdf)
 from .io import (CheckResult, Report, read_paired_csv, report_to_csv,
                  report_to_json, write_paired_csv)
-from .acceptance import ALL_CRITERIA, CriterionResult, run_acceptance
+from .acceptance import ALL_CRITERIA, run_acceptance
 from .streams import derive_rng, derive_seed
 
 __version__ = "0.1.0"

@@ -1,14 +1,17 @@
 """The package's acceptance suite: seven self-contained criteria.
 
 Each criterion function runs one verifiable claim end to end and returns
-a :class:`CriterionResult` whose checks carry the measured values and the
-pre-registered thresholds.  The suite is exposed both to pytest (one test
-per criterion) and to the command line (``empcalc check``).
+its list of :class:`~empcalc.io.CheckResult`, which carry the measured
+values and the pre-registered thresholds.  A criterion's name is its
+function name without the ``criterion_<k>_`` prefix.  The suite is
+exposed both to pytest (one test per criterion) and to the command line
+(``empcalc check``), through :func:`run_acceptance`, which returns the
+``check`` :class:`~empcalc.io.Report`.
 
 Criteria with wall-clock limits record the pass/fail verdict but not the
 measured seconds inside the checks; reports must be byte-identical for a
-fixed seed, and timings are not.  The measured runtime is available on
-the CriterionResult itself for logging.
+fixed seed, and timings are not.  :func:`run_acceptance` prints each
+criterion's runtime to stderr instead.
 
 All randomness is derived from one root seed through keyed streams, so
 two runs with the same seed produce identical results regardless of
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import io as _io
 import json
+import sys
 import time
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -32,7 +35,7 @@ from .empirical import asymptotic_variance, gn_eval
 from .errors import InputFormatError
 from .expansion import AsymptoticExpansion, delta
 from .functions import p, pi1, pi2
-from .io import CheckResult, read_paired_csv, write_paired_csv
+from .io import CheckResult, Report, read_paired_csv, write_paired_csv
 from .laws import MARGINALS, DiscreteLaw, GaussianLaw, IndependentLaw
 from .sample import PairedSample
 from .simulate import ExperimentConfig, run_clt_experiment, run_lemma1_experiment
@@ -43,27 +46,8 @@ DEFAULT_SEED = 42
 PAIRING_MARGINALS = ("standard_normal", "uniform_std", "exponential_std", "rademacher")
 
 
-@dataclass
-class CriterionResult:
-    """Outcome of one acceptance criterion."""
-
-    number: int
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
-    runtime_seconds: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        # runtime_seconds deliberately omitted: reports are byte-stable per seed
-        return {"number": self.number, "name": self.name, "pass": self.passed,
-                "checks": [c.to_dict() for c in self.checks]}
-
-
 def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
-                                     threads: int = 1) -> CriterionResult:
+                                     threads: int = 1) -> list[CheckResult]:
     """sigma_squared under exact Gaussian moments equals (1 - rho^2)^2."""
     start = time.perf_counter()
     grid = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.8)
@@ -72,29 +56,23 @@ def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
         got = sigma_squared(GaussianLaw(rho).bivariate_moments())
         worst = max(worst, abs(got - (1.0 - rho ** 2) ** 2))
     elapsed = time.perf_counter() - start
-    checks = [
-        CheckResult("max_abs_error_on_grid", worst, 1e-12, worst <= 1e-12),
-        CheckResult("runtime_under_1s", None, 1.0, elapsed < 1.0),
-    ]
-    return CriterionResult(1, "gaussian_closed_form", checks, elapsed)
+    return [CheckResult("max_abs_error_on_grid", worst, 1e-12, worst <= 1e-12),
+            CheckResult("runtime_under_1s", None, 1.0, elapsed < 1.0)]
 
 
-def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
+def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
     """sqrt(n)(rho_n - rho) matches N(0, 0.5625) for gaussian(0.5)."""
     start = time.perf_counter()
     cfg = ExperimentConfig(law=GaussianLaw(0.5), n=2000, reps=5000,
                            seed=derive_seed(seed, 2), threads=threads)
     report = run_clt_experiment(cfg, variance_rtol=0.10, ks_tol=0.03)
     elapsed = time.perf_counter() - start
-    checks = list(report.checks)
-    checks.append(CheckResult("runtime_under_60s", None, 60.0, elapsed < 60.0))
-    return CriterionResult(2, "clt_gaussian", checks, elapsed)
+    return report.checks + [CheckResult("runtime_under_60s", None, 60.0, elapsed < 60.0)]
 
 
 def criterion_3_independent_pairings(seed: int = DEFAULT_SEED,
-                                     threads: int = 1) -> CriterionResult:
+                                     threads: int = 1) -> list[CheckResult]:
     """All marginal pairings give sqrt(n) rho_n close to N(0, 1)."""
-    start = time.perf_counter()
     checks = []
     pairs = list(combinations_with_replacement(PAIRING_MARGINALS, 2))
     for idx, (mx, my) in enumerate(pairs):
@@ -104,8 +82,7 @@ def criterion_3_independent_pairings(seed: int = DEFAULT_SEED,
         for c in report.checks:
             checks.append(CheckResult(f"{c.name}[{mx},{my}]", c.value,
                                       c.threshold, c.passed))
-    elapsed = time.perf_counter() - start
-    return CriterionResult(3, "independent_pairings", checks, elapsed)
+    return checks
 
 
 def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
@@ -127,14 +104,13 @@ def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
 
 
 def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
-                                        threads: int = 1) -> CriterionResult:
+                                        threads: int = 1) -> list[CheckResult]:
     """Delta-method pipeline and closed-form variance agree on random laws.
 
     The pipeline route integrates its influence by atom enumeration
     through the function callable; the closed form is pure moment
     arithmetic.  The two share no computation beyond the moment set.
     """
-    start = time.perf_counter()
     rng = derive_rng(seed, 4)
     worst = 0.0
     for _ in range(50):
@@ -143,14 +119,11 @@ def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
         via_pipeline = asymptotic_variance(correlation_expansion(m), law)
         closed = sigma_squared(m)
         worst = max(worst, abs(via_pipeline - closed) / max(abs(closed), 1e-30))
-    elapsed = time.perf_counter() - start
-    checks = [CheckResult("max_rel_difference", worst, 1e-9, worst <= 1e-9)]
-    return CriterionResult(4, "pipeline_vs_closed_form", checks, elapsed)
+    return [CheckResult("max_rel_difference", worst, 1e-9, worst <= 1e-9)]
 
 
-def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 1) -> CriterionResult:
+def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
     """(G_n(pi1), G_n(pi2), G_n(p)) is jointly normal with the Gram matrix."""
-    start = time.perf_counter()
     law = GaussianLaw(0.5)
     cfg = ExperimentConfig(law=law, n=1000, reps=5000, seed=derive_seed(seed, 5),
                            threads=threads)
@@ -160,11 +133,8 @@ def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 1) -> Crit
                          [0.5, 1.0, 0.0],
                          [0.0, 0.0, 1.25]])
     gram_err = float(np.abs(np.asarray(report.results["predicted_cov"]) - expected).max())
-    elapsed = time.perf_counter() - start
-    checks = list(report.checks)
-    checks.append(CheckResult("predicted_gram_exact", gram_err, 1e-12,
-                              gram_err <= 1e-12))
-    return CriterionResult(5, "lemma1_joint", checks, elapsed)
+    return report.checks + [CheckResult("predicted_gram_exact", gram_err, 1e-12,
+                                        gram_err <= 1e-12)]
 
 
 def _check_linearity(seed: int) -> CheckResult:
@@ -229,27 +199,23 @@ def _check_thread_invariance(seed: int) -> CheckResult:
 
 
 def criterion_6_exact_invariants(seed: int = DEFAULT_SEED,
-                                 threads: int = 1) -> CriterionResult:
+                                 threads: int = 1) -> list[CheckResult]:
     """Deterministic identities: linearity, invariance, algebra, round trips.
 
     The thread-invariance check compares its own fixed budgets, 1 and 4.
     """
-    start = time.perf_counter()
-    checks = [
+    return [
         _check_linearity(seed),
         _check_location_scale(seed),
         _check_div_vs_mul_reciprocal(),
         _check_csv_round_trip(seed),
         _check_thread_invariance(seed),
     ]
-    elapsed = time.perf_counter() - start
-    return CriterionResult(6, "exact_invariants", checks, elapsed)
 
 
 def criterion_7_test_calibration(seed: int = DEFAULT_SEED,
-                                 threads: int = 1) -> CriterionResult:
+                                 threads: int = 1) -> list[CheckResult]:
     """The zero-correlation z-test rejects at its nominal 5% level."""
-    start = time.perf_counter()
     law = IndependentLaw("standard_normal", "standard_normal")
     runs = 1000
     rejections = 0
@@ -259,9 +225,7 @@ def criterion_7_test_calibration(seed: int = DEFAULT_SEED,
             rejections += 1
     frac = rejections / runs
     err = abs(frac - 0.05)
-    elapsed = time.perf_counter() - start
-    checks = [CheckResult("rejection_rate_error", err, 0.02, err <= 0.02)]
-    return CriterionResult(7, "test_calibration", checks, elapsed)
+    return [CheckResult("rejection_rate_error", err, 0.02, err <= 0.02)]
 
 
 ALL_CRITERIA = {
@@ -275,18 +239,34 @@ ALL_CRITERIA = {
 }
 
 
-def run_acceptance(numbers=None, seed: int = DEFAULT_SEED,
-                   threads: int = 1) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) in numeric order.
+def run_acceptance(numbers=None, seed: int = DEFAULT_SEED, threads: int = 1) -> Report:
+    """Run the selected criteria (all by default) in the order given.
 
-    ``threads`` is the worker budget of every Monte Carlo experiment a
-    criterion runs, as in :class:`~empcalc.simulate.ExperimentConfig`.
+    Returns the ``check`` report: per criterion its number, name, verdict
+    and checks, and every check again at the top level, prefixed with
+    ``criterion_<k>.``.  Each criterion's verdict and runtime go to
+    stderr as it finishes.  ``threads`` is the worker budget of every
+    Monte Carlo experiment a criterion runs, as in
+    :class:`~empcalc.simulate.ExperimentConfig`.
     """
-    if numbers is None:
-        numbers = sorted(ALL_CRITERIA)
-    results = []
+    numbers = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
     for num in numbers:
         if num not in ALL_CRITERIA:
             raise InputFormatError(f"unknown acceptance criterion {num}; valid: 1..7")
-        results.append(ALL_CRITERIA[num](seed, threads))
-    return results
+    criteria, checks = [], []
+    for num in numbers:
+        fn = ALL_CRITERIA[num]
+        name = fn.__name__.split("_", 2)[2]
+        start = time.perf_counter()
+        own = fn(seed, threads)
+        elapsed = time.perf_counter() - start
+        passed = all(c.passed for c in own)
+        print(f"criterion {num} ({name}): {'pass' if passed else 'FAIL'} in {elapsed:.2f}s",
+              file=sys.stderr)
+        criteria.append({"number": num, "name": name, "pass": passed,
+                         "checks": [c.to_dict() for c in own]})
+        checks += [CheckResult(f"criterion_{num}.{c.name}", c.value, c.threshold, c.passed)
+                   for c in own]
+    return Report("check", {"criteria": numbers},
+                  {"criteria": criteria, "all_pass": all(c["pass"] for c in criteria)},
+                  checks, seed)

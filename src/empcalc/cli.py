@@ -135,17 +135,7 @@ def cmd_check(args) -> Report:
         except ValueError:
             raise InputFormatError(
                 f"--criteria must be comma-separated integers, got {args.criteria!r}") from None
-    results = run_acceptance(criteria, seed=args.seed, threads=args.threads)
-    for r in results:
-        print(f"criterion {r.number} ({r.name}): "
-              f"{'pass' if r.passed else 'FAIL'} in {r.runtime_seconds:.2f}s",
-              file=sys.stderr)
-    checks = [CheckResult(f"criterion_{r.number}.{c.name}", c.value, c.threshold, c.passed)
-              for r in results for c in r.checks]
-    return Report("check", {"criteria": [r.number for r in results]},
-                  {"criteria": [r.to_dict() for r in results],
-                   "all_pass": all(r.passed for r in results)},
-                  checks, args.seed)
+    return run_acceptance(criteria, seed=args.seed, threads=args.threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:

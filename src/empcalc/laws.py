@@ -119,10 +119,6 @@ class Marginal:
     transform: Callable[[np.ndarray], np.ndarray]
     raw_moment: Callable[[int], float]
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws from ``rng``: n raw values, then the transform."""
-        return self.transform(getattr(rng, self.method)(n))
-
 
 MARGINALS: dict[str, Marginal] = {
     "standard_normal": Marginal(

@@ -41,11 +41,3 @@ class PairedSample:
     @property
     def n(self) -> int:
         return int(self.xs.size)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairedSample":
-        """Build from an iterable of (x, y) tuples."""
-        arr = np.array(list(pairs), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InputFormatError("expected an iterable of (x, y) pairs")
-        return cls(arr[:, 0], arr[:, 1])

@@ -15,6 +15,10 @@ Two experiment drivers:
   Gram matrix entrywise and each nondegenerate coordinate against its
   normal marginal.
 
+Both compare replicates with the standard normal through
+:func:`ks_statistic` and :func:`standard_normal_cdf`, which is
+0.5 erfc(-x / sqrt(2)) from ``math.erfc``, as the z-test's tail is.
+
 Replicates run in blocks.  A block holds about 32k draws per coordinate
 (rows = 32768 // n replicates, at least one), so block boundaries depend
 only on (n, reps).  Replicate i draws its values from the generator
@@ -36,6 +40,7 @@ first failing replicate, with the message the per-sample routines
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -49,7 +54,6 @@ from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
 from .functions import StatFunction
 from .io import CheckResult, Report
 from .laws import BivariateLaw
-from .normal import standard_normal_cdf
 from .streams import BlockStreams
 
 DEFAULT_VARIANCE_RTOL = 0.10
@@ -79,6 +83,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.law, BivariateLaw):
             raise InputFormatError("law must be a BivariateLaw")
+        for name in ("n", "reps", "seed", "threads"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InputFormatError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 2:
             raise InputFormatError(f"n ≥ 2 required, got {self.n}")
         if self.reps < 100:
@@ -87,6 +97,15 @@ class ExperimentConfig:
             raise InputFormatError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
             raise InputFormatError(f"seed must be >= 0, got {self.seed}")
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def standard_normal_cdf(x):
+    """Distribution function of N(0, 1), 0.5 erfc(-x / sqrt(2)); scalar in, float out."""
+    out = 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 def ks_statistic(values, cdf: Callable) -> float:
@@ -246,6 +265,9 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     fs = list(fs)
     if not fs:
         raise EvaluationError("no functions supplied")
+    for i, f in enumerate(fs):
+        if not isinstance(f, StatFunction):
+            raise EvaluationError(f"fs[{i}] is a {type(f).__name__}, not a StatFunction")
     law = cfg.law
     means = [law.expectation(f) for f in fs]
     predicted = gamma_matrix(fs, law)

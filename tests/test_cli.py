@@ -5,9 +5,11 @@ report, stderr the diagnostics, and the exit code must follow the
 0 = pass / 1 = check failed / 2 = usage-or-input-error contract.
 """
 
+import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -268,6 +270,38 @@ def test_check_subset_thread_budget_does_not_change_bytes(capsys):
     _, out_default, _ = run_cli(capsys, *args)
     _, out_threaded, _ = run_cli(capsys, *args, "--threads", "4")
     assert out_default == out_threaded
+
+
+def test_check_report_nests_each_criterion_and_flattens_its_checks(capsys):
+    args = ("check", "--criteria", "1,4", "--seed", "42")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"] == {"criteria": [1, 4]}
+    criteria = report["results"]["criteria"]
+    assert [(c["number"], c["name"], c["pass"]) for c in criteria] == [
+        (1, "gaussian_closed_form", True), (4, "pipeline_vs_closed_form", True)]
+    assert report["results"]["all_pass"] is True
+    flat = [dict(check, name=f"criterion_{c['number']}.{check['name']}")
+            for c in criteria for check in c["checks"]]
+    assert flat == report["checks"]
+    assert [re.fullmatch(r"criterion (\d) \((\w+)\): pass in \d+\.\d\ds", line).groups()
+            for line in err.splitlines()] == [("1", "gaussian_closed_form"),
+                                               ("4", "pipeline_vs_closed_form")]
+
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    nested = json.loads(next(r[2] for r in rows if r[:2] == ["result", "criteria"]))
+    assert nested == criteria
+
+    def cell(v):
+        return "" if v is None else repr(v)
+
+    assert [r[1:] for r in rows if r[0] == "check"] == [
+        [f"criterion_{c['number']}.{check['name']}", cell(check["value"]),
+         cell(check["threshold"]), "pass" if check["pass"] else "fail"]
+        for c in nested for check in c["checks"]]
 
 
 def test_check_passes_thread_flag_to_experiments(monkeypatch, capsys):

@@ -84,7 +84,7 @@ def test_rho_from_moments_is_shared_by_both_checks():
 # ------------------------------------------------------------- compute_rho_n
 
 def test_rho_n_symmetric_cross_sample_is_zero():
-    s = ec.PairedSample.from_pairs([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    s = ec.PairedSample([1, -1, 0, 0], [0, 0, 1, -1])
     assert ec.compute_rho_n(s) == 0.0
 
 
@@ -95,7 +95,7 @@ def test_rho_n_affine_sample_is_one():
 
 
 def test_rho_n_four_point_example():
-    s = ec.PairedSample.from_pairs([(1, 1), (2, 3), (3, 2), (4, 4)])
+    s = ec.PairedSample([1, 2, 3, 4], [1, 3, 2, 4])
     assert ec.compute_rho_n(s) == pytest.approx(0.8, rel=1e-14)
 
 
@@ -251,7 +251,7 @@ def test_sigma1_matches_sigma_when_uncorrelated():
 
 def test_estimate_moments_two_point_x_marginal():
     # x = (1, -1): mean 0, variance 1 (denominator n), fourth moment 1
-    s = ec.PairedSample.from_pairs([(1.0, 0.3), (-1.0, 1.7)])
+    s = ec.PairedSample([1.0, -1.0], [0.3, 1.7])
     m = ec.estimate_moments(s)
     assert m.mu_x == 0.0
     assert m.var_x == pytest.approx(1.0, rel=1e-15)
@@ -277,7 +277,7 @@ def test_estimate_moments_standardization_idempotent():
 
 
 def test_estimate_moments_uses_n_denominator():
-    s = ec.PairedSample.from_pairs([(0.0, 0.0), (2.0, 1.0)])
+    s = ec.PairedSample([0.0, 2.0], [0.0, 1.0])
     m = ec.estimate_moments(s)
     # var with denominator n: ((0-1)^2 + (2-1)^2)/2 = 1, not 2
     assert m.var_x == pytest.approx(1.0, rel=1e-15)
@@ -395,7 +395,7 @@ def test_formula_pipeline_equivalence_across_laws():
 # ------------------------------------------------------ test_zero_correlation
 
 def test_zero_statistic_on_exactly_uncorrelated_sample():
-    s = ec.PairedSample.from_pairs([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    s = ec.PairedSample([1, 1, -1, -1], [1, -1, 1, -1])
     with pytest.warns(UserWarning, match="normal approximation"):
         result = ec.test_zero_correlation(s)
     assert result.z == 0.0
@@ -404,7 +404,7 @@ def test_zero_statistic_on_exactly_uncorrelated_sample():
 
 def test_zero_correlation_degenerate_sigma1():
     # rho_n = 0 but also m22 = 0: the variance of the limit is degenerate
-    s = ec.PairedSample.from_pairs([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    s = ec.PairedSample([1, -1, 0, 0], [0, 0, 1, -1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small-n warning fires first
         with pytest.raises(ec.DegenerateSampleError):

@@ -20,13 +20,13 @@ def gaussian_sampler(law):
 
 def test_gn_eval_product_example():
     # {(1,2),(3,4)}, f=p, mean 5: (2 + 12 - 10)/sqrt(2)
-    s = ec.PairedSample.from_pairs([(1.0, 2.0), (3.0, 4.0)])
+    s = ec.PairedSample([1.0, 3.0], [2.0, 4.0])
     got = ec.gn_eval(s, ec.p, 5.0)
     assert got == pytest.approx(2.8284271247461903, rel=1e-14)
 
 
 def test_gn_eval_linearity_exact_example():
-    s = ec.PairedSample.from_pairs([(1.0, 2.0), (3.0, 4.0)])
+    s = ec.PairedSample([1.0, 3.0], [2.0, 4.0])
     a, b = 2.0, -1.0
     mu_f, mu_g = 5.0, 1.5
     combined = ec.gn_eval(s, a * ec.p + b * ec.pi1, a * mu_f + b * mu_g)
@@ -42,7 +42,7 @@ def test_gn_eval_empty_sample_message():
 
 
 def test_gn_eval_nonfinite_evaluation_message():
-    s = ec.PairedSample.from_pairs([(0.0, 1.0), (1.0, 2.0)])
+    s = ec.PairedSample([0.0, 1.0], [1.0, 2.0])
     f = ec.StatFunction(lambda x, y: np.log(np.asarray(x, dtype=float)), label="log(x)")
     with np.errstate(divide="ignore"):
         with pytest.raises(ec.EvaluationError, match="non-finite evaluation"):

@@ -18,4 +18,4 @@ def test_star_import_binds_public_classes_and_functions_only():
     assert not any(inspect.ismodule(v) for v in namespace.values())
     assert {"io", "errors", "cli", "simulate"}.isdisjoint(exported)
     assert {"SimulationReport", "default_threads", "gamma", "gamma_estimate",
-            "sample_law"}.isdisjoint(exported)
+            "sample_law", "CriterionResult", "standard_normal_pdf"}.isdisjoint(exported)

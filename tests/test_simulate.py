@@ -13,7 +13,6 @@ import scipy.stats as sps
 
 import empcalc as ec
 from empcalc import simulate
-from empcalc.laws import MARGINALS
 from empcalc.streams import BlockStreams, derive_rng
 
 
@@ -55,8 +54,9 @@ def test_ks_calibration_on_true_normal_draws():
     # 1% critical band: statistic below 1.63/sqrt(m) in >= 98 of 100 trials
     m = 500
     crit = 1.63 / math.sqrt(m)
+    law = ec.IndependentLaw("standard_normal", "standard_normal")
     hits = sum(
-        ec.ks_statistic(MARGINALS["standard_normal"].draw(derive_rng(606, t), m),
+        ec.ks_statistic(law.sample(m, derive_rng(606, t)).xs,
                         ec.standard_normal_cdf) < crit
         for t in range(100))
     assert hits >= 98
@@ -76,6 +76,13 @@ def test_config_validation_messages():
         ec.ExperimentConfig(law, n=100, reps=100, seed=-1)
     with pytest.raises(ec.InputFormatError, match="BivariateLaw"):
         ec.ExperimentConfig("gaussian", n=100, reps=100)
+    for field, value in (("n", 100.0), ("reps", 200.5), ("seed", 1.5), ("threads", 1.5)):
+        with pytest.raises(ec.InputFormatError, match=f"{field} must be an integer"):
+            ec.ExperimentConfig(law, **{"n": 100, "reps": 100, field: value})
+    cfg = ec.ExperimentConfig(law, n=np.int64(100), reps=np.int32(100), seed=np.uint8(3),
+                              threads=np.int16(2))
+    assert (cfg.n, cfg.reps, cfg.seed, cfg.threads) == (100, 100, 3, 2)
+    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed, cfg.threads))
 
 
 def test_default_threads_is_one():
@@ -225,6 +232,12 @@ def test_lemma1_rejects_empty_family():
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.0), n=100, reps=100)
     with pytest.raises(ec.EvaluationError, match="no functions"):
         ec.run_lemma1_experiment([], cfg)
+
+
+def test_lemma1_rejects_entry_that_is_not_a_stat_function():
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.0), n=100, reps=100)
+    with pytest.raises(ec.EvaluationError, match=r"fs\[1\] is a function, not a StatFunction"):
+        ec.run_lemma1_experiment([ec.pi1, lambda x, y: x], cfg)
 
 
 def test_lemma1_reproducible_across_thread_budgets():
