@@ -29,8 +29,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .correlation import (compute_rho_n, correlation_expansion, sigma_squared,
-                          test_zero_correlation)
+from .correlation import (compute_rho_n, correlation_expansion, rho_from_moments,
+                          sigma_squared, test_zero_correlation)
 from .empirical import asymptotic_variance, gn_eval
 from .errors import InputFormatError
 from .expansion import AsymptoticExpansion, delta
@@ -93,13 +93,9 @@ def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
         ys = rng.uniform(-2.0, 2.0, k) * rng.uniform(0.5, 2.0) + rng.uniform(-3.0, 3.0)
         w = rng.random(k) + 0.1
         law = DiscreteLaw(xs, ys, w / w.sum())
-        vx = law.central_moment(2, 0)
-        vy = law.central_moment(0, 2)
-        if vx < 1e-3 or vy < 1e-3:
-            continue
-        if abs(law.central_moment(1, 1) / np.sqrt(vx * vy)) > 0.95:
-            continue
-        return law
+        m = law.bivariate_moments()
+        if min(m.var_x, m.var_y) >= 1e-3 and abs(rho_from_moments(m)) <= 0.95:
+            return law
     raise RuntimeError("could not draw a usable discrete law in 200 attempts")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EvaluationError, MomentError
 from .expansion import AsymptoticExpansion
-from .functions import StatFunction, _poly_mul
+from .functions import StatFunction
 from .sample import PairedSample
 from .streams import derive_rng
 
@@ -86,9 +86,17 @@ class MomentOracle(ABC):
     def expectation(self, f: StatFunction) -> float:
         """E f(Z) under this oracle's law."""
 
-    @abstractmethod
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) = E[fg] - E[f]E[g], with provenance and stderr."""
+        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's."""
+        if self.supports_exact(f) and self.supports_exact(g):
+            value = self.expectation(f * g) - self.expectation(f) * self.expectation(g)
+            return CovarianceEstimate(value, 0.0, "exact")
+        fallback = self.sampling_oracle()
+        if fallback is None:
+            raise MomentError(
+                f"covariance of ({f.label}, {g.label}) is not polynomial "
+                "and this oracle cannot sample")
+        return fallback.covariance_estimate(f, g)
 
     def covariance(self, f: StatFunction, g: StatFunction) -> float:
         """Gamma(f, g), without its provenance."""
@@ -130,18 +138,6 @@ class PolynomialMomentOracle(MomentOracle):
                     f"{f.label} is not polynomial and this oracle cannot sample")
             return fallback.expectation(f)
         return self.poly_expectation(f.poly)
-
-    def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        if f.poly is not None and g.poly is not None:
-            value = (self.poly_expectation(_poly_mul(f.poly, g.poly))
-                     - self.poly_expectation(f.poly) * self.poly_expectation(g.poly))
-            return CovarianceEstimate(value, 0.0, "exact")
-        fallback = self.sampling_oracle()
-        if fallback is None:
-            raise MomentError(
-                f"covariance of ({f.label}, {g.label}) is not polynomial "
-                "and this oracle cannot sample")
-        return fallback.covariance_estimate(f, g)
 
 
 class SamplingMoments(MomentOracle):

@@ -4,7 +4,9 @@ Every law doubles as a :class:`~empcalc.empirical.MomentOracle`.  Exact
 raw moments E[X^i Y^j] come from closed forms (Gaussian via the Isserlis
 recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
-Monte Carlo integration on a deterministic batch.
+Monte Carlo integration on a deterministic batch.  Central moments are
+expectations of polynomials centred at the law's mean: the function
+algebra expands them for a polynomial law, a discrete law centres its atoms.
 
 Sampling is pinned down to the stream level: normals are numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
@@ -48,10 +50,9 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import BivariateMoments
-from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, MomentOracle,
-                        PolynomialMomentOracle, SamplingMoments)
+from .empirical import DEFAULT_MC_BUDGET, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
-from .functions import StatFunction
+from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
 from .streams import derive_rng  # unused here; perfbench/tracing.py wraps it by name
 
@@ -147,7 +148,8 @@ class BivariateLaw(PolynomialMomentOracle):
     in ``methods`` the Generator methods one pair consumes, in stream
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fill serve it.  A composite law also overrides
-    ``_raw_buffers`` and ``_fill``.  Subclasses implement ``raw_moment``.
+    ``_raw_buffers`` and ``_fill``.  Subclasses implement ``raw_moment``;
+    :meth:`bivariate_moments` is built on :meth:`expectation` alone.
     """
 
     kind: str = ""
@@ -199,37 +201,19 @@ class BivariateLaw(PolynomialMomentOracle):
         xs, ys = self.draw_block([rng], int(n))
         return PairedSample(xs[0], ys[0])
 
-    def _validated_raw(self, i: int, j: int) -> float:
-        if i < 0 or j < 0:
-            raise MomentError(f"raw moment orders must be nonnegative, got ({i},{j})")
-        return self.raw_moment(i, j)
-
-    def central_moment(self, a: int, b: int) -> float:
-        """E[(X - mu_x)^a (Y - mu_y)^b] by binomial expansion of raw moments."""
-        mx = self._validated_raw(1, 0)
-        my = self._validated_raw(0, 1)
-        total = 0.0
-        for i in range(a + 1):
-            for j in range(b + 1):
-                total += (math.comb(a, i) * math.comb(b, j)
-                          * (-mx) ** (a - i) * (-my) ** (b - j)
-                          * self._validated_raw(i, j))
-        return total
-
     def bivariate_moments(self) -> BivariateMoments:
-        """The law's exact fourth-order central moment vocabulary."""
+        """Exact central moments through fourth order, about the law's mean."""
+        e = self.expectation
+        mu_x, mu_y = e(pi1), e(pi2)
+        # the residuals' mean corrects a shifted discrete law's mean to about
+        # an ulp (Chan, Golub and LeVeque, 1983); a mean of 0.0 stays 0.0
+        mu_x, mu_y = mu_x + e(pi1 - mu_x), mu_y + e(pi2 - mu_y)
+        u, v = pi1 - mu_x, pi2 - mu_y
+        uu, vv, uv = u * u, v * v, u * v
         return BivariateMoments(
-            mu_x=self._validated_raw(1, 0),
-            mu_y=self._validated_raw(0, 1),
-            var_x=self.central_moment(2, 0),
-            var_y=self.central_moment(0, 2),
-            cov_xy=self.central_moment(1, 1),
-            m22=self.central_moment(2, 2),
-            m31=self.central_moment(3, 1),
-            m13=self.central_moment(1, 3),
-            m40=self.central_moment(4, 0),
-            m04=self.central_moment(0, 4),
-        )
+            mu_x=mu_x, mu_y=mu_y, var_x=e(uu), var_y=e(vv), cov_xy=e(uv),
+            m22=e(uu * vv), m31=e(uu * uv), m13=e(uv * vv),
+            m40=e(uu * uu), m04=e(vv * vv))
 
     def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
         """Monte Carlo oracle over this law's sampler (deterministic batch)."""
@@ -468,12 +452,6 @@ class DiscreteLaw(BivariateLaw):
                 f"moment does not exist under this law at requested precision "
                 f"({f.label}: non-finite at an atom)")
         return float(self.atom_weights @ vals)
-
-    def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        ef = self.expectation(f)
-        eg = self.expectation(g)
-        efg = self.expectation(f * g)
-        return CovarianceEstimate(efg - ef * eg, 0.0, "exact")
 
     def raw_moment(self, i: int, j: int) -> float:
         return float(self.atom_weights @ (self.atom_xs ** i * self.atom_ys ** j))

@@ -191,6 +191,13 @@ def _draw_replicates(cfg: ExperimentConfig, streams: BlockStreams):
         lambda row: InputFormatError(f"non-finite observation at index {index}"))
 
 
+def _check_tolerances(**tolerances: float) -> None:
+    """Reject a tolerance that is not finite or is negative, before any draw."""
+    for name, tol in tolerances.items():
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InputFormatError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def run_clt_experiment(cfg: ExperimentConfig,
                        variance_rtol: float = DEFAULT_VARIANCE_RTOL,
                        ks_tol: float = DEFAULT_KS_TOL) -> Report:
@@ -199,6 +206,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
     The prediction (rho_true and sigma^2) comes from the law's exact
     moment oracle, never from the simulated data.
     """
+    _check_tolerances(variance_rtol=variance_rtol, ks_tol=ks_tol)
     law = cfg.law
     moments = law.bivariate_moments()
     rho_true = population_rho(moments)  # warns when the law is affine
@@ -262,6 +270,7 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     functions) are flagged as degenerate and skipped by the per-coordinate
     KS check; their empirical variance is still compared entrywise.
     """
+    _check_tolerances(cov_atol=cov_atol, ks_tol=ks_tol)
     fs = list(fs)
     if not fs:
         raise EvaluationError("no functions supplied")

@@ -230,6 +230,20 @@ def test_simulate_failed_check_exits_one(capsys):
     assert any(not c["pass"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--ks-tol", "nan"), ("simulate", "--variance-rtol", "inf"),
+    ("simulate", "--ks-tol", "-0.01"), ("lemma1", "--cov-atol", "nan"),
+    ("lemma1", "--ks-tol", "-inf")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tolerance_not_finite_or_negative_is_usage_error(capsys, command, flag, value, fmt):
+    code, out, err = run_cli(capsys, command, "--law", "gaussian", "--rho", "0.5",
+                             "--n", "100", "--reps", "100", f"{flag}={value}",
+                             "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "must be finite and >= 0" in err
+
+
 # ----------------------------------------------------------------- lemma1
 
 def test_lemma1_small_run(capsys):

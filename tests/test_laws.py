@@ -8,6 +8,7 @@ and distribution functions; the package itself does not depend on it.
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ def test_gaussian_bivariate_moments():
     assert m.m13 == pytest.approx(1.5, rel=1e-14)
     assert m.m40 == pytest.approx(3.0, rel=1e-14)
     assert ec.population_rho(law.bivariate_moments()) == pytest.approx(0.5, rel=1e-15)
+    # laws of mean exactly 0.0 centre at 0.0, so every central moment is
+    # the raw moment itself, bit for bit
+    gaussian, independent = law, ec.IndependentLaw("exponential_std", "rademacher")
+    for law in (gaussian, independent, ec.MixtureLaw([gaussian, independent], [0.4, 0.6])):
+        m = law.bivariate_moments()
+        assert m.mu_x == 0.0 and m.mu_y == 0.0
+        for field, (i, j) in (("var_x", (2, 0)), ("var_y", (0, 2)), ("cov_xy", (1, 1)),
+                              ("m22", (2, 2)), ("m31", (3, 1)), ("m13", (1, 3)),
+                              ("m40", (4, 0)), ("m04", (0, 4))):
+            assert getattr(m, field) == law.raw_moment(i, j), (law.kind, field)
 
 
 def test_gaussian_raw_moment_is_iterative():
@@ -327,6 +338,11 @@ def test_discrete_integrates_opaque_callables_exactly():
     direct = 0.25 * math.exp(-1.0) + 0.5 * 1.0 + 0.25 * math.exp(2.0)
     assert law.expectation(f) == pytest.approx(direct, rel=1e-14)
     assert law.supports_exact(f)
+    # the inherited covariance takes the exact branch through the callable
+    est = law.covariance_estimate(f, f)
+    assert est.method == "exact" and est.stderr == 0.0
+    direct_sq = 0.25 * math.exp(-2.0) + 0.5 * 1.0 + 0.25 * math.exp(4.0)
+    assert est.value == pytest.approx(direct_sq - direct ** 2, rel=1e-14)
 
 
 def test_discrete_matches_polynomial_path():
@@ -354,6 +370,52 @@ def test_discrete_sampling_hits_only_atoms():
     s = law.sample(10_000, derive_rng(41))
     assert set(np.unique(s.xs)) <= {-1.0, 0.0, 2.0}
     assert set(np.unique(s.ys)) <= {-1.0, 0.5, 1.0}
+
+
+def _exact_means_and_sigma_squared(law):
+    """(mu_x, mu_y, sigma^2 of rho_n) in exact rational arithmetic on the
+    law's float atoms, each rounded once to a float.
+
+    rho times a standardized moment is rational, e.g. rho m31/(sd_x^3 sd_y)
+    = cov m31/(var_x^2 var_y), so no square root is needed.
+    """
+    xs, ys, w = ([Fraction(v) for v in a.tolist()]
+                 for a in (law.atom_xs, law.atom_ys, law.atom_weights))
+    total = sum(w)
+    w = [a / total for a in w]
+    mx = sum(a * x for a, x in zip(w, xs))
+    my = sum(a * y for a, y in zip(w, ys))
+
+    def m(p, q):
+        return sum(a * (x - mx) ** p * (y - my) ** q for a, x, y in zip(w, xs, ys))
+
+    vx, vy, c = m(2, 0), m(0, 2), m(1, 1)
+    r2 = c * c / (vx * vy)
+    sigma2 = ((1 + r2 / 2) * m(2, 2) / (vx * vy)
+              + r2 / 4 * (m(4, 0) / vx ** 2 + m(0, 4) / vy ** 2)
+              - c * (m(3, 1) / (vx ** 2 * vy) + m(1, 3) / (vx * vy ** 2)))
+    return float(mx), float(my), float(sigma2)
+
+
+@pytest.mark.parametrize("shift, scale", [
+    (shift, scale) for shift in (0.0, 1.0, 1e2, 1e4, 1e6) for scale in (1e-3, 1.0, 1e3)
+    if shift / scale <= 1e6])
+def test_discrete_sigma_squared_is_shift_and_scale_stable(shift, scale):
+    # moments are taken about the law's mean, found to within an ulp of the
+    # largest atom, so a location shift up to 1e6 times the scale costs no
+    # more than about 1e-9 of sigma^2
+    rng = derive_rng(2024, int(shift), int(scale * 1000))
+    for _ in range(8):
+        k = int(rng.integers(6, 13))
+        xs = rng.uniform(-2.0, 2.0, k) * scale + shift
+        ys = rng.uniform(-2.0, 2.0, k) * scale - shift
+        w = rng.random(k) + 0.1
+        law = ec.DiscreteLaw(xs, ys, w / w.sum())
+        mx, my, sigma2 = _exact_means_and_sigma_squared(law)
+        m = law.bivariate_moments()
+        assert abs(m.mu_x - mx) <= math.ulp(np.abs(xs).max())
+        assert abs(m.mu_y - my) <= math.ulp(np.abs(ys).max())
+        assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
 
 
 # ----------------------------------------------------------- determinism

@@ -5,6 +5,7 @@ each was calibrated against the predicted sampling noise before being
 written down, so a pass is informative and a fail means a real regression.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -91,6 +92,21 @@ def test_default_threads_is_one():
     assert ec.ExperimentConfig(law, n=10, reps=100, threads=2).threads == 2
     with pytest.raises(ec.InputFormatError, match="threads must be >= 1, got 0"):
         ec.ExperimentConfig(law, n=10, reps=100, threads=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01])
+def test_tolerance_not_finite_or_negative_is_rejected_before_any_draw(monkeypatch, bad):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the tolerances")
+
+    monkeypatch.setattr(simulate, "_draw_replicates", no_draws)
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=100, reps=100)
+    lemma1 = functools.partial(ec.run_lemma1_experiment, [ec.pi1])
+    for run, name in ((ec.run_clt_experiment, "variance_rtol"),
+                      (ec.run_clt_experiment, "ks_tol"),
+                      (lemma1, "cov_atol"), (lemma1, "ks_tol")):
+        with pytest.raises(ec.InputFormatError, match=f"{name} must be finite and >= 0"):
+            run(cfg, **{name: bad})
 
 
 # ----------------------------------------------------- run_clt_experiment
