@@ -20,6 +20,7 @@ else (warnings, timings) goes to stderr.  Exit codes: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,8 @@ from .errors import EmpcalcError, InputFormatError
 from .functions import p, pi1, pi2
 from .io import CheckResult, Report, read_paired_csv, report_to_csv, report_to_json
 from .laws import BivariateLaw, GaussianLaw, IndependentLaw, law_from_spec
-from .simulate import ExperimentConfig, run_clt_experiment, run_lemma1_experiment
+from .simulate import (DEFAULT_COV_ATOL, DEFAULT_KS_TOL, DEFAULT_VARIANCE_RTOL,
+                       ExperimentConfig, run_clt_experiment, run_lemma1_experiment)
 
 FUNCTION_REGISTRY = {
     "pi1": pi1,
@@ -138,7 +140,9 @@ def cmd_check(args) -> Report:
     return run_acceptance(criteria, seed=args.seed, threads=args.threads)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # one per process: handlers look up what they call when they run
     parser = argparse.ArgumentParser(
         prog="empcalc",
         description="Asymptotics of plug-in statistics: estimation, exact "
@@ -164,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if experiment:
             sp.add_argument("--n", type=int, required=True, help="sample size per replicate")
             sp.add_argument("--reps", type=int, required=True, help="replicate count")
-            sp.add_argument("--ks-tol", type=float, default=0.03)
+            sp.add_argument("--ks-tol", type=float, default=DEFAULT_KS_TOL)
 
     sp = sub.add_parser("estimate", help="estimate correlation from a CSV file")
     sp.add_argument("--input", required=True, help="CSV path, or - for stdin")
@@ -175,13 +179,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo check of the CLT for rho_n")
     common(sp, cmd_simulate, law=True, experiment=True)
-    sp.add_argument("--variance-rtol", type=float, default=0.10)
+    sp.add_argument("--variance-rtol", type=float, default=DEFAULT_VARIANCE_RTOL)
 
     sp = sub.add_parser("lemma1", help="Monte Carlo check of joint normality")
     common(sp, cmd_lemma1, law=True, experiment=True)
     sp.add_argument("--functions", default="pi1,pi2,p",
                     help="comma-separated names: " + ", ".join(sorted(FUNCTION_REGISTRY)))
-    sp.add_argument("--cov-atol", type=float, default=0.05)
+    sp.add_argument("--cov-atol", type=float, default=DEFAULT_COV_ATOL)
 
     sp = sub.add_parser("check", help="run the acceptance suite")
     sp.add_argument("--criteria", default=None,

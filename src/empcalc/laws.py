@@ -20,15 +20,14 @@ rejection path, and numpy may send the exponential marginal's ``log1p``
 to CPU-specific SIMD code.
 
 Every law draws in two parts, one for the stream and one for the
-arithmetic.  The raw fill takes, from one generator, the values k pairs
-consume, in the order a single sample takes them, into the law's raw
-buffers at a running offset: a leaf law calls the Generator methods it
-names in ``methods``, one run of k values each; a mixture draws its k
-pick-uniforms, then fills each picked component's buffers in declaration
-order.  The transform then maps a whole buffer to (xs, ys) at once.
-:meth:`BivariateLaw.draw_block` fills row r of a block from generator r
-alone and transforms the block once; :meth:`BivariateLaw.sample` is the
-one-row block.
+arithmetic.  The raw fill takes row r's values from generator r, in the
+order a single sample takes them, into the law's raw buffers: a leaf law
+looks up its ``methods`` on Generator once per block, then in one loop
+over the rows fills n values of each into the row's view of its buffer;
+a mixture, row by row, draws n pick-uniforms, then fills each picked
+component's buffers in declaration order.  The transform then maps the
+whole block to (xs, ys) at once: :meth:`BivariateLaw.draw_block`, of
+which :meth:`BivariateLaw.sample` is the one-row case.
 
 The four named marginals are pre-standardized to mean 0, variance 1:
 
@@ -147,9 +146,9 @@ class BivariateLaw(PolynomialMomentOracle):
     Sampling is split into a raw fill and a transform.  A leaf law names
     in ``methods`` the Generator methods one pair consumes, in stream
     order, and implements ``transform``; the default raw buffers, one row
-    per method, and fill serve it.  A composite law also overrides
-    ``_raw_buffers`` and ``_fill``.  Subclasses implement ``raw_moment``;
-    :meth:`bivariate_moments` is built on :meth:`expectation` alone.
+    per method, and fills serve it.  A composite law overrides them all:
+    ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
+    ``raw_moment``; :meth:`bivariate_moments` is built on :meth:`expectation`.
     """
 
     kind: str = ""
@@ -162,17 +161,16 @@ class BivariateLaw(PolynomialMomentOracle):
         pairs drawn from rngs[r] alone, in the order a single sample takes.
         Both arrays are the caller's own, to overwrite if it likes.
 
-        ``rngs`` is sized, ``len(rngs)`` rows, and is iterated once, in row
-        order: the Monte Carlo experiments pass a slice of the
+        One raw fill, :meth:`_fill_block`, iterates the sized ``rngs``
+        once, in row order: the Monte Carlo experiments pass a slice of the
         :class:`~empcalc.streams.BlockStreams` hashed once for the whole
         run, which builds each row's generator only when its row is
-        reached.  They check the returned rows for non-finite draws
-        through the row sums.
+        reached.  One transform follows.  The experiments check the
+        returned rows for non-finite draws through the row sums.
         """
         rows = len(rngs)
         raw = self._raw_buffers(rows * n)
-        for row, rng in enumerate(rngs):
-            self._fill(rng, raw, row * n, n)
+        self._fill_block(rngs, raw, n)
         xs, ys = self.transform(raw, rows * n)
         return xs.reshape(rows, n), ys.reshape(rows, n)
 
@@ -180,9 +178,16 @@ class BivariateLaw(PolynomialMomentOracle):
         """Raw buffers for up to ``size`` pairs."""
         return np.empty((len(self.methods), size))
 
+    def _fill_block(self, rngs: Collection[np.random.Generator], raw, n: int) -> None:
+        """Fill row r of ``raw``, pairs r*n..(r+1)*n-1, from rngs[r], in one loop."""
+        fills = [getattr(np.random.Generator, method) for method in self.methods]
+        for rng, *row in zip(rngs, *(buf.reshape(len(rngs), n) for buf in raw)):
+            for fill, out in zip(fills, row):
+                fill(rng, out=out)
+
     def _fill(self, rng: np.random.Generator, raw, at: int, k: int) -> None:
-        """Fill pairs at..at+k-1 of ``raw`` from ``rng``: k values of each
-        of ``methods`` in turn."""
+        """Fill pairs at..at+k-1 of ``raw`` from ``rng``, as a mixture
+        component: k values of each of ``methods`` in turn."""
         for method, buf in zip(self.methods, raw):
             getattr(rng, method)(out=buf[at:at + k])
 
@@ -371,6 +376,10 @@ class MixtureLaw(BivariateLaw):
     def _raw_buffers(self, size):
         return (np.empty(size, dtype=np.intp), [0] * len(self.components),
                 [comp._raw_buffers(size) for comp in self.components])
+
+    def _fill_block(self, rngs, raw, n):
+        for row, rng in enumerate(rngs):
+            self._fill(rng, raw, row * n, n)
 
     def _fill(self, rng, raw, at, k):
         picks, filled, parts = raw

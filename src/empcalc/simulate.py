@@ -58,6 +58,7 @@ from .streams import BlockStreams
 
 DEFAULT_VARIANCE_RTOL = 0.10
 DEFAULT_KS_TOL = 0.03
+DEFAULT_COV_ATOL = 0.05
 
 # a predicted variance below this cannot be used to standardize replicates
 DEGENERATE_VARIANCE_FLOOR = 1e-12
@@ -262,7 +263,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
 
 
 def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
-                          cov_atol: float = 0.05,
+                          cov_atol: float = DEFAULT_COV_ATOL,
                           ks_tol: float = DEFAULT_KS_TOL) -> Report:
     """Check joint normality of (G_n(f_1), .., G_n(f_k)) against Gamma.
 

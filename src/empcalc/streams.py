@@ -13,12 +13,12 @@ and on uint32 arrays for a block of streams whose keys differ only in
 the last element; the tests check it against numpy's SeedSequence.
 The hash state after a seed's own words is cached per seed, so a stream
 or a block hashes only its key words and the output.  PCG64 takes the
-four hashed 64-bit words through numpy's ISeedSequence interface and
-applies its own seeding step; a block of streams (:class:`BlockStreams`)
-keeps only those words, 32 bytes per stream, and builds each row's
-generator only when its row is reached.  A Monte Carlo run hashes the
-streams of all its replicates once, as one block, and each block of
-replicates draws from a slice of it, a view of its words.
+four hashed 64-bit words from an ``ISeedSequence`` subclass, made on the
+first draw, and applies its own seeding step; a block of streams
+(:class:`BlockStreams`) keeps only those words, 32 bytes per stream, and
+builds each row's generator only when its row is reached.  A Monte Carlo
+run hashes the streams of all its replicates once, as one block, and
+each block of replicates draws from a slice of it, a view of its words.
 """
 
 from __future__ import annotations
@@ -120,29 +120,35 @@ def _generate_state(seed: int, key, last=()) -> np.ndarray:
     return np.ascontiguousarray(out).view("<u8").astype(np.uint64, copy=False)
 
 
-class _SeedWords:
-    """Hands PCG64 the four uint64 words its SeedSequence would generate.
+@functools.cache
+def _seed_words_class() -> type:
+    """``_SeedWords``, the numpy ``ISeedSequence`` that hands PCG64 the four
+    uint64 words its SeedSequence would generate.  Made on the first draw,
+    so that commands which draw nothing never load numpy.random; the
+    module serves it by name, so a derived generator pickles."""
+    class _SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    Registered as a numpy ``ISeedSequence``, which PCG64 seeds itself from.
-    """
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("derived streams only provide PCG64's four uint64 seed words")
+            return self.words
 
-    __slots__ = ("words",)
+    _SeedWords.__qualname__ = "_SeedWords"
+    return _SeedWords
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError("derived streams only provide PCG64's four uint64 seed words")
-        return self.words
+def __getattr__(name: str):
+    if name == "_SeedWords":
+        return _seed_words_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
     """A fresh PCG64 generator for each row of seed words, in row order."""
-    # registered here rather than at import, so that commands which draw
-    # nothing never load numpy.random
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
+    seed_words, generator, pcg64 = _seed_words_class(), np.random.Generator, np.random.PCG64
+    return (generator(pcg64(seed_words(w))) for w in words)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -15,7 +15,9 @@ import warnings
 import pytest
 
 import empcalc.acceptance as acceptance
+import empcalc.cli as cli
 from empcalc.cli import main
+from empcalc.io import Report
 
 
 FOUR_ROWS = "1,1\n2,3\n3,2\n4,4\n"
@@ -394,3 +396,42 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
                            "--output", str(dest))
     assert code == 2
     assert "error:" in err
+
+
+# ------------------------------------------------------ one parser per process
+
+SIMULATE = ("simulate", "--law", "gaussian", "--rho", "0.5", "--n", "100", "--reps", "300")
+
+
+def test_cached_parser_holds_no_state_between_calls(capsys):
+    cli._build_parser.cache_clear()
+    alone = run_cli(capsys, *SIMULATE)  # exit 1: 300 replicates fail a check
+    assert alone[0] == 1
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error
+        main([*SIMULATE, "--format", "xml"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, *SIMULATE, "--threads", "0")[0] == 2
+    code, out, _ = run_cli(capsys, *SIMULATE, "--threads", "3", "--seed", "9",
+                           "--ks-tol", "0.5", "--variance-rtol", "0.5")
+    assert code == 0 and json.loads(out)["seed"] == 9
+    code, out, _ = run_cli(capsys, *SIMULATE, "--format", "csv")
+    assert out.startswith("section,name,value,threshold,pass")
+    assert run_cli(capsys, *SIMULATE)[:2] == alone[:2]
+    assert json.loads(alone[1])["config"]["ks_tol"] == 0.03
+    assert cli._build_parser() is parser
+
+
+def test_patched_experiment_takes_effect_after_the_parser_is_built(monkeypatch, capsys):
+    cli._build_parser()
+    seen = []
+
+    def fake(cfg, variance_rtol, ks_tol):
+        seen.append((cfg.n, cfg.reps, variance_rtol, ks_tol))
+        return Report("simulate", {}, {}, [], cfg.seed)
+
+    monkeypatch.setattr(cli, "run_clt_experiment", fake)
+    code, out, _ = run_cli(capsys, *SIMULATE)
+    assert code == 0
+    assert seen == [(100, 300, 0.10, 0.03)]
+    assert json.loads(out)["command"] == "simulate"

@@ -7,6 +7,7 @@ first draws.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -105,12 +106,28 @@ def test_block_rows_are_distinct_generators_and_iteration_restarts():
     assert [r.random() for r in block] == first
 
 
-def test_importing_the_cli_does_not_load_numpy_random():
-    # commands that draw nothing (estimate) should not pay for numpy.random
+def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
+    # commands that draw nothing (variance, estimate) should not pay for numpy.random
+    data = tmp_path / "data.csv"
+    data.write_text("1,1\n2,3\n3,2\n4,4\n")
     code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-            "import empcalc.cli; assert ('numpy.random' in sys.modules) == before")
+            "import empcalc.cli; assert ('numpy.random' in sys.modules) == before; "
+            "assert empcalc.cli.main(['variance', '--law', 'gaussian', '--rho', '0.5']) == 0; "
+            f"assert empcalc.cli.main(['estimate', '--input', {str(data)!r}]) == 0; "
+            "assert ('numpy.random' in sys.modules) == before")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    # the seed words are a real ISeedSequence subclass, not a registered one
+    rng = next(iter(BlockStreams(1, (), 0, 1)))
+    assert np.random.bit_generator.ISeedSequence in type(rng.bit_generator.seed_seq).__mro__
+
+
+def test_derived_generators_pickle():
+    rng = derive_rng(4, 1)
+    rng.random(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert type(copy.bit_generator.seed_seq) is type(rng.bit_generator.seed_seq)
+    assert np.array_equal(copy.random(3), rng.random(3))
 
 
 def test_invalid_seeds_and_keys_are_rejected():
