@@ -15,14 +15,12 @@ criterion's runtime to stderr instead.
 
 All randomness is derived from one root seed through keyed streams, so
 two runs with the same seed produce identical results regardless of
-worker budget or criterion subset.  Every criterion takes the seed and
-the worker budget; only the Monte Carlo criteria use the budget.
+the criterion subset.  Every criterion takes the seed.
 """
 
 from __future__ import annotations
 
 import io as _io
-import json
 import sys
 import time
 from itertools import combinations_with_replacement
@@ -46,8 +44,7 @@ DEFAULT_SEED = 42
 PAIRING_MARGINALS = ("standard_normal", "uniform_std", "exponential_std", "rademacher")
 
 
-def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
-                                     threads: int = 1) -> list[CheckResult]:
+def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """sigma_squared under exact Gaussian moments equals (1 - rho^2)^2."""
     start = time.perf_counter()
     grid = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.8)
@@ -60,24 +57,23 @@ def criterion_1_gaussian_closed_form(seed: int = DEFAULT_SEED,
             CheckResult("runtime_under_1s", None, 1.0, elapsed < 1.0)]
 
 
-def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
+def criterion_2_clt_gaussian(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """sqrt(n)(rho_n - rho) matches N(0, 0.5625) for gaussian(0.5)."""
     start = time.perf_counter()
     cfg = ExperimentConfig(law=GaussianLaw(0.5), n=2000, reps=5000,
-                           seed=derive_seed(seed, 2), threads=threads)
+                           seed=derive_seed(seed, 2))
     report = run_clt_experiment(cfg, variance_rtol=0.10, ks_tol=0.03)
     elapsed = time.perf_counter() - start
     return report.checks + [CheckResult("runtime_under_60s", None, 60.0, elapsed < 60.0)]
 
 
-def criterion_3_independent_pairings(seed: int = DEFAULT_SEED,
-                                     threads: int = 1) -> list[CheckResult]:
+def criterion_3_independent_pairings(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """All marginal pairings give sqrt(n) rho_n close to N(0, 1)."""
     checks = []
     pairs = list(combinations_with_replacement(PAIRING_MARGINALS, 2))
     for idx, (mx, my) in enumerate(pairs):
         cfg = ExperimentConfig(law=IndependentLaw(mx, my), n=2000, reps=5000,
-                               seed=derive_seed(seed, 3, idx), threads=threads)
+                               seed=derive_seed(seed, 3, idx))
         report = run_clt_experiment(cfg, variance_rtol=0.10, ks_tol=0.03)
         for c in report.checks:
             checks.append(CheckResult(f"{c.name}[{mx},{my}]", c.value,
@@ -99,8 +95,7 @@ def _random_discrete_law(rng: np.random.Generator) -> DiscreteLaw:
     raise RuntimeError("could not draw a usable discrete law in 200 attempts")
 
 
-def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
-                                        threads: int = 1) -> list[CheckResult]:
+def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Delta-method pipeline and closed-form variance agree on random laws.
 
     The pipeline route integrates its influence by atom enumeration
@@ -118,11 +113,10 @@ def criterion_4_pipeline_vs_closed_form(seed: int = DEFAULT_SEED,
     return [CheckResult("max_rel_difference", worst, 1e-9, worst <= 1e-9)]
 
 
-def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
+def criterion_5_lemma1_joint(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """(G_n(pi1), G_n(pi2), G_n(p)) is jointly normal with the Gram matrix."""
     law = GaussianLaw(0.5)
-    cfg = ExperimentConfig(law=law, n=1000, reps=5000, seed=derive_seed(seed, 5),
-                           threads=threads)
+    cfg = ExperimentConfig(law=law, n=1000, reps=5000, seed=derive_seed(seed, 5))
     report = run_lemma1_experiment([pi1, pi2, p], cfg, cov_atol=0.05, ks_tol=0.03)
     # frozen exact Gram matrix for the standardized Gaussian at rho = 0.5
     expected = np.array([[1.0, 0.5, 0.0],
@@ -183,34 +177,17 @@ def _check_csv_round_trip(seed: int) -> CheckResult:
     return CheckResult("csv_round_trip_byte_exact", float(ok), 1.0, ok)
 
 
-def _check_thread_invariance(seed: int) -> CheckResult:
-    sub = derive_seed(seed, 6, 5)
-    law = GaussianLaw(0.4)
-    one = run_clt_experiment(ExperimentConfig(law=law, n=200, reps=200,
-                                              seed=sub, threads=1))
-    four = run_clt_experiment(ExperimentConfig(law=law, n=200, reps=200,
-                                               seed=sub, threads=4))
-    ok = json.dumps(one.to_dict()) == json.dumps(four.to_dict())
-    return CheckResult("report_thread_invariance", float(ok), 1.0, ok)
-
-
-def criterion_6_exact_invariants(seed: int = DEFAULT_SEED,
-                                 threads: int = 1) -> list[CheckResult]:
-    """Deterministic identities: linearity, invariance, algebra, round trips.
-
-    The thread-invariance check compares its own fixed budgets, 1 and 4.
-    """
+def criterion_6_exact_invariants(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Deterministic identities: linearity, invariance, algebra, round trips."""
     return [
         _check_linearity(seed),
         _check_location_scale(seed),
         _check_div_vs_mul_reciprocal(),
         _check_csv_round_trip(seed),
-        _check_thread_invariance(seed),
     ]
 
 
-def criterion_7_test_calibration(seed: int = DEFAULT_SEED,
-                                 threads: int = 1) -> list[CheckResult]:
+def criterion_7_test_calibration(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The zero-correlation z-test rejects at its nominal 5% level."""
     law = IndependentLaw("standard_normal", "standard_normal")
     runs = 1000
@@ -235,15 +212,13 @@ ALL_CRITERIA = {
 }
 
 
-def run_acceptance(numbers=None, seed: int = DEFAULT_SEED, threads: int = 1) -> Report:
+def run_acceptance(numbers=None, seed: int = DEFAULT_SEED) -> Report:
     """Run the selected criteria (all by default) in the order given.
 
     Returns the ``check`` report: per criterion its number, name, verdict
     and checks, and every check again at the top level, prefixed with
     ``criterion_<k>.``.  Each criterion's verdict and runtime go to
-    stderr as it finishes.  ``threads`` is the worker budget of every
-    Monte Carlo experiment a criterion runs, as in
-    :class:`~empcalc.simulate.ExperimentConfig`.
+    stderr as it finishes.
     """
     numbers = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
     for num in numbers:
@@ -254,7 +229,7 @@ def run_acceptance(numbers=None, seed: int = DEFAULT_SEED, threads: int = 1) -> 
         fn = ALL_CRITERIA[num]
         name = fn.__name__.split("_", 2)[2]
         start = time.perf_counter()
-        own = fn(seed, threads)
+        own = fn(seed)
         elapsed = time.perf_counter() - start
         passed = all(c.passed for c in own)
         print(f"criterion {num} ({name}): {'pass' if passed else 'FAIL'} in {elapsed:.2f}s",

@@ -108,8 +108,7 @@ def cmd_variance(args) -> Report:
 
 
 def _experiment_config(args, law: BivariateLaw) -> ExperimentConfig:
-    return ExperimentConfig(law=law, n=args.n, reps=args.reps, seed=args.seed,
-                            threads=args.threads)
+    return ExperimentConfig(law=law, n=args.n, reps=args.reps, seed=args.seed)
 
 
 def cmd_simulate(args) -> Report:
@@ -137,7 +136,7 @@ def cmd_check(args) -> Report:
         except ValueError:
             raise InputFormatError(
                 f"--criteria must be comma-separated integers, got {args.criteria!r}") from None
-    return run_acceptance(criteria, seed=args.seed, threads=args.threads)
+    return run_acceptance(criteria, seed=args.seed)
 
 
 @functools.cache
@@ -149,12 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "variance formulas, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, handler, law=False, experiment=False, threads=False):
+    def common(sp, handler, law=False, experiment=False):
         sp.set_defaults(handler=handler)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if experiment or threads:
-            sp.add_argument("--threads", type=int, default=1,
-                            help="blocks of replicates run side by side")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write the report here "
                         "instead of stdout")
@@ -190,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run the acceptance suite")
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers, default all")
-    common(sp, cmd_check, threads=True)
+    common(sp, cmd_check)
     return parser
 
 
@@ -199,8 +195,6 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InputFormatError(f"--seed must be >= 0, got {args.seed}")
-        if getattr(args, "threads", 1) < 1:
-            raise InputFormatError(f"--threads must be >= 1, got {args.threads}")
         report = args.handler(args)
     except EmpcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AffineDependenceError, DegenerateSampleError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
-from .functions import StatFunction, constant, p, pi1, pi2
+from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
 
 # |rho| this close to 1 is indistinguishable from exact affine dependence
@@ -199,8 +199,8 @@ def correlation_influence(m: BivariateMoments) -> StatFunction:
     and E[u^2] = E[v^2] = 1, so the two halves cancel exactly.
     """
     rho = _rho_checked(m)
-    u = (pi1 - constant(m.mu_x)) * (1.0 / m.sd_x)
-    v = (pi2 - constant(m.mu_y)) * (1.0 / m.sd_y)
+    u = (pi1 - m.mu_x) * (1.0 / m.sd_x)
+    v = (pi2 - m.mu_y) * (1.0 / m.sd_y)
     h = u * v - (rho / 2.0) * (u ** 2 + v ** 2)
     return h.with_label(f"corr_influence(rho={rho:.6g})")
 
@@ -223,22 +223,25 @@ def _rho_of_means_grad(ex, ey, exy, ex2, ey2):
 def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
     """Expansion of rho_n by one delta method on five sample means.
 
-    rho_n = g(mean(pi1), mean(pi2), mean(p), mean(pi1^2), mean(pi2^2)) with
+    With u = pi1 - mu_x and v = pi2 - mu_y, the law's centred coordinates,
+    rho_n = g(mean(u), mean(v), mean(uv), mean(u^2), mean(v^2)) with
 
         g(a, b, c, d, e) = (c - a b) / (sqrt(d - a^2) sqrt(e - b^2)),
 
-    so the influence is sum_j d_j g(P f) f_j over those five functions.
-    It differs from :func:`correlation_influence` by an additive constant
+    because the sample correlation is shift-invariant.  The population
+    means of the five are 0, 0, cov_xy, var_x and var_y, so no raw moment
+    var + mu^2 is formed and a large shift costs no precision.  The
+    influence is sum_j d_j g(P f) f_j over those five functions.  It
+    differs from :func:`correlation_influence` by an additive constant
     only, which the covariance functional ignores; the value component
     equals population_rho(m) up to rounding.
     """
     _rho_checked(m)
+    u = pi1 - m.mu_x
+    v = pi2 - m.mu_y
     out = delta(_rho_of_means, _rho_of_means_grad,
-                from_mean(pi1, m.mu_x),
-                from_mean(pi2, m.mu_y),
-                from_mean(p, m.cov_xy + m.mu_x * m.mu_y),
-                from_mean(pi1 ** 2, m.var_x + m.mu_x ** 2),
-                from_mean(pi2 ** 2, m.var_y + m.mu_y ** 2))
+                from_mean(u, 0.0), from_mean(v, 0.0), from_mean(u * v, m.cov_xy),
+                from_mean(u ** 2, m.var_x), from_mean(v ** 2, m.var_y))
     return AsymptoticExpansion(out.value,
                                out.influence.with_label("corr_influence_pipeline"))
 

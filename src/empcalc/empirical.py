@@ -152,8 +152,7 @@ class SamplingMoments(MomentOracle):
         budget^{-1/2}.
     seed : int
         Root seed of the batch stream.  Equal (seed, budget) pairs give
-        identical results regardless of thread count, because the batch
-        is drawn once on the calling thread and cached.
+        identical results, because the batch is drawn once and cached.
 
     Once the batch is drawn, ``sampler`` is set to None: a law's bound
     ``sample`` would otherwise tie the law and its cached oracle in a

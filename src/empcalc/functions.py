@@ -89,7 +89,9 @@ class StatFunction:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other) -> "StatFunction":
-        other = _coerce(other)
+        if not isinstance(other, StatFunction):
+            c = float(other)
+            return self._plus_number(c, f"{c:g}")
         poly = None
         if self.poly is not None and other.poly is not None:
             poly = _poly_add(self.poly, other.poly)
@@ -106,10 +108,20 @@ class StatFunction:
         return StatFunction(lambda x, y: -f(x, y), label, poly)
 
     def __sub__(self, other) -> "StatFunction":
-        return self + (-_coerce(other))
+        if not isinstance(other, StatFunction):
+            c = float(other)
+            return self._plus_number(-c, f"-{c:g}")
+        return self + (-other)
+
+    def _plus_number(self, c: float, c_label: str) -> "StatFunction":
+        # self + constant(c) with the constant's poly and label, evaluated
+        # as f(x, y) + c: the constant's callable broadcasts c + 0.0*(x+y)
+        poly = _poly_add(self.poly, {(0, 0): c}) if self.poly is not None else None
+        f = self.fn
+        return StatFunction(lambda x, y: f(x, y) + c, f"{self.label} + {c_label}", poly)
 
     def __rsub__(self, other) -> "StatFunction":
-        return _coerce(other) + (-self)
+        return constant(other) + (-self)
 
     def __mul__(self, other) -> "StatFunction":
         if isinstance(other, StatFunction):
@@ -144,12 +156,6 @@ class StatFunction:
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
         return StatFunction(lambda x, y: f(x, y) ** k, f"{la}^{k}", poly)
-
-
-def _coerce(obj) -> StatFunction:
-    if isinstance(obj, StatFunction):
-        return obj
-    return constant(float(obj))
 
 
 def constant(c: float) -> StatFunction:

@@ -194,10 +194,9 @@ class CheckResult:
 class Report:
     """What one command produced, for the library and the command line alike.
 
-    ``config`` echoes what determines the numbers; a worker budget is
-    never echoed, since it cannot change a value and would break report
-    determinism across machines.  ``to_dict`` fixes the key order
-    {command, config, results, checks, seed} for diffability.
+    ``config`` echoes what determines the numbers, and nothing else, so
+    equal inputs give equal bytes on any machine.  ``to_dict`` fixes the
+    key order {command, config, results, checks, seed} for diffability.
     """
 
     command: str

@@ -14,7 +14,7 @@ class PairedSample:
     """n paired observations (x_i, y_i), immutable after construction.
 
     Arrays are copied to float64 and frozen (writeable flag cleared), so a
-    sample can be shared across worker threads without locking.
+    sample can be shared without a defensive copy.
     """
 
     xs: np.ndarray

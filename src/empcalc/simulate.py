@@ -19,29 +19,26 @@ Both compare replicates with the standard normal through
 :func:`ks_statistic` and :func:`standard_normal_cdf`, which is
 0.5 erfc(-x / sqrt(2)) from ``math.erfc``, as the z-test's tail is.
 
-Replicates run in blocks.  A block holds about 32k draws per coordinate
-(rows = 32768 // n replicates, at least one), so block boundaries depend
-only on (n, reps).  Replicate i draws its values from the generator
-stream derived from (seed, i), never a shared sequential generator, in the
-order a single ``law.sample`` call takes them, into row i of its block.
-A run hashes the streams of all its replicates once
-(:class:`BlockStreams`, 32 bytes per replicate) and each block draws from
-its slice of them, each row getting its own generator object, so worker
-threads never share one.  The law transforms the whole block at once and
-rho_n or G_n(f) is reduced across the block.  The row sums that centre
-rho_n also check the draws: a non-finite draw makes its row's sum
+Both run one serial loop over blocks of replicates, :func:`_replicates`,
+and differ only in the row reduction they pass it.  A block holds about
+32k draws per coordinate (rows = 32768 // n replicates, at least one).
+Replicate i draws its values from the generator stream derived from
+(seed, i), in the order a single ``law.sample`` call takes them, into row
+i of its block; a run hashes all its streams once (:class:`BlockStreams`)
+and each block draws from its slice.  So how replicates are grouped into
+blocks never changes a value.  The law transforms the whole block at once
+and rho_n or G_n(f) is reduced across the block.  The row sums that
+centre rho_n also check the draws: a non-finite draw makes its row's sum
 non-finite, so only rows with a non-finite sum are checked draw by draw.
-Results are therefore identical for any worker count: workers take whole
-blocks, which are stacked in replicate order.  A failing check names the
-first failing replicate, with the message the per-sample routines
-(``PairedSample``, ``compute_rho_n``, ``gn_eval``) would give.
+A failing check names the first failing replicate, with the message the
+per-sample routines (``PairedSample``, ``compute_rho_n``, ``gn_eval``)
+would give.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -69,22 +66,17 @@ _BLOCK_ELEMENTS = 32_768
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What to simulate: law, sample size, replicate count, seed, workers.
-
-    ``threads`` (default 1) is how many blocks of replicates run side by
-    side.  It never influences results, only wall-clock time.
-    """
+    """What to simulate: law, sample size, replicate count, seed."""
 
     law: BivariateLaw
     n: int
     reps: int
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not isinstance(self.law, BivariateLaw):
             raise InputFormatError("law must be a BivariateLaw")
-        for name in ("n", "reps", "seed", "threads"):
+        for name in ("n", "reps", "seed"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -94,8 +86,6 @@ class ExperimentConfig:
             raise InputFormatError(f"n ≥ 2 required, got {self.n}")
         if self.reps < 100:
             raise InputFormatError(f"reps ≥ 100 required, got {self.reps}")
-        if self.threads < 1:
-            raise InputFormatError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
             raise InputFormatError(f"seed must be >= 0, got {self.seed}")
 
@@ -126,22 +116,6 @@ def ks_statistic(values, cdf: Callable) -> float:
     i = np.arange(1, m + 1, dtype=float)
     return float(np.maximum(np.abs(i / m - f_vals),
                             np.abs(f_vals - (i - 1) / m)).max())
-
-
-def _blocks(n: int, reps: int) -> list[tuple[int, int]]:
-    """The (lo, hi) replicate ranges of a run; they depend on (n, reps) only."""
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    return [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
-
-
-def _map_replicates(kernel: Callable[[int, int], np.ndarray], n: int, reps: int,
-                    threads: int) -> np.ndarray:
-    """Run kernel(lo, hi) over the replicate blocks, stacked in index order."""
-    blocks = _blocks(n, reps)
-    if threads <= 1:
-        return np.concatenate([kernel(lo, hi) for lo, hi in blocks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(lambda b: kernel(*b), blocks)))
 
 
 def _raise_first_failure(lo: int, failures) -> None:
@@ -192,6 +166,24 @@ def _draw_replicates(cfg: ExperimentConfig, streams: BlockStreams):
         lambda row: InputFormatError(f"non-finite observation at index {index}"))
 
 
+def _replicates(cfg: ExperimentConfig, reduce: Callable) -> np.ndarray:
+    """The replicates of a run, block by block in replicate order.
+
+    ``reduce(xs, ys, sx, sy)`` takes a block's draws and row sums from
+    :func:`_draw_replicates` and returns the block's values, one per row,
+    and its (bad_rows, error) checks for :func:`_raise_first_failure`.
+    """
+    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
+    rows = max(1, _BLOCK_ELEMENTS // cfg.n)
+    out = []
+    for lo in range(0, cfg.reps, rows):
+        *block, nonfinite = _draw_replicates(cfg, streams[lo:lo + rows])
+        values, failures = reduce(*block)
+        _raise_first_failure(lo, [nonfinite, *failures])
+        out.append(values)
+    return np.concatenate(out)
+
+
 def _check_tolerances(**tolerances: float) -> None:
     """Reject a tolerance that is not finite or is negative, before any draw."""
     for name, tol in tolerances.items():
@@ -218,13 +210,11 @@ def run_clt_experiment(cfg: ExperimentConfig,
             "replicates cannot be standardized")
     n = cfg.n
     sqrt_n = math.sqrt(n)
-    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
 
-    def kernel(lo: int, hi: int) -> np.ndarray:
+    def rho_rows(dx, dy, sx, sy):
         # rho_n per row, as compute_rho_n takes it: centre on the means,
         # sum / n as numpy's mean divides (in place, the block is the
-        # kernel's own), then sums of products
-        dx, dy, sx, sy, nonfinite = _draw_replicates(cfg, streams[lo:hi])
+        # loop's own), then sums of products
         if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
             # finite draws whose sum overflows: sum again, with the
             # warnings the means raise
@@ -233,13 +223,14 @@ def run_clt_experiment(cfg: ExperimentConfig,
         dy -= (sy / n)[:, np.newaxis]
         sxx = (dx * dx).sum(axis=1)
         syy = (dy * dy).sum(axis=1)
-        _raise_first_failure(lo, [
-            nonfinite,
-            ((sxx <= 0.0) | (syy <= 0.0),
-             lambda row: DegenerateSampleError("degenerated marginal"))])
-        return sqrt_n * ((dx * dy).sum(axis=1) / np.sqrt(sxx * syy) - rho_true)
+        degenerate = (sxx <= 0.0) | (syy <= 0.0)
+        # a degenerate row fails the run; dividing there would only warn
+        rho_n = np.divide((dx * dy).sum(axis=1), np.sqrt(sxx * syy),
+                          out=np.zeros(len(dx)), where=~degenerate)
+        return sqrt_n * (rho_n - rho_true), [
+            (degenerate, lambda row: DegenerateSampleError("degenerated marginal"))]
 
-    t = _map_replicates(kernel, cfg.n, cfg.reps, cfg.threads)
+    t = _replicates(cfg, rho_rows)
     emp_mean = float(t.mean())
     emp_var = float(t.var(ddof=1))
     ks = ks_statistic(t / math.sqrt(predicted), standard_normal_cdf)
@@ -283,13 +274,11 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     predicted = gamma_matrix(fs, law)
     n = cfg.n
     sqrt_n = math.sqrt(n)
-    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
 
-    def kernel(lo: int, hi: int) -> np.ndarray:
+    def gn_rows(xs, ys, sx, sy):
         # G_n(f) per row, as gn_eval takes it; the means are finite here,
         # because a non-finite one makes gamma_matrix raise
-        xs, ys, _, _, nonfinite = _draw_replicates(cfg, streams[lo:hi])
-        failures = [nonfinite]
+        failures = []
         g = np.zeros((len(xs), len(fs)))
         for j, (f, mu) in enumerate(zip(fs, means)):
             try:
@@ -304,10 +293,9 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
             failures.append((~np.isfinite(vals).all(axis=1), lambda row, f=f:
                              EvaluationError(f"non-finite evaluation of {f.label}")))
             g[:, j] = (vals.sum(axis=1) - n * mu) / sqrt_n
-        _raise_first_failure(lo, failures)
-        return g
+        return g, failures
 
-    g = _map_replicates(kernel, n, cfg.reps, cfg.threads)
+    g = _replicates(cfg, gn_rows)
     emp_cov = np.atleast_2d(np.cov(g, rowvar=False, ddof=1))
     max_abs_err = float(np.abs(emp_cov - predicted.entries).max())
 

@@ -1,7 +1,7 @@
 """Deterministic random stream derivation.
 
 A (root seed, key path) pair always names the same stream, independent of
-thread scheduling, platform, or how many other streams were drawn first.
+platform or of how many other streams were drawn first.
 Replicate i of an experiment uses ``derive_rng(seed, i)``; nested contexts
 extend the key path instead of consuming draws from a shared generator.
 

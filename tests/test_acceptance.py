@@ -56,8 +56,7 @@ def test_criterion_5_joint_normality_of_gn_vectors():
 
 
 def test_criterion_6_exact_invariants():
-    # linearity, location-scale, div vs mul-reciprocal, CSV round trip,
-    # thread-budget invariance
+    # linearity, location-scale, div vs mul-reciprocal, CSV round trip
     run_criterion(6)
 
 

@@ -14,7 +14,6 @@ import warnings
 
 import pytest
 
-import empcalc.acceptance as acceptance
 import empcalc.cli as cli
 from empcalc.cli import main
 from empcalc.io import Report
@@ -281,13 +280,6 @@ def test_check_subset_is_byte_identical_across_runs(capsys):
         assert "criterion 1 (" in err and "pass" in err
 
 
-def test_check_subset_thread_budget_does_not_change_bytes(capsys):
-    args = ("check", "--criteria", "1,4,6", "--seed", "42")
-    _, out_default, _ = run_cli(capsys, *args)
-    _, out_threaded, _ = run_cli(capsys, *args, "--threads", "4")
-    assert out_default == out_threaded
-
-
 def test_check_report_nests_each_criterion_and_flattens_its_checks(capsys):
     args = ("check", "--criteria", "1,4", "--seed", "42")
     code, out, err = run_cli(capsys, *args)
@@ -320,39 +312,34 @@ def test_check_report_nests_each_criterion_and_flattens_its_checks(capsys):
         for c in nested for check in c["checks"]]
 
 
-def test_check_passes_thread_flag_to_experiments(monkeypatch, capsys):
-    budgets = []
-    real = acceptance.ExperimentConfig
-
-    def capture(*args, **kwargs):
-        cfg = real(*args, **kwargs)
-        budgets.append(cfg.threads)
-        return cfg
-
-    monkeypatch.setattr(acceptance, "ExperimentConfig", capture)
-    outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run_cli(capsys, "check", "--criteria", "2", "--seed", "42",
-                               "--threads", threads)
-        assert code == 0
-        outs.append(out)
-    assert budgets == [1, 2]
-    assert outs[0] == outs[1]
+LAW = ("--law", "gaussian", "--rho", "0.5")
+EXPERIMENT = (*LAW, "--n", "100", "--reps", "100")
+VALID_ARGS = {"estimate": ("--input", "-"), "variance": LAW, "simulate": EXPERIMENT,
+              "lemma1": EXPERIMENT, "check": ("--criteria", "1")}
 
 
-def test_thread_budget_below_one_is_rejected(capsys):
-    code, out, err = run_cli(capsys, "check", "--criteria", "1", "--threads", "0")
-    assert code == 2
-    assert out == ""
-    assert "--threads must be >= 1, got 0" in err
-
-
-def test_estimate_takes_no_thread_flag(tmp_path, capsys):
-    path = write_csv(tmp_path, FOUR_ROWS)
+@pytest.mark.parametrize("command", VALID_ARGS)
+def test_thread_flag_is_not_recognized(monkeypatch, capsys, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO(FOUR_ROWS))
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--input", path, "--threads", "2"])
+        main([command, *VALID_ARGS[command], "--threads", "2"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --threads 2" in err
+
+
+def test_variance_of_a_law_shifted_far_beyond_its_scale(capsys):
+    # x is 1e-3 times a small law plus 1e6, y 1e3 times it minus 1e6: raw
+    # second moments would lose the variance, central ones keep it
+    spec = {"kind": "discrete",
+            "xs": [1000000.0001, 1000000.0013, 999999.9993, 1000000.0022, 1000000.0005],
+            "ys": [-999000.0, -1000400.0, -999700.0, -999100.0, -1001100.0],
+            "weights": [0.1, 0.2, 0.3, 0.25, 0.15]}
+    code, out, err = run_cli(capsys, "variance", "--law-json", json.dumps(spec))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("pipeline_agreement", True)]
 
 
 def test_check_unknown_criterion(capsys):
@@ -411,8 +398,8 @@ def test_cached_parser_holds_no_state_between_calls(capsys):
     with pytest.raises(SystemExit) as exc:  # an argparse usage error
         main([*SIMULATE, "--format", "xml"])
     assert exc.value.code == 2
-    assert run_cli(capsys, *SIMULATE, "--threads", "0")[0] == 2
-    code, out, _ = run_cli(capsys, *SIMULATE, "--threads", "3", "--seed", "9",
+    assert run_cli(capsys, *SIMULATE, "--seed", "-1")[0] == 2
+    code, out, _ = run_cli(capsys, *SIMULATE, "--seed", "9",
                            "--ks-tol", "0.5", "--variance-rtol", "0.5")
     assert code == 0 and json.loads(out)["seed"] == 9
     code, out, _ = run_cli(capsys, *SIMULATE, "--format", "csv")

@@ -18,6 +18,7 @@ from empcalc import correlation
 from empcalc.correlation import BivariateMoments
 from empcalc.expansion import delta
 from empcalc.streams import derive_rng
+from empcalc.streams import derive_rng
 
 
 def standardized_moments(cov, m22=None, m31=0.0, m13=0.0, m40=3.0, m04=3.0):
@@ -356,7 +357,26 @@ def test_expansion_is_one_delta_call_on_five_means(monkeypatch):
 
     monkeypatch.setattr(correlation, "delta", counting)
     ec.correlation_expansion(standardized_moments(0.3))
-    assert calls == [["pi1", "pi2", "p", "pi1^2", "pi2^2"]]
+    # the law's centred coordinates u = pi1 - mu_x and v = pi2 - mu_y, here mu = 0
+    assert calls == [["pi1 + -0", "pi2 + -0", "(pi1 + -0)*(pi2 + -0)",
+                      "(pi1 + -0)^2", "(pi2 + -0)^2"]]
+
+
+@pytest.mark.parametrize("shift, scale", [
+    (shift, scale) for shift in (0.0, 1e2, 1e4, 1e6) for scale in (1e-3, 1.0, 1e3)])
+def test_pipeline_sigma_squared_is_shift_and_scale_stable(shift, scale):
+    # the expansion is taken about the law's mean, so a shift up to 1e9 times
+    # the scale leaves the pipeline in agreement with the closed form
+    rng = derive_rng(2025, int(shift), int(scale * 1000))
+    for _ in range(8):
+        k = int(rng.integers(6, 13))
+        xs = rng.uniform(-2.0, 2.0, k) * scale + shift
+        ys = rng.uniform(-2.0, 2.0, k) * scale - shift
+        w = rng.random(k) + 0.1
+        law = ec.DiscreteLaw(xs, ys, w / w.sum())
+        m = law.bivariate_moments()
+        pipeline = ec.asymptotic_variance(ec.correlation_expansion(m), law)
+        assert pipeline == pytest.approx(ec.sigma_squared(m), rel=1e-9)
 
 
 def test_expansion_of_a_law_on_a_tiny_scale():

@@ -7,6 +7,7 @@ written down, so a pass is informative and a fail means a real regression.
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,27 +72,16 @@ def test_config_validation_messages():
         ec.ExperimentConfig(law, n=1, reps=100)
     with pytest.raises(ec.InputFormatError, match="reps ≥ 100 required"):
         ec.ExperimentConfig(law, n=100, reps=50)
-    with pytest.raises(ec.InputFormatError):
-        ec.ExperimentConfig(law, n=100, reps=100, threads=-2)
     with pytest.raises(ec.InputFormatError, match="seed must be >= 0, got -1"):
         ec.ExperimentConfig(law, n=100, reps=100, seed=-1)
     with pytest.raises(ec.InputFormatError, match="BivariateLaw"):
         ec.ExperimentConfig("gaussian", n=100, reps=100)
-    for field, value in (("n", 100.0), ("reps", 200.5), ("seed", 1.5), ("threads", 1.5)):
+    for field, value in (("n", 100.0), ("reps", 200.5), ("seed", 1.5)):
         with pytest.raises(ec.InputFormatError, match=f"{field} must be an integer"):
             ec.ExperimentConfig(law, **{"n": 100, "reps": 100, field: value})
-    cfg = ec.ExperimentConfig(law, n=np.int64(100), reps=np.int32(100), seed=np.uint8(3),
-                              threads=np.int16(2))
-    assert (cfg.n, cfg.reps, cfg.seed, cfg.threads) == (100, 100, 3, 2)
-    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed, cfg.threads))
-
-
-def test_default_threads_is_one():
-    law = ec.GaussianLaw(0.0)
-    assert ec.ExperimentConfig(law, n=10, reps=100).threads == 1
-    assert ec.ExperimentConfig(law, n=10, reps=100, threads=2).threads == 2
-    with pytest.raises(ec.InputFormatError, match="threads must be >= 1, got 0"):
-        ec.ExperimentConfig(law, n=10, reps=100, threads=0)
+    cfg = ec.ExperimentConfig(law, n=np.int64(100), reps=np.int32(100), seed=np.uint8(3))
+    assert (cfg.n, cfg.reps, cfg.seed) == (100, 100, 3)
+    assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01])
@@ -112,8 +102,7 @@ def test_tolerance_not_finite_or_negative_is_rejected_before_any_draw(monkeypatc
 # ----------------------------------------------------- run_clt_experiment
 
 def test_clt_gaussian_variance_within_ten_percent():
-    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=2000, reps=5000,
-                              seed=101, threads=4)
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=2000, reps=5000, seed=101)
     rep = ec.run_clt_experiment(cfg)
     assert rep.results["predicted_sigma2"] == pytest.approx(0.5625, rel=1e-12)
     rel = abs(rep.results["empirical_variance"] - 0.5625) / 0.5625
@@ -123,7 +112,7 @@ def test_clt_gaussian_variance_within_ten_percent():
 
 def test_clt_independent_normals_ks_below_threshold():
     law = ec.IndependentLaw("standard_normal", "standard_normal")
-    cfg = ec.ExperimentConfig(law, n=2000, reps=5000, seed=202, threads=4)
+    cfg = ec.ExperimentConfig(law, n=2000, reps=5000, seed=202)
     rep = ec.run_clt_experiment(cfg)
     # Theorem-2 regime: sigma^2 = m22 = 1, so replicates target N(0,1)
     assert rep.results["predicted_sigma2"] == pytest.approx(1.0, rel=1e-12)
@@ -180,14 +169,20 @@ def test_clt_report_shape_and_key_order():
         assert list(c.keys()) == ["name", "value", "threshold", "pass"]
 
 
-def test_clt_reproducible_across_thread_budgets():
+# block sizes in draws per coordinate: one row per block, 64, the default,
+# and one block for the whole run
+def _block_elements(n, reps):
+    return (n, 64, simulate._BLOCK_ELEMENTS, n * reps)
+
+
+def test_clt_reproducible_across_block_sizes(monkeypatch):
     law = ec.MixtureLaw([ec.GaussianLaw(0.7), ec.GaussianLaw(-0.1)], [0.4, 0.6])
-    reports = [
-        ec.run_clt_experiment(
-            ec.ExperimentConfig(law, n=200, reps=150, seed=99, threads=t)).to_dict()
-        for t in (1, 3, 7)
-    ]
-    assert reports[0] == reports[1] == reports[2]
+    reports = []
+    for elements in _block_elements(200, 150):
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+        reports.append(ec.run_clt_experiment(
+            ec.ExperimentConfig(law, n=200, reps=150, seed=99)).to_dict())
+    assert all(r == reports[0] for r in reports)
 
 
 def test_clt_variance_convergence_in_n():
@@ -203,8 +198,7 @@ def test_clt_variance_convergence_in_n():
     for seed in range(20):
         for n in errs:
             rep = ec.run_clt_experiment(
-                ec.ExperimentConfig(law, n=n, reps=2500,
-                                    seed=3_000_000 + seed, threads=4))
+                ec.ExperimentConfig(law, n=n, reps=2500, seed=3_000_000 + seed))
             errs[n].append(abs(rep.results["empirical_variance"]
                                - rep.results["predicted_sigma2"]))
     assert np.median(errs[10_000]) < np.median(errs[100])
@@ -213,8 +207,7 @@ def test_clt_variance_convergence_in_n():
 # -------------------------------------------------- run_lemma1_experiment
 
 def test_lemma1_joint_gaussian_covariance():
-    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=1000, reps=5000,
-                              seed=303, threads=4)
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=1000, reps=5000, seed=303)
     rep = ec.run_lemma1_experiment([ec.pi1, ec.pi2], cfg)
     emp = np.asarray(rep.results["empirical_cov"])
     assert emp[0, 1] == pytest.approx(0.5, abs=0.05)
@@ -256,16 +249,15 @@ def test_lemma1_rejects_entry_that_is_not_a_stat_function():
         ec.run_lemma1_experiment([ec.pi1, lambda x, y: x], cfg)
 
 
-def test_lemma1_reproducible_across_thread_budgets():
+def test_lemma1_reproducible_across_block_sizes(monkeypatch):
     law = ec.IndependentLaw("uniform_std", "exponential_std")
     fs = [ec.pi1, ec.p, ec.pi2**2]
-    reports = [
-        ec.run_lemma1_experiment(
-            fs, ec.ExperimentConfig(law, n=150, reps=120, seed=44, threads=t)
-        ).to_dict()
-        for t in (1, 4)
-    ]
-    assert reports[0] == reports[1]
+    reports = []
+    for elements in _block_elements(150, 120):
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", elements)
+        reports.append(ec.run_lemma1_experiment(
+            fs, ec.ExperimentConfig(law, n=150, reps=120, seed=44)).to_dict())
+    assert all(r == reports[0] for r in reports)
 
 
 def test_lemma1_report_shape():
@@ -324,30 +316,53 @@ def _captured_ks_inputs(monkeypatch):
     return seen
 
 
-def test_block_rows_follow_n():
-    assert simulate._blocks(100, 2000)[0] == (0, 327)
-    assert simulate._blocks(2000, 5000)[:2] == [(0, 16), (16, 32)]
-    assert simulate._blocks(40_000, 3) == [(0, 1), (1, 2), (2, 3)]
+def _loop_blocks(cfg):
+    """The (xs, ys) of every block the replicate loop draws, in order."""
+    blocks = []
+
+    def keep(xs, ys, sx, sy):
+        blocks.append((xs, ys))
+        return np.zeros(len(xs)), []
+
+    simulate._replicates(cfg, keep)
+    return blocks
+
+
+def test_block_rows_follow_n(monkeypatch):
+    def rows(n, reps):
+        drawn = []
+
+        def no_draws(cfg, streams):
+            drawn.append(len(streams))
+            zeros = np.zeros(len(streams))
+            return zeros, zeros, zeros, zeros, (zeros != 0.0, None)
+
+        monkeypatch.setattr(simulate, "_draw_replicates", no_draws)
+        simulate._replicates(SimpleNamespace(n=n, reps=reps, seed=0), lambda xs, *_: (xs, []))
+        return drawn
+
+    assert rows(100, 2000)[0] == 327
+    assert rows(2000, 5000)[:2] == [16, 16]
+    assert rows(40_000, 3) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("n, reps", [(2, 503), (3, 337), (100, 103), (101, 103)])
 def test_block_rows_are_bit_identical_to_single_samples(monkeypatch, n, reps):
     # small blocks, so every reps ends in a partial block
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 1000)
-    blocks = simulate._blocks(n, reps)
-    rows = blocks[0][1]
-    assert len(blocks) > 1 and reps % rows != 0
-    assert blocks[-1][1] == reps
     for law in _kernel_laws():
-        cfg = ec.ExperimentConfig(law, n=n, reps=reps, seed=91)
-        streams = BlockStreams(91, (), 0, reps)
-        for lo, hi in blocks:
-            xs, ys, *_ = simulate._draw_replicates(cfg, streams[lo:hi])
-            assert xs.shape == ys.shape == (hi - lo, n)
-            for row, i in enumerate(range(lo, hi)):
+        blocks = _loop_blocks(ec.ExperimentConfig(law, n=n, reps=reps, seed=91))
+        rows = len(blocks[0][0])
+        assert len(blocks) > 1 and reps % rows != 0
+        assert sum(len(xs) for xs, _ in blocks) == reps
+        i = 0
+        for xs, ys in blocks:
+            assert xs.shape == ys.shape == (len(xs), n)
+            for row in range(len(xs)):
                 s = law.sample(n, derive_rng(91, i))
                 assert np.array_equal(xs[row], s.xs), (law.describe(), n, i)
                 assert np.array_equal(ys[row], s.ys), (law.describe(), n, i)
+                i += 1
 
 
 @pytest.mark.parametrize("n", [3, 100, 101])
@@ -396,15 +411,14 @@ def _per_replicate_failure(law, n, seed, reps, evaluate):
     return None
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_degenerate_replicate_in_later_block_keeps_its_index(monkeypatch, threads):
-    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 64)  # 6 rows at n = 10
+@pytest.mark.parametrize("rows", [1, 3, 6])
+def test_degenerate_replicate_in_later_block_keeps_its_index(monkeypatch, rows):
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 10 * rows)  # at n = 10
     law = ec.IndependentLaw("rademacher", "uniform_std")  # P(degenerate) = 1/512
     expected = _per_replicate_failure(law, 10, 6, 5000, ec.compute_rho_n)
     assert expected is not None and int(expected.split()[1]) >= 12
     with pytest.raises(ec.SimulationError) as info:
-        ec.run_clt_experiment(ec.ExperimentConfig(law, n=10, reps=5000, seed=6,
-                                                  threads=threads))
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=10, reps=5000, seed=6))
     assert str(info.value) == expected
     assert expected.endswith("degenerated marginal")
     assert isinstance(info.value.__cause__, ec.DegenerateSampleError)
@@ -508,8 +522,9 @@ def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
     law = _OverflowGaussian(0.2)
     cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
     streams = BlockStreams(2, (), 0, 2000)
-    lo, hi = next(b for b in simulate._blocks(20, 2000)
-                  if (law.draw_block(streams[b[0]:b[1]], 20)[0][:, 0] > 1e300).any())
+    rows = simulate._BLOCK_ELEMENTS // 20
+    lo, hi = next((lo, lo + rows) for lo in range(0, 2000, rows)
+                  if (law.draw_block(streams[lo:lo + rows], 20)[0][:, 0] > 1e300).any())
     xs, ys, sx, sy, (bad_rows, _) = simulate._draw_replicates(cfg, streams[lo:hi])
     assert xs.shape == (hi - lo, 20) and np.isfinite(xs).all()
     assert not np.isfinite(sx).all() and not bad_rows.any()

@@ -141,7 +141,7 @@ def test_invalid_seeds_and_keys_are_rejected():
         BlockStreams(1, (), -2, 3)
 
 
-def test_mixture_blocks_on_the_thread_pool_match_single_samples(monkeypatch):
+def test_mixture_blocks_in_the_replicate_loop_match_single_samples(monkeypatch):
     law = ec.law_from_spec({
         "kind": "mixture",
         "components": [{"kind": "gaussian", "rho": 0.4},
@@ -150,15 +150,12 @@ def test_mixture_blocks_on_the_thread_pool_match_single_samples(monkeypatch):
         "weights": [0.7, 0.3]})
     n, reps, seed = 9, 100, 2 ** 33 + 1
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 7 * n)  # 15 blocks, the last partial
-    cfg = ec.ExperimentConfig(law=law, n=n, reps=reps, seed=seed, threads=3)
+    cfg = ec.ExperimentConfig(law=law, n=n, reps=reps, seed=seed)
 
-    streams = BlockStreams(seed, (), 0, reps)
+    def keep(xs, ys, sx, sy):
+        return np.stack([xs, ys], axis=-1), []
 
-    def kernel(lo, hi):
-        xs, ys, *_ = simulate._draw_replicates(cfg, streams[lo:hi])
-        return np.stack([xs, ys], axis=-1)
-
-    rows = simulate._map_replicates(kernel, n, reps, cfg.threads)
+    rows = simulate._replicates(cfg, keep)
     assert rows.shape == (reps, n, 2)
     for i in range(reps):
         s = law.sample(n, derive_rng(seed, i))
