@@ -72,7 +72,7 @@ def cmd_estimate(args) -> Report:
     rho_n = rho_from_moments(m)
     sigma_hat2 = sigma_squared(m)
     half = 1.96 * math.sqrt(sigma_hat2 / sample.n)
-    z, p_value = test_zero_correlation(sample, moments=m, rho_n=rho_n)
+    z, p_value = test_zero_correlation(sample, moments=m)
     results = {
         "n": sample.n,
         "rho_n": rho_n,

@@ -20,7 +20,10 @@ Moment conventions: central mixed moments are
     m_{pq} = E[(X - mu_x)^p (Y - mu_y)^q],
 
 and all sample moments use denominator n, not n - 1, matching the plug-in
-definitions throughout.
+definitions throughout.  A sample is read as its empirical law, so one
+function, :func:`central_moments`, takes the moments of both: a law's
+``bivariate_moments()`` under its expectation, :func:`estimate_moments`
+under the array mean.  The z-test reads rho_n from those moments too.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import Callable, NamedTuple, Optional
 
 from .errors import AffineDependenceError, DegenerateSampleError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
@@ -44,6 +45,7 @@ AFFINE_RHO_TOL = 1e-12
 
 _AFFINE_MSG = "affine dependence, asymptotics excluded"
 _INEQ_SLACK = 1e-9  # relative slack for moment inequalities on empirical input
+KURTOSIS_WARN = 100.0  # plug-in m40/var^2 above which estimate_moments warns
 
 
 @dataclass(frozen=True)
@@ -149,44 +151,42 @@ def compute_rho_n(s: PairedSample) -> float:
     return float((dx @ dy) / math.sqrt(sxx * syy))
 
 
-def estimate_moments(s: PairedSample, kurtosis_threshold: float = 100.0) -> BivariateMoments:
-    """Plug-in central moments of a sample (denominator n throughout).
+def central_moments(mean: Callable, x, y) -> BivariateMoments:
+    """Central moments through fourth order of x and y under ``mean``.
 
-    The data are centred once; every moment is then a mean of products of
-    dx^2, dy^2 and dx dy.
+    The one route to :class:`BivariateMoments`, for a law and for data
+    alike: ``mean`` is a law's expectation with x, y its coordinate
+    functions, or an array mean with x, y the sample's columns.  Each mean
+    is corrected once by its residuals' mean (Chan, Golub and LeVeque,
+    1983), which keeps it within about an ulp of the largest value at any
+    shift; a mean of 0.0 stays 0.0.  Then u = x - mu_x and v = y - mu_y,
+    and every moment is the mean of a product of u^2, v^2 and uv.
+    """
+    mu_x, mu_y = mean(x), mean(y)
+    mu_x, mu_y = mu_x + mean(x - mu_x), mu_y + mean(y - mu_y)
+    u, v = x - mu_x, y - mu_y
+    uu, vv, uv = u * u, v * v, u * v
+    return BivariateMoments(
+        mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
+        m22=mean(uu * vv), m31=mean(uu * uv), m13=mean(uv * vv),
+        m40=mean(uu * uu), m04=mean(vv * vv))
+
+
+def estimate_moments(s: PairedSample) -> BivariateMoments:
+    """Plug-in central moments of a sample (denominator n throughout):
+    :func:`central_moments` of its columns under the array mean, so the
+    sample's moments are taken as a law's are.
 
     When a marginal's standardized fourth moment m40/var^2 exceeds
-    ``kurtosis_threshold`` a warning is emitted: the fourth-moment
-    hypothesis behind the variance formulas is then suspect, but service
-    is not refused.
+    ``KURTOSIS_WARN`` a warning is emitted: the fourth-moment hypothesis
+    behind the variance formulas is then suspect, but service is not
+    refused.
     """
-    mu_x = float(s.xs.mean())
-    mu_y = float(s.ys.mean())
-    dx = s.xs - mu_x
-    dy = s.ys - mu_y
-    dx2 = dx * dx
-    dy2 = dy * dy
-    dxy = dx * dy
-    var_x = float(dx2.mean())
-    var_y = float(dy2.mean())
-    if var_x <= 0.0 or var_y <= 0.0:
-        raise DegenerateSampleError("degenerated marginal")
-    m = BivariateMoments(
-        mu_x=mu_x,
-        mu_y=mu_y,
-        var_x=var_x,
-        var_y=var_y,
-        cov_xy=float(dxy.mean()),
-        m22=float((dx2 * dy2).mean()),
-        m31=float((dx2 * dxy).mean()),
-        m13=float((dxy * dy2).mean()),
-        m40=float((dx2 * dx2).mean()),
-        m04=float((dy2 * dy2).mean()),
-    )
-    kurt = max(m.m40 / var_x ** 2, m.m04 / var_y ** 2)
-    if kurt > kurtosis_threshold:
+    m = central_moments(lambda a: float(a.mean()), s.xs, s.ys)
+    kurt = max(m.m40 / m.var_x ** 2, m.m04 / m.var_y ** 2)
+    if kurt > KURTOSIS_WARN:
         warnings.warn(
-            f"plug-in kurtosis {kurt:.3g} exceeds {kurtosis_threshold:g}; "
+            f"plug-in kurtosis {kurt:.3g} exceeds {KURTOSIS_WARN:g}; "
             "fourth-moment asymptotics may be unreliable", stacklevel=2)
     return m
 
@@ -280,19 +280,19 @@ class ZeroCorrelationTest(NamedTuple):
     p_value: float
 
 
-def test_zero_correlation(s: PairedSample, *, moments: Optional[BivariateMoments] = None,
-                          rho_n: Optional[float] = None) -> ZeroCorrelationTest:
+def test_zero_correlation(s: PairedSample, *,
+                          moments: Optional[BivariateMoments] = None) -> ZeroCorrelationTest:
     """Two-sided z-test of rho = 0 based on the null asymptotics.
 
-    z = sqrt(n) rho_n / sigma1_hat with sigma1_hat^2 the plug-in
-    m22/(var_x var_y); under independence z is asymptotically N(0, 1).
-    The p-value is erfc(|z|/sqrt(2)), which keeps its relative accuracy
-    far into the tail instead of rounding to 0.  The normal approximation
-    is poor below a few dozen observations, so n < 30 draws a warning.
+    z = sqrt(n) rho_n / sigma1_hat with rho_n = rho_from_moments(m) and
+    sigma1_hat^2 the plug-in m22/(var_x var_y), both from the one moment
+    set m; under independence z is asymptotically N(0, 1).  The p-value is
+    erfc(|z|/sqrt(2)), which keeps its relative accuracy far into the tail
+    instead of rounding to 0.  The normal approximation is poor below a
+    few dozen observations, so n < 30 draws a warning.
 
-    A caller that already holds ``estimate_moments(s)`` and
-    ``compute_rho_n(s)`` passes them as ``moments`` and ``rho_n``; they
-    are then not computed again.
+    A caller that already holds ``estimate_moments(s)`` passes it as
+    ``moments``; it is then not computed again.
     """
     if s.n < 30:
         warnings.warn(f"n = {s.n} < 30: the normal approximation may be unreliable",
@@ -302,7 +302,5 @@ def test_zero_correlation(s: PairedSample, *, moments: Optional[BivariateMoments
     if s1_sq < 1e-12:
         raise DegenerateSampleError(
             f"plug-in sigma1^2 = {s1_sq:g} is below 1e-12; z statistic undefined")
-    if rho_n is None:
-        rho_n = compute_rho_n(s)
-    z = math.sqrt(s.n) * rho_n / math.sqrt(s1_sq)
+    z = math.sqrt(s.n) * rho_from_moments(m) / math.sqrt(s1_sq)
     return ZeroCorrelationTest(z, math.erfc(abs(z) / math.sqrt(2.0)))

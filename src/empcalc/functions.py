@@ -121,7 +121,10 @@ class StatFunction:
         return StatFunction(lambda x, y: f(x, y) + c, f"{self.label} + {c_label}", poly)
 
     def __rsub__(self, other) -> "StatFunction":
-        return constant(other) + (-self)
+        # constant(c) + (-self) with its poly and label, evaluated as c - f(x, y)
+        c, neg, f = float(other), -self, self.fn
+        poly = _poly_add({(0, 0): c}, neg.poly) if neg.poly is not None else None
+        return StatFunction(lambda x, y: c - f(x, y), f"{c:g} + {neg.label}", poly)
 
     def __mul__(self, other) -> "StatFunction":
         if isinstance(other, StatFunction):

@@ -5,8 +5,10 @@ raw moments E[X^i Y^j] come from closed forms (Gaussian via the Isserlis
 recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
 Monte Carlo integration on a deterministic batch.  Central moments are
-expectations of polynomials centred at the law's mean: the function
-algebra expands them for a polynomial law, a discrete law centres its atoms.
+:func:`~empcalc.correlation.central_moments` under the law's expectation,
+the route a sample's moments take under the array mean: expectations of
+polynomials centred at the law's mean, which the function algebra expands
+for a polynomial law and a discrete law evaluates atom by atom.
 
 Sampling is pinned down to the stream level: normals are numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
@@ -48,7 +50,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from .correlation import BivariateMoments
+from .correlation import BivariateMoments, central_moments
 from .empirical import DEFAULT_MC_BUDGET, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction, pi1, pi2
@@ -148,7 +150,8 @@ class BivariateLaw(PolynomialMomentOracle):
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
-    ``raw_moment``; :meth:`bivariate_moments` is built on :meth:`expectation`.
+    ``raw_moment``; :meth:`bivariate_moments` is
+    :func:`~empcalc.correlation.central_moments` under :meth:`expectation`.
     """
 
     kind: str = ""
@@ -207,18 +210,9 @@ class BivariateLaw(PolynomialMomentOracle):
         return PairedSample(xs[0], ys[0])
 
     def bivariate_moments(self) -> BivariateMoments:
-        """Exact central moments through fourth order, about the law's mean."""
-        e = self.expectation
-        mu_x, mu_y = e(pi1), e(pi2)
-        # the residuals' mean corrects a shifted discrete law's mean to about
-        # an ulp (Chan, Golub and LeVeque, 1983); a mean of 0.0 stays 0.0
-        mu_x, mu_y = mu_x + e(pi1 - mu_x), mu_y + e(pi2 - mu_y)
-        u, v = pi1 - mu_x, pi2 - mu_y
-        uu, vv, uv = u * u, v * v, u * v
-        return BivariateMoments(
-            mu_x=mu_x, mu_y=mu_y, var_x=e(uu), var_y=e(vv), cov_xy=e(uv),
-            m22=e(uu * vv), m31=e(uu * uv), m13=e(uv * vv),
-            m40=e(uu * uu), m04=e(vv * vv))
+        """Exact central moments through fourth order, about the law's mean:
+        :func:`~empcalc.correlation.central_moments` under :meth:`expectation`."""
+        return central_moments(self.expectation, pi1, pi2)
 
     def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
         """Monte Carlo oracle over this law's sampler (deterministic batch)."""

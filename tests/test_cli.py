@@ -14,9 +14,12 @@ import warnings
 
 import pytest
 
+import empcalc as ec
 import empcalc.cli as cli
 from empcalc.cli import main
+from empcalc.correlation import rho_from_moments
 from empcalc.io import Report
+from empcalc.streams import derive_rng
 
 
 FOUR_ROWS = "1,1\n2,3\n3,2\n4,4\n"
@@ -79,6 +82,20 @@ def test_estimate_rho_n_is_taken_from_the_reported_moments(tmp_path, capsys):
     assert code == 0
     r = json.loads(out)["results"]
     assert r["rho_n"] == r["cov_xy"] / math.sqrt(r["var_x"] * r["var_y"])
+
+
+def test_estimate_rho_n_and_z_are_the_library_values(tmp_path, capsys):
+    # one moment set gives rho_n and z, so the z-test called without moments
+    # reproduces the report's z bit for bit
+    for i in range(5):
+        path = str(tmp_path / f"gaussian_{i}.csv")
+        ec.write_paired_csv(ec.GaussianLaw(0.3).sample(500, derive_rng(15, i)), path)
+        code, out, _ = run_cli(capsys, "estimate", "--input", path)
+        assert code == 0
+        r = json.loads(out)["results"]
+        sample = ec.read_paired_csv(path)
+        assert r["rho_n"] == rho_from_moments(ec.estimate_moments(sample))
+        assert r["z"] == ec.test_zero_correlation(sample).z
 
 
 def test_estimate_reports_bad_line_number(tmp_path, capsys):

@@ -106,11 +106,12 @@ def test_algebra_is_pointwise(x, y, a):
 @pytest.mark.parametrize("f", [ec.pi1, ec.p - ec.pi2 ** 2,
                                StatFunction(lambda x, y: np.sin(np.asarray(x)), "sin(x)")])
 def test_adding_a_number_matches_its_constant_function(f, c):
-    # f + c and f - c skip the constant's broadcast but keep its poly and label
+    # f + c, f - c and c - f skip the constant's broadcast but keep its poly and label
     grid = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 5))
     for fast, via_constant in ((f + c, f + constant(c)), (c + f, f + constant(c)),
-                               (f - c, f + -constant(c))):
+                               (f - c, f + -constant(c)), (c - f, constant(c) + -f)):
         assert fast.label == via_constant.label
         assert fast.poly == via_constant.poly
         assert fast(*grid).tobytes() == via_constant(*grid).tobytes()
     assert (ec.pi1 - 0.5).label == "pi1 + -0.5"
+    assert (1.0 - ec.pi1).label == "1 + -pi1"

@@ -403,7 +403,8 @@ def _exact_means_and_sigma_squared(law):
 def test_discrete_sigma_squared_is_shift_and_scale_stable(shift, scale):
     # moments are taken about the law's mean, found to within an ulp of the
     # largest atom, so a location shift up to 1e6 times the scale costs no
-    # more than about 1e-9 of sigma^2
+    # more than about 1e-9 of sigma^2; the atoms read as a sample take the
+    # same route, and are checked against their equal-weight law
     rng = derive_rng(2024, int(shift), int(scale * 1000))
     for _ in range(8):
         k = int(rng.integers(6, 13))
@@ -411,11 +412,13 @@ def test_discrete_sigma_squared_is_shift_and_scale_stable(shift, scale):
         ys = rng.uniform(-2.0, 2.0, k) * scale - shift
         w = rng.random(k) + 0.1
         law = ec.DiscreteLaw(xs, ys, w / w.sum())
-        mx, my, sigma2 = _exact_means_and_sigma_squared(law)
-        m = law.bivariate_moments()
-        assert abs(m.mu_x - mx) <= math.ulp(np.abs(xs).max())
-        assert abs(m.mu_y - my) <= math.ulp(np.abs(ys).max())
-        assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
+        equal_weights = ec.DiscreteLaw(xs, ys, np.full(k, 1.0 / k))
+        for law, m in ((law, law.bivariate_moments()),
+                       (equal_weights, ec.estimate_moments(ec.PairedSample(xs, ys)))):
+            mx, my, sigma2 = _exact_means_and_sigma_squared(law)
+            assert abs(m.mu_x - mx) <= math.ulp(np.abs(xs).max())
+            assert abs(m.mu_y - my) <= math.ulp(np.abs(ys).max())
+            assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
 
 
 # ----------------------------------------------------------- determinism
