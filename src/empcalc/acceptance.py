@@ -166,9 +166,11 @@ def _check_div_vs_mul_reciprocal() -> CheckResult:
 def _check_csv_round_trip(seed: int) -> CheckResult:
     rng = derive_rng(seed, 6, 4)
     xs = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.integers(-12, 13, 50),
-                         [0.0, 1.0 / 3.0, -2.5e-8, 1e15, -1e-15]])
+                         [0.0, 1.0 / 3.0, -2.5e-8, 1e15, -1e-15,
+                          -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]])
     ys = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.integers(-12, 13, 50),
-                         [1.0, -7.0, 3.141592653589793, -1e15, 1e-15]])
+                         [1.0, -7.0, 3.141592653589793, -1e15, 1e-15,
+                          5e-324, -0.0, -1.7976931348623157e308, 1.7976931348623157e308]])
     first = _io.StringIO()
     write_paired_csv(PairedSample(xs, ys), first)
     second = _io.StringIO()

@@ -6,7 +6,15 @@ non-numeric first cell) and blank lines are ignored.  Writing uses 17
 significant digits, which round-trips IEEE doubles exactly, so
 write -> read -> write is byte-stable.
 
-Reading is done in one pass.  A row parser (the csv module, one row at a
+Writing goes in blocks of ``_WRITE_ROWS`` rows.  Each block is copied
+into one reused (rows, 2) buffer, formatted by a single %-operation and
+written by one write() call, so at most one block of text (about 330 KB)
+is held at a time, never the whole file.  ``%.17g`` on a Python float
+gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
+
+Reading is done in one pass.  One U+FEFF byte-order mark at the start of
+the first line is ignored, for paths and file objects alike; anywhere
+else it is a non-numeric cell.  A row parser (the csv module, one row at a
 time) reads up to and including the first data row, which settles the
 header.  The rest is read in blocks of whole lines, about 1 MiB each, and
 np.loadtxt parses each block.  A block that np.loadtxt rejects, or that
@@ -41,6 +49,13 @@ PathOrFile = Union[str, IO]
 # Characters of whole lines handed to one np.loadtxt call.
 _BLOCK_CHARS = 1 << 20
 
+# A byte-order mark, ignored once at the start of the input.
+_BOM = "\ufeff"
+
+# Rows formatted by one %-operation and written by one write() call.
+_WRITE_ROWS = 8192
+_ROW_FORMAT = "%.17g,%.17g\n"
+
 # A carriage return with more text after it on the same line, or a bare
 # carriage return ending a line.  np.loadtxt may split such text into
 # lines differently from the row parser, so it is left to the row parser.
@@ -61,6 +76,8 @@ def read_paired_csv(source: PathOrFile) -> PairedSample:
 
 def _parse(fh) -> PairedSample:
     lines = iter(fh.readline, "")
+    if first := next(lines, ""):
+        lines = chain([first.removeprefix(_BOM)], lines)
     # The row parser takes everything up to and including the first data
     # row, so the header rule lives in one place.
     xs, ys, line_offset = _read_rows(lines, header_allowed=True)
@@ -162,7 +179,11 @@ def _is_number(token: str) -> bool:
 
 
 def write_paired_csv(sample: PairedSample, dest: PathOrFile) -> None:
-    """Write a PairedSample as CSV with an x,y header, 17 significant digits."""
+    """Write a PairedSample as CSV with an x,y header, 17 significant digits.
+
+    Rows are formatted and written ``_WRITE_ROWS`` at a time, so memory
+    beyond the sample stays at one block of text whatever the row count.
+    """
     if hasattr(dest, "write"):
         _write(sample, dest)
     else:
@@ -172,8 +193,13 @@ def write_paired_csv(sample: PairedSample, dest: PathOrFile) -> None:
 
 def _write(sample: PairedSample, fh) -> None:
     fh.write("x,y\n")
-    for x, y in zip(sample.xs, sample.ys):
-        fh.write(f"{x:.17g},{y:.17g}\n")
+    n = sample.n
+    pairs = np.empty((min(_WRITE_ROWS, n), 2))
+    for lo in range(0, n, _WRITE_ROWS):
+        block = pairs[:n - lo]
+        block[:, 0] = sample.xs[lo:lo + len(block)]
+        block[:, 1] = sample.ys[lo:lo + len(block)]
+        fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,39 @@ def test_read_from_path(tmp_path):
     assert s.n == 2
 
 
+def test_read_ignores_leading_byte_order_mark():
+    s = parse("\ufeff1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+    np.testing.assert_array_equal(s.xs, [1.0, 3.0, 5.0])
+    np.testing.assert_array_equal(s.ys, [2.0, 4.0, 7.0])
+
+
+def test_read_byte_order_mark_before_header_skips_only_the_header(tmp_path):
+    text = "\ufeffx,y\n1,2\n3,4\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for s in (parse(text), ec.read_paired_csv(str(path))):
+        np.testing.assert_array_equal(s.xs, [1.0, 3.0])
+        np.testing.assert_array_equal(s.ys, [2.0, 4.0])
+    with pytest.raises(ec.InputFormatError, match=r"^line 4: non-numeric value 'oops'$"):
+        parse(text + "oops,5\n")
+
+
+def test_read_byte_order_mark_from_unseekable_stream():
+    stream = io.TextIOWrapper(io.BufferedReader(_Pipe(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")),
+                              encoding="utf-8")
+    assert ec.read_paired_csv(stream).xs.tolist() == [1.0, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1,2\n\ufeff3,4\n5,6\n", 2),
+    ("x,y\n\ufeff1,2\n3,4\n", 2),
+    ("1,2\n3,4\n5,6\n\ufeff7,8\n", 4),
+])
+def test_read_byte_order_mark_after_the_first_line_is_an_error(text, line):
+    with pytest.raises(ec.InputFormatError, match=rf"^line {line}: non-numeric value '\\ufeff"):
+        parse(text)
+
+
 def reference_row_parser(fh):
     """The reader as it was before block parsing: the csv module, one row at a time."""
     xs, ys = [], []
@@ -222,6 +255,59 @@ def test_write_read_write_is_byte_stable(tmp_path):
     ec.write_paired_csv(s, str(a))
     ec.write_paired_csv(ec.read_paired_csv(str(a)), str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 1e17, 1.0 / 3.0]
+
+
+def per_row_csv(s):
+    """The writer as it was before block formatting: one f-string per row."""
+    return "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(s.xs, s.ys))
+
+
+@pytest.mark.parametrize("block", [4, 7])
+@pytest.mark.parametrize("extra", [0, -1, 1, None])
+def test_block_writer_matches_per_row_format(tmp_path, monkeypatch, block, extra):
+    """Same bytes as per-row formatting for 2, block - 1, block, block + 1, 2 block + 3 rows."""
+    monkeypatch.setattr(ec_io, "_WRITE_ROWS", block)
+    n = 2 * block + 3 if extra is None else block + extra
+    for length in (2, n):
+        values = np.resize(EDGE_VALUES, length)
+        s = ec.PairedSample(values, values[::-1] * -1.0)
+        assert isinstance(s.xs[0], np.float64)
+        expected = per_row_csv(s)
+        buf = io.StringIO()
+        ec.write_paired_csv(s, buf)
+        assert buf.getvalue() == expected
+        path = tmp_path / f"block_{length}.csv"
+        ec.write_paired_csv(s, str(path))
+        assert path.read_bytes() == expected.encode()
+
+
+class _RecordingWriter:
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+def test_block_writer_memory_is_bounded(monkeypatch):
+    """Each write() call holds at most one block's text, never the whole file."""
+    block = 5
+    monkeypatch.setattr(ec_io, "_WRITE_ROWS", block)
+    n = 3 * block + 1
+    values = np.resize(EDGE_VALUES, n)
+    s = ec.PairedSample(values, values[::-1])
+    dest = _RecordingWriter()
+    ec.write_paired_csv(s, dest)
+    assert "".join(dest.calls) == per_row_csv(s)
+    assert len(dest.calls) == math.ceil(n / block) + 1
+    rows = [len(f"{x:.17g},{y:.17g}\n") for x, y in zip(s.xs, s.ys)]
+    longest_block = max(sum(rows[lo:lo + block]) for lo in range(0, n, block))
+    assert max(len(text) for text in dest.calls) <= longest_block
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
