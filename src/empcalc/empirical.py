@@ -24,6 +24,19 @@ functions fall back to an attached sampling oracle when one exists.
 seed-deterministic batch of draws, so repeated queries and whole
 covariance matrices are mutually consistent (a shared batch makes the
 estimated Gamma matrix an empirical Gram matrix, hence PSD).
+
+Integration counts
+------------------
+Each function is integrated once per covariance matrix.  On the exact
+route a k-function :func:`gamma_matrix` takes k(k+1)/2 products E[f_i f_j]
+and k means E[f_i], each mean memoised the first time it is needed (20
+expectations for k = 5, not 45); ``covariance_estimate(f, f)`` takes 2.  On
+the sampling route the matrix is filled row by row: row i centres f_i on
+the batch once and evaluates each f_j, j > i, once, k(k+1)/2 evaluations
+in all.  Only one row's centred values are held between entries, so the
+peak beyond the batch is that row plus one entry's evaluation and product
+(three batch-length arrays), whatever k is.  The values, and the pair an
+error names, are those of integrating each pair afresh.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,16 +100,35 @@ class MomentOracle(ABC):
         """E f(Z) under this oracle's law."""
 
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's."""
-        if self.supports_exact(f) and self.supports_exact(g):
-            value = self.expectation(f * g) - self.expectation(f) * self.expectation(g)
-            return CovarianceEstimate(value, 0.0, "exact")
-        fallback = self.sampling_oracle()
-        if fallback is None:
-            raise MomentError(
-                f"covariance of ({f.label}, {g.label}) is not polynomial "
-                "and this oracle cannot sample")
-        return fallback.covariance_estimate(f, g)
+        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's.
+
+        ``covariance_estimate(f, f)`` takes E[f] once.
+        """
+        return next(self._covariance_row(f, (g,), {}))
+
+    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
+                        means: dict) -> Iterator[CovarianceEstimate]:
+        """Yield Gamma(f, g) for each g of ``gs``, in order.
+
+        ``means`` memoises E[h] by function across calls: it is filled the
+        first time each mean is needed, so a failing mean raises where it
+        would without the memo, and a mean that succeeded is the same float.
+        """
+        for g in gs:
+            if self.supports_exact(f) and self.supports_exact(g):
+                value = self.expectation(f * g) - self._mean(f, means) * self._mean(g, means)
+                yield CovarianceEstimate(value, 0.0, "exact")
+            elif (fallback := self.sampling_oracle()) is not None:
+                yield fallback.covariance_estimate(f, g)
+            else:
+                raise MomentError(
+                    f"covariance of ({f.label}, {g.label}) is not polynomial "
+                    "and this oracle cannot sample")
+
+    def _mean(self, f: StatFunction, means: dict) -> float:
+        if f not in means:
+            means[f] = self.expectation(f)
+        return means[f]
 
     def covariance(self, f: StatFunction, g: StatFunction) -> float:
         """Gamma(f, g), without its provenance."""
@@ -157,6 +189,11 @@ class SamplingMoments(MomentOracle):
     Once the batch is drawn, ``sampler`` is set to None: a law's bound
     ``sample`` would otherwise tie the law and its cached oracle in a
     reference cycle, keeping the batch alive until the cyclic collector runs.
+
+    ``covariance_estimate(f, g)`` evaluates f and g once each on the batch,
+    and ``covariance_estimate(f, f)`` evaluates f once.  Under
+    :func:`gamma_matrix` a k-function family costs k(k+1)/2 evaluations,
+    with one row's centred values held at a time.
     """
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
@@ -181,16 +218,35 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}: non-finite draw)")
         return vals
 
+    def _centred(self, f: StatFunction, times: Optional[np.ndarray] = None) -> np.ndarray:
+        """f on the batch less its mean, times ``times`` if given, in a new array."""
+        vals = self._values(f)
+        c = vals - vals.mean()
+        if times is not None:
+            c *= times
+        return c
+
     def expectation(self, f: StatFunction) -> float:
         m = float(self._values(f).mean())
         if not math.isfinite(m):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label})")
         return m
 
-    def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        fv = self._values(f)
-        gv = self._values(g)
-        w = (fv - fv.mean()) * (gv - gv.mean())
+    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
+                        means: dict) -> Iterator[CovarianceEstimate]:
+        """Yield Gamma(f, g) for each g of ``gs``, holding f's centred values.
+
+        f is evaluated once and each g once (g = f reuses f's values).  Each
+        g's centred values take the product in their own buffer, so one
+        batch-length array stays held between entries.
+        """
+        cf = self._centred(f)
+        for g in gs:
+            yield self._estimate(cf * cf if g is f else self._centred(g, cf), f, g)
+
+    @staticmethod
+    def _estimate(w: np.ndarray, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
+        """Gamma(f, g) from the products w of centred values; w is overwritten."""
         r = w.size
         s = w.sum()
         value = float(s / (r - 1))
@@ -256,6 +312,11 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     exact.  Otherwise the whole matrix is computed through the oracle's
     sampling fallback so that all entries share one batch of draws; a mix
     of exact and sampled entries could fail the PSD guarantee.
+
+    Each function is integrated once: k(k+1)/2 + k expectations on the
+    exact route, k(k+1)/2 evaluations on the batch on the sampling route,
+    which holds one row's centred values at a time.  The first pair that
+    fails is named in the error, as if each pair were integrated afresh.
     """
     fs = list(fs)
     if not fs:
@@ -269,10 +330,12 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
         method = "monte_carlo"
     k = len(fs)
     m = np.zeros((k, k))
+    means: dict = {}
     for i in range(k):
+        row = working._covariance_row(fs[i], fs[i:], means)
         for j in range(i, k):
             try:
-                m[i, j] = m[j, i] = working.covariance(fs[i], fs[j])
+                m[i, j] = m[j, i] = next(row).value
             except MomentError as exc:
                 raise MomentError(
                     f"gamma failed for pair ({fs[i].label}, {fs[j].label}): {exc}") from exc

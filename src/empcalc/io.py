@@ -1,8 +1,10 @@
 """CSV sample files, and the report every command produces.
 
 Sample files are two numeric columns, comma-separated, one observation
-per row.  A single leading header row is tolerated (detected by a
-non-numeric first cell) and blank lines are ignored.  Writing uses 17
+per row.  Blank lines are ignored.  The first non-blank row is a header,
+and is skipped, only when both of its cells are non-numeric: a first row
+with one non-numeric cell, such as ``1.5,2..0`` or ``x,1``, is an error
+with its line number and that cell, like any later row.  Writing uses 17
 significant digits, which round-trips IEEE doubles exactly, so
 write -> read -> write is byte-stable.
 
@@ -124,10 +126,10 @@ def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
     """Row-parse ``lines``; return the x values, the y values and the lines read.
 
     Blank rows are skipped.  With ``header_allowed`` the first non-blank
-    row is skipped if it is not numeric, and reading ends after the first
-    data row.  Otherwise reading ends with the record that reaches line
-    ``stop``, or at the end of ``lines``.  Error line numbers count from
-    ``line_offset``.
+    row is skipped if both of its cells are non-numeric, and reading ends
+    after the first data row.  Otherwise reading ends with the record that
+    reaches line ``stop``, or at the end of ``lines``.  Error line numbers
+    count from ``line_offset``.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -154,10 +156,10 @@ def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
                     x = float(cells[0])
                     y = float(cells[1])
                 except ValueError:
-                    if not header_allowed:
-                        bad = cells[0] if not _is_number(cells[0]) else cells[1]
+                    bad = [c for c in cells if not _is_number(c)]
+                    if not (header_allowed and len(bad) == 2):
                         raise InputFormatError(
-                            f"line {line}: non-numeric value {bad!r}") from None
+                            f"line {line}: non-numeric value {bad[0]!r}") from None
                     x = None
                 header_allowed = False
         if x is not None:

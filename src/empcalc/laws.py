@@ -450,10 +450,17 @@ class DiscreteLaw(BivariateLaw):
 
     def expectation(self, f: StatFunction) -> float:
         vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
+        # One reduction, which raises no floating-point warning.  The weights
+        # are positive and finite, so a non-finite value always makes the
+        # total non-finite, and only then are the values scanned.
+        total = float(np.vdot(self.atom_weights, vals))
+        if math.isfinite(total):
+            return total
         if not np.all(np.isfinite(vals)):
             raise MomentError(
                 f"moment does not exist under this law at requested precision "
                 f"({f.label}: non-finite at an atom)")
+        # finite values whose sum overflows: the same inf, with matmul's warning
         return float(self.atom_weights @ vals)
 
     def raw_moment(self, i: int, j: int) -> float:

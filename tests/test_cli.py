@@ -62,6 +62,14 @@ def test_estimate_reads_stdin(monkeypatch, capsys):
     assert json.loads(out)["results"]["rho_n"] == pytest.approx(0.8, rel=1e-14)
 
 
+def test_estimate_rejects_a_malformed_first_row_on_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1.5,2..0\n" + FOUR_ROWS))
+    code, out, err = run_cli(capsys, "estimate", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert "line 1: non-numeric value '2..0'" in err
+
+
 def test_estimate_warns_about_kurtosis_once(tmp_path, capsys):
     # one outlier among 200 rows puts the x kurtosis near 200, over the threshold
     rows = [f"{i % 7 - 3},{i * 3 % 5 - 2}" for i in range(199)] + ["1000,1"]

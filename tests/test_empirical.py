@@ -1,6 +1,7 @@
 """Tests for G_n evaluation, the covariance functional, and moment oracles."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -208,6 +209,132 @@ def test_gamma_matrix_gram_property(seed):
     asym = np.abs(m.entries - m.entries.T).max()
     assert asym <= 1e-12 * max(1.0, np.abs(m.entries).max())
     assert m.min_eigenvalue >= -1e-10
+
+
+# ------------------------------------- gamma_matrix: integrations, bits, memory
+
+FAMILY = [ec.pi1, ec.pi2, ec.p, ec.pi1 ** 2, ec.pi2 ** 2]
+COS_PI1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+
+
+def exact_laws():
+    return [
+        ec.GaussianLaw(0.4),
+        ec.IndependentLaw("uniform_std", "exponential_std"),
+        ec.law_from_spec({"kind": "mixture", "weights": [0.6, 0.4], "components": [
+            {"kind": "gaussian", "rho": 0.2},
+            {"kind": "independent", "marginal_x": "uniform_std", "marginal_y": "rademacher"}]}),
+        ec.DiscreteLaw([0.1, 1.3, -0.7, 2.2], [1.0, -0.4, 0.3, 0.9], [0.1, 0.2, 0.3, 0.4]),
+    ]
+
+
+def count_expectations(monkeypatch, law):
+    calls = []
+    expectation = law.expectation
+
+    def counted(f):
+        calls.append(f.label)
+        return expectation(f)
+
+    monkeypatch.setattr(law, "expectation", counted)
+    return calls
+
+
+def counting(f, calls):
+    """f without its polynomial form, counting its evaluations on arrays."""
+    def fn(x, y):
+        calls.append(f.label)
+        return f(x, y)
+    return ec.StatFunction(fn, f.label)
+
+
+@pytest.mark.parametrize("law", [ec.GaussianLaw(0.4), exact_laws()[-1]], ids=["gaussian", "discrete"])
+def test_gamma_matrix_takes_each_mean_once(monkeypatch, law):
+    calls = count_expectations(monkeypatch, law)
+    ec.gamma_matrix(FAMILY, law)
+    # 15 products E[f_i f_j] and 5 means E[f_i], against 45 taken pair by pair
+    assert len(calls) == 20
+    assert sorted(c for c in calls if "*" not in c) == sorted(f.label for f in FAMILY)
+
+
+def test_exact_variance_takes_the_mean_once(monkeypatch):
+    for law in (ec.GaussianLaw(0.4), exact_laws()[-1]):
+        calls = count_expectations(monkeypatch, law)
+        law.covariance_estimate(ec.p, ec.p)
+        assert calls == ["p*p", "p"]
+
+
+def test_sampling_gamma_matrix_evaluates_each_function_once_per_row():
+    mc = ec.GaussianLaw(0.5).monte_carlo(budget=1000, seed=3)
+    calls = []
+    ec.gamma_matrix([counting(f, calls) for f in FAMILY], mc)
+    # row i evaluates f_i once and each f_j, j > i, once: k(k+1)/2, not k(k+1)
+    assert len(calls) == 15
+    calls.clear()
+    f = counting(ec.p, calls)
+    mc.covariance_estimate(f, f)
+    assert calls == ["p"]
+
+
+def reference_covariance(oracle, f, g):
+    """Gamma(f, g) computed pair by pair, each function integrated afresh."""
+    if isinstance(oracle, SamplingMoments):
+        s = oracle.batch()
+        fv, gv = f(s.xs, s.ys), g(s.xs, s.ys)
+        w = (fv - fv.mean()) * (gv - gv.mean())
+        return float(w.sum() / (w.size - 1))
+    return oracle.expectation(f * g) - oracle.expectation(f) * oracle.expectation(g)
+
+
+def assert_gamma_matrix_matches_pairwise(fs, oracle):
+    k = len(fs)
+    want = np.array([[reference_covariance(oracle, fs[min(i, j)], fs[max(i, j)])
+                      for j in range(k)] for i in range(k)])
+    assert ec.gamma_matrix(fs, oracle).entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("index", range(4), ids=["gaussian", "independent", "mixture", "discrete"])
+def test_gamma_matrix_bits_equal_pairwise_covariances(index):
+    assert_gamma_matrix_matches_pairwise(FAMILY, exact_laws()[index])
+
+
+def test_sampling_gamma_matrix_bits_equal_pairwise_covariances():
+    mc = ec.GaussianLaw(0.5).monte_carlo(budget=20_000)
+    assert_gamma_matrix_matches_pairwise(FAMILY[:3] + [COS_PI1] + FAMILY[3:], mc)
+
+
+def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
+    log_x = ec.StatFunction(lambda x, y: np.log(x), "log(x)")
+    fs = [ec.pi1, ec.p, log_x, ec.pi2]
+    discrete = ec.DiscreteLaw([0.0, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5])
+    mc = ec.GaussianLaw(0.5).monte_carlo(budget=1000, seed=3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ec.MomentError, match=(
+                r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
+                r"this law at requested precision \(pi1\*log\(x\): non-finite at an atom\)$")):
+            ec.gamma_matrix(fs, discrete)
+        with pytest.raises(ec.MomentError, match=(
+                r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
+                r"this law at requested precision \(log\(x\): non-finite draw\)$")):
+            ec.gamma_matrix(fs, mc)
+
+
+def test_sampling_gamma_matrix_holds_one_row_of_centred_values():
+    budget = 250_000
+    mc = ec.GaussianLaw(0.5).monte_carlo(budget=budget, seed=11)
+    mc.batch()
+    fs = [ec.StatFunction(lambda x, y, a=a: np.cos(a * x), f"cos({a:g}*pi1)") + 0 * ec.pi2
+          for a in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
+    tracemalloc.start()
+    try:
+        ec.gamma_matrix(fs, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row's centred values, then an evaluation and its centred copy, plus
+    # a little for Python objects; pair by pair took 4 arrays, and holding
+    # every centred array takes more
+    assert peak <= 3 * 8 * budget + 64 * 1024
 
 
 # ------------------------------------------------------- CovarianceMatrix

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def reference_row_parser(fh):
             y = float(cells[1])
         except ValueError:
             bad = cells[0] if not _is_number(cells[0]) else cells[1]
-            if header_allowed:
+            if header_allowed and not (_is_number(cells[0]) or _is_number(cells[1])):
                 header_allowed = False
                 continue
             raise ec.InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
@@ -207,6 +208,37 @@ class _Pipe(io.RawIOBase):
 
     def readinto(self, buf):
         return self._data.readinto(buf)
+
+
+def sources(tmp_path, text):
+    """The text as a path, a StringIO and an unseekable stream such as piped stdin."""
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode("utf-8"))
+    yield str(path)
+    yield io.StringIO(text)
+    yield io.TextIOWrapper(io.BufferedReader(_Pipe(text.encode("utf-8"))), encoding="utf-8")
+
+
+@pytest.mark.parametrize("first, bad", [
+    ("1.5,2..0", "2..0"),
+    ("x,1", "x"),
+    ("1,y", "y"),
+    ("\ufeff\ufeff1,2", "\ufeff1"),
+    ("\ufeffx,1", "x"),
+])
+def test_read_first_row_with_one_non_numeric_cell_is_an_error(tmp_path, first, bad):
+    for source in sources(tmp_path, first + "\n3,4\n5,6\n"):
+        with pytest.raises(ec.InputFormatError,
+                           match=rf"^line 1: non-numeric value {re.escape(repr(bad))}$"):
+            ec.read_paired_csv(source)
+
+
+@pytest.mark.parametrize("header", ["x,y", " x , y ", "\ufeffx,y", "\n\nx,y"])
+def test_read_first_row_with_two_non_numeric_cells_is_a_header(tmp_path, header):
+    for source in sources(tmp_path, header + "\n1,2\n3,4\n"):
+        s = ec.read_paired_csv(source)
+        assert s.xs.tolist() == [1.0, 3.0]
+        assert s.ys.tolist() == [2.0, 4.0]
 
 
 def test_read_unseekable_stream_reports_line_past_first_block(monkeypatch):

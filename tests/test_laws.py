@@ -345,6 +345,27 @@ def test_discrete_integrates_opaque_callables_exactly():
     assert est.value == pytest.approx(direct_sq - direct ** 2, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "inf and -inf"])
+def test_discrete_non_finite_value_at_an_atom_has_one_message(bad):
+    law = ec.DiscreteLaw([-1.0, 0.0, 2.0], [1.0, -1.0, 0.5], [0.25, 0.5, 0.25])
+    if bad == "inf and -inf":
+        f = ec.StatFunction(lambda x, y: np.array([np.inf, 1.0, -np.inf]), "spike")
+    else:
+        f = ec.StatFunction(lambda x, y: np.where(x > 1.0, bad, x), "spike")
+    with pytest.raises(ec.MomentError, match=(
+            r"^moment does not exist under this law at requested precision "
+            r"\(spike: non-finite at an atom\)$")):
+        law.expectation(f)
+
+
+def test_discrete_finite_values_whose_mean_overflows_give_inf():
+    big = np.finfo(float).max
+    law = ec.DiscreteLaw([big, big, big], [0.0, 1.0, 2.0], [0.1, 0.5, 0.4])
+    with np.errstate(over="ignore"):
+        assert law.expectation(ec.pi1) == math.inf
+
+
 def test_discrete_matches_polynomial_path():
     # independent cross-check: callable enumeration vs raw-moment expansion
     law = ec.DiscreteLaw([-1.0, 0.5, 2.0], [0.5, -1.0, 1.0], [0.2, 0.3, 0.5])
