@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .errors import AffineDependenceError, DegenerateSampleError, MomentError
+from .errors import AffineDependenceError, DegenerateSampleError, EvaluationError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
 from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
@@ -140,7 +140,8 @@ def compute_rho_n(s: PairedSample) -> float:
     """Plug-in sample correlation with denominator n.
 
     rho_n = sum(dx dy) / sqrt(sum(dx^2) sum(dy^2)) where dx, dy are the
-    centered coordinates; the n factors cancel.
+    centered coordinates; the n factors cancel.  Finite data whose sums
+    leave the float range raise EvaluationError.
     """
     dx = s.xs - s.xs.mean()
     dy = s.ys - s.ys.mean()
@@ -148,7 +149,11 @@ def compute_rho_n(s: PairedSample) -> float:
     syy = float(dy @ dy)
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateSampleError("degenerated marginal")
-    return float((dx @ dy) / math.sqrt(sxx * syy))
+    den = math.sqrt(sxx * syy)
+    rho_n = float((dx @ dy) / den)
+    if not (math.isfinite(den) and math.isfinite(rho_n)):
+        raise EvaluationError("rho_n is not finite: the sample's sums are out of float range")
+    return rho_n
 
 
 def central_moments(mean: Callable, x, y) -> BivariateMoments:

@@ -68,6 +68,7 @@ def gn_eval(sample: PairedSample, f: StatFunction, mean_f: float) -> float:
 
     ``mean_f`` is the population mean E f(Z); it is supplied by the caller
     (typically from a moment oracle) rather than estimated from the data.
+    Finite values whose sum overflows raise EvaluationError.
     """
     n = int(np.asarray(sample.xs).size)
     if n == 0:
@@ -77,7 +78,10 @@ def gn_eval(sample: PairedSample, f: StatFunction, mean_f: float) -> float:
     vals = np.asarray(f(sample.xs, sample.ys), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"non-finite evaluation of {f.label}")
-    return float((vals.sum() - n * float(mean_f)) / math.sqrt(n))
+    g = float((vals.sum() - n * float(mean_f)) / math.sqrt(n))
+    if not math.isfinite(g):
+        raise EvaluationError(f"G_n({f.label}) is not finite: its sum overflows")
+    return g
 
 
 class CovarianceEstimate(NamedTuple):

@@ -55,7 +55,6 @@ from .empirical import DEFAULT_MC_BUDGET, PolynomialMomentOracle, SamplingMoment
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
-from .streams import derive_rng  # unused here; perfbench/tracing.py wraps it by name
 
 WEIGHT_SUM_TOL = 1e-12
 

@@ -20,19 +20,21 @@ Both compare replicates with the standard normal through
 0.5 erfc(-x / sqrt(2)) from ``math.erfc``, as the z-test's tail is.
 
 Both run one serial loop over blocks of replicates, :func:`_replicates`,
-and differ only in the row reduction they pass it.  A block holds about
-32k draws per coordinate (rows = 32768 // n replicates, at least one).
+and differ only in the row reduction they pass it and the per-sample
+routine that explains a failure.  A block holds about 32k draws per
+coordinate (rows = 32768 // n replicates, at least one).
 Replicate i draws its values from the generator stream derived from
 (seed, i), in the order a single ``law.sample`` call takes them, into row
 i of its block; a run hashes all its streams once (:class:`BlockStreams`)
 and each block draws from its slice.  So how replicates are grouped into
 blocks never changes a value.  The law transforms the whole block at once
-and rho_n or G_n(f) is reduced across the block.  The row sums that
-centre rho_n also check the draws: a non-finite draw makes its row's sum
-non-finite, so only rows with a non-finite sum are checked draw by draw.
-A failing check names the first failing replicate, with the message the
-per-sample routines (``PairedSample``, ``compute_rho_n``, ``gn_eval``)
-would give.
+and rho_n or G_n(f) is reduced across the block.  The block kernels only
+detect failures: a block fails when its row sums are not all finite (a
+non-finite draw makes its row's sum non-finite) or when its reduction
+flags a degenerate or non-finite row.  The per-sample routines explain
+it: the block's replicates are drawn again, one sample each, and the
+first that ``PairedSample``, ``compute_rho_n`` or ``gn_eval`` rejects
+names the run's failure.  Only a failing block pays for the extra draw.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import population_rho, sigma_squared
-from .empirical import gamma_matrix
+from .correlation import compute_rho_n, population_rho, sigma_squared
+from .empirical import gamma_matrix, gn_eval
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
                      InputFormatError, SimulationError)
 from .functions import StatFunction
@@ -112,74 +114,51 @@ def ks_statistic(values, cdf: Callable) -> float:
         raise EvaluationError("empty sample")
     f_vals = np.asarray(cdf(v), dtype=float)
     if not np.all(np.isfinite(f_vals)):
-        raise EvaluationError("non-finite evaluation of the reference CDF")
+        raise EvaluationError("the reference CDF is not finite on the sample")
     i = np.arange(1, m + 1, dtype=float)
     return float(np.maximum(np.abs(i / m - f_vals),
                             np.abs(f_vals - (i - 1) / m)).max())
 
 
-def _raise_first_failure(lo: int, failures) -> None:
-    """Raise SimulationError for the first failing replicate of a block.
-
-    ``failures`` lists (bad_rows, error) pairs in the order one replicate's
-    checks run; ``error(row)`` builds the inner EmpcalcError.  Of the checks
-    the first failing row fails, the earliest is reported.
-    """
-    first = None
-    for bad, error in failures:
-        rows = np.flatnonzero(bad)
-        if rows.size and (first is None or rows[0] < first[0]):
-            first = (int(rows[0]), error)
-    if first is not None:
-        row, error = first
-        exc = error(row)
-        raise SimulationError(f"replicate {lo + row} failed: {exc}") from exc
+def _explain(cfg: ExperimentConfig, streams: BlockStreams, lo: int,
+             explain: Callable) -> None:
+    """Draw the block's replicates again, one sample each, and raise
+    SimulationError at the first that ``explain`` rejects."""
+    for i, rng in enumerate(streams, lo):
+        try:
+            explain(cfg.law.sample(cfg.n, rng))
+        except EmpcalcError as exc:
+            raise SimulationError(f"replicate {i} failed: {exc}") from exc
 
 
-def _draw_replicates(cfg: ExperimentConfig, streams: BlockStreams):
-    """A block of replicates, one per stream: (xs, ys), their row sums
-    (sx, sy) and the non-finite draw check.
-
-    A non-finite draw makes its row's sum non-finite, so only the rows
-    whose sum is not finite are checked draw by draw; a row of finite
-    draws whose sum overflows passes.  The sums raise no floating-point
-    warning (a row holding +inf and -inf sums to nan).  Everything
-    returned stops before the first replicate with a non-finite draw: no
-    later replicate can fail first, so later checks need only the rows
-    before it.
-    """
-    xs, ys = cfg.law.draw_block(streams, cfg.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sx = xs.sum(axis=1)
-        sy = ys.sum(axis=1)
-    flagged = np.flatnonzero(~(np.isfinite(sx) & np.isfinite(sy)))
-    cut, index = len(xs), None
-    if flagged.size:
-        bad = ~(np.isfinite(xs[flagged]) & np.isfinite(ys[flagged]))
-        bad_rows = bad.any(axis=1)
-        if bad_rows.any():
-            first = int(np.argmax(bad_rows))
-            cut, index = int(flagged[first]), int(np.flatnonzero(bad[first])[0])
-    # the check fails at the cut row alone, the first with a non-finite draw
-    return xs[:cut], ys[:cut], sx[:cut], sy[:cut], (
-        np.arange(len(xs)) == cut,
-        lambda row: InputFormatError(f"non-finite observation at index {index}"))
-
-
-def _replicates(cfg: ExperimentConfig, reduce: Callable) -> np.ndarray:
+def _replicates(cfg: ExperimentConfig, reduce: Callable, explain: Callable) -> np.ndarray:
     """The replicates of a run, block by block in replicate order.
 
-    ``reduce(xs, ys, sx, sy)`` takes a block's draws and row sums from
-    :func:`_draw_replicates` and returns the block's values, one per row,
-    and its (bad_rows, error) checks for :func:`_raise_first_failure`.
+    ``reduce(xs, ys, sx, sy)`` takes a block's draws and row sums and
+    returns the block's values, one per row, and whether any row failed.
+    A block whose sums are not all finite, or that ``reduce`` flags, is
+    explained by :func:`_explain`; an EmpcalcError from ``reduce`` is
+    charged to the block's first replicate.
     """
     streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
     rows = max(1, _BLOCK_ELEMENTS // cfg.n)
     out = []
     for lo in range(0, cfg.reps, rows):
-        *block, nonfinite = _draw_replicates(cfg, streams[lo:lo + rows])
-        values, failures = reduce(*block)
-        _raise_first_failure(lo, [nonfinite, *failures])
+        block = streams[lo:lo + rows]
+        xs, ys = cfg.law.draw_block(block, cfg.n)
+        # silent: a row holding +inf and -inf sums to nan, finite draws may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            sx, sy = xs.sum(axis=1), ys.sum(axis=1)
+        if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
+            _explain(cfg, block, lo, explain)
+        try:
+            values, failed = reduce(xs, ys, sx, sy)
+        except EmpcalcError as exc:
+            raise SimulationError(f"replicate {lo} failed: {exc}") from exc
+        if failed:
+            _explain(cfg, block, lo, explain)
+            raise SimulationError(f"replicates {lo} to {lo + len(block) - 1} failed "
+                                  "as a block, but each passes alone")
         out.append(values)
     return np.concatenate(out)
 
@@ -215,22 +194,19 @@ def run_clt_experiment(cfg: ExperimentConfig,
         # rho_n per row, as compute_rho_n takes it: centre on the means,
         # sum / n as numpy's mean divides (in place, the block is the
         # loop's own), then sums of products
-        if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
-            # finite draws whose sum overflows: sum again, with the
-            # warnings the means raise
-            sx, sy = dx.sum(axis=1), dy.sum(axis=1)
         dx -= (sx / n)[:, np.newaxis]
         dy -= (sy / n)[:, np.newaxis]
         sxx = (dx * dx).sum(axis=1)
         syy = (dy * dy).sum(axis=1)
+        den = np.sqrt(sxx * syy)
         degenerate = (sxx <= 0.0) | (syy <= 0.0)
         # a degenerate row fails the run; dividing there would only warn
-        rho_n = np.divide((dx * dy).sum(axis=1), np.sqrt(sxx * syy),
+        rho_n = np.divide((dx * dy).sum(axis=1), den,
                           out=np.zeros(len(dx)), where=~degenerate)
-        return sqrt_n * (rho_n - rho_true), [
-            (degenerate, lambda row: DegenerateSampleError("degenerated marginal"))]
+        failed = degenerate.any() or not np.isfinite([den, rho_n]).all()
+        return sqrt_n * (rho_n - rho_true), failed
 
-    t = _replicates(cfg, rho_rows)
+    t = _replicates(cfg, rho_rows, compute_rho_n)
     emp_mean = float(t.mean())
     emp_var = float(t.var(ddof=1))
     ks = ks_statistic(t / math.sqrt(predicted), standard_normal_cdf)
@@ -278,24 +254,16 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     def gn_rows(xs, ys, sx, sy):
         # G_n(f) per row, as gn_eval takes it; the means are finite here,
         # because a non-finite one makes gamma_matrix raise
-        failures = []
-        g = np.zeros((len(xs), len(fs)))
+        g = np.empty((len(xs), len(fs)))
         for j, (f, mu) in enumerate(zip(fs, means)):
-            try:
-                vals = np.asarray(f(xs, ys), dtype=float)
-                if vals.shape != xs.shape:
-                    raise EvaluationError(f"{f.label} returned shape {vals.shape}, "
-                                          f"expected {xs.shape}")
-            except EmpcalcError as exc:
-                # an error for the whole block is charged to its first replicate
-                failures.append((np.ones(1, dtype=bool), lambda row, exc=exc: exc))
-                break
-            failures.append((~np.isfinite(vals).all(axis=1), lambda row, f=f:
-                             EvaluationError(f"non-finite evaluation of {f.label}")))
+            vals = np.asarray(f(xs, ys), dtype=float)
+            if vals.shape != xs.shape:
+                raise EvaluationError(f"{f.label} returned shape {vals.shape}, "
+                                      f"expected {xs.shape}")
             g[:, j] = (vals.sum(axis=1) - n * mu) / sqrt_n
-        return g, failures
+        return g, not np.isfinite(g).all()
 
-    g = _replicates(cfg, gn_rows)
+    g = _replicates(cfg, gn_rows, lambda s: [gn_eval(s, f, mu) for f, mu in zip(fs, means)])
     emp_cov = np.atleast_2d(np.cov(g, rowvar=False, ddof=1))
     max_abs_err = float(np.abs(emp_cov - predicted.entries).max())
 

@@ -106,6 +106,17 @@ def test_rho_n_degenerate_marginal_message():
         ec.compute_rho_n(s)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("xs", [
+    [1.7e308, 1.7e308, -1e300, 3.0],  # the sum behind the mean overflows: nan
+    [1e160, -1e160, 1.0, 2.0],  # sum(dx^2) overflows: 0.0, the true value is -0.239
+])
+def test_rho_n_of_finite_data_whose_sums_overflow_raises(xs):
+    s = ec.PairedSample(xs, [1.0, 2.0, 3.0, 5.0])
+    with pytest.raises(ec.EvaluationError, match="rho_n is not finite"):
+        ec.compute_rho_n(s)
+
+
 def _affine_rounding(v, scale, shift):
     """How far rounding scale*v + shift can move rho_n: the largest rounding
     error of an element, about eps*(|scale*v| + |shift|), over the spread

@@ -50,6 +50,14 @@ def test_gn_eval_nonfinite_evaluation_message():
             ec.gn_eval(s, f, 0.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gn_eval_of_finite_values_whose_sum_overflows_raises():
+    s = ec.PairedSample([1.7e308, 1.7e308, -1e300, 3.0], [1.0, 2.0, 3.0, 5.0])
+    with pytest.raises(ec.EvaluationError, match=r"G_n\(pi1\) is not finite"):
+        ec.gn_eval(s, ec.pi1, 0.0)
+    assert ec.gn_eval(s, ec.pi2, 2.75) == 0.0
+
+
 @settings(max_examples=50)
 @given(
     st.floats(min_value=-10, max_value=10, allow_nan=False),

@@ -43,6 +43,11 @@ def test_ks_rejects_empty_input():
         ec.ks_statistic([], ec.standard_normal_cdf)
 
 
+def test_ks_rejects_non_finite_reference_cdf():
+    with pytest.raises(ec.EvaluationError, match="reference CDF is not finite"):
+        ec.ks_statistic([0.0, 1.0], lambda v: np.where(v > 0.5, np.nan, 0.5))
+
+
 def test_ks_is_permutation_invariant_and_bounded():
     rng = derive_rng(17)
     v = rng.normal(size=400)
@@ -89,7 +94,7 @@ def test_tolerance_not_finite_or_negative_is_rejected_before_any_draw(monkeypatc
     def no_draws(*args):
         raise AssertionError("drew before checking the tolerances")
 
-    monkeypatch.setattr(simulate, "_draw_replicates", no_draws)
+    monkeypatch.setattr(ec.GaussianLaw, "draw_block", no_draws)
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=100, reps=100)
     lemma1 = functools.partial(ec.run_lemma1_experiment, [ec.pi1])
     for run, name in ((ec.run_clt_experiment, "variance_rtol"),
@@ -316,29 +321,34 @@ def _captured_ks_inputs(monkeypatch):
     return seen
 
 
-def _loop_blocks(cfg):
-    """The (xs, ys) of every block the replicate loop draws, in order."""
+def _accept(sample):
+    """An explanation that accepts every replicate whose draws make a sample."""
+
+
+def _loop_blocks(cfg, explain=_accept):
+    """The (xs, ys, sx, sy) of every block the replicate loop reduces, in order."""
     blocks = []
 
     def keep(xs, ys, sx, sy):
-        blocks.append((xs, ys))
-        return np.zeros(len(xs)), []
+        blocks.append((xs, ys, sx, sy))
+        return np.zeros(len(xs)), False
 
-    simulate._replicates(cfg, keep)
+    simulate._replicates(cfg, keep, explain)
     return blocks
 
 
-def test_block_rows_follow_n(monkeypatch):
+def test_block_rows_follow_n():
     def rows(n, reps):
         drawn = []
 
-        def no_draws(cfg, streams):
+        def no_draws(streams, n):
             drawn.append(len(streams))
-            zeros = np.zeros(len(streams))
-            return zeros, zeros, zeros, zeros, (zeros != 0.0, None)
+            zeros = np.zeros((len(streams), 1))
+            return zeros, zeros
 
-        monkeypatch.setattr(simulate, "_draw_replicates", no_draws)
-        simulate._replicates(SimpleNamespace(n=n, reps=reps, seed=0), lambda xs, *_: (xs, []))
+        law = SimpleNamespace(draw_block=no_draws)
+        simulate._replicates(SimpleNamespace(law=law, n=n, reps=reps, seed=0),
+                             lambda xs, *_: (xs[:, 0], False), _accept)
         return drawn
 
     assert rows(100, 2000)[0] == 327
@@ -354,9 +364,9 @@ def test_block_rows_are_bit_identical_to_single_samples(monkeypatch, n, reps):
         blocks = _loop_blocks(ec.ExperimentConfig(law, n=n, reps=reps, seed=91))
         rows = len(blocks[0][0])
         assert len(blocks) > 1 and reps % rows != 0
-        assert sum(len(xs) for xs, _ in blocks) == reps
+        assert sum(len(xs) for xs, *_ in blocks) == reps
         i = 0
-        for xs, ys in blocks:
+        for xs, ys, *_ in blocks:
             assert xs.shape == ys.shape == (len(xs), n)
             for row in range(len(xs)):
                 s = law.sample(n, derive_rng(91, i))
@@ -525,9 +535,15 @@ def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
     rows = simulate._BLOCK_ELEMENTS // 20
     lo, hi = next((lo, lo + rows) for lo in range(0, 2000, rows)
                   if (law.draw_block(streams[lo:lo + rows], 20)[0][:, 0] > 1e300).any())
-    xs, ys, sx, sy, (bad_rows, _) = simulate._draw_replicates(cfg, streams[lo:hi])
+    # the first block whose sums are not finite has its replicates drawn
+    # again as samples: each passes the draw check, and the loop reduces it
+    explained = []
+    blocks = _loop_blocks(cfg, explained.append)
+    xs, ys, sx, sy = blocks[lo // rows]
     assert xs.shape == (hi - lo, 20) and np.isfinite(xs).all()
-    assert not np.isfinite(sx).all() and not bad_rows.any()
+    assert not np.isfinite(sx).all() and len(blocks) == -(-2000 // rows)
+    assert all(np.array_equal(s.xs, law.sample(20, derive_rng(2, i)).xs)
+               for i, s in zip(range(lo, hi), explained[:hi - lo], strict=True))
     # compute_rho_n's mean overflows on that replicate, and so do the
     # experiment's, with the same warning
     i = lo + int(np.flatnonzero(~np.isfinite(sx))[0])
@@ -554,6 +570,86 @@ def test_lemma1_non_finite_value_reports_first_replicate(monkeypatch):
         ec.run_lemma1_experiment(fs, ec.ExperimentConfig(law, n=20, reps=2000, seed=6))
     assert str(info.value) == expected
     assert str(info.value).endswith("non-finite evaluation of capped")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_draws_whose_sums_overflow_name_the_replicate():
+    law = _OverflowGaussian(0.2)
+    cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
+    expected = _per_replicate_failure(law, 20, 2, 2000, ec.compute_rho_n)
+    assert expected.startswith("replicate 6 failed: rho_n is not finite")
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(cfg)
+    assert str(info.value) == expected
+    assert isinstance(info.value.__cause__, ec.EvaluationError)
+    fs = [ec.pi2, ec.pi1]
+    expected = _per_replicate_failure(
+        law, 20, 2, 2000, lambda s: [ec.gn_eval(s, f, law.expectation(f)) for f in fs])
+    assert expected.startswith("replicate 6 failed: G_n(pi1) is not finite")
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_lemma1_experiment(fs, cfg)
+    assert str(info.value) == expected
+
+
+def _raise_on(law, n, seed, k, real):
+    """``real``, but raising a sentinel error on replicate k's sample."""
+    target = law.sample(n, derive_rng(seed, k))
+
+    def patched(sample, *args):
+        if np.array_equal(sample.xs, target.xs) and np.array_equal(sample.ys, target.ys):
+            raise ec.EvaluationError("sentinel")
+        return real(sample, *args)
+
+    return patched
+
+
+def test_clt_failing_block_is_explained_by_compute_rho_n(monkeypatch):
+    law = ec.IndependentLaw("rademacher", "uniform_std")
+    first = int(_per_replicate_failure(law, 10, 6, 5000, ec.compute_rho_n).split()[1])
+    # blocks of first - 1 rows: replicate k = first - 1 opens the second
+    # block, whose next row is the first degenerate one
+    k = first - 1
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 10 * k)
+    monkeypatch.setattr(simulate, "compute_rho_n", _raise_on(law, 10, 6, k, ec.compute_rho_n))
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=10, reps=5000, seed=6))
+    assert k > 0 and str(info.value) == f"replicate {k} failed: sentinel"
+
+
+def test_lemma1_failing_block_is_explained_by_gn_eval(monkeypatch):
+    capped = ec.StatFunction(lambda x, y: np.where(x > 3.5, np.inf, x), "capped", {(1, 0): 1.0})
+    fs = [ec.pi2, capped]
+    law = ec.GaussianLaw(0.2)
+    first = int(_per_replicate_failure(
+        law, 20, 6, 2000, lambda s: [ec.gn_eval(s, f, law.expectation(f)) for f in fs]
+    ).split()[1])
+    k = first - 1
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 20 * k)
+    monkeypatch.setattr(simulate, "gn_eval", _raise_on(law, 20, 6, k, ec.gn_eval))
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_lemma1_experiment(fs, ec.ExperimentConfig(law, n=20, reps=2000, seed=6))
+    assert k > 0 and str(info.value) == f"replicate {k} failed: sentinel"
+
+
+def test_flagged_block_whose_replicates_pass_alone_fails_the_run(monkeypatch):
+    # the kernel flags the degenerate rows; compute_rho_n accepts every sample
+    monkeypatch.setattr(simulate, "compute_rho_n", lambda s: 0.0)
+    law = ec.IndependentLaw("rademacher", "rademacher")
+    with pytest.raises(ec.SimulationError,
+                       match=r"^replicates 0 to 99 failed as a block, but each passes alone$"):
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=2, reps=100, seed=0))
+    # a reduction that flags the second block, of rows 327 to 653 at n = 100
+    blocks = []
+
+    def flag_second(xs, ys, sx, sy):
+        blocks.append(len(xs))
+        return np.zeros(len(xs)), len(blocks) == 2
+
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.3), n=100, reps=1000, seed=1)
+    with pytest.raises(ec.SimulationError,
+                       match=r"^replicates 327 to 653 failed as a block, but each passes alone$"):
+        simulate._replicates(cfg, flag_second, _accept)
+    assert blocks == [327, 327]
 
 
 def test_lemma1_rejects_function_of_wrong_shape():

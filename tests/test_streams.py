@@ -153,9 +153,9 @@ def test_mixture_blocks_in_the_replicate_loop_match_single_samples(monkeypatch):
     cfg = ec.ExperimentConfig(law=law, n=n, reps=reps, seed=seed)
 
     def keep(xs, ys, sx, sy):
-        return np.stack([xs, ys], axis=-1), []
+        return np.stack([xs, ys], axis=-1), False
 
-    rows = simulate._replicates(cfg, keep)
+    rows = simulate._replicates(cfg, keep, lambda sample: None)
     assert rows.shape == (reps, n, 2)
     for i in range(reps):
         s = law.sample(n, derive_rng(seed, i))
