@@ -18,12 +18,16 @@ Moment oracles
 --------------
 :class:`MomentOracle` is the integration interface: ``expectation`` and
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
-for laws that expose exact raw moments E[X^i Y^j]; non-polynomial
-functions fall back to an attached sampling oracle when one exists.
+for laws that expose exact raw moments E[X^i Y^j].
 :class:`SamplingMoments` implements it by averaging over one shared,
 seed-deterministic batch of draws, so repeated queries and whole
 covariance matrices are mutually consistent (a shared batch makes the
 estimated Gamma matrix an empirical Gram matrix, hence PSD).
+
+``MomentOracle._integrator(fs)`` alone chooses the route: the oracle
+itself when it integrates every function exactly, else its sampling
+fallback for all of them, else one MomentError naming the first function
+it cannot integrate.
 
 Integration counts
 ------------------
@@ -108,26 +112,31 @@ class MomentOracle(ABC):
 
         ``covariance_estimate(f, f)`` takes E[f] once.
         """
-        return next(self._covariance_row(f, (g,), {}))
+        return next(self._integrator((f, g))._covariance_row(f, (g,), {}))
+
+    def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
+        """The oracle that integrates all of ``fs``: this one when each is
+        exact, else the sampling fallback.  The one place the route is chosen."""
+        for f in fs:
+            if not self.supports_exact(f):
+                fallback = self.sampling_oracle()
+                if fallback is None:
+                    raise MomentError(
+                        f"{f.label} is not polynomial and this oracle cannot sample")
+                return fallback
+        return self
 
     def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
                         means: dict) -> Iterator[CovarianceEstimate]:
-        """Yield Gamma(f, g) for each g of ``gs``, in order.
+        """Yield the exact Gamma(f, g) for each g of ``gs``, in order.
 
         ``means`` memoises E[h] by function across calls: it is filled the
         first time each mean is needed, so a failing mean raises where it
         would without the memo, and a mean that succeeded is the same float.
         """
         for g in gs:
-            if self.supports_exact(f) and self.supports_exact(g):
-                value = self.expectation(f * g) - self._mean(f, means) * self._mean(g, means)
-                yield CovarianceEstimate(value, 0.0, "exact")
-            elif (fallback := self.sampling_oracle()) is not None:
-                yield fallback.covariance_estimate(f, g)
-            else:
-                raise MomentError(
-                    f"covariance of ({f.label}, {g.label}) is not polynomial "
-                    "and this oracle cannot sample")
+            value = self.expectation(f * g) - self._mean(f, means) * self._mean(g, means)
+            yield CovarianceEstimate(value, 0.0, "exact")
 
     def _mean(self, f: StatFunction, means: dict) -> float:
         if f not in means:
@@ -167,12 +176,9 @@ class PolynomialMomentOracle(MomentOracle):
         return total
 
     def expectation(self, f: StatFunction) -> float:
+        # a polynomial is exact here by definition, so only others ask for the route
         if f.poly is None:
-            fallback = self.sampling_oracle()
-            if fallback is None:
-                raise MomentError(
-                    f"{f.label} is not polynomial and this oracle cannot sample")
-            return fallback.expectation(f)
+            return self._integrator((f,)).expectation(f)
         return self.poly_expectation(f.poly)
 
 
@@ -315,7 +321,8 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     If the oracle integrates every listed function exactly, entries are
     exact.  Otherwise the whole matrix is computed through the oracle's
     sampling fallback so that all entries share one batch of draws; a mix
-    of exact and sampled entries could fail the PSD guarantee.
+    of exact and sampled entries could fail the PSD guarantee.  The route
+    is chosen before any pair, and ``method`` is that of the entries.
 
     Each function is integrated once: k(k+1)/2 + k expectations on the
     exact route, k(k+1)/2 evaluations on the batch on the sampling route,
@@ -325,13 +332,7 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     fs = list(fs)
     if not fs:
         raise MomentError("gamma_matrix needs at least one function")
-    working: MomentOracle = oracle
-    method = "exact"
-    if not all(oracle.supports_exact(f) for f in fs):
-        fallback = oracle.sampling_oracle()
-        if fallback is not None:
-            working = fallback
-        method = "monte_carlo"
+    working = oracle._integrator(fs)
     k = len(fs)
     m = np.zeros((k, k))
     means: dict = {}
@@ -339,11 +340,12 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
         row = working._covariance_row(fs[i], fs[i:], means)
         for j in range(i, k):
             try:
-                m[i, j] = m[j, i] = next(row).value
+                est = next(row)
             except MomentError as exc:
                 raise MomentError(
                     f"gamma failed for pair ({fs[i].label}, {fs[j].label}): {exc}") from exc
-    return CovarianceMatrix(m, tuple(f.label for f in fs), method)
+            m[i, j] = m[j, i] = est.value
+    return CovarianceMatrix(m, tuple(f.label for f in fs), est.method)
 
 
 def asymptotic_variance_estimate(e: AsymptoticExpansion, oracle: MomentOracle) -> CovarianceEstimate:

@@ -22,6 +22,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .errors import EvaluationError
+
 Poly = Mapping[tuple[int, int], float]
 
 
@@ -61,7 +63,8 @@ class StatFunction:
     ----------
     fn : callable
         Vectorized evaluation ``fn(x, y)``; must accept floats or numpy
-        arrays of matching shape and return the same shape.
+        arrays and return their broadcast shape.  Calling the function
+        checks this and raises EvaluationError otherwise.
     label : str
         Human-readable name used in diagnostics and error messages.
     poly : mapping or None
@@ -77,7 +80,17 @@ class StatFunction:
         self.poly = dict(poly) if poly is not None else None
 
     def __call__(self, x, y):
-        return self.fn(x, y)
+        out = self.fn(x, y)
+        try:  # the common case: three arrays of one shape
+            if out.shape == x.shape == y.shape:
+                return out
+        except AttributeError:
+            pass
+        expected = np.broadcast_shapes(np.shape(x), np.shape(y))
+        if np.shape(out) != expected:
+            raise EvaluationError(
+                f"{self.label} returned shape {np.shape(out)}, expected {expected}")
+        return out
 
     def __repr__(self) -> str:
         return f"StatFunction({self.label})"

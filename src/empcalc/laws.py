@@ -50,7 +50,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from .correlation import BivariateMoments, central_moments
+from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments
 from .empirical import DEFAULT_MC_BUDGET, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction, pi1, pi2
@@ -239,7 +239,7 @@ class GaussianLaw(BivariateLaw):
 
         M(i, j) = (i - 1) M(i-2, j) + rho j M(i-1, j-1),
 
-    with M(0, j) reducing on j alone and M(0, 0) = 1.
+    with M(0, j) = (j - 1) M(0, j-2), M(0, 0) = 1, in a memo filled bottom-up.
     """
 
     kind = "gaussian"
@@ -247,7 +247,7 @@ class GaussianLaw(BivariateLaw):
 
     def __init__(self, rho: float):
         rho = float(rho)
-        if not math.isfinite(rho) or abs(rho) >= 1.0 - 1e-12:
+        if not math.isfinite(rho) or abs(rho) >= 1.0 - AFFINE_RHO_TOL:
             raise AffineDependenceError(
                 f"affine dependence, asymptotics excluded (gaussian rho = {rho!r})")
         self.rho_param = rho
@@ -263,38 +263,20 @@ class GaussianLaw(BivariateLaw):
         return z1, ys
 
     def raw_moment(self, i: int, j: int) -> float:
-        """M(i, j) by the Isserlis recursion, unrolled on an explicit stack.
-
-        The memo fills in the recursion's own order: M(a-2, b), then
-        M(a-1, b-1), then M(a, b).
-        """
+        """M(i, j): fills every missing M(a, b), a <= i and b <= j, b by b
+        then a by a, so both operands of an entry are in the memo before it."""
         if i < 0 or j < 0:
             return 0.0
         memo = self._memo
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        stack = [key]
-        while stack:
-            a, b = top = stack[-1]
-            low = (a - 2, b) if a > 0 else (0, b - 2)
-            diag = (a - 1, b - 1)
-            need_low = low[0] >= 0 and low[1] >= 0 and low not in memo
-            need_diag = a > 0 and b > 0 and diag not in memo
-            if need_low or need_diag:
-                # low goes on top, so it is filled first
-                if need_diag:
-                    stack.append(diag)
-                if need_low:
-                    stack.append(low)
-                continue
-            stack.pop()
-            if a > 0:
-                memo[top] = ((a - 1) * memo.get(low, 0.0)
-                             + self.rho_param * b * memo.get(diag, 0.0))
-            else:
-                memo[top] = (b - 1) * memo.get(low, 0.0)
-        return memo[key]
+        if (i, j) not in memo:
+            get, rho = memo.get, self.rho_param
+            for b in range(j + 1):
+                for a in range(i + 1):
+                    if (a, b) not in memo:
+                        memo[a, b] = ((a - 1) * get((a - 2, b), 0.0)
+                                      + rho * b * get((a - 1, b - 1), 0.0) if a > 0
+                                      else (b - 1) * get((0, b - 2), 0.0))
+        return memo[i, j]
 
 
 class IndependentLaw(BivariateLaw):

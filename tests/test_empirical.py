@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
 from empcalc.empirical import CovarianceMatrix, SamplingMoments
-from empcalc.streams import derive_seed
+from empcalc.streams import derive_rng, derive_seed
 
 
 def gaussian_sampler(law):
@@ -57,6 +57,13 @@ def test_gn_eval_of_finite_values_whose_sum_overflows_raises():
         ec.gn_eval(s, ec.pi1, 0.0)
     assert ec.gn_eval(s, ec.pi2, 2.75) == 0.0
 
+
+def test_gn_eval_rejects_a_function_of_the_wrong_shape():
+    # the scalar used to broadcast into G_n = (1 - 100) / 10 = -9.9; the true value is 0.0
+    s = ec.GaussianLaw(0.5).sample(100, derive_rng(1))
+    one = ec.StatFunction(lambda x, y: 1.0, "one")
+    with pytest.raises(ec.EvaluationError, match=r"^one returned shape \(\), expected \(100,\)$"):
+        ec.gn_eval(s, one, 1.0)
 
 @settings(max_examples=50)
 @given(
@@ -127,6 +134,34 @@ def test_gamma_moment_divergence_message():
     with pytest.raises(ec.MomentError, match="moment does not exist under this law"):
         law.covariance(bad, bad)
 
+
+class _ExactOnlyGaussian(ec.PolynomialMomentOracle):
+    """gaussian(0.5) raw moments with no sampling fallback; counts raw moments."""
+
+    def __init__(self):
+        self.law = ec.GaussianLaw(0.5)
+        self.raw_calls = 0
+
+    def raw_moment(self, i, j):
+        self.raw_calls += 1
+        return self.law.raw_moment(i, j)
+
+
+def test_oracle_without_fallback_raises_one_error_for_a_non_polynomial_function():
+    oracle = _ExactOnlyGaussian()
+    cos1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+    message = r"^cos\(pi1\) is not polynomial and this oracle cannot sample$"
+    with pytest.raises(ec.MomentError, match=message):
+        oracle.expectation(cos1)
+    with pytest.raises(ec.MomentError, match=message):
+        oracle.covariance_estimate(ec.pi1, cos1)
+    with pytest.raises(ec.MomentError, match=message):
+        ec.gamma_matrix([ec.pi1, ec.pi2, cos1], oracle)
+    # the route is chosen before any pair is integrated
+    assert oracle.raw_calls == 0
+    # polynomial families stay exact
+    assert oracle.covariance_estimate(ec.pi1, ec.pi2) == (0.5, 0.0, "exact")
+    assert ec.gamma_matrix([ec.pi1, ec.pi2], oracle).method == "exact"
 
 discrete_atoms = st.integers(min_value=2, max_value=6).flatmap(
     lambda k: st.tuples(

@@ -32,6 +32,18 @@ def test_constant_broadcasts():
     np.testing.assert_array_equal(out, np.full(7, 2.5))
 
 
+def test_call_checks_the_broadcast_shape():
+    x = np.array([1.0, 2.0, 3.0])
+    assert ec.pi2(2.0, x).shape == (3,)
+    assert ec.p(np.array([2.0]), x).shape == (3,)
+    first = StatFunction(lambda x, y: x, "first")
+    with pytest.raises(ec.EvaluationError, match=r"^first returned shape \(1,\), expected \(3,\)$"):
+        first(np.array([2.0]), x)
+    one = StatFunction(lambda x, y: 1.0, "one")
+    assert one(2.0, 3.0) == 1.0
+    with pytest.raises(ec.EvaluationError, match=r"^one returned shape \(\), expected \(3,\)$"):
+        one(x, x)
+
 def test_arithmetic_on_functions():
     f = ec.pi1 + ec.pi2
     g = ec.pi1 * ec.pi2

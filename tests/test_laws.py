@@ -203,7 +203,9 @@ def test_gaussian_raw_moment_is_iterative():
 
 
 def test_gaussian_raw_moment_matches_recursive_memo():
-    # the unrolled recursion fills the memo with the same values, bit for bit
+    # the bottom-up table holds the recursion's values, bit for bit; it also
+    # fills entries the recursion never reaches, so the memo is compared on
+    # the recursion's keys
     law = ec.GaussianLaw(-0.37)
     memo = {(0, 0): 1.0}
 
@@ -220,7 +222,10 @@ def test_gaussian_raw_moment_matches_recursive_memo():
 
     for i, j in ((9, 7), (12, 0), (0, 11), (4, 4), (25, 13)):
         assert law.raw_moment(i, j) == recursive(i, j)
-    assert law._memo == memo
+    assert {key: law._memo[key].hex() for key in memo} == {
+        key: value.hex() for key, value in memo.items()}
+    # every other entry of the table is the recursion's value too
+    assert all(law._memo[key].hex() == recursive(*key).hex() for key in list(law._memo))
 
 
 def test_sampling_oracle_is_one_cached_fallback():
@@ -365,6 +370,12 @@ def test_discrete_finite_values_whose_mean_overflows_give_inf():
     with np.errstate(over="ignore"):
         assert law.expectation(ec.pi1) == math.inf
 
+
+def test_discrete_expectation_rejects_a_function_of_the_wrong_shape():
+    law = ec.DiscreteLaw([0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [0.2, 0.3, 0.5])
+    five = ec.StatFunction(lambda x, y: np.array([5.0]), "five")
+    with pytest.raises(ec.EvaluationError, match=r"^five returned shape \(1,\), expected \(3,\)$"):
+        law.expectation(five)
 
 def test_discrete_matches_polynomial_path():
     # independent cross-check: callable enumeration vs raw-moment expansion

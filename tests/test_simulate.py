@@ -660,6 +660,14 @@ def test_lemma1_rejects_function_of_wrong_shape():
         ec.run_lemma1_experiment([ec.pi1, scalar], cfg)
 
 
+def test_lemma1_rejects_a_non_polynomial_function_of_the_wrong_shape():
+    # the Monte Carlo fallback evaluates it first, on its whole batch
+    one = ec.StatFunction(lambda x, y: 1.0, "one")
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=50, reps=100, seed=1)
+    with pytest.raises(ec.EvaluationError,
+                       match=r"^one returned shape \(\), expected \(1000000,\)$"):
+        ec.run_lemma1_experiment([ec.pi1, one], cfg)
+
 def test_lemma1_with_non_polynomial_function_draws_one_fallback_batch(monkeypatch):
     law = ec.GaussianLaw(0.5)
     sizes = []
