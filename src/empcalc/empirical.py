@@ -31,14 +31,14 @@ it cannot integrate.
 
 Integration counts
 ------------------
-Each function is integrated once per covariance matrix.  On the exact
-route a k-function :func:`gamma_matrix` takes k(k+1)/2 products E[f_i f_j]
-and k means E[f_i], each mean memoised the first time it is needed (20
-expectations for k = 5, not 45); ``covariance_estimate(f, f)`` takes 2.  On
-the sampling route the matrix is filled row by row: row i centres f_i on
-the batch once and evaluates each f_j, j > i, once, k(k+1)/2 evaluations
-in all.  Only one row's centred values are held between entries, so the
-peak beyond the batch is that row plus one entry's evaluation and product
+Each function is integrated once per covariance matrix, and no f_i * f_j
+is built to integrate it.  On the exact route a polynomial oracle
+multiplies coefficient dicts, and takes 5 means, not 45 expectations, for
+k = 5; a discrete law evaluates each function once on its atoms.  On the
+sampling route the matrix is filled row by row: row i centres f_i on the
+batch once and evaluates each f_j, j > i, once, k(k+1)/2 evaluations in
+all.  Only one row's centred values are held between entries, so the peak
+beyond the batch is that row plus one entry's evaluation and product
 (three batch-length arrays), whatever k is.  The values, and the pair an
 error names, are those of integrating each pair afresh.
 """
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import EvaluationError, MomentError
 from .expansion import AsymptoticExpansion
-from .functions import StatFunction
+from .functions import StatFunction, _poly_mul
 from .sample import PairedSample
 from .streams import derive_rng
 
@@ -126,22 +126,9 @@ class MomentOracle(ABC):
                 return fallback
         return self
 
-    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
-                        means: dict) -> Iterator[CovarianceEstimate]:
-        """Yield the exact Gamma(f, g) for each g of ``gs``, in order.
-
-        ``means`` memoises E[h] by function across calls: it is filled the
-        first time each mean is needed, so a failing mean raises where it
-        would without the memo, and a mean that succeeded is the same float.
-        """
-        for g in gs:
-            value = self.expectation(f * g) - self._mean(f, means) * self._mean(g, means)
-            yield CovarianceEstimate(value, 0.0, "exact")
-
-    def _mean(self, f: StatFunction, means: dict) -> float:
-        if f not in means:
-            means[f] = self.expectation(f)
-        return means[f]
+    @abstractmethod
+    def _covariance_row(self, f, gs, memo: dict) -> Iterator[CovarianceEstimate]:
+        """Yield Gamma(f, g) for each g of ``gs``; ``memo`` lives for one matrix."""
 
     def covariance(self, f: StatFunction, g: StatFunction) -> float:
         """Gamma(f, g), without its provenance."""
@@ -180,6 +167,19 @@ class PolynomialMomentOracle(MomentOracle):
         if f.poly is None:
             return self._integrator((f,)).expectation(f)
         return self.poly_expectation(f.poly)
+
+    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
+                        memo: dict) -> Iterator[CovarianceEstimate]:
+        """E[fg] from the product of the coefficient dicts; ``memo`` holds E[h]."""
+        for g in gs:
+            value = (self.poly_expectation(_poly_mul(f.poly, g.poly))
+                     - self._mean(f, memo) * self._mean(g, memo))
+            yield CovarianceEstimate(value, 0.0, "exact")
+
+    def _mean(self, f: StatFunction, memo: dict) -> float:
+        if f not in memo:
+            memo[f] = self.expectation(f)
+        return memo[f]
 
 
 class SamplingMoments(MomentOracle):
@@ -243,7 +243,7 @@ class SamplingMoments(MomentOracle):
         return m
 
     def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
-                        means: dict) -> Iterator[CovarianceEstimate]:
+                        memo: dict) -> Iterator[CovarianceEstimate]:
         """Yield Gamma(f, g) for each g of ``gs``, holding f's centred values.
 
         f is evaluated once and each g once (g = f reuses f's values).  Each
@@ -324,10 +324,10 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     of exact and sampled entries could fail the PSD guarantee.  The route
     is chosen before any pair, and ``method`` is that of the entries.
 
-    Each function is integrated once: k(k+1)/2 + k expectations on the
-    exact route, k(k+1)/2 evaluations on the batch on the sampling route,
-    which holds one row's centred values at a time.  The first pair that
-    fails is named in the error, as if each pair were integrated afresh.
+    Each function is integrated once: k means and k(k+1)/2 products, with no
+    f_i * f_j built, on the exact route; k(k+1)/2 evaluations on the batch,
+    holding one row's centred values, on the sampling route.  The first pair
+    that fails is named in the error, as if each pair were integrated afresh.
     """
     fs = list(fs)
     if not fs:
@@ -335,9 +335,9 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     working = oracle._integrator(fs)
     k = len(fs)
     m = np.zeros((k, k))
-    means: dict = {}
+    memo: dict = {}
     for i in range(k):
-        row = working._covariance_row(fs[i], fs[i:], means)
+        row = working._covariance_row(fs[i], fs[i:], memo)
         for j in range(i, k):
             try:
                 est = next(row)

@@ -5,10 +5,10 @@ raw moments E[X^i Y^j] come from closed forms (Gaussian via the Isserlis
 recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
 Monte Carlo integration on a deterministic batch.  Central moments are
-:func:`~empcalc.correlation.central_moments` under the law's expectation,
-the route a sample's moments take under the array mean: expectations of
-polynomials centred at the law's mean, which the function algebra expands
-for a polynomial law and a discrete law evaluates atom by atom.
+:func:`~empcalc.correlation.central_moments`, the route a sample's moments
+take under the array mean.  A polynomial law takes them as expectations of
+polynomials centred at its mean, which the function algebra expands; a
+discrete law reads its atom arrays as a sample under the weighted mean.
 
 Sampling is pinned down to the stream level: normals are numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
@@ -51,7 +51,8 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments
-from .empirical import DEFAULT_MC_BUDGET, PolynomialMomentOracle, SamplingMoments
+from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, PolynomialMomentOracle,
+                        SamplingMoments)
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
@@ -150,7 +151,7 @@ class BivariateLaw(PolynomialMomentOracle):
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
     ``raw_moment``; :meth:`bivariate_moments` is
-    :func:`~empcalc.correlation.central_moments` under :meth:`expectation`.
+    :func:`~empcalc.correlation.central_moments`, by default under :meth:`expectation`.
     """
 
     kind: str = ""
@@ -209,8 +210,10 @@ class BivariateLaw(PolynomialMomentOracle):
         return PairedSample(xs[0], ys[0])
 
     def bivariate_moments(self) -> BivariateMoments:
-        """Exact central moments through fourth order, about the law's mean:
-        :func:`~empcalc.correlation.central_moments` under :meth:`expectation`."""
+        """Exact central moments through fourth order, about the law's mean."""
+        return self._central_moments()
+
+    def _central_moments(self) -> BivariateMoments:
         return central_moments(self.expectation, pi1, pi2)
 
     def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
@@ -339,6 +342,7 @@ class MixtureLaw(BivariateLaw):
                 f"mixture weights sum to {sum(weights)!r}, not 1 within {WEIGHT_SUM_TOL}")
         self.components = components
         self.weights = weights
+        self._memo: dict[tuple[int, int], float] = {}
         cut = np.cumsum(weights)
         cut[-1] = 1.0  # guard the top bin against rounding in the cumsum
         self._cut = cut
@@ -379,7 +383,10 @@ class MixtureLaw(BivariateLaw):
         return xs, ys
 
     def raw_moment(self, i: int, j: int) -> float:
-        return sum(w * c.raw_moment(i, j) for w, c in zip(self.weights, self.components))
+        if (i, j) not in self._memo:
+            self._memo[i, j] = sum(
+                w * c.raw_moment(i, j) for w, c in zip(self.weights, self.components))
+        return self._memo[i, j]
 
 
 class DiscreteLaw(BivariateLaw):
@@ -389,7 +396,7 @@ class DiscreteLaw(BivariateLaw):
     functions, not just polynomials, because E[f] enumerates the atoms
     through f's callable directly.  This makes the class an independent
     cross-check oracle: it shares no code path with the polynomial
-    moment bookkeeping.
+    moment bookkeeping; a covariance matrix evaluates each function once.
     """
 
     kind = "discrete"
@@ -430,7 +437,10 @@ class DiscreteLaw(BivariateLaw):
         return True
 
     def expectation(self, f: StatFunction) -> float:
-        vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
+        return self._weighted_mean(self._on_atoms(f, {})[0], lambda: f.label)
+
+    def _weighted_mean(self, vals: np.ndarray, label: Callable[[], str]) -> float:
+        """sum_i w_i vals_i; ``label()`` names the values if one is not finite."""
         # One reduction, which raises no floating-point warning.  The weights
         # are positive and finite, so a non-finite value always makes the
         # total non-finite, and only then are the values scanned.
@@ -440,9 +450,29 @@ class DiscreteLaw(BivariateLaw):
         if not np.all(np.isfinite(vals)):
             raise MomentError(
                 f"moment does not exist under this law at requested precision "
-                f"({f.label}: non-finite at an atom)")
+                f"({label()}: non-finite at an atom)")
         # finite values whose sum overflows: the same inf, with matmul's warning
         return float(self.atom_weights @ vals)
+
+    def _central_moments(self) -> BivariateMoments:
+        return central_moments(lambda a: self._weighted_mean(a, lambda: "central moment"),
+                               self.atom_xs, self.atom_ys)
+
+    def _covariance_row(self, f, gs, memo):
+        """E[fg] is the weighted mean of f's values times g's; f * g names a failure."""
+        vf, ef = self._on_atoms(f, memo)
+        for g in gs:
+            vg, eg = self._on_atoms(g, memo)
+            fg = self._weighted_mean(vf * vg, lambda: (f * g).label)
+            yield CovarianceEstimate(fg - ef * eg, 0.0, "exact")
+
+    def _on_atoms(self, f: StatFunction, memo: dict) -> tuple[np.ndarray, float]:
+        """f's values on the atoms and their plain weighted mean, memoised: a row
+        reads the mean only once a product with f is finite, so f's values are."""
+        if f not in memo:
+            vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
+            memo[f] = vals, float(np.vdot(self.atom_weights, vals))
+        return memo[f]
 
     def raw_moment(self, i: int, j: int) -> float:
         return float(self.atom_weights @ (self.atom_xs ** i * self.atom_ys ** j))

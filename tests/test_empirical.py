@@ -291,20 +291,50 @@ def counting(f, calls):
     return ec.StatFunction(fn, f.label)
 
 
-@pytest.mark.parametrize("law", [ec.GaussianLaw(0.4), exact_laws()[-1]], ids=["gaussian", "discrete"])
-def test_gamma_matrix_takes_each_mean_once(monkeypatch, law):
+@pytest.mark.parametrize("law, means", [(ec.GaussianLaw(0.4), [f.label for f in FAMILY]),
+                                         (exact_laws()[-1], [])], ids=["gaussian", "discrete"])
+def test_gamma_matrix_takes_each_mean_once(monkeypatch, law, means):
     calls = count_expectations(monkeypatch, law)
     ec.gamma_matrix(FAMILY, law)
-    # 15 products E[f_i f_j] and 5 means E[f_i], against 45 taken pair by pair
-    assert len(calls) == 20
-    assert sorted(c for c in calls if "*" not in c) == sorted(f.label for f in FAMILY)
+    # no product E[f_i f_j] goes through expectation(): a polynomial law
+    # integrates coefficients, a discrete law its atom values, which also
+    # give it the means; so 5 means or none, against 45 pair by pair
+    assert calls == means
 
 
 def test_exact_variance_takes_the_mean_once(monkeypatch):
-    for law in (ec.GaussianLaw(0.4), exact_laws()[-1]):
+    for law, means in ((ec.GaussianLaw(0.4), ["p"]), (exact_laws()[-1], [])):
         calls = count_expectations(monkeypatch, law)
         law.covariance_estimate(ec.p, ec.p)
-        assert calls == ["p*p", "p"]
+        assert calls == means
+
+
+def test_discrete_gamma_matrix_evaluates_each_function_once():
+    law = exact_laws()[-1]
+    calls = []
+    g = ec.gamma_matrix([counting(f, calls) for f in FAMILY], law)
+    assert calls == [f.label for f in FAMILY]
+    assert g.entries.tobytes() == ec.gamma_matrix(FAMILY, law).entries.tobytes()
+    calls.clear()
+    f = counting(ec.p, calls)
+    law.covariance_estimate(f, f)
+    assert calls == ["p"]
+
+
+@pytest.mark.parametrize("index", range(len(exact_laws())))
+def test_exact_gamma_matrix_builds_no_product_function(monkeypatch, index):
+    law = exact_laws()[index]
+    products = []
+    mul = ec.StatFunction.__mul__
+
+    def counted(f, g):
+        products.append((f.label, getattr(g, "label", g)))
+        return mul(f, g)
+
+    monkeypatch.setattr(ec.StatFunction, "__mul__", counted)
+    ec.gamma_matrix(FAMILY, law)
+    law.covariance_estimate(ec.p, ec.pi1)
+    assert products == []
 
 
 def test_sampling_gamma_matrix_evaluates_each_function_once_per_row():

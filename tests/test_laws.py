@@ -306,6 +306,25 @@ def test_mixture_moments_are_weighted_averages():
     assert law.raw_moment(2, 0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_mixture_raw_moments_are_memoised_sums_over_components(monkeypatch):
+    parts = [ec.GaussianLaw(0.8), ec.IndependentLaw("uniform_std", "exponential_std"),
+             ec.GaussianLaw(-0.2)]
+    law = ec.MixtureLaw(parts, [0.3, 0.5, 0.2])
+    want = {(i, j): sum(w * c.raw_moment(i, j) for w, c in zip(law.weights, parts))
+            for i in range(5) for j in range(5)}
+    asked = []
+
+    def counted(raw_moment):
+        return lambda i, j: asked.append((i, j)) or raw_moment(i, j)
+
+    for c in parts:
+        monkeypatch.setattr(c, "raw_moment", counted(c.raw_moment))
+    for _ in range(2):
+        assert {k: law.raw_moment(*k).hex() for k in want} == {k: v.hex() for k, v in want.items()}
+    # each component is asked for each moment once, in declaration order
+    assert asked == [k for k in want for _ in parts]
+
+
 def test_mixture_sampling_consistent_with_exact_rho():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     s = law.sample(200_000, derive_rng(31))
@@ -362,6 +381,23 @@ def test_discrete_non_finite_value_at_an_atom_has_one_message(bad):
             r"^moment does not exist under this law at requested precision "
             r"\(spike: non-finite at an atom\)$")):
         law.expectation(f)
+
+
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e6, 1.0), (-1e6, 1e-3), (0.0, 1e-3),
+                                          (0.0, 1e3), (1e6, 1e3)])
+def test_discrete_moments_over_atom_arrays_equal_the_function_route(shift, scale):
+    # the atoms read as a weighted sample give the bits that expanding
+    # u = pi1 - mu through the function algebra gives, signed zeros included
+    xs = np.array([0.1, 1.3, -0.0, 2.2, -0.7, 0.0]) * scale
+    ys = np.array([-0.0, -0.4, 0.3, 0.9, 0.0, -1.1]) / scale
+    if shift:  # adding 0.0 would turn -0.0 into 0.0
+        xs, ys = xs + shift, ys - shift
+    law = ec.DiscreteLaw(xs, ys, [0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
+    want = ec.correlation.central_moments(law.expectation, ec.pi1, ec.pi2)
+    got = law.bivariate_moments()
+    for name in ("mu_x", "mu_y", "var_x", "var_y", "cov_xy",
+                 "m22", "m31", "m13", "m40", "m04"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
 
 
 def test_discrete_finite_values_whose_mean_overflows_give_inf():
