@@ -20,10 +20,10 @@ Moment conventions: central mixed moments are
     m_{pq} = E[(X - mu_x)^p (Y - mu_y)^q],
 
 and all sample moments use denominator n, not n - 1, matching the plug-in
-definitions throughout.  A sample is read as its empirical law, so one
-function, :func:`central_moments`, takes the moments of both: a law's
-``bivariate_moments()`` under its expectation, :func:`estimate_moments`
-under the array mean.  The z-test reads rho_n from those moments too.
+definitions throughout.  A law's ``bivariate_moments()`` looks up its
+mean and m_{pq}.  :func:`central_moments` takes them from arrays: a
+sample's under the array mean, a discrete law's atoms under the weighted
+mean.  The z-test reads rho_n from those moments too.
 """
 
 from __future__ import annotations
@@ -156,19 +156,22 @@ def compute_rho_n(s: PairedSample) -> float:
     return rho_n
 
 
-def central_moments(mean: Callable, x, y) -> BivariateMoments:
-    """Central moments through fourth order of x and y under ``mean``.
+def corrected_mean(mean: Callable, x) -> float:
+    """``mean(x)`` corrected once by its residuals' mean; 0.0 stays 0.0."""
+    mu = mean(x)
+    return mu + mean(x - mu)
 
-    The one route to :class:`BivariateMoments`, for a law and for data
-    alike: ``mean`` is a law's expectation with x, y its coordinate
-    functions, or an array mean with x, y the sample's columns.  Each mean
-    is corrected once by its residuals' mean (Chan, Golub and LeVeque,
-    1983), which keeps it within about an ulp of the largest value at any
-    shift; a mean of 0.0 stays 0.0.  Then u = x - mu_x and v = y - mu_y,
-    and every moment is the mean of a product of u^2, v^2 and uv.
+
+def central_moments(mean: Callable, x, y) -> BivariateMoments:
+    """Central moments through fourth order of the arrays x and y under ``mean``.
+
+    ``mean`` is a sample's array mean or a discrete law's weighted mean of
+    its atoms.  Each mean is corrected once by its residuals' mean (Chan,
+    Golub and LeVeque, 1983), which keeps it within about an ulp of the
+    largest value at any shift.  Then u = x - mu_x and v = y - mu_y, and
+    every moment is the mean of a product of u^2, v^2 and uv.
     """
-    mu_x, mu_y = mean(x), mean(y)
-    mu_x, mu_y = mu_x + mean(x - mu_x), mu_y + mean(y - mu_y)
+    mu_x, mu_y = corrected_mean(mean, x), corrected_mean(mean, y)
     u, v = x - mu_x, y - mu_y
     uu, vv, uv = u * u, v * v, u * v
     return BivariateMoments(

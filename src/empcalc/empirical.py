@@ -291,9 +291,10 @@ class CovarianceMatrix:
             raise MomentError(f"covariance matrix must be square, got shape {m.shape}")
         if len(self.labels) != m.shape[0]:
             raise MomentError("label count does not match matrix size")
-        if not np.all(np.isfinite(m)):
+        largest = float(np.abs(m).max())  # nan or inf if any entry is
+        if not math.isfinite(largest):
             raise MomentError("non-finite covariance matrix entry")
-        scale = max(1.0, float(np.abs(m).max()))
+        scale = max(1.0, largest)
         asym = float(np.abs(m - m.T).max())
         if asym > SYMMETRY_RTOL * scale:
             raise MomentError(f"covariance matrix asymmetric: max |M - M^T| = {asym:g}")
@@ -337,14 +338,14 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     m = np.zeros((k, k))
     memo: dict = {}
     for i in range(k):
-        row = working._covariance_row(fs[i], fs[i:], memo)
-        for j in range(i, k):
-            try:
-                est = next(row)
-            except MomentError as exc:
-                raise MomentError(
-                    f"gamma failed for pair ({fs[i].label}, {fs[j].label}): {exc}") from exc
-            m[i, j] = m[j, i] = est.value
+        j = i  # the entry the row is computing
+        try:
+            for est in working._covariance_row(fs[i], fs[i:], memo):
+                m[i, j] = m[j, i] = est.value
+                j += 1
+        except MomentError as exc:
+            raise MomentError(
+                f"gamma failed for pair ({fs[i].label}, {fs[j].label}): {exc}") from exc
     return CovarianceMatrix(m, tuple(f.label for f in fs), est.method)
 
 

@@ -48,7 +48,7 @@ def _poly_mul(a: Poly, b: Poly) -> dict[tuple[int, int], float]:
         for (k, l), v in b.items():
             key = (i + k, j + l)
             out[key] = out.get(key, 0.0) + u * v
-    return _poly_clean(out)
+    return out if all(out.values()) else _poly_clean(out)
 
 
 def _needs_parens(label: str) -> bool:
@@ -117,13 +117,14 @@ class StatFunction:
     def __neg__(self) -> "StatFunction":
         poly = _poly_scale(self.poly, -1.0) if self.poly is not None else None
         f = self.fn
-        label = f"-({self.label})" if _needs_parens(self.label) else f"-{self.label}"
+        wrap = _needs_parens(self.label) or self.label.startswith("-")
+        label = f"-({self.label})" if wrap else f"-{self.label}"
         return StatFunction(lambda x, y: -f(x, y), label, poly)
 
     def __sub__(self, other) -> "StatFunction":
         if not isinstance(other, StatFunction):
             c = float(other)
-            return self._plus_number(-c, f"-{c:g}")
+            return self._plus_number(-c, f"{-c:g}")
         return self + (-other)
 
     def _plus_number(self, c: float, c_label: str) -> "StatFunction":

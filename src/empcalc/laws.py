@@ -4,11 +4,12 @@ Every law doubles as a :class:`~empcalc.empirical.MomentOracle`.  Exact
 raw moments E[X^i Y^j] come from closed forms (Gaussian via the Isserlis
 recursion, independent products of marginal moments, mixture averages,
 discrete enumeration); functions without a polynomial form fall back to
-Monte Carlo integration on a deterministic batch.  Central moments are
-:func:`~empcalc.correlation.central_moments`, the route a sample's moments
-take under the array mean.  A polynomial law takes them as expectations of
-polynomials centred at its mean, which the function algebra expands; a
-discrete law reads its atom arrays as a sample under the weighted mean.
+Monte Carlo integration on a deterministic batch.  ``bivariate_moments()``
+looks up the law's mean and central moments C(i, j) about it: the raw
+moments for the centred Gaussian and independent laws, each component's C
+shifted to the mean for a mixture (Chan, Golub and LeVeque, 1979; Pébay,
+2008), and :func:`~empcalc.correlation.central_moments` of the atom arrays
+under the weighted mean for a discrete law.
 
 Sampling is pinned down to the stream level: normals are numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
@@ -50,11 +51,11 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments
+from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
 from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, PolynomialMomentOracle,
                         SamplingMoments)
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
-from .functions import StatFunction, pi1, pi2
+from .functions import StatFunction
 from .sample import PairedSample
 
 WEIGHT_SUM_TOL = 1e-12
@@ -150,8 +151,8 @@ class BivariateLaw(PolynomialMomentOracle):
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
-    ``raw_moment``; :meth:`bivariate_moments` is
-    :func:`~empcalc.correlation.central_moments`, by default under :meth:`expectation`.
+    ``raw_moment``; one whose mean is not 0 overrides :meth:`mean` and
+    :meth:`central_moment` too, which :meth:`bivariate_moments` looks up.
     """
 
     kind: str = ""
@@ -209,12 +210,23 @@ class BivariateLaw(PolynomialMomentOracle):
         xs, ys = self.draw_block([rng], int(n))
         return PairedSample(xs[0], ys[0])
 
+    def mean(self) -> tuple[float, float]:
+        """(E X, E Y)."""
+        return 0.0, 0.0
+
+    def central_moment(self, i: int, j: int) -> float:
+        """C(i, j) = E[(X - mu_x)^i (Y - mu_y)^j], about :meth:`mean`."""
+        return self.raw_moment(i, j)
+
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
         return self._central_moments()
 
     def _central_moments(self) -> BivariateMoments:
-        return central_moments(self.expectation, pi1, pi2)
+        (mu_x, mu_y), c = self.mean(), self.central_moment
+        return BivariateMoments(
+            mu_x=mu_x, mu_y=mu_y, var_x=c(2, 0), var_y=c(0, 2), cov_xy=c(1, 1),
+            m22=c(2, 2), m31=c(3, 1), m13=c(1, 3), m40=c(4, 0), m04=c(0, 4))
 
     def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
         """Monte Carlo oracle over this law's sampler (deterministic batch)."""
@@ -343,6 +355,8 @@ class MixtureLaw(BivariateLaw):
         self.components = components
         self.weights = weights
         self._memo: dict[tuple[int, int], float] = {}
+        self._central: dict[tuple[int, int], float] = {}
+        self._mu: Optional[tuple[float, float]] = None
         cut = np.cumsum(weights)
         cut[-1] = 1.0  # guard the top bin against rounding in the cumsum
         self._cut = cut
@@ -388,6 +402,34 @@ class MixtureLaw(BivariateLaw):
                 w * c.raw_moment(i, j) for w, c in zip(self.weights, self.components))
         return self._memo[i, j]
 
+    def mean(self):
+        if self._mu is None:
+            self._mu = tuple(sum(w * c.mean()[a] for w, c in zip(self.weights, self.components))
+                             for a in (0, 1))
+        return self._mu
+
+    def central_moment(self, i, j):
+        """sum_k w_k C_k(i, j) shifted by d_k = mu_k - mu: memoised, and only
+        a component off the mixture's mean takes the binomial terms."""
+        if (i, j) not in self._central:
+            mu_x, mu_y = self.mean()
+            total = 0
+            for w, c in zip(self.weights, self.components):
+                cx, cy = c.mean()
+                dx, dy = cx - mu_x, cy - mu_y
+                total += w * (_shifted_moment(c, i, j, dx, dy) if dx or dy
+                              else c.central_moment(i, j))
+            self._central[i, j] = total
+        return self._central[i, j]
+
+
+def _shifted_moment(law, i, j, dx, dy) -> float:
+    """E[(U + dx)^i (V + dy)^j] = sum binom(i, a) binom(j, b) dx^(i-a) dy^(j-b)
+    C(a, b), U and V the law's centred coordinates; no term of a 0 offset power."""
+    xs = [(a, math.comb(i, a) * dx ** (i - a)) for a in range(i + 1) if dx or a == i]
+    ys = [(b, math.comb(j, b) * dy ** (j - b)) for b in range(j + 1) if dy or b == j]
+    return sum(sx * sy * law.central_moment(a, b) for a, sx in xs for b, sy in ys)
+
 
 class DiscreteLaw(BivariateLaw):
     """A finitely supported law; every expectation is an exact finite sum.
@@ -421,6 +463,7 @@ class DiscreteLaw(BivariateLaw):
         self.atom_weights = w / w.sum()
         self._cut = np.cumsum(self.atom_weights)
         self._cut[-1] = 1.0
+        self._mu: Optional[tuple[float, float]] = None
 
     def describe(self) -> dict:
         return {"kind": "discrete",
@@ -439,7 +482,8 @@ class DiscreteLaw(BivariateLaw):
     def expectation(self, f: StatFunction) -> float:
         return self._weighted_mean(self._on_atoms(f, {})[0], lambda: f.label)
 
-    def _weighted_mean(self, vals: np.ndarray, label: Callable[[], str]) -> float:
+    def _weighted_mean(self, vals: np.ndarray,
+                       label: Callable[[], str] = lambda: "central moment") -> float:
         """sum_i w_i vals_i; ``label()`` names the values if one is not finite."""
         # One reduction, which raises no floating-point warning.  The weights
         # are positive and finite, so a non-finite value always makes the
@@ -455,8 +499,17 @@ class DiscreteLaw(BivariateLaw):
         return float(self.atom_weights @ vals)
 
     def _central_moments(self) -> BivariateMoments:
-        return central_moments(lambda a: self._weighted_mean(a, lambda: "central moment"),
-                               self.atom_xs, self.atom_ys)
+        return central_moments(self._weighted_mean, self.atom_xs, self.atom_ys)
+
+    def mean(self):
+        if self._mu is None:  # the bits of bivariate_moments()
+            self._mu = (corrected_mean(self._weighted_mean, self.atom_xs),
+                        corrected_mean(self._weighted_mean, self.atom_ys))
+        return self._mu
+
+    def central_moment(self, i, j):
+        mu_x, mu_y = self.mean()
+        return self._weighted_mean((self.atom_xs - mu_x) ** i * (self.atom_ys - mu_y) ** j)
 
     def _covariance_row(self, f, gs, memo):
         """E[fg] is the weighted mean of f's values times g's; f * g names a failure."""

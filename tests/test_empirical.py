@@ -422,6 +422,13 @@ def test_covariance_matrix_rejects_negative_eigenvalue():
         CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), ("a", "b"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covariance_matrix_rejects_a_non_finite_entry(bad):
+    with pytest.raises(ec.MomentError, match="^non-finite covariance matrix entry$"):
+        CovarianceMatrix(np.array([[1.0, bad], [bad, 1.0]]), ("a", "b"))
+
+
 def test_covariance_matrix_entries_are_frozen():
     m = CovarianceMatrix(np.eye(2), ("a", "b"))
     with pytest.raises(ValueError):

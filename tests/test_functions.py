@@ -118,12 +118,28 @@ def test_algebra_is_pointwise(x, y, a):
 @pytest.mark.parametrize("f", [ec.pi1, ec.p - ec.pi2 ** 2,
                                StatFunction(lambda x, y: np.sin(np.asarray(x)), "sin(x)")])
 def test_adding_a_number_matches_its_constant_function(f, c):
-    # f + c, f - c and c - f skip the constant's broadcast but keep its poly and label
+    # f + c, f - c and c - f skip the constant's broadcast but keep its poly and
+    # label; f - c is f plus the constant -c, so a negative c shows no doubled sign
     grid = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 5))
     for fast, via_constant in ((f + c, f + constant(c)), (c + f, f + constant(c)),
-                               (f - c, f + -constant(c)), (c - f, constant(c) + -f)):
+                               (f - c, f + constant(-c)), (c - f, constant(c) + -f)):
         assert fast.label == via_constant.label
         assert fast.poly == via_constant.poly
         assert fast(*grid).tobytes() == via_constant(*grid).tobytes()
     assert (ec.pi1 - 0.5).label == "pi1 + -0.5"
     assert (1.0 - ec.pi1).label == "1 + -pi1"
+
+
+@pytest.mark.parametrize("f, label", [
+    (ec.pi1 - (-2.0), "pi1 + 2"),
+    (ec.pi1 - 2.0, "pi1 + -2"),
+    (ec.pi1 - 0.0, "pi1 + -0"),
+    (3.0 - (-ec.pi1), "3 + -(-pi1)"),
+    (-(-ec.pi1), "-(-pi1)"),
+    (-(ec.pi1 + ec.pi2), "-(pi1 + pi2)"),
+    (-(2.0 * ec.pi1), "-2*pi1"),
+    (-(-2.0 * ec.pi1), "-(-2*pi1)"),
+    ((ec.pi1 - (-1e79)) * (ec.pi1 - (-1e79)), "(pi1 + 1e+79)*(pi1 + 1e+79)"),
+])
+def test_labels_carry_no_doubled_sign(f, label):
+    assert f.label == label

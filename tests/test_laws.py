@@ -325,6 +325,24 @@ def test_mixture_raw_moments_are_memoised_sums_over_components(monkeypatch):
     assert asked == [k for k in want for _ in parts]
 
 
+@pytest.mark.parametrize("law", [
+    ec.GaussianLaw(-0.3), ec.IndependentLaw("exponential_std", "uniform_std"),
+    ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw("rademacher", "standard_normal")],
+                  [0.3, 0.7])], ids=lambda law: law.kind)
+def test_polynomial_moments_are_lookups_not_function_products(monkeypatch, law):
+    products = []
+    mul = ec.StatFunction.__mul__
+
+    def counted(f, g):
+        products.append((f.label, getattr(g, "label", g)))
+        return mul(f, g)
+
+    monkeypatch.setattr(ec.StatFunction, "__mul__", counted)
+    m = law.bivariate_moments()
+    assert products == []
+    assert (m.mu_x, m.mu_y) == law.mean() == (0.0, 0.0)
+
+
 def test_mixture_sampling_consistent_with_exact_rho():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     s = law.sample(200_000, derive_rng(31))
@@ -393,11 +411,18 @@ def test_discrete_moments_over_atom_arrays_equal_the_function_route(shift, scale
     if shift:  # adding 0.0 would turn -0.0 into 0.0
         xs, ys = xs + shift, ys - shift
     law = ec.DiscreteLaw(xs, ys, [0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
-    want = ec.correlation.central_moments(law.expectation, ec.pi1, ec.pi2)
+    e = law.expectation
+    mu_x, mu_y = e(ec.pi1), e(ec.pi2)
+    mu_x, mu_y = mu_x + e(ec.pi1 - mu_x), mu_y + e(ec.pi2 - mu_y)
+    u, v = ec.pi1 - mu_x, ec.pi2 - mu_y
+    uu, vv, uv = u * u, v * v, u * v
+    want = {"mu_x": mu_x, "mu_y": mu_y, "var_x": e(uu), "var_y": e(vv), "cov_xy": e(uv),
+            "m22": e(uu * vv), "m31": e(uu * uv), "m13": e(uv * vv),
+            "m40": e(uu * uu), "m04": e(vv * vv)}
     got = law.bivariate_moments()
-    for name in ("mu_x", "mu_y", "var_x", "var_y", "cov_xy",
-                 "m22", "m31", "m13", "m40", "m04"):
-        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    for name, value in want.items():
+        assert getattr(got, name).hex() == value.hex(), name
+    assert [x.hex() for x in law.mean()] == [mu_x.hex(), mu_y.hex()]
 
 
 def test_discrete_finite_values_whose_mean_overflows_give_inf():
@@ -447,8 +472,13 @@ def _exact_means_and_sigma_squared(law):
     rho times a standardized moment is rational, e.g. rho m31/(sd_x^3 sd_y)
     = cov m31/(var_x^2 var_y), so no square root is needed.
     """
-    xs, ys, w = ([Fraction(v) for v in a.tolist()]
-                 for a in (law.atom_xs, law.atom_ys, law.atom_weights))
+    return _exact_atoms_means_and_sigma_squared(
+        *([Fraction(v) for v in a.tolist()]
+          for a in (law.atom_xs, law.atom_ys, law.atom_weights)))
+
+
+def _exact_atoms_means_and_sigma_squared(xs, ys, w):
+    """The same for rational atoms xs, ys of weights w."""
     total = sum(w)
     w = [a / total for a in w]
     mx = sum(a * x for a, x in zip(w, xs))
@@ -487,6 +517,38 @@ def test_discrete_sigma_squared_is_shift_and_scale_stable(shift, scale):
             assert abs(m.mu_x - mx) <= math.ulp(np.abs(xs).max())
             assert abs(m.mu_y - my) <= math.ulp(np.abs(ys).max())
             assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
+
+
+@pytest.mark.parametrize("shift, scale", [
+    (shift, scale) for shift in (0.0, 1.0, 1e2, 1e4, 1e6) for scale in (1e-3, 1.0, 1e3)
+    if shift / scale <= 1e6])
+def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
+    # each component's central moments are shifted to the mixture's mean, so
+    # components far from the origin do not cancel; the reference flattens
+    # the mixture into one set of rational atoms
+    rng = derive_rng(2025, int(shift), int(scale * 1000))
+    for _ in range(6):
+        parts, weights = [], rng.random(int(rng.integers(2, 4))) + 0.2
+        weights /= weights.sum()
+        for _ in weights:
+            k = int(rng.integers(3, 9))
+            at = rng.uniform(-3.0, 3.0, 2) * scale
+            spread = scale * rng.uniform(0.5, 2.0)
+            w = rng.random(k) + 0.1
+            parts.append(ec.DiscreteLaw(rng.uniform(-2.0, 2.0, k) * spread + at[0] + shift,
+                                        rng.uniform(-2.0, 2.0, k) * spread + at[1] - shift,
+                                        w / w.sum()))
+        law = ec.MixtureLaw(parts, weights.tolist())
+        xs, ys, w = [], [], []
+        for c, wc in zip(parts, law.weights):
+            xs += [Fraction(v) for v in c.atom_xs.tolist()]
+            ys += [Fraction(v) for v in c.atom_ys.tolist()]
+            w += [Fraction(wc) * Fraction(v) for v in c.atom_weights.tolist()]
+        mx, my, sigma2 = _exact_atoms_means_and_sigma_squared(xs, ys, w)
+        m = law.bivariate_moments()
+        assert abs(m.mu_x - mx) <= 4 * math.ulp(max(abs(x) for x in xs))
+        assert abs(m.mu_y - my) <= 4 * math.ulp(max(abs(y) for y in ys))
+        assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
 
 
 # ----------------------------------------------------------- determinism
