@@ -24,10 +24,10 @@ seed-deterministic batch of draws, so repeated queries and whole
 covariance matrices are mutually consistent (a shared batch makes the
 estimated Gamma matrix an empirical Gram matrix, hence PSD).
 
-``MomentOracle._integrator(fs)`` alone chooses the route: the oracle
-itself when it integrates every function exactly, else its sampling
-fallback for all of them, else one MomentError naming the first function
-it cannot integrate.
+``_integrator(fs)`` alone chooses the route.  It is the oracle itself, but
+for a polynomial oracle given a non-polynomial function: then it is its
+``sampling_oracle()`` for all of ``fs``, or, if it has none, a MomentError
+naming that function.
 
 Integration counts
 ------------------
@@ -101,7 +101,7 @@ class CovarianceEstimate(NamedTuple):
 
 
 class MomentOracle(ABC):
-    """Integration interface: expectations and covariances of functions."""
+    """Integration interface; :meth:`_integrator` alone picks who integrates."""
 
     @abstractmethod
     def expectation(self, f: StatFunction) -> float:
@@ -115,43 +115,38 @@ class MomentOracle(ABC):
         return next(self._integrator((f, g))._covariance_row(f, (g,), {}))
 
     def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
-        """The oracle that integrates all of ``fs``: this one when each is
-        exact, else the sampling fallback.  The one place the route is chosen."""
-        for f in fs:
-            if not self.supports_exact(f):
-                fallback = self.sampling_oracle()
-                if fallback is None:
-                    raise MomentError(
-                        f"{f.label} is not polynomial and this oracle cannot sample")
-                return fallback
+        """The oracle that integrates every function of ``fs``: this one."""
         return self
 
     @abstractmethod
     def _covariance_row(self, f, gs, memo: dict) -> Iterator[CovarianceEstimate]:
         """Yield Gamma(f, g) for each g of ``gs``; ``memo`` lives for one matrix."""
 
-    def covariance(self, f: StatFunction, g: StatFunction) -> float:
-        """Gamma(f, g), without its provenance."""
-        return self.covariance_estimate(f, g).value
-
-    def supports_exact(self, f: StatFunction) -> bool:
-        """Whether ``expectation(f)`` is exact rather than sampled."""
-        return False
-
-    def sampling_oracle(self) -> Optional["MomentOracle"]:
-        """A Monte Carlo fallback for functions this oracle cannot integrate."""
-        return None
-
 
 class PolynomialMomentOracle(MomentOracle):
-    """Exact moments for polynomial functions via raw moments E[X^i Y^j]."""
+    """Exact moments for polynomial functions via raw moments E[X^i Y^j];
+    any other function goes to :meth:`sampling_oracle`, if there is one."""
 
     @abstractmethod
     def raw_moment(self, i: int, j: int) -> float:
         """E[X^i Y^j]; must be finite for all requested orders."""
 
-    def supports_exact(self, f: StatFunction) -> bool:
-        return f.poly is not None
+    def sampling_oracle(self) -> Optional[MomentOracle]:
+        """A Monte Carlo fallback for functions without a polynomial form."""
+        return None
+
+    def _integrator(self, fs: Sequence[StatFunction]) -> MomentOracle:
+        """This oracle when every function of ``fs`` is polynomial, else the
+        sampling fallback for all of them, else a MomentError naming the first
+        function it cannot integrate."""
+        for f in fs:
+            if f.poly is None:
+                fallback = self.sampling_oracle()
+                if fallback is None:
+                    raise MomentError(
+                        f"{f.label} is not polynomial and this oracle cannot sample")
+                return fallback
+        return self
 
     def poly_expectation(self, poly) -> float:
         total = 0.0
@@ -268,9 +263,6 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}, {g.label})")
         return CovarianceEstimate(value, stderr, "monte_carlo")
 
-    def sampling_oracle(self) -> "SamplingMoments":
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
@@ -306,10 +298,6 @@ class CovarianceMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "_min_eig", min_eig)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def min_eigenvalue(self) -> float:

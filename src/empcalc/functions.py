@@ -163,7 +163,7 @@ class StatFunction:
 
     def __pow__(self, k: int) -> "StatFunction":
         if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+            raise EvaluationError("only nonnegative integer powers are supported")
         poly = None
         if self.poly is not None:
             acc = {(0, 0): 1.0}

@@ -52,8 +52,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import (DEFAULT_MC_BUDGET, CovarianceEstimate, PolynomialMomentOracle,
-                        SamplingMoments)
+from .empirical import CovarianceEstimate, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -153,6 +152,7 @@ class BivariateLaw(PolynomialMomentOracle):
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
     ``raw_moment``; one whose mean is not 0 overrides :meth:`mean` and
     :meth:`central_moment` too, which :meth:`bivariate_moments` looks up.
+    Non-polynomial functions are integrated on :meth:`sampling_oracle`.
     """
 
     kind: str = ""
@@ -207,6 +207,8 @@ class BivariateLaw(PolynomialMomentOracle):
         """JSON-ready echo of the law's construction parameters."""
 
     def sample(self, n: int, rng: np.random.Generator) -> PairedSample:
+        if n < 2:  # before any draw, in PairedSample's words
+            raise InputFormatError(f"need at least 2 paired observations, got {n}")
         xs, ys = self.draw_block([rng], int(n))
         return PairedSample(xs[0], ys[0])
 
@@ -228,18 +230,14 @@ class BivariateLaw(PolynomialMomentOracle):
             mu_x=mu_x, mu_y=mu_y, var_x=c(2, 0), var_y=c(0, 2), cov_xy=c(1, 1),
             m22=c(2, 2), m31=c(3, 1), m13=c(1, 3), m40=c(4, 0), m04=c(0, 4))
 
-    def monte_carlo(self, budget: int = DEFAULT_MC_BUDGET, seed: int = 0) -> SamplingMoments:
-        """Monte Carlo oracle over this law's sampler (deterministic batch)."""
-        return SamplingMoments(self.sample, budget=budget, seed=seed)
-
     def sampling_oracle(self) -> SamplingMoments:
-        """The law's one Monte Carlo fallback (seed 0, default budget), drawn once.
+        """One ``SamplingMoments`` over :meth:`sample` (seed 0, default budget), cached.
 
         Every non-polynomial expectation and covariance of this law shares
         its batch.
         """
         if self._fallback is None:
-            self._fallback = self.monte_carlo()
+            self._fallback = SamplingMoments(self.sample)
         return self._fallback
 
 
@@ -344,9 +342,13 @@ class MixtureLaw(BivariateLaw):
         weights = tuple(float(w) for w in weights)
         if not components:
             raise InputFormatError("mixture needs at least one component")
+        if not all(isinstance(c, BivariateLaw) for c in components):
+            raise InputFormatError("mixture components must be bivariate laws")
         if len(components) != len(weights):
             raise InputFormatError(
                 f"{len(components)} components but {len(weights)} weights")
+        if not all(math.isfinite(w) for w in weights):
+            raise InputFormatError(f"mixture weights must be finite, got {list(weights)}")
         if any(w <= 0.0 for w in weights):
             raise InputFormatError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
@@ -476,8 +478,9 @@ class DiscreteLaw(BivariateLaw):
         idx = self._cut.searchsorted(u, side="right")
         return np.take(self.atom_xs, idx, out=u), self.atom_ys[idx]
 
-    def supports_exact(self, f: StatFunction) -> bool:
-        return True
+    def _integrator(self, fs):
+        """This law, for every function: its atoms integrate any callable."""
+        return self
 
     def expectation(self, f: StatFunction) -> float:
         return self._weighted_mean(self._on_atoms(f, {})[0], lambda: f.label)

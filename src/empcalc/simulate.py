@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .correlation import compute_rho_n, population_rho, sigma_squared
-from .empirical import gamma_matrix, gn_eval
+from .empirical import PSD_EIGENVALUE_FLOOR, gamma_matrix, gn_eval
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
                      InputFormatError, SimulationError)
 from .functions import StatFunction
@@ -278,8 +278,8 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     checks = [
         CheckResult("max_cov_abs_error", max_abs_err, cov_atol,
                     max_abs_err <= cov_atol),
-        CheckResult("min_eigenvalue", predicted.min_eigenvalue, -1e-10,
-                    predicted.min_eigenvalue >= -1e-10),
+        CheckResult("min_eigenvalue", predicted.min_eigenvalue, PSD_EIGENVALUE_FLOOR,
+                    predicted.min_eigenvalue >= PSD_EIGENVALUE_FLOOR),
     ]
     if live_ks:
         worst = max(live_ks)

@@ -177,6 +177,15 @@ def test_variance_mixture_via_law_json(capsys):
     assert json.loads(out)["results"]["rho"] == pytest.approx(0.1, rel=1e-12)
 
 
+def test_variance_mixture_with_a_nan_weight_is_usage_error(capsys):
+    spec = ('{"kind":"mixture","weights":[NaN,0.5],"components":'
+            '[{"kind":"gaussian","rho":0.5},{"kind":"gaussian","rho":0.1}]}')
+    code, out, err = run_cli(capsys, "variance", "--law-json", spec)
+    assert code == 2
+    assert out == ""
+    assert err == "error: mixture weights must be finite, got [nan, 0.5]\n"
+
+
 def test_variance_invalid_law_json(capsys):
     code, _, err = run_cli(capsys, "variance", "--law-json", "{not json")
     assert code == 2

@@ -85,18 +85,18 @@ def test_gn_eval_linearity_property(a, b, seed):
 def test_gamma_of_constants_is_zero():
     law = ec.GaussianLaw(0.3)
     c = ec.constant(7.0)
-    assert law.covariance(c, c) == 0.0
+    assert law.covariance_estimate(c, c).value == 0.0
 
 
 def test_gamma_cross_term_vanishes_at_zero_correlation():
     law = ec.GaussianLaw(0.0)
-    assert law.covariance(ec.pi1, ec.pi2) == 0.0
+    assert law.covariance_estimate(ec.pi1, ec.pi2).value == 0.0
 
 
 def test_gamma_unit_variance_of_standardized_coordinate():
     for law in (ec.GaussianLaw(0.4), ec.IndependentLaw("uniform_std", "rademacher")):
-        assert law.covariance(ec.pi1, ec.pi1) == pytest.approx(1.0, rel=1e-14)
-        assert law.covariance(ec.pi2, ec.pi2) == pytest.approx(1.0, rel=1e-14)
+        assert law.covariance_estimate(ec.pi1, ec.pi1).value == pytest.approx(1.0, rel=1e-14)
+        assert law.covariance_estimate(ec.pi2, ec.pi2).value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gamma_estimate_reports_method():
@@ -109,7 +109,7 @@ def test_gamma_estimate_reports_method():
 
 def test_gamma_monte_carlo_tracks_exact():
     law = ec.GaussianLaw(0.5)
-    mc = law.monte_carlo(budget=200_000, seed=7)
+    mc = SamplingMoments(law.sample, budget=200_000, seed=7)
     est = mc.covariance_estimate(ec.pi1, ec.pi2)
     assert est.method == "monte_carlo"
     assert est.stderr > 0.0
@@ -132,7 +132,7 @@ def test_gamma_moment_divergence_message():
         lambda x, y: np.where(np.abs(np.asarray(x)) > 1.0, np.inf, 0.0),
         label="spike")
     with pytest.raises(ec.MomentError, match="moment does not exist under this law"):
-        law.covariance(bad, bad)
+        law.covariance_estimate(bad, bad)
 
 
 class _ExactOnlyGaussian(ec.PolynomialMomentOracle):
@@ -181,9 +181,9 @@ def test_cauchy_schwarz_for_exact_laws(atoms):
     w = np.asarray(raw_w) / np.sum(raw_w)
     law = ec.DiscreteLaw(xs, ys, w)
     for f, g in [(ec.pi1, ec.pi2), (ec.p, ec.pi1), (ec.pi1 + ec.pi2, ec.p)]:
-        gfg = law.covariance(f, g)
-        gff = law.covariance(f, f)
-        ggg = law.covariance(g, g)
+        gfg = law.covariance_estimate(f, g).value
+        gff = law.covariance_estimate(f, f).value
+        ggg = law.covariance_estimate(g, g).value
         assert gfg * gfg <= gff * ggg + 1e-9
 
 
@@ -194,8 +194,9 @@ def test_cauchy_schwarz_gaussian(rho):
     fams = [ec.pi1, ec.pi2, ec.p, ec.pi1**2 - 1.0, ec.pi1 * ec.pi2 - rho]
     for f in fams:
         for g in fams:
-            gfg = law.covariance(f, g)
-            assert gfg * gfg <= law.covariance(f, f) * law.covariance(g, g) + 1e-9
+            gfg = law.covariance_estimate(f, g).value
+            gff, ggg = (law.covariance_estimate(h, h).value for h in (f, g))
+            assert gfg * gfg <= gff * ggg + 1e-9
 
 
 # ----------------------------------------------------------- gamma_matrix
@@ -223,7 +224,7 @@ def test_gamma_matrix_sampling_fallback_is_psd():
     opaque = ec.StatFunction(
         lambda x, y: np.tanh(np.asarray(x, dtype=float)), label="tanh(x)")
     fs = [ec.pi1, ec.pi2, opaque, ec.p]
-    m = ec.gamma_matrix(fs, law.monte_carlo(budget=50_000, seed=5))
+    m = ec.gamma_matrix(fs, SamplingMoments(law.sample, budget=50_000, seed=5))
     assert m.method == "monte_carlo"
     assert m.min_eigenvalue >= -1e-10
     np.testing.assert_allclose(m.entries, m.entries.T, rtol=0, atol=0)
@@ -269,6 +270,29 @@ def exact_laws():
             {"kind": "independent", "marginal_x": "uniform_std", "marginal_y": "rademacher"}]}),
         ec.DiscreteLaw([0.1, 1.3, -0.7, 2.2], [1.0, -0.4, 0.3, 0.9], [0.1, 0.2, 0.3, 0.4]),
     ]
+
+
+@pytest.mark.parametrize("make, f, route", [
+    (lambda: ec.GaussianLaw(0.5), ec.p, "itself"),
+    (lambda: ec.GaussianLaw(0.5), COS_PI1, "fallback"),
+    (lambda: ec.DiscreteLaw([0.1, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5]), COS_PI1,
+     "itself"),
+    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), ec.p, "itself"),
+    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), COS_PI1, "itself"),
+    (_ExactOnlyGaussian, COS_PI1, "error"),
+], ids=["gaussian-polynomial", "gaussian-cos", "discrete-cos", "sampling-polynomial",
+        "sampling-cos", "exact-only-cos"])
+def test_integrator_chooses_each_oracles_route(make, f, route):
+    oracle = make()
+    if route == "error":
+        with pytest.raises(ec.MomentError, match=r"^cos\(pi1\) is not polynomial"):
+            oracle._integrator((ec.pi1, f))
+        return
+    want = oracle if route == "itself" else oracle.sampling_oracle()
+    assert route == "itself" or isinstance(want, SamplingMoments)
+    # a second call gives the same object: one cached fallback per law
+    assert oracle._integrator((ec.pi1, f)) is want
+    assert oracle._integrator((f,)) is want
 
 
 def count_expectations(monkeypatch, law):
@@ -338,7 +362,7 @@ def test_exact_gamma_matrix_builds_no_product_function(monkeypatch, index):
 
 
 def test_sampling_gamma_matrix_evaluates_each_function_once_per_row():
-    mc = ec.GaussianLaw(0.5).monte_carlo(budget=1000, seed=3)
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000, seed=3)
     calls = []
     ec.gamma_matrix([counting(f, calls) for f in FAMILY], mc)
     # row i evaluates f_i once and each f_j, j > i, once: k(k+1)/2, not k(k+1)
@@ -372,7 +396,7 @@ def test_gamma_matrix_bits_equal_pairwise_covariances(index):
 
 
 def test_sampling_gamma_matrix_bits_equal_pairwise_covariances():
-    mc = ec.GaussianLaw(0.5).monte_carlo(budget=20_000)
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=20_000)
     assert_gamma_matrix_matches_pairwise(FAMILY[:3] + [COS_PI1] + FAMILY[3:], mc)
 
 
@@ -380,7 +404,7 @@ def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
     log_x = ec.StatFunction(lambda x, y: np.log(x), "log(x)")
     fs = [ec.pi1, ec.p, log_x, ec.pi2]
     discrete = ec.DiscreteLaw([0.0, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5])
-    mc = ec.GaussianLaw(0.5).monte_carlo(budget=1000, seed=3)
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000, seed=3)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ec.MomentError, match=(
                 r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
@@ -394,7 +418,7 @@ def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
 
 def test_sampling_gamma_matrix_holds_one_row_of_centred_values():
     budget = 250_000
-    mc = ec.GaussianLaw(0.5).monte_carlo(budget=budget, seed=11)
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=budget, seed=11)
     mc.batch()
     fs = [ec.StatFunction(lambda x, y, a=a: np.cos(a * x), f"cos({a:g}*pi1)") + 0 * ec.pi2
           for a in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
@@ -451,7 +475,7 @@ def test_sampling_moments_distinct_seeds_differ():
     law = ec.GaussianLaw(0.6)
     a = SamplingMoments(gaussian_sampler(law), budget=10_000, seed=123)
     b = SamplingMoments(gaussian_sampler(law), budget=10_000, seed=124)
-    assert a.covariance(ec.p, ec.pi1) != b.covariance(ec.p, ec.pi1)
+    assert a.covariance_estimate(ec.p, ec.pi1).value != b.covariance_estimate(ec.p, ec.pi1).value
 
 
 def test_sampling_moments_rejects_tiny_budget():

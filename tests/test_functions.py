@@ -65,6 +65,12 @@ def test_power_of_projection():
     assert sq.poly == {(2, 0): 1.0}
 
 
+@pytest.mark.parametrize("k", [-1, 2.0])
+def test_power_rejects_a_negative_or_non_integer_exponent(k):
+    with pytest.raises(ec.EvaluationError, match="^only nonnegative integer powers are supported$"):
+        ec.pi1 ** k
+
+
 def test_labels_are_informative():
     f = ec.pi1 * ec.pi2
     assert "pi1" in f.label and "pi2" in f.label

@@ -360,6 +360,21 @@ def test_mixture_validation_errors():
         ec.MixtureLaw([g], [0.5, 0.5])
     with pytest.raises(ec.InputFormatError):
         ec.MixtureLaw([], [])
+    with pytest.raises(ec.InputFormatError,
+                       match=r"^mixture weights must be finite, got \[nan, 0\.5\]$"):
+        ec.MixtureLaw([ec.GaussianLaw(0.5), g], [math.nan, 0.5])
+    with pytest.raises(ec.InputFormatError, match="^mixture components must be bivariate laws$"):
+        ec.MixtureLaw([1], [1.0])
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_sample_rejects_fewer_than_two_pairs_before_drawing(n):
+    rng = derive_rng(3)
+    with pytest.raises(ec.InputFormatError,
+                       match=f"^need at least 2 paired observations, got {n}$"):
+        ec.GaussianLaw(0.5).sample(n, rng)
+    # no draw was made: the stream is where a fresh one starts
+    assert rng.random() == derive_rng(3).random()
 
 
 # ------------------------------------------------------------ DiscreteLaw
@@ -379,7 +394,7 @@ def test_discrete_integrates_opaque_callables_exactly():
     f = ec.StatFunction(lambda x, y: np.exp(np.asarray(x)), label="exp(x)")
     direct = 0.25 * math.exp(-1.0) + 0.5 * 1.0 + 0.25 * math.exp(2.0)
     assert law.expectation(f) == pytest.approx(direct, rel=1e-14)
-    assert law.supports_exact(f)
+    assert law._integrator((f,)) is law
     # the inherited covariance takes the exact branch through the callable
     est = law.covariance_estimate(f, f)
     assert est.method == "exact" and est.stderr == 0.0
