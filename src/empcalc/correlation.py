@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from .empirical import PSD_EIGENVALUE_FLOOR
 from .errors import AffineDependenceError, DegenerateSampleError, EvaluationError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
 from .functions import StatFunction, pi1, pi2
@@ -46,6 +47,7 @@ AFFINE_RHO_TOL = 1e-12
 _AFFINE_MSG = "affine dependence, asymptotics excluded"
 _INEQ_SLACK = 1e-9  # relative slack for moment inequalities on empirical input
 KURTOSIS_WARN = 100.0  # plug-in m40/var^2 above which estimate_moments warns
+DEGENERATE_VARIANCE_FLOOR = 1e-12  # a variance below this cannot standardize a statistic
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def sigma_squared(m: BivariateMoments) -> float:
     value = ((1.0 + rho ** 2 / 2.0) * m.m22 / (m.var_x * m.var_y)
              + rho ** 2 * (m.m40 / m.var_x ** 2 + m.m04 / m.var_y ** 2) / 4.0
              - rho * (m.m31 / (sx ** 3 * sy) + m.m13 / (sx * sy ** 3)))
-    if value < -1e-10:
+    if value < PSD_EIGENVALUE_FLOOR:
         raise MomentError(f"inconsistent moment set: sigma^2 = {value:g} < 0")
     return max(value, 0.0)
 
@@ -307,8 +309,8 @@ def test_zero_correlation(s: PairedSample, *,
                       stacklevel=2)
     m = estimate_moments(s) if moments is None else moments
     s1_sq = sigma1_squared(m)
-    if s1_sq < 1e-12:
-        raise DegenerateSampleError(
-            f"plug-in sigma1^2 = {s1_sq:g} is below 1e-12; z statistic undefined")
+    if s1_sq < DEGENERATE_VARIANCE_FLOOR:
+        raise DegenerateSampleError(f"plug-in sigma1^2 = {s1_sq:g} is below "
+                                    f"{DEGENERATE_VARIANCE_FLOOR:g}; z statistic undefined")
     z = math.sqrt(s.n) * rho_from_moments(m) / math.sqrt(s1_sq)
     return ZeroCorrelationTest(z, math.erfc(abs(z) / math.sqrt(2.0)))

@@ -14,9 +14,10 @@ written by one write() call, so at most one block of text (about 330 KB)
 is held at a time, never the whole file.  ``%.17g`` on a Python float
 gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
 
-Reading is done in one pass.  One U+FEFF byte-order mark at the start of
-the first line is ignored, for paths and file objects alike; anywhere
-else it is a non-numeric cell.  A row parser (the csv module, one row at a
+Reading is done in one pass; bytes that are not UTF-8 are an error.  One
+U+FEFF byte-order mark at the start of the first line is ignored, for
+paths and file objects alike; anywhere else it is a non-numeric cell.  A
+row parser (the csv module, one row at a
 time) reads up to and including the first data row, which settles the
 header.  The rest is read in blocks of whole lines, about 1 MiB each, and
 np.loadtxt parses each block.  A block that np.loadtxt rejects, or that
@@ -67,13 +68,17 @@ _INNER_CR = re.compile(r"\r[^\r\n]")
 def read_paired_csv(source: PathOrFile) -> PairedSample:
     """Parse a two-column CSV into a PairedSample.
 
-    Errors carry 1-based physical line numbers.  ``source`` is a path or
-    a readable text file object.
+    Errors carry 1-based physical line numbers.  ``source`` is a path,
+    read as UTF-8, or a readable text file object.
     """
-    if hasattr(source, "read"):
-        return _parse(source)
-    with open(source, "r", newline="") as fh:
-        return _parse(fh)
+    try:
+        if hasattr(source, "read"):
+            return _parse(source)
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return _parse(fh)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not UTF-8 text: cannot decode byte "
+                               f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
 def _parse(fh) -> PairedSample:

@@ -1,15 +1,15 @@
 """Synthetic bivariate laws: samplers plus exact moment oracles.
 
-Every law doubles as a :class:`~empcalc.empirical.MomentOracle`.  Exact
-raw moments E[X^i Y^j] come from closed forms (Gaussian via the Isserlis
-recursion, independent products of marginal moments, mixture averages,
-discrete enumeration); functions without a polynomial form fall back to
-Monte Carlo integration on a deterministic batch.  ``bivariate_moments()``
-looks up the law's mean and central moments C(i, j) about it: the raw
-moments for the centred Gaussian and independent laws, each component's C
-shifted to the mean for a mixture (Chan, Golub and LeVeque, 1979; Pébay,
-2008), and :func:`~empcalc.correlation.central_moments` of the atom arrays
-under the weighted mean for a discrete law.
+Every law doubles as a :class:`~empcalc.empirical.MomentOracle` with one
+moment primitive, ``moment_about(i, j, px, py)`` = E[(X - px)^i (Y - py)^j]:
+raw moments are it at the origin, central moments at the law's mean.  The
+Gaussian (Isserlis recursion) and independent laws shift their closed-form
+raw moments by the binomial theorem, a mixture averages its components'
+moments about the same point, and a discrete law centres its atoms there.
+Functions without a polynomial form fall back to Monte Carlo integration on
+a deterministic batch.  ``bivariate_moments()`` looks up ten central
+moments; a discrete law takes :func:`~empcalc.correlation.central_moments`
+of its atom arrays under the weighted mean.
 
 Sampling is pinned down to the stream level: normals are numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia and Tsang, 2000), every
@@ -150,9 +150,9 @@ class BivariateLaw(PolynomialMomentOracle):
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
-    ``raw_moment``; one whose mean is not 0 overrides :meth:`mean` and
-    :meth:`central_moment` too, which :meth:`bivariate_moments` looks up.
-    Non-polynomial functions are integrated on :meth:`sampling_oracle`.
+    ``raw_moment``; one whose mean is not 0 overrides :meth:`mean`, and one
+    that overrides :meth:`moment_about` makes ``raw_moment`` its value at
+    the origin.  Non-polynomial functions go to :meth:`sampling_oracle`.
     """
 
     kind: str = ""
@@ -216,9 +216,17 @@ class BivariateLaw(PolynomialMomentOracle):
         """(E X, E Y)."""
         return 0.0, 0.0
 
+    def moment_about(self, i: int, j: int, px: float, py: float) -> float:
+        """E[(X - px)^i (Y - py)^j]: ``raw_moment`` shifted by the binomial theorem."""
+        if not (px or py):
+            return self.raw_moment(i, j)
+        xs = [(a, math.comb(i, a) * (-px) ** (i - a)) for a in range(i + 1) if px or a == i]
+        ys = [(b, math.comb(j, b) * (-py) ** (j - b)) for b in range(j + 1) if py or b == j]
+        return sum(sx * sy * self.raw_moment(a, b) for a, sx in xs for b, sy in ys)
+
     def central_moment(self, i: int, j: int) -> float:
         """C(i, j) = E[(X - mu_x)^i (Y - mu_y)^j], about :meth:`mean`."""
-        return self.raw_moment(i, j)
+        return self.moment_about(i, j, *self.mean())
 
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
@@ -332,7 +340,8 @@ class MixtureLaw(BivariateLaw):
     component's buffers.  The transform runs once per component over all
     its pairs and scatters them to the positions that picked it: pairs
     fill in position order, so a component's j-th pair goes to its j-th
-    pick.
+    pick.  A moment about a point is the weighted sum of the components'
+    moments about it; central ones centre each part at the mixture's mean.
     """
 
     kind = "mixture"
@@ -356,8 +365,7 @@ class MixtureLaw(BivariateLaw):
                 f"mixture weights sum to {sum(weights)!r}, not 1 within {WEIGHT_SUM_TOL}")
         self.components = components
         self.weights = weights
-        self._memo: dict[tuple[int, int], float] = {}
-        self._central: dict[tuple[int, int], float] = {}
+        self._memo: dict[tuple[int, int, float, float], float] = {}
         self._mu: Optional[tuple[float, float]] = None
         cut = np.cumsum(weights)
         cut[-1] = 1.0  # guard the top bin against rounding in the cumsum
@@ -398,49 +406,32 @@ class MixtureLaw(BivariateLaw):
             parts[c] = None  # frees the component's buffers before the next one's transform
         return xs, ys
 
-    def raw_moment(self, i: int, j: int) -> float:
-        if (i, j) not in self._memo:
-            self._memo[i, j] = sum(
-                w * c.raw_moment(i, j) for w, c in zip(self.weights, self.components))
-        return self._memo[i, j]
-
     def mean(self):
         if self._mu is None:
             self._mu = tuple(sum(w * c.mean()[a] for w, c in zip(self.weights, self.components))
                              for a in (0, 1))
         return self._mu
 
-    def central_moment(self, i, j):
-        """sum_k w_k C_k(i, j) shifted by d_k = mu_k - mu: memoised, and only
-        a component off the mixture's mean takes the binomial terms."""
-        if (i, j) not in self._central:
-            mu_x, mu_y = self.mean()
-            total = 0
-            for w, c in zip(self.weights, self.components):
-                cx, cy = c.mean()
-                dx, dy = cx - mu_x, cy - mu_y
-                total += w * (_shifted_moment(c, i, j, dx, dy) if dx or dy
-                              else c.central_moment(i, j))
-            self._central[i, j] = total
-        return self._central[i, j]
+    def raw_moment(self, i: int, j: int) -> float:
+        return self.moment_about(i, j, 0.0, 0.0)
 
-
-def _shifted_moment(law, i, j, dx, dy) -> float:
-    """E[(U + dx)^i (V + dy)^j] = sum binom(i, a) binom(j, b) dx^(i-a) dy^(j-b)
-    C(a, b), U and V the law's centred coordinates; no term of a 0 offset power."""
-    xs = [(a, math.comb(i, a) * dx ** (i - a)) for a in range(i + 1) if dx or a == i]
-    ys = [(b, math.comb(j, b) * dy ** (j - b)) for b in range(j + 1) if dy or b == j]
-    return sum(sx * sy * law.central_moment(a, b) for a, sx in xs for b, sy in ys)
+    def moment_about(self, i, j, px, py):
+        """sum_k w_k E_k[(X - px)^i (Y - py)^j], memoised."""
+        key = i, j, px, py
+        if key not in self._memo:
+            self._memo[key] = sum(w * c.moment_about(i, j, px, py)
+                                  for w, c in zip(self.weights, self.components))
+        return self._memo[key]
 
 
 class DiscreteLaw(BivariateLaw):
     """A finitely supported law; every expectation is an exact finite sum.
 
-    Unlike the other laws, integration works for arbitrary evaluable
-    functions, not just polynomials, because E[f] enumerates the atoms
-    through f's callable directly.  This makes the class an independent
-    cross-check oracle: it shares no code path with the polynomial
-    moment bookkeeping; a covariance matrix evaluates each function once.
+    Integration works for any evaluable function, not just polynomials:
+    E[f] enumerates the atoms through f's callable, and a moment about a
+    point centres the atoms there.  So the class is an independent
+    cross-check oracle, sharing no code path with the polynomial moment
+    bookkeeping; a covariance matrix evaluates each function once.
     """
 
     kind = "discrete"
@@ -486,7 +477,7 @@ class DiscreteLaw(BivariateLaw):
         return self._weighted_mean(self._on_atoms(f, {})[0], lambda: f.label)
 
     def _weighted_mean(self, vals: np.ndarray,
-                       label: Callable[[], str] = lambda: "central moment") -> float:
+                       label: Callable[[], str] = lambda: "moment") -> float:
         """sum_i w_i vals_i; ``label()`` names the values if one is not finite."""
         # One reduction, which raises no floating-point warning.  The weights
         # are positive and finite, so a non-finite value always makes the
@@ -510,9 +501,11 @@ class DiscreteLaw(BivariateLaw):
                         corrected_mean(self._weighted_mean, self.atom_ys))
         return self._mu
 
-    def central_moment(self, i, j):
-        mu_x, mu_y = self.mean()
-        return self._weighted_mean((self.atom_xs - mu_x) ** i * (self.atom_ys - mu_y) ** j)
+    def raw_moment(self, i: int, j: int) -> float:
+        return self.moment_about(i, j, 0.0, 0.0)
+
+    def moment_about(self, i, j, px, py):
+        return self._weighted_mean((self.atom_xs - px) ** i * (self.atom_ys - py) ** j)
 
     def _covariance_row(self, f, gs, memo):
         """E[fg] is the weighted mean of f's values times g's; f * g names a failure."""
@@ -529,9 +522,6 @@ class DiscreteLaw(BivariateLaw):
             vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
             memo[f] = vals, float(np.vdot(self.atom_weights, vals))
         return memo[f]
-
-    def raw_moment(self, i: int, j: int) -> float:
-        return float(self.atom_weights @ (self.atom_xs ** i * self.atom_ys ** j))
 
 
 def law_from_spec(spec: dict) -> BivariateLaw:

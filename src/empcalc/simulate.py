@@ -40,13 +40,15 @@ names the run's failure.  Only a failing block pays for the extra draw.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import compute_rho_n, population_rho, sigma_squared
+from .correlation import (DEGENERATE_VARIANCE_FLOOR, compute_rho_n, population_rho,
+                          sigma_squared)
 from .empirical import PSD_EIGENVALUE_FLOOR, gamma_matrix, gn_eval
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
                      InputFormatError, SimulationError)
@@ -58,9 +60,6 @@ from .streams import BlockStreams
 DEFAULT_VARIANCE_RTOL = 0.10
 DEFAULT_KS_TOL = 0.03
 DEFAULT_COV_ATOL = 0.05
-
-# a predicted variance below this cannot be used to standardize replicates
-DEGENERATE_VARIANCE_FLOOR = 1e-12
 
 # draws per coordinate in one block of replicates; rows = this // n
 _BLOCK_ELEMENTS = 32_768
@@ -163,11 +162,14 @@ def _replicates(cfg: ExperimentConfig, reduce: Callable, explain: Callable) -> n
     return np.concatenate(out)
 
 
-def _check_tolerances(**tolerances: float) -> None:
-    """Reject a tolerance that is not finite or is negative, before any draw."""
+def _check_tolerances(**tolerances) -> list[float]:
+    """The tolerances as floats, in order, each checked to be real, finite and >= 0."""
     for name, tol in tolerances.items():
-        if not (math.isfinite(tol) and tol >= 0.0):
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise InputFormatError(f"{name} must be a real number, got {tol!r}")
+        if not 0.0 <= tol <= np.finfo(float).max:
             raise InputFormatError(f"{name} must be finite and >= 0, got {tol!r}")
+    return [float(tol) for tol in tolerances.values()]
 
 
 def run_clt_experiment(cfg: ExperimentConfig,
@@ -178,7 +180,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
     The prediction (rho_true and sigma^2) comes from the law's exact
     moment oracle, never from the simulated data.
     """
-    _check_tolerances(variance_rtol=variance_rtol, ks_tol=ks_tol)
+    variance_rtol, ks_tol = _check_tolerances(variance_rtol=variance_rtol, ks_tol=ks_tol)
     law = cfg.law
     moments = law.bivariate_moments()
     rho_true = population_rho(moments)  # warns when the law is affine
@@ -238,7 +240,7 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
     functions) are flagged as degenerate and skipped by the per-coordinate
     KS check; their empirical variance is still compared entrywise.
     """
-    _check_tolerances(cov_atol=cov_atol, ks_tol=ks_tol)
+    cov_atol, ks_tol = _check_tolerances(cov_atol=cov_atol, ks_tol=ks_tol)
     fs = list(fs)
     if not fs:
         raise EvaluationError("no functions supplied")

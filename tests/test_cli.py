@@ -114,6 +114,14 @@ def test_estimate_reports_bad_line_number(tmp_path, capsys):
     assert "error: line 3: non-numeric value 'oops'" in err
 
 
+def test_estimate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n1,2\n\xff\xfe,3\n4,5\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input is not UTF-8 text: cannot decode byte 0xff")
+
+
 def test_estimate_rejects_constant_column(tmp_path, capsys):
     path = write_csv(tmp_path, "1,7\n2,7\n3,7\n")
     code, out, err = run_cli(capsys, "estimate", "--input", path)

@@ -105,6 +105,20 @@ def test_read_byte_order_mark_after_the_first_line_is_an_error(text, line):
         parse(text)
 
 
+@pytest.mark.parametrize("data", [b"\xff1,2\n3,4\n", b"x,y\n1,2\n\xff\xfe,3\n4,5\n",
+                                  b"".join(b"%d,%d\n" % (i, i) for i in range(3000)) + b"7,\xe9\n"],
+                         ids=["first line", "second line", "after 16 KiB"])
+def test_read_bytes_that_are_not_utf8_are_an_input_error(tmp_path, data):
+    # a text stream decodes 8 KiB at a time, so the last case fails in a later block
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    stream = io.TextIOWrapper(io.BufferedReader(_Pipe(data)), encoding="utf-8")
+    for source in (str(path), stream):
+        with pytest.raises(ec.InputFormatError, match=r"^input is not UTF-8 text: cannot decode "
+                                                      r"byte 0x(ff|e9) \("):
+            ec.read_paired_csv(source)
+
+
 def reference_row_parser(fh):
     """The reader as it was before block parsing: the csv module, one row at a time."""
     xs, ys = [], []

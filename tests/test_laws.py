@@ -566,6 +566,141 @@ def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
         assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
 
 
+# ------------------------------------------------- moments about a point
+
+# exact marginal moments E[X^k] of the named marginals
+_EXACT_MARGINAL = {
+    "standard_normal": lambda k: 0 if k % 2 else math.prod(range(k - 1, 0, -2)),
+    "uniform_std": lambda k: 0 if k % 2 else Fraction(3 ** (k // 2), k + 1),
+    "exponential_std": lambda k: sum((-1) ** j * math.perm(k, k - j) for j in range(k + 1)),
+    "rademacher": lambda k: 0 if k % 2 else 1,
+}
+
+
+def _exact_gaussian_raw(rho, i, j):
+    # the Isserlis recursion in rationals
+    memo = {}
+
+    def m(a, b):
+        if a < 0 or b < 0:
+            return 0
+        if (a, b) not in memo:
+            memo[a, b] = (1 if (a, b) == (0, 0) else
+                          (a - 1) * m(a - 2, b) + rho * b * m(a - 1, b - 1) if a
+                          else (b - 1) * m(0, b - 2))
+        return memo[a, b]
+
+    return m(i, j)
+
+
+def _exact_leaf_marginals(law):
+    """Exact E[X^k] and E[Y^k] of a Gaussian or independent law."""
+    if law.kind == "gaussian":
+        return _EXACT_MARGINAL["standard_normal"], _EXACT_MARGINAL["standard_normal"]
+    return _EXACT_MARGINAL[law.marginal_x.name], _EXACT_MARGINAL[law.marginal_y.name]
+
+
+def _exact_raw(law, a, b):
+    """Exact E[X^a Y^b] of a Gaussian or independent law."""
+    if law.kind == "gaussian":
+        return _exact_gaussian_raw(Fraction(law.rho_param), a, b)
+    mx, my = _exact_leaf_marginals(law)
+    return mx(a) * my(b)
+
+
+def _exact_moment_about(law, i, j, p, q):
+    """E[(X - p)^i (Y - q)^j] in rationals, and an upper bound on
+    E|(X - p)^i (Y - q)^j| that scales the rounding of a float evaluation."""
+    p, q = Fraction(p), Fraction(q)
+    if law.kind == "discrete":
+        terms = [Fraction(w) * (Fraction(x) - p) ** i * (Fraction(y) - q) ** j
+                 for w, x, y in zip(law.atom_weights.tolist(), law.atom_xs.tolist(),
+                                    law.atom_ys.tolist())]
+        return sum(terms), sum(abs(t) for t in terms)
+    if law.kind == "mixture":
+        parts = [_exact_moment_about(c, i, j, p, q) for c in law.components]
+        return (sum(Fraction(w) * v for w, (v, _) in zip(law.weights, parts)),
+                sum(Fraction(w) * s for w, (_, s) in zip(law.weights, parts)))
+    mx, my = _exact_leaf_marginals(law)
+    value = scale = 0
+    for a in range(i + 1):
+        for b in range(j + 1):
+            c = math.comb(i, a) * math.comb(j, b) * (-p) ** (i - a) * (-q) ** (j - b)
+            value += c * _exact_raw(law, a, b)
+            # E|X^a Y^b| <= sqrt(E X^2a E Y^2b), by Cauchy-Schwarz
+            scale += abs(c) * Fraction(math.sqrt(mx(2 * a) * my(2 * b)))
+    return value, scale
+
+
+def _discrete(rng, k, scale, shift):
+    w = rng.random(k) + 0.1
+    return ec.DiscreteLaw(rng.uniform(-2.0, 2.0, k) * scale + shift,
+                          rng.uniform(-2.0, 2.0, k) * scale - shift, w / w.sum())
+
+
+def _moment_laws():
+    rng = derive_rng(2026)
+    shifted = [_discrete(rng, int(rng.integers(3, 9)), 1.0, s) for s in (-3.0, 1e3, 2e3)]
+    mixed_scales = [_discrete(rng, int(rng.integers(3, 9)), s, 0.5) for s in (1e-3, 1.0, 1e3)]
+    return {
+        "gaussian": ec.GaussianLaw(-0.35),
+        "independent": ec.IndependentLaw("exponential_std", "uniform_std"),
+        "discrete": _discrete(rng, 7, 1.0, 0.0),
+        "shifted discrete": _discrete(rng, 9, 1e-2, 1e4),
+        "mixture": ec.MixtureLaw([ec.GaussianLaw(0.6), ec.IndependentLaw(
+            "rademacher", "exponential_std")], [0.45, 0.55]),
+        "nested mixture": ec.MixtureLaw(
+            [ec.MixtureLaw([ec.GaussianLaw(0.2), shifted[0]], [0.3, 0.7]),
+             ec.IndependentLaw("uniform_std", "standard_normal"), shifted[1]],
+            [0.5, 0.2, 0.3]),
+        "mixture of shifted discrete laws": ec.MixtureLaw(shifted, [0.2, 0.5, 0.3]),
+        "mixture of mixed-scale discrete laws": ec.MixtureLaw(mixed_scales, [0.3, 0.3, 0.4]),
+    }
+
+
+MOMENT_LAWS = _moment_laws()
+
+
+@pytest.mark.parametrize("law", MOMENT_LAWS.values(), ids=MOMENT_LAWS.keys())
+def test_moment_about_matches_exact_rational_sums(law):
+    # at the origin, at the mean, and at points off both, for every order
+    # through (4, 4); the error is a few rounding units of E|(X-p)^i (Y-q)^j|
+    mu_x, mu_y = law.mean()
+    for p, q in ((0.0, 0.0), (mu_x, mu_y), (mu_x, 0.0), (1.5, -2.0), (-1e3, 1e3)):
+        for i in range(5):
+            for j in range(5):
+                want, scale = _exact_moment_about(law, i, j, p, q)
+                got = law.moment_about(i, j, p, q)
+                assert abs(Fraction(got) - want) <= Fraction(1e-14) * scale, (p, q, i, j)
+
+
+@pytest.mark.parametrize("name", MOMENT_LAWS)
+def test_raw_and_central_moments_are_moment_about_at_origin_and_mean(name):
+    # a second build of the law answers moment_about, so no memo is shared
+    law, fresh = MOMENT_LAWS[name], _moment_laws()[name]
+    mean = law.mean()
+    assert [a.hex() for a in fresh.mean()] == [a.hex() for a in mean]
+    for i in range(5):
+        for j in range(5):
+            assert law.raw_moment(i, j).hex() == fresh.moment_about(i, j, 0.0, 0.0).hex()
+            assert law.central_moment(i, j).hex() == fresh.moment_about(i, j, *mean).hex()
+
+
+def test_mixture_raw_moments_keep_each_parts_digits():
+    # raw moments are the weighted sums of the parts' raw moments, so a part
+    # at 1e-3 keeps its digits beside one at 1e3; deriving them from central
+    # moments at the mixture's mean would cancel them away
+    rng = derive_rng(2027)
+    for _ in range(20):
+        parts = [_discrete(rng, int(rng.integers(3, 9)), s, rng.uniform(-2.0, 2.0) * s)
+                 for s in (1e-3, 1.0, 1e3)]
+        law = ec.MixtureLaw(parts, [0.3, 0.3, 0.4])
+        for i in range(5):
+            for j in range(5):
+                want, scale = _exact_moment_about(law, i, j, 0.0, 0.0)
+                assert abs(Fraction(law.raw_moment(i, j)) - want) <= Fraction(1e-15) * scale
+
+
 # ----------------------------------------------------------- determinism
 
 def test_sampling_is_seed_deterministic():

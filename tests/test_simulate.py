@@ -104,6 +104,24 @@ def test_tolerance_not_finite_or_negative_is_rejected_before_any_draw(monkeypatc
             run(cfg, **{name: bad})
 
 
+@pytest.mark.parametrize("driver", ["clt", "lemma1"])
+def test_tolerances_are_python_floats_in_the_report(driver):
+    cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=100, reps=200, seed=3)
+    if driver == "clt":
+        run, names = ec.run_clt_experiment, ("variance_rtol", "ks_tol")
+    else:
+        run, names = functools.partial(ec.run_lemma1_experiment, [ec.pi1]), ("cov_atol", "ks_tol")
+    plain = run(cfg, **dict(zip(names, (0.5, 0.25)))).to_dict()
+    numpy_tols = run(cfg, **dict(zip(names, (np.float32(0.5), np.float64(0.25))))).to_dict()
+    assert all(type(numpy_tols["config"][name]) is float for name in names)
+    assert ec.report_to_json(numpy_tols) == ec.report_to_json(plain)
+    assert ec.report_to_csv(numpy_tols) == ec.report_to_csv(plain)
+    for bad in ("0.1", None, True, 1j):
+        for name in names:
+            with pytest.raises(ec.InputFormatError, match=f"^{name} must be a real number, got "):
+                run(cfg, **{name: bad})
+
+
 # ----------------------------------------------------- run_clt_experiment
 
 def test_clt_gaussian_variance_within_ten_percent():
