@@ -23,9 +23,8 @@ from .empirical import (CovarianceEstimate, CovarianceMatrix, MomentOracle,
                         asymptotic_variance, asymptotic_variance_estimate,
                         gamma_matrix, gn_eval)
 from .correlation import (BivariateMoments, ZeroCorrelationTest, compute_rho_n,
-                          correlation_expansion, correlation_influence,
-                          estimate_moments, population_rho,
-                          sigma1_squared, sigma_squared, test_zero_correlation)
+                          correlation_expansion, correlation_influence, estimate_moments,
+                          rho_from_moments, sigma1_squared, sigma_squared, test_zero_correlation)
 from .laws import (MARGINALS, BivariateLaw, DiscreteLaw, GaussianLaw,
                    IndependentLaw, Marginal, MixtureLaw, get_marginal,
                    law_from_spec)

@@ -67,6 +67,8 @@ def _law_from_args(args) -> BivariateLaw:
 
 
 def cmd_estimate(args) -> Report:
+    if args.input == "-":  # read as a path is: strict UTF-8, line endings kept
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline="")
     sample = read_paired_csv(sys.stdin if args.input == "-" else args.input)
     m = estimate_moments(sample)
     rho_n = rho_from_moments(m)

@@ -23,7 +23,10 @@ and all sample moments use denominator n, not n - 1, matching the plug-in
 definitions throughout.  A law's ``bivariate_moments()`` looks up its
 mean and m_{pq}.  :func:`central_moments` takes them from arrays: a
 sample's under the array mean, a discrete law's atoms under the weighted
-mean.  The z-test reads rho_n from those moments too.
+mean.  One formula, :func:`rho_from_moments`, turns moments into a
+correlation: rho of a law's, rho_n of a sample's (:func:`compute_rho_n`,
+``estimate`` and the z-test), and the value of the expansion is the same
+quotient.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .empirical import PSD_EIGENVALUE_FLOOR
-from .errors import AffineDependenceError, DegenerateSampleError, EvaluationError, MomentError
+from .errors import AffineDependenceError, DegenerateSampleError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
 from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
@@ -44,7 +47,6 @@ from .sample import PairedSample
 # asymptotics below are degenerate there.
 AFFINE_RHO_TOL = 1e-12
 
-_AFFINE_MSG = "affine dependence, asymptotics excluded"
 _INEQ_SLACK = 1e-9  # relative slack for moment inequalities on empirical input
 KURTOSIS_WARN = 100.0  # plug-in m40/var^2 above which estimate_moments warns
 DEGENERATE_VARIANCE_FLOOR = 1e-12  # a variance below this cannot standardize a statistic
@@ -118,44 +120,11 @@ def rho_from_moments(m: BivariateMoments) -> float:
     return max(-1.0, min(1.0, m.cov_xy / math.sqrt(m.var_x * m.var_y)))
 
 
-def population_rho(m: BivariateMoments) -> float:
-    """cov_xy / sqrt(var_x var_y), clipped to [-1, 1].
-
-    A result within 1e-12 of +-1 means one coordinate is affine in the
-    other; a warning is emitted because the asymptotic machinery excludes
-    that case, but the value itself is still returned.
-    """
-    rho = rho_from_moments(m)
-    if abs(rho) >= 1.0 - AFFINE_RHO_TOL:
-        warnings.warn(_AFFINE_MSG, stacklevel=2)
-    return rho
-
-
 def _rho_checked(m: BivariateMoments) -> float:
     rho = rho_from_moments(m)
     if abs(rho) >= 1.0 - AFFINE_RHO_TOL:
-        raise AffineDependenceError(_AFFINE_MSG)
+        raise AffineDependenceError("affine dependence, asymptotics excluded")
     return rho
-
-
-def compute_rho_n(s: PairedSample) -> float:
-    """Plug-in sample correlation with denominator n.
-
-    rho_n = sum(dx dy) / sqrt(sum(dx^2) sum(dy^2)) where dx, dy are the
-    centered coordinates; the n factors cancel.  Finite data whose sums
-    leave the float range raise EvaluationError.
-    """
-    dx = s.xs - s.xs.mean()
-    dy = s.ys - s.ys.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateSampleError("degenerated marginal")
-    den = math.sqrt(sxx * syy)
-    rho_n = float((dx @ dy) / den)
-    if not (math.isfinite(den) and math.isfinite(rho_n)):
-        raise EvaluationError("rho_n is not finite: the sample's sums are out of float range")
-    return rho_n
 
 
 def corrected_mean(mean: Callable, x) -> float:
@@ -180,6 +149,12 @@ def central_moments(mean: Callable, x, y) -> BivariateMoments:
         mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
         m22=mean(uu * vv), m31=mean(uu * uv), m13=mean(uv * vv),
         m40=mean(uu * uu), m04=mean(vv * vv))
+
+
+def compute_rho_n(s: PairedSample) -> float:
+    """Plug-in sample correlation: :func:`rho_from_moments` of the sample's
+    :func:`central_moments`, the rho_n that ``estimate`` reports."""
+    return rho_from_moments(central_moments(lambda a: float(a.mean()), s.xs, s.ys))
 
 
 def estimate_moments(s: PairedSample) -> BivariateMoments:
@@ -216,9 +191,9 @@ def correlation_influence(m: BivariateMoments) -> StatFunction:
 
 
 def _rho_of_means(ex, ey, exy, ex2, ey2):
-    # co-moment, variances, square roots, then one quotient: this order fixes
-    # the rounding of the value, which `variance` reports as rho
-    return (exy - ex * ey) / (math.sqrt(ex2 - ex * ex) * math.sqrt(ey2 - ey * ey))
+    # rho_from_moments' quotient: at the law's centred means (0, 0, cov_xy,
+    # var_x, var_y) this is exactly the rho that `variance` reports
+    return (exy - ex * ey) / math.sqrt((ex2 - ex * ex) * (ey2 - ey * ey))
 
 
 def _rho_of_means_grad(ex, ey, exy, ex2, ey2):
@@ -244,7 +219,7 @@ def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
     influence is sum_j d_j g(P f) f_j over those five functions.  It
     differs from :func:`correlation_influence` by an additive constant
     only, which the covariance functional ignores; the value component
-    equals population_rho(m) up to rounding.
+    is exactly rho_from_moments(m).
     """
     _rho_checked(m)
     u = pi1 - m.mu_x

@@ -224,19 +224,15 @@ class BivariateLaw(PolynomialMomentOracle):
         ys = [(b, math.comb(j, b) * (-py) ** (j - b)) for b in range(j + 1) if py or b == j]
         return sum(sx * sy * self.raw_moment(a, b) for a, sx in xs for b, sy in ys)
 
-    def central_moment(self, i: int, j: int) -> float:
-        """C(i, j) = E[(X - mu_x)^i (Y - mu_y)^j], about :meth:`mean`."""
-        return self.moment_about(i, j, *self.mean())
-
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
         return self._central_moments()
 
     def _central_moments(self) -> BivariateMoments:
-        (mu_x, mu_y), c = self.mean(), self.central_moment
-        return BivariateMoments(
-            mu_x=mu_x, mu_y=mu_y, var_x=c(2, 0), var_y=c(0, 2), cov_xy=c(1, 1),
-            m22=c(2, 2), m31=c(3, 1), m13=c(1, 3), m40=c(4, 0), m04=c(0, 4))
+        mu_x, mu_y = self.mean()  # read once; then eight lookups, in field order
+        return BivariateMoments(mu_x, mu_y, *(
+            self.moment_about(i, j, mu_x, mu_y)
+            for i, j in ((2, 0), (0, 2), (1, 1), (2, 2), (3, 1), (1, 3), (4, 0), (0, 4))))
 
     def sampling_oracle(self) -> SamplingMoments:
         """One ``SamplingMoments`` over :meth:`sample` (seed 0, default budget), cached.

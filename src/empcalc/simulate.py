@@ -28,7 +28,9 @@ Replicate i draws its values from the generator stream derived from
 i of its block; a run hashes all its streams once (:class:`BlockStreams`)
 and each block draws from its slice.  So how replicates are grouped into
 blocks never changes a value.  The law transforms the whole block at once
-and rho_n or G_n(f) is reduced across the block.  The block kernels only
+and rho_n or G_n(f) is reduced across the block; that row reduction is
+the one correlation not taken by ``rho_from_moments`` of a moment set,
+as rho_true and :func:`compute_rho_n` are.  The block kernels only
 detect failures: a block fails when its row sums are not all finite (a
 non-finite draw makes its row's sum non-finite) or when its reduction
 flags a degenerate or non-finite row.  The per-sample routines explain
@@ -47,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import (DEGENERATE_VARIANCE_FLOOR, compute_rho_n, population_rho,
+from .correlation import (DEGENERATE_VARIANCE_FLOOR, compute_rho_n, rho_from_moments,
                           sigma_squared)
 from .empirical import PSD_EIGENVALUE_FLOOR, gamma_matrix, gn_eval
 from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
@@ -183,8 +185,8 @@ def run_clt_experiment(cfg: ExperimentConfig,
     variance_rtol, ks_tol = _check_tolerances(variance_rtol=variance_rtol, ks_tol=ks_tol)
     law = cfg.law
     moments = law.bivariate_moments()
-    rho_true = population_rho(moments)  # warns when the law is affine
-    predicted = sigma_squared(moments)
+    predicted = sigma_squared(moments)  # raises when the law is affine
+    rho_true = rho_from_moments(moments)
     if predicted < DEGENERATE_VARIANCE_FLOOR:
         raise DegenerateSampleError(
             f"predicted asymptotic variance {predicted:g} is numerically zero; "
@@ -193,9 +195,9 @@ def run_clt_experiment(cfg: ExperimentConfig,
     sqrt_n = math.sqrt(n)
 
     def rho_rows(dx, dy, sx, sy):
-        # rho_n per row, as compute_rho_n takes it: centre on the means,
-        # sum / n as numpy's mean divides (in place, the block is the
-        # loop's own), then sums of products
+        # rho_n per row, vectorised: centre on the means, sum / n as numpy's
+        # mean divides (in place, the block is the loop's own), then sums of
+        # products; compute_rho_n, which explains a failure, takes moments
         dx -= (sx / n)[:, np.newaxis]
         dy -= (sy / n)[:, np.newaxis]
         sxx = (dx * dx).sum(axis=1)

@@ -31,6 +31,12 @@ def write_csv(tmp_path, text, name="data.csv"):
     return str(path)
 
 
+def byte_stdin(data: bytes):
+    """A stand-in for sys.stdin: bytes beneath a text layer that, like the
+    interpreter's stdin under a C locale, decodes bad bytes to surrogates."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -55,7 +61,7 @@ def test_estimate_four_row_file(tmp_path, capsys):
 
 
 def test_estimate_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(FOUR_ROWS))
+    monkeypatch.setattr("sys.stdin", byte_stdin(FOUR_ROWS.encode()))
     with pytest.warns(UserWarning, match="normal approximation"):
         code, out, _ = run_cli(capsys, "estimate", "--input", "-")
     assert code == 0
@@ -63,7 +69,7 @@ def test_estimate_reads_stdin(monkeypatch, capsys):
 
 
 def test_estimate_rejects_a_malformed_first_row_on_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1.5,2..0\n" + FOUR_ROWS))
+    monkeypatch.setattr("sys.stdin", byte_stdin(b"1.5,2..0\n" + FOUR_ROWS.encode()))
     code, out, err = run_cli(capsys, "estimate", "--input", "-")
     assert code == 2
     assert out == ""
@@ -106,6 +112,23 @@ def test_estimate_rho_n_and_z_are_the_library_values(tmp_path, capsys):
         assert r["z"] == ec.test_zero_correlation(sample).z
 
 
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e3, 1.0), (1e6, 1.0),
+                                          (0.0, 1e-3), (0.0, 1e3), (1e6, 1e-3)])
+def test_estimate_rho_n_is_compute_rho_n_bitwise(tmp_path, capsys, shift, scale):
+    # the library's rho_n and the report's are one formula on one moment set
+    rng = derive_rng(16, int(shift), int(scale * 1000))
+    for i in range(4):
+        n = int(rng.integers(30, 300))
+        xs = rng.standard_normal(n)
+        ys = rng.uniform(-0.9, 0.9) * xs + rng.standard_normal(n)
+        path = str(tmp_path / f"sample_{i}.csv")
+        ec.write_paired_csv(ec.PairedSample(xs * scale + shift, ys * scale - shift), path)
+        code, out, _ = run_cli(capsys, "estimate", "--input", path)
+        assert code == 0
+        rho_n = json.loads(out)["results"]["rho_n"]
+        assert rho_n.hex() == ec.compute_rho_n(ec.read_paired_csv(path)).hex(), (i, n)
+
+
 def test_estimate_reports_bad_line_number(tmp_path, capsys):
     path = write_csv(tmp_path, "1,2\n3,4\noops,5\n")
     code, out, err = run_cli(capsys, "estimate", "--input", path)
@@ -118,6 +141,15 @@ def test_estimate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x,y\n1,2\n\xff\xfe,3\n4,5\n")
     code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input is not UTF-8 text: cannot decode byte 0xff")
+
+
+def test_estimate_reads_stdin_as_strict_utf8(monkeypatch, capsys):
+    # stdin follows a path's rule, whatever the interpreter's stdin encoding:
+    # the same bytes give the same error, not a cell of surrogate escapes
+    monkeypatch.setattr("sys.stdin", byte_stdin(b"x,y\n1,2\n\xff\xfe,3\n4,5\n"))
+    code, out, err = run_cli(capsys, "estimate", "--input", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error: input is not UTF-8 text: cannot decode byte 0xff")
 
@@ -362,7 +394,7 @@ VALID_ARGS = {"estimate": ("--input", "-"), "variance": LAW, "simulate": EXPERIM
 
 @pytest.mark.parametrize("command", VALID_ARGS)
 def test_thread_flag_is_not_recognized(monkeypatch, capsys, command):
-    monkeypatch.setattr("sys.stdin", io.StringIO(FOUR_ROWS))
+    monkeypatch.setattr("sys.stdin", byte_stdin(FOUR_ROWS.encode()))
     with pytest.raises(SystemExit) as exc:
         main([command, *VALID_ARGS[command], "--threads", "2"])
     assert exc.value.code == 2

@@ -52,29 +52,32 @@ def test_moments_reject_covariance_beyond_bound():
         BivariateMoments(0, 0, 1.0, 1.0, 1.5, 1.0, 0.0, 0.0, 3.0, 3.0)
 
 
-# ------------------------------------------------------------ population_rho
+# ------------------------------------------------------------ population rho
 
 def test_population_rho_standardized():
-    assert ec.population_rho(standardized_moments(0.5)) == 0.5
-    assert ec.population_rho(standardized_moments(0.0)) == 0.0
+    assert ec.rho_from_moments(standardized_moments(0.5)) == 0.5
+    assert ec.rho_from_moments(standardized_moments(0.0)) == 0.0
 
 
 def test_population_rho_rescales_by_standard_deviations():
     m = BivariateMoments(0, 0, 4.0, 9.0, 3.0, 40.0, 0.0, 0.0, 48.1, 243.1)
-    assert ec.population_rho(m) == pytest.approx(0.5, rel=1e-15)
+    assert ec.rho_from_moments(m) == pytest.approx(0.5, rel=1e-15)
 
 
-def test_population_rho_warns_at_affine_boundary():
+def test_rho_from_moments_returns_one_at_affine_boundary():
+    # the value exists; the asymptotic operations are what reject it
     m = BivariateMoments(0, 0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0)
-    with pytest.warns(UserWarning, match="affine dependence, asymptotics excluded"):
-        r = ec.population_rho(m)
-    assert r == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ec.rho_from_moments(m) == 1.0
+    with pytest.raises(ec.AffineDependenceError, match="affine dependence"):
+        ec.sigma_squared(m)
 
 
 def test_rho_from_moments_is_shared_by_both_checks():
     m = BivariateMoments(0, 0, 4.0, 9.0, 3.0, 40.0, 0.0, 0.0, 48.1, 243.1)
     rho = correlation.rho_from_moments(m)
-    assert ec.population_rho(m) == rho
+    assert ec.correlation_expansion(m).value == rho
     assert correlation._rho_checked(m) == rho
     affine = BivariateMoments(0, 0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0)
     assert correlation.rho_from_moments(affine) == 1.0
@@ -108,13 +111,17 @@ def test_rho_n_degenerate_marginal_message():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("xs", [
-    [1.7e308, 1.7e308, -1e300, 3.0],  # the sum behind the mean overflows: nan
-    [1e160, -1e160, 1.0, 2.0],  # sum(dx^2) overflows: 0.0, the true value is -0.239
+    [1.7e308, 1.7e308, -1e300, 3.0],  # the sum behind the mean overflows: mu_x
+    [1e160, -1e160, 1.0, 2.0],  # sum(dx^2) overflows: var_x; the true value is -0.239
 ])
 def test_rho_n_of_finite_data_whose_sums_overflow_raises(xs):
+    # rho_n fails as estimate does: the sample's moment set is not finite
     s = ec.PairedSample(xs, [1.0, 2.0, 3.0, 5.0])
-    with pytest.raises(ec.EvaluationError, match="rho_n is not finite"):
+    with pytest.raises(ec.MomentError, match="inconsistent moment set: non-finite") as rho_n:
         ec.compute_rho_n(s)
+    with pytest.raises(ec.MomentError) as moments:
+        ec.estimate_moments(s)
+    assert str(rho_n.value) == str(moments.value)
 
 
 def _affine_rounding(v, scale, shift):
@@ -159,6 +166,23 @@ def test_rho_n_range(pairs):
     assume(np.var(xs) > 1e-9 and np.var(ys) > 1e-9)
     r = ec.compute_rho_n(ec.PairedSample(xs, ys))
     assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("shift, scale", [
+    (0.0, 1.0), (1e3, 1.0), (1e6, 1.0), (0.0, 1e-3), (0.0, 1e3), (1e6, 1e-3), (1e3, 1e3)])
+def test_rho_n_is_rho_from_moments_of_the_sample_bitwise(shift, scale):
+    # one correlation formula: rho_n is rho_from_moments of the sample's
+    # moments, the rho_n that estimate reports, at any location and scale
+    rng = derive_rng(2024, int(shift), int(scale * 1000))
+    for i in range(25):
+        n = int(rng.integers(3, 400))
+        xs = rng.standard_normal(n)
+        ys = rng.uniform(-0.9, 0.9) * xs + rng.standard_normal(n)
+        s = ec.PairedSample(xs * scale + shift, ys * scale - shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a small sample's kurtosis warning
+            want = ec.rho_from_moments(ec.estimate_moments(s))
+        assert ec.compute_rho_n(s).hex() == want.hex(), (i, n)
 
 
 # ----------------------------------------------------- correlation_influence
@@ -334,7 +358,31 @@ def test_expansion_value_is_population_rho():
     for cov in (-0.6, 0.0, 0.45):
         m = standardized_moments(cov)
         e = ec.correlation_expansion(m)
-        assert e.value == pytest.approx(ec.population_rho(m), rel=1e-14)
+        assert e.value == pytest.approx(ec.rho_from_moments(m), rel=1e-14)
+
+
+def _random_discrete_laws(seed, count):
+    rng = derive_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(3, 13))
+        scale, shift = 10.0 ** rng.integers(-3, 4), rng.choice([0.0, 1.0, 1e3, 1e6])
+        w = rng.random(k) + 0.1
+        yield ec.DiscreteLaw(rng.uniform(-2.0, 2.0, k) * scale + shift,
+                             rng.uniform(-2.0, 2.0, k) * scale - shift, w / w.sum())
+
+
+def test_expansion_value_is_rho_from_moments_bitwise():
+    # the delta method's value is the same quotient as rho_from_moments, so
+    # variance reports the law's rho with the bits every other route gives
+    polynomial = [ec.GaussianLaw(r) for r in (-0.9, -0.37, 0.0, 0.3, 0.61, 0.95)]
+    polynomial += [ec.IndependentLaw(mx, my) for mx in ec.MARGINALS for my in ec.MARGINALS]
+    skewed = ec.IndependentLaw("uniform_std", "exponential_std")
+    polynomial += [ec.MixtureLaw([ec.GaussianLaw(0.7), skewed], [0.3, 0.7]),
+                   ec.MixtureLaw([ec.GaussianLaw(0.5), ec.GaussianLaw(-0.2)], [0.55, 0.45])]
+    for law in [*polynomial, *_random_discrete_laws(2028, 300)]:
+        m = law.bivariate_moments()
+        assert (ec.correlation_expansion(m).value.hex()
+                == ec.rho_from_moments(m).hex()), law.describe()
 
 
 def test_expansion_influence_matches_closed_form_up_to_constant():
@@ -401,7 +449,7 @@ def test_expansion_of_a_law_on_a_tiny_scale():
                          np.array([0.5, -1.0, 1.0, 2.0]) * 1e-7, [0.2, 0.3, 0.25, 0.25])
     m = law.bivariate_moments()
     e = ec.correlation_expansion(m)
-    assert e.value == pytest.approx(ec.population_rho(m), rel=1e-12)
+    assert e.value == pytest.approx(ec.rho_from_moments(m), rel=1e-12)
     assert ec.asymptotic_variance(e, law) == pytest.approx(ec.sigma_squared(m), rel=1e-9)
 
 

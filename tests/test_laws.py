@@ -179,7 +179,7 @@ def test_gaussian_bivariate_moments():
     assert m.m31 == pytest.approx(1.5, rel=1e-14)
     assert m.m13 == pytest.approx(1.5, rel=1e-14)
     assert m.m40 == pytest.approx(3.0, rel=1e-14)
-    assert ec.population_rho(law.bivariate_moments()) == pytest.approx(0.5, rel=1e-15)
+    assert ec.rho_from_moments(law.bivariate_moments()) == pytest.approx(0.5, rel=1e-15)
     # laws of mean exactly 0.0 centre at 0.0, so every central moment is
     # the raw moment itself, bit for bit
     gaussian, independent = law, ec.IndependentLaw("exponential_std", "rademacher")
@@ -286,7 +286,7 @@ def test_independent_moments_factor():
     law = ec.IndependentLaw("uniform_std", "exponential_std")
     assert law.raw_moment(2, 3) == pytest.approx(1.0 * 2.0, rel=1e-12)
     assert law.raw_moment(4, 2) == pytest.approx(1.8 * 1.0, rel=1e-12)
-    assert ec.population_rho(law.bivariate_moments()) == 0.0
+    assert ec.rho_from_moments(law.bivariate_moments()) == 0.0
 
 
 def test_independent_accepts_marginal_objects():
@@ -302,7 +302,7 @@ def test_mixture_moments_are_weighted_averages():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     # cov = 0.3*0.8 + 0.7*(-0.2); each component has unit variances, zero means
     assert law.raw_moment(1, 1) == pytest.approx(0.10, rel=1e-12)
-    assert ec.population_rho(law.bivariate_moments()) == pytest.approx(0.10, rel=1e-12)
+    assert ec.rho_from_moments(law.bivariate_moments()) == pytest.approx(0.10, rel=1e-12)
     assert law.raw_moment(2, 0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -346,7 +346,7 @@ def test_polynomial_moments_are_lookups_not_function_products(monkeypatch, law):
 def test_mixture_sampling_consistent_with_exact_rho():
     law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.GaussianLaw(-0.2)], [0.3, 0.7])
     s = law.sample(200_000, derive_rng(31))
-    rho = ec.population_rho(law.bivariate_moments())
+    rho = ec.rho_from_moments(law.bivariate_moments())
     assert ec.compute_rho_n(s) == pytest.approx(rho, abs=0.01)
 
 
@@ -683,7 +683,15 @@ def test_raw_and_central_moments_are_moment_about_at_origin_and_mean(name):
     for i in range(5):
         for j in range(5):
             assert law.raw_moment(i, j).hex() == fresh.moment_about(i, j, 0.0, 0.0).hex()
-            assert law.central_moment(i, j).hex() == fresh.moment_about(i, j, *mean).hex()
+            assert law.moment_about(i, j, *mean).hex() == fresh.moment_about(i, j, *mean).hex()
+    # the central moments every law but a discrete one reports: moment_about
+    # at the mean, looked up once per field
+    m = ec.BivariateLaw._central_moments(law)
+    for field, (i, j) in (("var_x", (2, 0)), ("var_y", (0, 2)), ("cov_xy", (1, 1)),
+                          ("m22", (2, 2)), ("m31", (3, 1)), ("m13", (1, 3)),
+                          ("m40", (4, 0)), ("m04", (0, 4))):
+        assert getattr(m, field).hex() == fresh.moment_about(i, j, *mean).hex(), field
+    assert [m.mu_x.hex(), m.mu_y.hex()] == [a.hex() for a in mean]
 
 
 def test_mixture_raw_moments_keep_each_parts_digits():
