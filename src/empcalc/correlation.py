@@ -216,19 +216,18 @@ def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
     because the sample correlation is shift-invariant.  The population
     means of the five are 0, 0, cov_xy, var_x and var_y, so no raw moment
     var + mu^2 is formed and a large shift costs no precision.  The
-    influence is sum_j d_j g(P f) f_j over those five functions.  It
-    differs from :func:`correlation_influence` by an additive constant
-    only, which the covariance functional ignores; the value component
-    is exactly rho_from_moments(m).
+    gradient is d_j g(P f) over those five functions; the slopes of u and v
+    are exactly 0 there, so the variance integrates uv, u^2 and v^2 only.
+    The influence differs from :func:`correlation_influence` by an additive
+    constant only; the value is exactly rho_from_moments(m).
     """
     _rho_checked(m)
     u = pi1 - m.mu_x
     v = pi2 - m.mu_y
-    out = delta(_rho_of_means, _rho_of_means_grad,
-                from_mean(u, 0.0), from_mean(v, 0.0), from_mean(u * v, m.cov_xy),
-                from_mean(u ** 2, m.var_x), from_mean(v ** 2, m.var_y))
-    return AsymptoticExpansion(out.value,
-                               out.influence.with_label("corr_influence_pipeline"))
+    return delta(_rho_of_means, _rho_of_means_grad,
+                 from_mean(u, 0.0), from_mean(v, 0.0), from_mean(u * v, m.cov_xy),
+                 from_mean(u ** 2, m.var_x), from_mean(v ** 2, m.var_y)
+                 ).with_label("corr_influence_pipeline")
 
 
 def sigma_squared(m: BivariateMoments) -> float:

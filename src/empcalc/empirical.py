@@ -35,12 +35,14 @@ Each function is integrated once per covariance matrix, and no f_i * f_j
 is built to integrate it.  On the exact route a polynomial oracle
 multiplies coefficient dicts, and takes 5 means, not 45 expectations, for
 k = 5; a discrete law evaluates each function once on its atoms.  On the
-sampling route the matrix is filled row by row: row i centres f_i on the
-batch once and evaluates each f_j, j > i, once, k(k+1)/2 evaluations in
-all.  Only one row's centred values are held between entries, so the peak
-beyond the batch is that row plus one entry's evaluation and product
-(three batch-length arrays), whatever k is.  The values, and the pair an
-error names, are those of integrating each pair afresh.
+sampling route row i centres f_i on the batch once and evaluates each f_j,
+j > i, once: k(k+1)/2 evaluations, holding one row's centred values plus
+one entry's evaluation and product (three batch-length arrays) beyond the
+batch, whatever k is.  ``covariance_estimate(f, f)`` evaluates f once.  The
+values, and the pair an error names, are those of integrating each pair
+afresh.  An expansion's asymptotic variance is s^T Gamma_F s, from the same
+rows over the base functions whose slope is not 0; only the sampling route
+builds the influence, to integrate it on its batch.
 """
 
 from __future__ import annotations
@@ -122,6 +124,19 @@ class MomentOracle(ABC):
     def _covariance_row(self, f, gs, memo: dict) -> Iterator[CovarianceEstimate]:
         """Yield Gamma(f, g) for each g of ``gs``; ``memo`` lives for one matrix."""
 
+    def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
+        """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0,
+        from the rows of Gamma_F through one memo."""
+        fs = [f for _, f in terms]
+        memo: dict = {}
+        total = 0.0
+        for i, (s, f) in enumerate(terms):
+            w = s  # Gamma_ij counts s_i s_j on the diagonal and 2 s_i s_j past it
+            for (t, _), est in zip(terms[i:], self._covariance_row(f, fs[i:], memo)):
+                total += w * t * est.value
+                w = 2.0 * s
+        return CovarianceEstimate(total, 0.0, "exact")
+
 
 class PolynomialMomentOracle(MomentOracle):
     """Exact moments for polynomial functions via raw moments E[X^i Y^j];
@@ -194,11 +209,6 @@ class SamplingMoments(MomentOracle):
     Once the batch is drawn, ``sampler`` is set to None: a law's bound
     ``sample`` would otherwise tie the law and its cached oracle in a
     reference cycle, keeping the batch alive until the cyclic collector runs.
-
-    ``covariance_estimate(f, g)`` evaluates f and g once each on the batch,
-    and ``covariance_estimate(f, f)`` evaluates f once.  Under
-    :func:`gamma_matrix` a k-function family costs k(k+1)/2 evaluations,
-    with one row's centred values held at a time.
     """
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
@@ -248,6 +258,10 @@ class SamplingMoments(MomentOracle):
         cf = self._centred(f)
         for g in gs:
             yield self._estimate(cf * cf if g is f else self._centred(g, cf), f, g)
+
+    def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
+        """Gamma(h, h) of ``e``'s influence on the batch, with the stderr of the sum."""
+        return next(self._covariance_row(e.influence, (e.influence,), {}))
 
     @staticmethod
     def _estimate(w: np.ndarray, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
@@ -311,12 +325,8 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     exact.  Otherwise the whole matrix is computed through the oracle's
     sampling fallback so that all entries share one batch of draws; a mix
     of exact and sampled entries could fail the PSD guarantee.  The route
-    is chosen before any pair, and ``method`` is that of the entries.
-
-    Each function is integrated once: k means and k(k+1)/2 products, with no
-    f_i * f_j built, on the exact route; k(k+1)/2 evaluations on the batch,
-    holding one row's centred values, on the sampling route.  The first pair
-    that fails is named in the error, as if each pair were integrated afresh.
+    is chosen before any pair, and ``method`` is that of the entries.  Each
+    function is integrated once (see the module docstring).
     """
     fs = list(fs)
     if not fs:
@@ -338,14 +348,17 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
 
 
 def asymptotic_variance_estimate(e: AsymptoticExpansion, oracle: MomentOracle) -> CovarianceEstimate:
-    """Gamma(h, h) for the influence h of an expansion, with provenance."""
-    est = oracle.covariance_estimate(e.influence, e.influence)
+    """Gamma(h, h) for the influence h = sum_j s_j f_j of an expansion, with
+    provenance: s^T Gamma_F s over the f_j of non-zero slope, integrated by the
+    oracle's ``_integrator`` for them (the sampling one integrates h itself)."""
+    terms = [(s, f) for s, f in e.terms if s]
+    est = oracle._integrator([f for _, f in terms])._variance_of_sum(terms, e)
     if est.value < PSD_EIGENVALUE_FLOOR:
-        raise MomentError(
-            f"negative asymptotic variance {est.value:g} for {e.influence.label}")
+        raise MomentError(f"negative asymptotic variance {est.value:g} "
+                          f"for {e.label or e.influence.label}")
     return CovarianceEstimate(max(est.value, 0.0), est.stderr, est.method)
 
 
 def asymptotic_variance(e: AsymptoticExpansion, oracle: MomentOracle) -> float:
-    """Limiting variance of sqrt(n) (T_n - value): Gamma(influence, influence)."""
+    """Limiting variance of sqrt(n) (T_n - value): s^T Gamma_F s = Gamma(h, h)."""
     return asymptotic_variance_estimate(e, oracle).value

@@ -1,10 +1,8 @@
 """First-order asymptotic expansions of plug-in statistics.
 
-An :class:`AsymptoticExpansion` records the pair (value, influence)
-standing for a statistic T_n that satisfies
-
-    T_n = value + n^{-1/2} G_n(influence) + o_P(n^{-1/2}),
-
+An :class:`AsymptoticExpansion` holds a value and a gradient ``terms``, the
+pairs (s_j, f_j) of distinct base functions f_j, standing for a statistic
+T_n that satisfies T_n = value + n^{-1/2} G_n(sum_j s_j f_j) + o_P(n^{-1/2}),
 where G_n is the centered-and-scaled empirical average implemented in
 :mod:`empcalc.empirical`.  One rule, the delta method, pushes expansions
 through any map g that is C^1 at the expansion point: for expansions
@@ -13,22 +11,23 @@ through any map g that is C^1 at the expansion point: for expansions
     delta: g at ((A_1, L_1), .., (A_k, L_k))
            -> (g(A_1, .., A_k), sum_j d_j g(A_1, .., A_k) L_j),
 
-dropping remainders that stay o_P(n^{-1/2}).  For T_n = g(P_n f_1, ..,
-P_n f_k) this is van der Vaart, *Asymptotic Statistics* (1998), Thm 3.1:
-sqrt(n)(T_n - g(P f)) is asymptotically N(0, Gamma(h, h)) with
-h = sum_j d_j g(P f) f_j.  The operators + - * / on expansions are this
-rule with the gradients (1, 1), (1, -1), (b, a) and (1/b, -a/b^2).
+dropping remainders that stay o_P(n^{-1/2}).  On gradients this is the
+chain rule.  For T_n = g(P_n f_1, .., P_n f_k) it is van der Vaart,
+*Asymptotic Statistics* (1998), Thm 3.1: sqrt(n)(T_n - g(P f)) is
+asymptotically N(0, s^T Gamma_F s) with s = grad g(P f).  The operators
++ - * / on expansions are this rule with the gradients (1, 1), (1, -1),
+(b, a) and (1/b, -a/b^2).
 
-The influence component is a :class:`~empcalc.functions.StatFunction`, so
-expansions started from polynomial functions keep an exact polynomial
-influence, ready for exact variance computation.
+The influence sum_j s_j f_j, a :class:`~empcalc.functions.StatFunction`, is
+built only when read, so expansions started from polynomial functions
+keep an exact polynomial influence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import functools
 import math
 
 from .errors import ExpansionError
@@ -38,18 +37,35 @@ from .functions import StatFunction, constant
 DIV_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
 class AsymptoticExpansion:
-    """Pair (value, influence) of a root-n normal expansion."""
+    """A root-n normal expansion: ``value`` and the gradient ``terms``, (slope,
+    base function) pairs.  ``AsymptoticExpansion(value, influence)`` is the one
+    term (1.0, influence); ``label`` names the influence, if one was given."""
 
-    value: float
-    influence: StatFunction
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ExpansionError(f"non-finite expansion value: {self.value!r}")
-        if not isinstance(self.influence, StatFunction):
+    def __init__(self, value: float, influence: StatFunction):
+        if not isinstance(influence, StatFunction):
             raise ExpansionError("influence must be a StatFunction")
+        self._set(value, ((1.0, influence),), influence.label)
+        self.influence = influence  # the cached sum of its one term
+
+    def _set(self, value: float, terms, label) -> "AsymptoticExpansion":
+        """Fill a new expansion; its influence is built when first read."""
+        if not math.isfinite(value):
+            raise ExpansionError(f"non-finite expansion value: {value!r}")
+        self.value, self.terms, self.label = value, terms, label
+        return self
+
+    @functools.cached_property
+    def influence(self) -> StatFunction:
+        """sum_j slope_j f_j, summed left to right as slope * f when first read."""
+        h = None
+        for s, f in self.terms:
+            h = s * f if h is None else h + s * f
+        return h if self.label is None else h.with_label(self.label)
+
+    def with_label(self, label: str) -> "AsymptoticExpansion":
+        """The same expansion, its influence labelled ``label``."""
+        return object.__new__(AsymptoticExpansion)._set(self.value, self.terms, label)
 
     # arithmetic sugar over delta
     def __add__(self, other):
@@ -110,7 +126,8 @@ def delta(g: Callable[..., float], grad: Callable[..., Sequence[float]],
     ``g`` and ``grad`` take the k expansion values as k arguments; ``grad``
     returns the k partial derivatives.  Both are evaluated at the expansion
     point only and must be finite there, or the expansion does not exist.
-    The influence is sum_j slope_j L_j, summed left to right.
+    A term (s, f) of expansion j becomes (d_j g * s, f); the slopes of one f
+    object are summed, in order of first appearance.  No function is built.
     """
     if not expansions:
         raise ExpansionError("delta method needs at least one expansion")
@@ -129,7 +146,9 @@ def delta(g: Callable[..., float], grad: Callable[..., Sequence[float]],
         raise ExpansionError(
             f"delta method inapplicable at expansion point {point!r}: "
             f"g={value!r}, grad={slopes!r}")
-    influence = slopes[0] * expansions[0].influence
-    for slope, e in zip(slopes[1:], expansions[1:]):
-        influence = influence + slope * e.influence
-    return AsymptoticExpansion(value, influence)
+    merged: dict = {}
+    for slope, e in zip(slopes, expansions):
+        for s, f in e.terms:
+            merged[f] = merged[f] + slope * s if f in merged else slope * s
+    return object.__new__(AsymptoticExpansion)._set(
+        value, tuple((s, f) for f, s in merged.items()), None)

@@ -475,6 +475,91 @@ def test_formula_pipeline_equivalence_across_laws():
         assert via_pipeline == pytest.approx(direct, rel=1e-9), law.describe()
 
 
+QUADRATIC_FORM_LAWS = (
+    [ec.GaussianLaw(r) for r in (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)]
+    + [ec.IndependentLaw(mx, my) for mx in ec.MARGINALS for my in ec.MARGINALS]
+    + [ec.MixtureLaw([ec.GaussianLaw(0.7), ec.IndependentLaw("uniform_std", "exponential_std")],
+                     [0.3, 0.7]),
+       ec.MixtureLaw([ec.GaussianLaw(0.5), ec.GaussianLaw(-0.2)], [0.55, 0.45]),
+       ec.MixtureLaw([ec.IndependentLaw("rademacher", "exponential_std"), ec.GaussianLaw(-0.8),
+                      ec.IndependentLaw("standard_normal", "uniform_std")], [0.2, 0.5, 0.3])])
+
+
+@pytest.mark.parametrize("law", QUADRATIC_FORM_LAWS, ids=lambda law: law.kind)
+def test_pipeline_variance_is_the_quadratic_form_over_non_zero_slopes(law):
+    # at a centred law the slopes of u and v are exactly 0, so s^T Gamma_F s
+    # runs over uv, u^2 and v^2; it is the Gamma(h, h) of the influence
+    e = ec.correlation_expansion(law.bivariate_moments())
+    assert [s for s, _ in e.terms[:2]] == [0.0, 0.0]
+    terms = e.terms[2:]
+    s = [t for t, _ in terms]
+    gamma = ec.gamma_matrix([f for _, f in terms], law).entries
+    want = 0.0
+    for i in range(3):
+        for j in range(i, 3):
+            want += (s[i] if i == j else 2.0 * s[i]) * s[j] * gamma[i, j]
+    pipeline = ec.asymptotic_variance(e, law)
+    assert pipeline.hex() == want.hex()
+    assert pipeline == pytest.approx(law.covariance_estimate(e.influence, e.influence).value,
+                                     rel=1e-12)
+
+
+def count_influence_algebra(monkeypatch):
+    """Record each StatFunction sum and each product with a number."""
+    calls = []
+    add, mul, rmul = ec.StatFunction.__add__, ec.StatFunction.__mul__, ec.StatFunction.__rmul__
+
+    def counted_mul(f, g):
+        if not isinstance(g, ec.StatFunction):
+            calls.append("scalar *")
+        return mul(f, g)
+
+    monkeypatch.setattr(ec.StatFunction, "__add__", lambda f, g: calls.append("+") or add(f, g))
+    monkeypatch.setattr(ec.StatFunction, "__mul__", counted_mul)
+    monkeypatch.setattr(ec.StatFunction, "__rmul__",
+                        lambda f, c: calls.append("scalar r*") or rmul(f, c))
+    return calls
+
+
+@pytest.mark.parametrize("law", [
+    ec.GaussianLaw(0.45), ec.IndependentLaw("uniform_std", "exponential_std"),
+    ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw("rademacher", "standard_normal")],
+                  [0.3, 0.7]),
+    ec.DiscreteLaw([-1.0, 0.5, 2.0, -0.5, 1.5], [0.5, -1.0, 1.0, 2.0, 0.25],
+                   [0.2, 0.3, 0.25, 0.15, 0.1])], ids=lambda law: law.kind)
+def test_pipeline_variance_builds_no_influence(monkeypatch, law):
+    m = law.bivariate_moments()
+    calls = count_influence_algebra(monkeypatch)
+    e = ec.correlation_expansion(m)
+    ec.asymptotic_variance(e, law)
+    assert calls == []
+    # reading the influence builds it: five slope * f, four sums, once
+    assert e.influence.label == "corr_influence_pipeline"
+    assert (calls.count("scalar r*"), calls.count("scalar *"), calls.count("+")) == (5, 5, 4)
+    calls.clear()
+    e.influence
+    assert calls == []
+
+
+def test_negative_quadratic_form_names_the_pipeline_without_building_it(monkeypatch):
+    # the CHANGES.md probe: CI's discrete mixture shifted x + 1e4, y - 1e4; a
+    # polynomial-oracle mixture integrates F's polynomials against raw
+    # moments, which cancel there (the pipeline is wrong, the closed form right)
+    s = 1e4
+    parts = [([x + s for x in xs], [y - s for y in ys], w) for xs, ys, w in (
+        ([0.1, 1.3, -0.7, 2.2, 0.5], [1.0, -0.4, 0.3, 0.9, -1.1], [0.1, 0.2, 0.3, 0.25, 0.15]),
+        ([-1.0, 0.4, 2.5], [0.6, -0.8, 1.7], [0.3, 0.5, 0.2]))]
+    law = ec.MixtureLaw([ec.DiscreteLaw(*part) for part in parts], [0.6, 0.4])
+    m = law.bivariate_moments()
+    calls = count_influence_algebra(monkeypatch)
+    e = ec.correlation_expansion(m)
+    with pytest.raises(ec.MomentError,
+                       match=r"^negative asymptotic variance -\S+ for corr_influence_pipeline$"):
+        ec.asymptotic_variance(e, law)
+    assert calls == []
+    assert "influence" not in vars(e)
+
+
 # ------------------------------------------------------ test_zero_correlation
 
 def test_zero_statistic_on_exactly_uncorrelated_sample():

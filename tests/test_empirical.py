@@ -538,3 +538,42 @@ def test_asymptotic_variance_of_correlation_expansion():
     e = ec.correlation_expansion(law.bivariate_moments())
     got = ec.asymptotic_variance(e, law)
     assert got == pytest.approx(0.5625, rel=1e-12)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("index", range(len(exact_laws())))
+def test_a_zero_slope_is_not_integrated(zero, index):
+    # a base function of slope +-0.0 is neither evaluated nor routed: a
+    # non-polynomial one leaves a polynomial law on its exact route
+    law = exact_laws()[index]
+    calls = []
+    unused = ec.StatFunction(lambda x, y: calls.append(1) or np.cos(x) + 0.0 * y, "unused")
+    e = ec.delta(lambda a, b: 2.0 * a, lambda a, b: (2.0, zero),
+                 ec.from_mean(ec.p, law.expectation(ec.p)), ec.from_mean(unused, 0.0))
+    assert [s for s, _ in e.terms] == [2.0, zero]
+    est = ec.asymptotic_variance_estimate(e, law)
+    assert (est.value, est.stderr, est.method) == (
+        4.0 * law.covariance_estimate(ec.p, ec.p).value, 0.0, "exact")
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", range(len(exact_laws())))
+def test_merged_terms_give_the_variance_of_the_unmerged_sum(index):
+    law = exact_laws()[index]
+    f, g = ec.p, ec.pi1 ** 2 - ec.pi2
+    a, b = (ec.from_mean(h, law.expectation(h)) for h in (f, g))
+    e = ec.delta(lambda x, y, z: x * y - 3.0 * z, lambda x, y, z: (y, x, -3.0), a, b, a)
+    assert [h for _, h in e.terms] == [f, g]  # a's two terms merge into one
+    unmerged = b.value * f + a.value * g + (-3.0) * f
+    assert ec.asymptotic_variance(e, law) == pytest.approx(
+        law.covariance_estimate(unmerged, unmerged).value, rel=1e-12)
+
+
+def test_sampling_route_reports_the_stderr_of_the_sum():
+    # no exact route for cos(pi1) under a Gaussian law: the fallback batch
+    # integrates the influence itself; Var cos(Z) = (1 - e^-1)^2 / 2
+    est = ec.asymptotic_variance_estimate(ec.from_mean(COS_PI1, math.exp(-0.5)),
+                                          ec.GaussianLaw(0.5))
+    assert est.method == "monte_carlo"
+    assert est.stderr > 0.0
+    assert est.value == pytest.approx((1.0 - math.exp(-1.0)) ** 2 / 2.0, abs=6 * est.stderr)

@@ -128,6 +128,30 @@ def test_operators_give_the_hand_rules_coefficients_bit_for_bit():
             assert via_op.influence(x, y) == hand(x, y)
 
 
+def test_delta_applies_the_chain_rule_to_the_terms():
+    # (a * b) + a: a's base function gets the slope b + 1, in first-seen order
+    a = from_mean(ec.pi1, 2.0)
+    b = from_mean(ec.pi2, 3.0)
+    e = (a * b) + a
+    assert e.terms == ((4.0, ec.pi1), (2.0, ec.pi2))
+    # a nested map multiplies the slopes: d/dt (t^2) at 6 is 12
+    sq = ec.delta(lambda t: t * t, lambda t: (2.0 * t,), a * b)
+    assert sq.value == 36.0
+    assert sq.terms == ((36.0, ec.pi1), (24.0, ec.pi2))
+
+
+def test_influence_is_built_once_when_first_read():
+    f = ec.p + 0.5 * ec.pi1
+    assert AsymptoticExpansion(2.0, f).influence is f
+    assert AsymptoticExpansion(2.0, f).terms == ((1.0, f),)
+    e = from_mean(ec.pi1, 2.0) * from_mean(ec.pi2, 3.0)
+    assert "influence" not in vars(e)
+    h = e.influence
+    assert e.influence is h
+    assert h.poly == (3.0 * ec.pi1 + 2.0 * ec.pi2).poly
+    assert e.with_label("named").influence.label == "named"
+
+
 def test_value_must_be_finite():
     with pytest.raises(ec.ExpansionError):
         AsymptoticExpansion(float("nan"), ec.pi1)

@@ -566,6 +566,26 @@ def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
         assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
 
 
+@pytest.mark.parametrize("shift, scale", [
+    (shift, scale) for shift in (0.0, 1.0, 1e2, 1e4, 1e6) for scale in (1e-3, 1.0, 1e3)])
+def test_pipeline_quadratic_form_on_shifted_discrete_laws(shift, scale):
+    # s^T Gamma_F s over the base functions agrees with Gamma(h, h) of the
+    # influence built from them, and, up to shift/scale 1e6, with the exact
+    # rational sigma^2 of the atoms as closely as the closed form does
+    rng = derive_rng(2029, int(shift), int(scale * 1000))
+    for _ in range(8):
+        k = int(rng.integers(6, 13))
+        w = rng.random(k) + 0.1
+        law = ec.DiscreteLaw(rng.uniform(-2.0, 2.0, k) * scale + shift,
+                             rng.uniform(-2.0, 2.0, k) * scale - shift, w / w.sum())
+        e = ec.correlation_expansion(law.bivariate_moments())
+        pipeline = ec.asymptotic_variance(e, law)
+        assert pipeline == pytest.approx(
+            law.covariance_estimate(e.influence, e.influence).value, rel=1e-12)
+        if shift / scale <= 1e6:
+            assert pipeline == pytest.approx(_exact_means_and_sigma_squared(law)[2], rel=1e-9)
+
+
 # ------------------------------------------------- moments about a point
 
 # exact marginal moments E[X^k] of the named marginals
