@@ -18,31 +18,23 @@ Moment oracles
 --------------
 :class:`MomentOracle` is the integration interface: ``expectation`` and
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
-for laws that expose exact raw moments E[X^i Y^j].
-:class:`SamplingMoments` implements it by averaging over one shared,
-seed-deterministic batch of draws, so repeated queries and whole
-covariance matrices are mutually consistent (a shared batch makes the
-estimated Gamma matrix an empirical Gram matrix, hence PSD).
-
-``_integrator(fs)`` alone chooses the route.  It is the oracle itself, but
-for a polynomial oracle given a non-polynomial function: then it is its
+for laws that expose exact raw moments E[X^i Y^j], and
+:class:`SamplingMoments` by averaging over one shared, seed-deterministic
+batch of draws (so a sampled Gamma matrix is an empirical Gram matrix,
+hence PSD).  ``_integrator(fs)`` alone chooses the route: the oracle
+itself, but for a polynomial oracle given a non-polynomial function its
 ``sampling_oracle()`` for all of ``fs``, or, if it has none, a MomentError
 naming that function.
 
 Integration counts
 ------------------
-Each function is integrated once per covariance matrix, and no f_i * f_j
-is built to integrate it.  On the exact route a polynomial oracle
-multiplies coefficient dicts, and takes 5 means, not 45 expectations, for
-k = 5; a discrete law evaluates each function once on its atoms.  On the
-sampling route row i centres f_i on the batch once and evaluates each f_j,
-j > i, once: k(k+1)/2 evaluations, holding one row's centred values plus
-one entry's evaluation and product (three batch-length arrays) beyond the
-batch, whatever k is.  ``covariance_estimate(f, f)`` evaluates f once.  The
-values, and the pair an error names, are those of integrating each pair
-afresh.  An expansion's asymptotic variance is s^T Gamma_F s, from the same
-rows over the base functions whose slope is not 0; only the sampling route
-builds the influence, to integrate it on its batch.
+Each oracle builds Gamma(f_i, g_j) as one matrix, ``_gamma(fs, gs)``, with no
+f_i * f_j built and no expectation called: C Sigma C^T over the raw moments
+of a polynomial family's monomials, the Gram matrix of centred atom values
+on a discrete law, and row by row on the sampling route, holding one row's
+centred values plus one entry's evaluation and product beyond the batch.
+An expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
+there is none); only the sampling route builds the influence.
 """
 
 from __future__ import annotations
@@ -50,13 +42,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, MomentError
 from .expansion import AsymptoticExpansion
-from .functions import StatFunction, _poly_mul
+from .functions import StatFunction
 from .sample import PairedSample
 from .streams import derive_rng
 
@@ -110,32 +102,33 @@ class MomentOracle(ABC):
         """E f(Z) under this oracle's law."""
 
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's.
-
-        ``covariance_estimate(f, f)`` takes E[f] once.
-        """
-        return next(self._integrator((f, g))._covariance_row(f, (g,), {}))
+        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's;
+        the one entry of ``_gamma((f,), (g,))``, which takes f once for g = f."""
+        fs = (f,)
+        value, stderr = self._integrator((f, g))._gamma(fs, fs if g is f else (g,))
+        if stderr is None:
+            return CovarianceEstimate(float(value[0, 0]), 0.0, "exact")
+        return CovarianceEstimate(float(value[0, 0]), float(stderr[0, 0]), "monte_carlo")
 
     def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
         """The oracle that integrates every function of ``fs``: this one."""
         return self
 
     @abstractmethod
-    def _covariance_row(self, f, gs, memo: dict) -> Iterator[CovarianceEstimate]:
-        """Yield Gamma(f, g) for each g of ``gs``; ``memo`` lives for one matrix."""
+    def _gamma(self, fs, gs) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Gamma(f_i, g_j) and its stderrs, None if exact; ``gs is fs`` asks for Gamma_F."""
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
-        """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0,
-        from the rows of Gamma_F through one memo."""
-        fs = [f for _, f in terms]
-        memo: dict = {}
-        total = 0.0
-        for i, (s, f) in enumerate(terms):
-            w = s  # Gamma_ij counts s_i s_j on the diagonal and 2 s_i s_j past it
-            for (t, _), est in zip(terms[i:], self._covariance_row(f, fs[i:], memo)):
-                total += w * t * est.value
-                w = 2.0 * s
-        return CovarianceEstimate(total, 0.0, "exact")
+        """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0."""
+        s, fs = np.array([t for t, _ in terms]), [f for _, f in terms]
+        return CovarianceEstimate(float(s @ self._gamma(fs, fs)[0] @ s), 0.0, "exact")
+
+
+def _coefficients(fs: Sequence[StatFunction]) -> tuple[list, np.ndarray]:
+    """The non-constant monomials of ``fs`` in order of first appearance, and C,
+    their coefficients, a row per function."""
+    basis = list(dict.fromkeys(k for f in fs for k in f.poly if k != (0, 0)))
+    return basis, np.array([[f.poly.get(k, 0.0) for k in basis] for f in fs], dtype=float)
 
 
 class PolynomialMomentOracle(MomentOracle):
@@ -178,18 +171,21 @@ class PolynomialMomentOracle(MomentOracle):
             return self._integrator((f,)).expectation(f)
         return self.poly_expectation(f.poly)
 
-    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
-                        memo: dict) -> Iterator[CovarianceEstimate]:
-        """E[fg] from the product of the coefficient dicts; ``memo`` holds E[h]."""
-        for g in gs:
-            value = (self.poly_expectation(_poly_mul(f.poly, g.poly))
-                     - self._mean(f, memo) * self._mean(g, memo))
-            yield CovarianceEstimate(value, 0.0, "exact")
-
-    def _mean(self, f: StatFunction, memo: dict) -> float:
-        if f not in memo:
-            memo[f] = self.expectation(f)
-        return memo[f]
+    def _gamma(self, fs, gs) -> tuple[np.ndarray, None]:
+        """C_f Sigma C_g^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of
+        ``fs`` and ``gs``, one lookup per raw moment."""
+        rows, cf = _coefficients(fs)
+        cols, cg = (rows, cf) if gs is fs else _coefficients(gs)
+        keys: dict = {}  # exponent -> its index in m: the products', then the means'
+        at = [keys.setdefault((i + k, j + l), len(keys)) for i, j in rows for k, l in cols]
+        mr, mc = ([keys.setdefault(a, len(keys)) for a in basis] for basis in (rows, cols))
+        m = np.array([self.raw_moment(i, j) for i, j in keys], dtype=float)
+        if not np.isfinite(m).all():
+            self.poly_expectation(dict.fromkeys(keys, 1.0))  # names the first
+        value = cf @ (m[at].reshape(len(rows), len(cols)) - np.multiply.outer(m[mr], m[mc])) @ cg.T
+        if gs is fs:
+            value = 0.5 * (value + value.T)  # exactly symmetric
+        return value, None
 
 
 class SamplingMoments(MomentOracle):
@@ -247,25 +243,26 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label})")
         return m
 
-    def _covariance_row(self, f: StatFunction, gs: Sequence[StatFunction],
-                        memo: dict) -> Iterator[CovarianceEstimate]:
-        """Yield Gamma(f, g) for each g of ``gs``, holding f's centred values.
-
-        f is evaluated once and each g once (g = f reuses f's values).  Each
-        g's centred values take the product in their own buffer, so one
-        batch-length array stays held between entries.
-        """
-        cf = self._centred(f)
-        for g in gs:
-            yield self._estimate(cf * cf if g is f else self._centred(g, cf), f, g)
+    def _gamma(self, fs, gs) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma(f_i, g_j) and stderrs on the batch, row by row: f_i is centred once
+        and each g_j evaluated once (g_j = f_i reuses f_i's values) into its own
+        buffer for the product; for ``gs is fs`` only j >= i, mirrored."""
+        out = np.empty((2, len(fs), len(gs)))  # values, stderrs
+        for i, f in enumerate(fs):
+            cf = self._centred(f)
+            for j, g in list(enumerate(gs))[i if gs is fs else 0:]:
+                out[:, i, j] = self._estimate(cf * cf if g is f else self._centred(g, cf), f, g)
+                if gs is fs:
+                    out[:, j, i] = out[:, i, j]
+        return out[0], out[1]
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
         """Gamma(h, h) of ``e``'s influence on the batch, with the stderr of the sum."""
-        return next(self._covariance_row(e.influence, (e.influence,), {}))
+        return self.covariance_estimate(e.influence, e.influence)
 
     @staticmethod
-    def _estimate(w: np.ndarray, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) from the products w of centred values; w is overwritten."""
+    def _estimate(w: np.ndarray, f: StatFunction, g: StatFunction) -> tuple[float, float]:
+        """Gamma(f, g) and its stderr from the products w of centred values; w is overwritten."""
         r = w.size
         s = w.sum()
         value = float(s / (r - 1))
@@ -275,7 +272,7 @@ class SamplingMoments(MomentOracle):
         stderr = math.sqrt(w.sum() / (r - 1)) / math.sqrt(r)
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}, {g.label})")
-        return CovarianceEstimate(value, stderr, "monte_carlo")
+        return value, stderr
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +280,7 @@ class CovarianceMatrix:
     """A validated k-by-k covariance matrix of G_n coordinates.
 
     Construction enforces the two structural facts the limit theorem
-    guarantees: symmetry (entries are computed once per unordered pair)
+    guarantees: symmetry (every route's Gamma_F is exactly symmetric)
     and positive semidefiniteness up to an eigenvalue floor of -1e-10.
     """
 
@@ -325,34 +322,34 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     exact.  Otherwise the whole matrix is computed through the oracle's
     sampling fallback so that all entries share one batch of draws; a mix
     of exact and sampled entries could fail the PSD guarantee.  The route
-    is chosen before any pair, and ``method`` is that of the entries.  Each
-    function is integrated once (see the module docstring).
+    is chosen before any pair, and ``method`` is that of the entries.  An
+    error names the first pair, in row order, that fails on its own.
     """
     fs = list(fs)
     if not fs:
         raise MomentError("gamma_matrix needs at least one function")
     working = oracle._integrator(fs)
-    k = len(fs)
-    m = np.zeros((k, k))
-    memo: dict = {}
-    for i in range(k):
-        j = i  # the entry the row is computing
-        try:
-            for est in working._covariance_row(fs[i], fs[i:], memo):
-                m[i, j] = m[j, i] = est.value
-                j += 1
-        except MomentError as exc:
-            raise MomentError(
-                f"gamma failed for pair ({fs[i].label}, {fs[j].label}): {exc}") from exc
-    return CovarianceMatrix(m, tuple(f.label for f in fs), est.method)
+    try:
+        value, stderr = working._gamma(fs, fs)
+    except MomentError:
+        for f, g in [(f, g) for i, f in enumerate(fs) for g in fs[i:]]:
+            try:
+                working.covariance_estimate(f, g)
+            except MomentError as exc:
+                raise MomentError(f"gamma failed for pair ({f.label}, {g.label}): {exc}") from exc
+        raise
+    return CovarianceMatrix(value, tuple(f.label for f in fs),
+                            "exact" if stderr is None else "monte_carlo")
 
 
 def asymptotic_variance_estimate(e: AsymptoticExpansion, oracle: MomentOracle) -> CovarianceEstimate:
     """Gamma(h, h) for the influence h = sum_j s_j f_j of an expansion, with
     provenance: s^T Gamma_F s over the f_j of non-zero slope, integrated by the
-    oracle's ``_integrator`` for them (the sampling one integrates h itself)."""
+    oracle's ``_integrator`` for them (the sampling one integrates h itself);
+    with no such f_j, an exact 0.0, and nothing is integrated."""
     terms = [(s, f) for s, f in e.terms if s]
-    est = oracle._integrator([f for _, f in terms])._variance_of_sum(terms, e)
+    est = (oracle._integrator([f for _, f in terms])._variance_of_sum(terms, e) if terms
+           else CovarianceEstimate(0.0, 0.0, "exact"))
     if est.value < PSD_EIGENVALUE_FLOOR:
         raise MomentError(f"negative asymptotic variance {est.value:g} "
                           f"for {e.label or e.influence.label}")

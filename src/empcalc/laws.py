@@ -52,7 +52,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import CovarianceEstimate, PolynomialMomentOracle, SamplingMoments
+from .empirical import PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -427,7 +427,7 @@ class DiscreteLaw(BivariateLaw):
     E[f] enumerates the atoms through f's callable, and a moment about a
     point centres the atoms there.  So the class is an independent
     cross-check oracle, sharing no code path with the polynomial moment
-    bookkeeping; a covariance matrix evaluates each function once.
+    bookkeeping; a covariance matrix is a Gram matrix of centred atom values.
     """
 
     kind = "discrete"
@@ -470,7 +470,8 @@ class DiscreteLaw(BivariateLaw):
         return self
 
     def expectation(self, f: StatFunction) -> float:
-        return self._weighted_mean(self._on_atoms(f, {})[0], lambda: f.label)
+        vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
+        return self._weighted_mean(vals, lambda: f.label)
 
     def _weighted_mean(self, vals: np.ndarray,
                        label: Callable[[], str] = lambda: "moment") -> float:
@@ -503,21 +504,23 @@ class DiscreteLaw(BivariateLaw):
     def moment_about(self, i, j, px, py):
         return self._weighted_mean((self.atom_xs - px) ** i * (self.atom_ys - py) ** j)
 
-    def _covariance_row(self, f, gs, memo):
-        """E[fg] is the weighted mean of f's values times g's; f * g names a failure."""
-        vf, ef = self._on_atoms(f, memo)
-        for g in gs:
-            vg, eg = self._on_atoms(g, memo)
-            fg = self._weighted_mean(vf * vg, lambda: (f * g).label)
-            yield CovarianceEstimate(fg - ef * eg, 0.0, "exact")
+    def _gamma(self, fs, gs):
+        """(V_f sqrt(w)) (V_g sqrt(w))^T, each row of V a function's atom values less
+        their weighted mean: a shift cancels there, not in E[fg] - E[f]E[g].  If an
+        entry is not finite, the first pair whose f*g is non-finite at an atom is named."""
+        vf, af = self._centred(fs)
+        vg, ag = (vf, af) if gs is fs else self._centred(gs)
+        value = af @ ag.T
+        if not np.isfinite(value).all():
+            for i, f in enumerate(fs):
+                for j, g in enumerate(gs):
+                    self._weighted_mean(vf[i] * vg[j], lambda: (f * g).label)
+        return value, None  # only sums overflow
 
-    def _on_atoms(self, f: StatFunction, memo: dict) -> tuple[np.ndarray, float]:
-        """f's values on the atoms and their plain weighted mean, memoised: a row
-        reads the mean only once a product with f is finite, so f's values are."""
-        if f not in memo:
-            vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
-            memo[f] = vals, float(np.vdot(self.atom_weights, vals))
-        return memo[f]
+    def _centred(self, fs):
+        """``fs`` on the atoms, a row each, and the rows less their means, times sqrt(w)."""
+        v = np.array([f(self.atom_xs, self.atom_ys) for f in fs], dtype=float)
+        return v, (v - (v @ self.atom_weights)[:, None]) * np.sqrt(self.atom_weights)
 
 
 def law_from_spec(spec: dict) -> BivariateLaw:

@@ -488,16 +488,13 @@ QUADRATIC_FORM_LAWS = (
 @pytest.mark.parametrize("law", QUADRATIC_FORM_LAWS, ids=lambda law: law.kind)
 def test_pipeline_variance_is_the_quadratic_form_over_non_zero_slopes(law):
     # at a centred law the slopes of u and v are exactly 0, so s^T Gamma_F s
-    # runs over uv, u^2 and v^2; it is the Gamma(h, h) of the influence
+    # runs over uv, u^2 and v^2, as one product with gamma_matrix's Gamma_F;
+    # it is the Gamma(h, h) of the influence
     e = ec.correlation_expansion(law.bivariate_moments())
     assert [s for s, _ in e.terms[:2]] == [0.0, 0.0]
     terms = e.terms[2:]
-    s = [t for t, _ in terms]
-    gamma = ec.gamma_matrix([f for _, f in terms], law).entries
-    want = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            want += (s[i] if i == j else 2.0 * s[i]) * s[j] * gamma[i, j]
+    s = np.array([t for t, _ in terms])
+    want = float(s @ ec.gamma_matrix([f for _, f in terms], law).entries @ s)
     pipeline = ec.asymptotic_variance(e, law)
     assert pipeline.hex() == want.hex()
     assert pipeline == pytest.approx(law.covariance_estimate(e.influence, e.influence).value,

@@ -315,22 +315,21 @@ def counting(f, calls):
     return ec.StatFunction(fn, f.label)
 
 
-@pytest.mark.parametrize("law, means", [(ec.GaussianLaw(0.4), [f.label for f in FAMILY]),
-                                         (exact_laws()[-1], [])], ids=["gaussian", "discrete"])
-def test_gamma_matrix_takes_each_mean_once(monkeypatch, law, means):
+@pytest.mark.parametrize("law", [ec.GaussianLaw(0.4), exact_laws()[-1]],
+                         ids=["gaussian", "discrete"])
+def test_gamma_matrix_takes_each_mean_once(monkeypatch, law):
     calls = count_expectations(monkeypatch, law)
     ec.gamma_matrix(FAMILY, law)
-    # no product E[f_i f_j] goes through expectation(): a polynomial law
-    # integrates coefficients, a discrete law its atom values, which also
-    # give it the means; so 5 means or none, against 45 pair by pair
-    assert calls == means
+    # nothing goes through expectation(): a polynomial law looks its means up
+    # among the raw moments of Sigma, a discrete law centres its atom values
+    assert calls == []
 
 
 def test_exact_variance_takes_the_mean_once(monkeypatch):
-    for law, means in ((ec.GaussianLaw(0.4), ["p"]), (exact_laws()[-1], [])):
+    for law in (ec.GaussianLaw(0.4), exact_laws()[-1]):
         calls = count_expectations(monkeypatch, law)
         law.covariance_estimate(ec.p, ec.p)
-        assert calls == means
+        assert calls == []  # the mean is a raw moment or the atoms' centre
 
 
 def test_discrete_gamma_matrix_evaluates_each_function_once():
@@ -373,6 +372,14 @@ def test_sampling_gamma_matrix_evaluates_each_function_once_per_row():
     assert calls == ["p"]
 
 
+def centred_gram(law, fs):
+    """The discrete route's Gamma: (V_c sqrt(w)) (V_c sqrt(w))^T, each row of
+    V = f_i on the atoms less its weighted mean."""
+    v = np.array([f(law.atom_xs, law.atom_ys) for f in fs])
+    a = (v - (v @ law.atom_weights)[:, None]) * np.sqrt(law.atom_weights)
+    return a @ a.T
+
+
 def reference_covariance(oracle, f, g):
     """Gamma(f, g) computed pair by pair, each function integrated afresh."""
     if isinstance(oracle, SamplingMoments):
@@ -383,16 +390,58 @@ def reference_covariance(oracle, f, g):
     return oracle.expectation(f * g) - oracle.expectation(f) * oracle.expectation(g)
 
 
-def assert_gamma_matrix_matches_pairwise(fs, oracle):
+def pairwise_matrix(fs, oracle):
     k = len(fs)
-    want = np.array([[reference_covariance(oracle, fs[min(i, j)], fs[max(i, j)])
+    return np.array([[reference_covariance(oracle, fs[min(i, j)], fs[max(i, j)])
                       for j in range(k)] for i in range(k)])
-    assert ec.gamma_matrix(fs, oracle).entries.tobytes() == want.tobytes()
+
+
+def assert_gamma_matrix_matches_pairwise(fs, oracle):
+    assert ec.gamma_matrix(fs, oracle).entries.tobytes() == pairwise_matrix(fs, oracle).tobytes()
 
 
 @pytest.mark.parametrize("index", range(4), ids=["gaussian", "independent", "mixture", "discrete"])
 def test_gamma_matrix_bits_equal_pairwise_covariances(index):
-    assert_gamma_matrix_matches_pairwise(FAMILY, exact_laws()[index])
+    law = exact_laws()[index]
+    if isinstance(law, ec.DiscreteLaw):
+        # one centred Gram product, whose entries hold the bits of that
+        # product, not of 1-by-1 products, which BLAS sums in another order;
+        # it is within round-off of E[fg] - E[f]E[g] pair by pair
+        got = ec.gamma_matrix(FAMILY, law).entries
+        assert got.tobytes() == centred_gram(law, FAMILY).tobytes()
+        want = pairwise_matrix(FAMILY, law)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:  # a monomial family selects entries of Sigma: the pairwise bits
+        assert_gamma_matrix_matches_pairwise(FAMILY, law)
+
+
+def test_shifted_discrete_gamma_is_accurate():
+    # CI's 5-atom law shifted x + 1e4, y - 1e4: E[fg] - E[f]E[g] would cancel
+    # terms of 1e16 to leave entries of 1e8, a relative error near 1e-8;
+    # centred atom values leave round-off of the entries' own size
+    from fractions import Fraction
+    xs = [x + 1e4 for x in (0.1, 1.3, -0.7, 2.2, 0.5)]
+    ys = [y - 1e4 for y in (1.0, -0.4, 0.3, 0.9, -1.1)]
+    law = ec.DiscreteLaw(xs, ys, [0.1, 0.2, 0.3, 0.25, 0.15])
+    w = [Fraction(v) for v in law.atom_weights]
+    w = [v / sum(w) for v in w]
+    atoms = [(Fraction(x), Fraction(y)) for x, y in zip(xs, ys)]
+    exact_fs = [lambda x, y: x, lambda x, y: y, lambda x, y: x * y,
+                lambda x, y: x * x, lambda x, y: y * y]
+    vals = [[f(x, y) for x, y in atoms] for f in exact_fs]
+    centred = [[v - sum(a * b for a, b in zip(w, row)) for v in row] for row in vals]
+    want = np.array([[float(sum(a * b * c for a, b, c in zip(w, ci, cj))) for cj in centred]
+                     for ci in centred])
+    got = np.array([[law.covariance_estimate(FAMILY[min(i, j)], FAMILY[max(i, j)]).value
+                     for j in range(5)] for i in range(5)])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the k-by-k product gamma_matrix takes; the whole family's Gamma has rank 4
+    # (5 atoms), and at entries of 6e8 round-off alone breaks the absolute PSD
+    # floor, so gamma_matrix itself is asked for the well-conditioned (p, pi1^2, pi2^2)
+    got = law._gamma(FAMILY, FAMILY)[0]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = ec.gamma_matrix(FAMILY[2:], law).entries
+    assert np.abs(got - want[2:, 2:]).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sampling_gamma_matrix_bits_equal_pairwise_covariances():
@@ -555,6 +604,24 @@ def test_a_zero_slope_is_not_integrated(zero, index):
     assert (est.value, est.stderr, est.method) == (
         4.0 * law.covariance_estimate(ec.p, ec.p).value, 0.0, "exact")
     assert calls == []
+
+
+@pytest.mark.parametrize("index", range(len(exact_laws()) + 1))
+def test_an_expansion_without_a_non_zero_slope_integrates_nothing(index):
+    # its variance is an exact 0.0 on every oracle, and nothing is integrated:
+    # a bare sampling oracle draws no batch
+    draws = []
+
+    def sampler(n, rng):
+        draws.append(n)
+        return ec.GaussianLaw(0.5).sample(n, rng)
+
+    oracle = exact_laws()[index] if index < len(exact_laws()) else SamplingMoments(sampler)
+    e = ec.delta(lambda a: 7.0, lambda a: (0.0,), ec.from_mean(ec.p, 0.5))
+    assert [s for s, _ in e.terms] == [0.0]
+    assert ec.asymptotic_variance_estimate(e, oracle) == (0.0, 0.0, "exact")
+    assert draws == []
+    assert "influence" not in vars(e)
 
 
 @pytest.mark.parametrize("index", range(len(exact_laws())))

@@ -242,6 +242,18 @@ def test_lemma1_joint_gaussian_covariance():
     assert rep.results["degenerate_coordinates"] == []
 
 
+def test_lemma1_takes_each_mean_once(monkeypatch):
+    # the exact Gamma looks up raw moments, not expectations: only the means
+    # of G_n call expectation, once per function
+    law = ec.GaussianLaw(0.5)
+    calls = []
+    expectation = law.expectation
+    monkeypatch.setattr(law, "expectation", lambda f: calls.append(f.label) or expectation(f))
+    ec.run_lemma1_experiment([ec.pi1, ec.pi2, ec.p],
+                             ec.ExperimentConfig(law, n=100, reps=100, seed=7))
+    assert calls == ["pi1", "pi2", "p"]
+
+
 def test_lemma1_constant_coordinate_flagged_degenerate():
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.2), n=100, reps=100, seed=11)
     rep = ec.run_lemma1_experiment([ec.constant(3.0), ec.pi1], cfg)
