@@ -36,10 +36,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .empirical import PSD_EIGENVALUE_FLOOR
 from .errors import AffineDependenceError, DegenerateSampleError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
-from .functions import StatFunction, pi1, pi2
+from .functions import StatFunction, monomial, pi1, pi2
 from .sample import PairedSample
 
 # |rho| this close to 1 is indistinguishable from exact affine dependence
@@ -140,15 +142,17 @@ def central_moments(mean: Callable, x, y) -> BivariateMoments:
     its atoms.  Each mean is corrected once by its residuals' mean (Chan,
     Golub and LeVeque, 1983), which keeps it within about an ulp of the
     largest value at any shift.  Then u = x - mu_x and v = y - mu_y, and
-    every moment is the mean of a product of u^2, v^2 and uv.
+    every moment is the mean of a product of u^2, v^2 and uv.  Data beyond
+    the float range reach a moment as inf or nan: the typed error, no warning.
     """
-    mu_x, mu_y = corrected_mean(mean, x), corrected_mean(mean, y)
-    u, v = x - mu_x, y - mu_y
-    uu, vv, uv = u * u, v * v, u * v
-    return BivariateMoments(
-        mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
-        m22=mean(uu * vv), m31=mean(uu * uv), m13=mean(uv * vv),
-        m40=mean(uu * uu), m04=mean(vv * vv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_x, mu_y = corrected_mean(mean, x), corrected_mean(mean, y)
+        u, v = x - mu_x, y - mu_y
+        uu, vv, uv = u * u, v * v, u * v
+        return BivariateMoments(
+            mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
+            m22=mean(uu * vv), m31=mean(uu * uv), m13=mean(uv * vv),
+            m40=mean(uu * uu), m04=mean(vv * vv))
 
 
 def compute_rho_n(s: PairedSample) -> float:
@@ -208,25 +212,28 @@ def _rho_of_means_grad(ex, ey, exy, ex2, ey2):
 def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
     """Expansion of rho_n by one delta method on five sample means.
 
-    With u = pi1 - mu_x and v = pi2 - mu_y, the law's centred coordinates,
+    With u = x - mu_x and v = y - mu_y, the law's centred coordinates,
     rho_n = g(mean(u), mean(v), mean(uv), mean(u^2), mean(v^2)) with
 
         g(a, b, c, d, e) = (c - a b) / (sqrt(d - a^2) sqrt(e - b^2)),
 
-    because the sample correlation is shift-invariant.  The population
-    means of the five are 0, 0, cov_xy, var_x and var_y, so no raw moment
-    var + mu^2 is formed and a large shift costs no precision.  The
+    because the sample correlation is shift-invariant.  The five are
+    one-term polynomials about (mu_x, mu_y), integrated from moments about
+    the mean, so no raw moment var + mu^2 is formed and a large shift costs
+    no precision.  Their means are 0, 0, cov_xy, var_x and var_y.  The
     gradient is d_j g(P f) over those five functions; the slopes of u and v
     are exactly 0 there, so the variance integrates uv, u^2 and v^2 only.
     The influence differs from :func:`correlation_influence` by an additive
     constant only; the value is exactly rho_from_moments(m).
     """
     _rho_checked(m)
-    u = pi1 - m.mu_x
-    v = pi2 - m.mu_y
+    at = m.mu_x, m.mu_y
+    lu, lv = f"pi1 + {-m.mu_x:g}", f"pi2 + {-m.mu_y:g}"  # the labels of pi1 - mu_x, pi2 - mu_y
     return delta(_rho_of_means, _rho_of_means_grad,
-                 from_mean(u, 0.0), from_mean(v, 0.0), from_mean(u * v, m.cov_xy),
-                 from_mean(u ** 2, m.var_x), from_mean(v ** 2, m.var_y)
+                 from_mean(monomial(1, 0, at, lu), 0.0), from_mean(monomial(0, 1, at, lv), 0.0),
+                 from_mean(monomial(1, 1, at, f"({lu})*({lv})"), m.cov_xy),
+                 from_mean(monomial(2, 0, at, f"({lu})^2"), m.var_x),
+                 from_mean(monomial(0, 2, at, f"({lv})^2"), m.var_y)
                  ).with_label("corr_influence_pipeline")
 
 

@@ -18,7 +18,8 @@ Moment oracles
 --------------
 :class:`MomentOracle` is the integration interface: ``expectation`` and
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
-for laws that expose exact raw moments E[X^i Y^j], and
+for laws with exact moments E[(X - px)^i (Y - py)^j], integrating each
+polynomial with the moments about the point it is written at, and
 :class:`SamplingMoments` by averaging over one shared, seed-deterministic
 batch of draws (so a sampled Gamma matrix is an empirical Gram matrix,
 hence PSD).  ``_integrator(fs)`` alone chooses the route: the oracle
@@ -29,16 +30,19 @@ naming that function.
 Integration counts
 ------------------
 Each oracle builds Gamma(f_i, g_j) as one matrix, ``_gamma(fs, gs)``, with no
-f_i * f_j built and no expectation called: C Sigma C^T over the raw moments
-of a polynomial family's monomials, the Gram matrix of centred atom values
-on a discrete law, and row by row on the sampling route, holding one row's
-centred values plus one entry's evaluation and product beyond the batch.
+f_i * f_j built and no expectation called: C Sigma C^T over a polynomial
+family's monomials about one point, Sigma from the law's moments there
+(central ones for the correlation's uv, u^2 and v^2), the Gram matrix of
+centred atom values on a discrete law, and row by row on the sampling route,
+holding one row's centred values plus one entry's evaluation and product
+beyond the batch.
 An expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
 there is none); only the sampling route builds the influence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import EvaluationError, MomentError
 from .expansion import AsymptoticExpansion
-from .functions import StatFunction
+from .functions import ORIGIN, StatFunction, _binomial
 from .sample import PairedSample
 from .streams import derive_rng
 
@@ -124,20 +128,38 @@ class MomentOracle(ABC):
         return CovarianceEstimate(float(s @ self._gamma(fs, fs)[0] @ s), 0.0, "exact")
 
 
-def _coefficients(fs: Sequence[StatFunction]) -> tuple[list, np.ndarray]:
-    """The non-constant monomials of ``fs`` in order of first appearance, and C,
-    their coefficients, a row per function."""
-    basis = list(dict.fromkeys(k for f in fs for k in f.poly if k != (0, 0)))
-    return basis, np.array([[f.poly.get(k, 0.0) for k in basis] for f in fs], dtype=float)
+def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[list, np.ndarray]:
+    """The non-constant monomials of ``fs`` about ``at`` in order of first
+    appearance, and C, their coefficients, a row per function."""
+    polys = [f._poly_about(at) for f in fs]
+    basis: dict = {}
+    for poly in polys:
+        for k in poly:
+            if k != (0, 0):
+                basis.setdefault(k, len(basis))
+    c = np.zeros((len(fs), len(basis)))
+    for r, poly in enumerate(polys):
+        for k, v in poly.items():
+            if k != (0, 0):
+                c[r, basis[k]] = v
+    return list(basis), c
 
 
 class PolynomialMomentOracle(MomentOracle):
-    """Exact moments for polynomial functions via raw moments E[X^i Y^j];
-    any other function goes to :meth:`sampling_oracle`, if there is one."""
+    """Exact moments for polynomial functions via moments about a point; any
+    other function goes to :meth:`sampling_oracle`, if there is one.  A
+    subclass implements ``raw_moment`` or ``moment_about``, each the other's default."""
 
-    @abstractmethod
     def raw_moment(self, i: int, j: int) -> float:
-        """E[X^i Y^j]; must be finite for all requested orders."""
+        """E[X^i Y^j], ``moment_about`` at the origin."""
+        return self.moment_about(i, j, 0.0, 0.0)
+
+    def moment_about(self, i: int, j: int, px: float, py: float) -> float:
+        """E[(X - px)^i (Y - py)^j]: ``raw_moment`` shifted by the binomial theorem."""
+        if not (px or py):
+            return self.raw_moment(i, j)
+        xs, ys = _binomial(i, -px), _binomial(j, -py)
+        return sum(sx * sy * self.raw_moment(a, b) for a, sx in xs for b, sy in ys)
 
     def sampling_oracle(self) -> Optional[MomentOracle]:
         """A Monte Carlo fallback for functions without a polynomial form."""
@@ -156,12 +178,14 @@ class PolynomialMomentOracle(MomentOracle):
                 return fallback
         return self
 
-    def poly_expectation(self, poly) -> float:
+    def poly_expectation(self, poly, at: tuple[float, float] = ORIGIN) -> float:
+        """E[sum c_ij (X - px)^i (Y - py)^j] for ``poly`` about ``at`` = (px, py)."""
         total = 0.0
         for (i, j), c in poly.items():
-            m = self.raw_moment(i, j)
+            m = self.moment_about(i, j, *at)
             if not math.isfinite(m):
-                raise MomentError(f"{_MOMENT_DIVERGES}: raw moment ({i},{j})")
+                name = f"raw moment ({i},{j})" if at == ORIGIN else f"moment ({i},{j}) about {at}"
+                raise MomentError(f"{_MOMENT_DIVERGES}: {name}")
             total += c * m
         return total
 
@@ -169,20 +193,22 @@ class PolynomialMomentOracle(MomentOracle):
         # a polynomial is exact here by definition, so only others ask for the route
         if f.poly is None:
             return self._integrator((f,)).expectation(f)
-        return self.poly_expectation(f.poly)
+        return self.poly_expectation(f.poly, f.at)
 
     def _gamma(self, fs, gs) -> tuple[np.ndarray, None]:
-        """C_f Sigma C_g^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of
-        ``fs`` and ``gs``, one lookup per raw moment."""
-        rows, cf = _coefficients(fs)
-        cols, cg = (rows, cf) if gs is fs else _coefficients(gs)
+        """C_f Sigma C_g^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of ``fs``
+        and ``gs`` about the point p of fs[0], one lookup of M = ``moment_about`` at p each."""
+        px, py = p = fs[0].at
+        rows, cf = _coefficients(fs, p)
+        cols, cg = (rows, cf) if gs is fs else _coefficients(gs, p)
         keys: dict = {}  # exponent -> its index in m: the products', then the means'
         at = [keys.setdefault((i + k, j + l), len(keys)) for i, j in rows for k, l in cols]
         mr, mc = ([keys.setdefault(a, len(keys)) for a in basis] for basis in (rows, cols))
-        m = np.array([self.raw_moment(i, j) for i, j in keys], dtype=float)
-        if not np.isfinite(m).all():
-            self.poly_expectation(dict.fromkeys(keys, 1.0))  # names the first
-        value = cf @ (m[at].reshape(len(rows), len(cols)) - np.multiply.outer(m[mr], m[mc])) @ cg.T
+        m = [self.moment_about(i, j, px, py) for i, j in keys]
+        if not all(map(math.isfinite, m)):
+            self.poly_expectation(dict.fromkeys(keys, 1.0), p)  # names the first
+        sigma = np.array([m[t] - m[a] * m[b] for t, (a, b) in zip(at, itertools.product(mr, mc))])
+        value = cf @ sigma.reshape(len(rows), len(cols)) @ cg.T
         if gs is fs:
             value = 0.5 * (value + value.T)  # exactly symmetric
         return value, None

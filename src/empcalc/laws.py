@@ -150,9 +150,8 @@ class BivariateLaw(PolynomialMomentOracle):
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
-    ``raw_moment``; one whose mean is not 0 overrides :meth:`mean`, and one
-    that overrides :meth:`moment_about` makes ``raw_moment`` its value at
-    the origin.  Non-polynomial functions go to :meth:`sampling_oracle`.
+    ``raw_moment`` or ``moment_about``; one whose mean is not 0 overrides
+    :meth:`mean`.  Non-polynomial functions go to :meth:`sampling_oracle`.
     """
 
     kind: str = ""
@@ -215,14 +214,6 @@ class BivariateLaw(PolynomialMomentOracle):
     def mean(self) -> tuple[float, float]:
         """(E X, E Y)."""
         return 0.0, 0.0
-
-    def moment_about(self, i: int, j: int, px: float, py: float) -> float:
-        """E[(X - px)^i (Y - py)^j]: ``raw_moment`` shifted by the binomial theorem."""
-        if not (px or py):
-            return self.raw_moment(i, j)
-        xs = [(a, math.comb(i, a) * (-px) ** (i - a)) for a in range(i + 1) if px or a == i]
-        ys = [(b, math.comb(j, b) * (-py) ** (j - b)) for b in range(j + 1) if py or b == j]
-        return sum(sx * sy * self.raw_moment(a, b) for a, sx in xs for b, sy in ys)
 
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
@@ -300,7 +291,7 @@ class IndependentLaw(BivariateLaw):
     """Independent coordinates with named standardized marginals.
 
     Sampling draws the full x column first, then the full y column, from
-    the same stream.  Raw moments factor: E[X^i Y^j] = E[X^i] E[Y^j].
+    the same stream.  Raw moments factor: E[X^i Y^j] = E[X^i] E[Y^j], memoised.
     """
 
     kind = "independent"
@@ -309,6 +300,7 @@ class IndependentLaw(BivariateLaw):
         self.marginal_x = get_marginal(marginal_x)
         self.marginal_y = get_marginal(marginal_y)
         self.methods = (self.marginal_x.method, self.marginal_y.method)
+        self._memo: dict[tuple[int, int], float] = {}
 
     def describe(self) -> dict:
         return {"kind": "independent",
@@ -320,7 +312,9 @@ class IndependentLaw(BivariateLaw):
                 self.marginal_y.transform(raw[1, :size]))
 
     def raw_moment(self, i: int, j: int) -> float:
-        return self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
+        if (i, j) not in self._memo:
+            self._memo[i, j] = self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
+        return self._memo[i, j]
 
 
 class MixtureLaw(BivariateLaw):
@@ -408,9 +402,6 @@ class MixtureLaw(BivariateLaw):
                              for a in (0, 1))
         return self._mu
 
-    def raw_moment(self, i: int, j: int) -> float:
-        return self.moment_about(i, j, 0.0, 0.0)
-
     def moment_about(self, i, j, px, py):
         """sum_k w_k E_k[(X - px)^i (Y - py)^j], memoised."""
         key = i, j, px, py
@@ -497,9 +488,6 @@ class DiscreteLaw(BivariateLaw):
             self._mu = (corrected_mean(self._weighted_mean, self.atom_xs),
                         corrected_mean(self._weighted_mean, self.atom_ys))
         return self._mu
-
-    def raw_moment(self, i: int, j: int) -> float:
-        return self.moment_about(i, j, 0.0, 0.0)
 
     def moment_about(self, i, j, px, py):
         return self._weighted_mean((self.atom_xs - px) ** i * (self.atom_ys - py) ** j)

@@ -124,6 +124,18 @@ def test_rho_n_of_finite_data_whose_sums_overflow_raises(xs):
     assert str(rho_n.value) == str(moments.value)
 
 
+@pytest.mark.parametrize("s", [1e160, 1e-160])
+def test_rho_n_beyond_the_float_range_raises_only_its_typed_error(s):
+    # with warnings as errors, no numpy overflow warning escapes before the
+    # typed error of a moment set that is not finite (or not consistent)
+    sample = ec.PairedSample(s * np.array([1.0, 2.0, 3.0, 4.0]), s * np.array([1.0, 2.0, 3.0, 5.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (ec.compute_rho_n, ec.estimate_moments):
+            with pytest.raises(ec.EmpcalcError):
+                f(sample)
+
+
 def _affine_rounding(v, scale, shift):
     """How far rounding scale*v + shift can move rho_n: the largest rounding
     error of an element, about eps*(|scale*v| + |shift|), over the spread
@@ -538,21 +550,36 @@ def test_pipeline_variance_builds_no_influence(monkeypatch, law):
     assert calls == []
 
 
+class _GaussianWithoutM22(ec.GaussianLaw):
+    """gaussian(0.5) whose E[X^2 Y^2] reads 0, not 1.5: no law has these moments,
+    and its Gamma_F over (uv, u^2, v^2) is not PSD."""
+
+    def raw_moment(self, i, j):
+        return 0.0 if (i, j) == (2, 2) else super().raw_moment(i, j)
+
+
 def test_negative_quadratic_form_names_the_pipeline_without_building_it(monkeypatch):
-    # the CHANGES.md probe: CI's discrete mixture shifted x + 1e4, y - 1e4; a
-    # polynomial-oracle mixture integrates F's polynomials against raw
-    # moments, which cancel there (the pipeline is wrong, the closed form right)
+    # CI's discrete mixture shifted x + 1e4, y - 1e4: a polynomial-oracle
+    # mixture integrates F about its mean, so the pipeline matches the
+    # flattened atoms (it was a negative variance while F was integrated
+    # against raw moments, which cancel there)
     s = 1e4
     parts = [([x + s for x in xs], [y - s for y in ys], w) for xs, ys, w in (
         ([0.1, 1.3, -0.7, 2.2, 0.5], [1.0, -0.4, 0.3, 0.9, -1.1], [0.1, 0.2, 0.3, 0.25, 0.15]),
         ([-1.0, 0.4, 2.5], [0.6, -0.8, 1.7], [0.3, 0.5, 0.2]))]
     law = ec.MixtureLaw([ec.DiscreteLaw(*part) for part in parts], [0.6, 0.4])
-    m = law.bivariate_moments()
+    flat = ec.DiscreteLaw([x for xs, _, _ in parts for x in xs], [y for _, ys, _ in parts for y in ys],
+                          [0.6 * w for w in parts[0][2]] + [0.4 * w for w in parts[1][2]])
+    want = ec.sigma_squared(flat.bivariate_moments())
+    assert ec.asymptotic_variance(ec.correlation_expansion(law.bivariate_moments()), law) == (
+        pytest.approx(want, rel=1e-9))
+    # an oracle whose Gamma_F is not PSD: the error names the pipeline, which is not built
+    m = ec.GaussianLaw(0.5).bivariate_moments()
     calls = count_influence_algebra(monkeypatch)
     e = ec.correlation_expansion(m)
     with pytest.raises(ec.MomentError,
                        match=r"^negative asymptotic variance -\S+ for corr_influence_pipeline$"):
-        ec.asymptotic_variance(e, law)
+        ec.asymptotic_variance(e, _GaussianWithoutM22(0.5))
     assert calls == []
     assert "influence" not in vars(e)
 

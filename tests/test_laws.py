@@ -306,6 +306,18 @@ def test_mixture_moments_are_weighted_averages():
     assert law.raw_moment(2, 0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_independent_raw_moments_are_memoised_products_of_marginals():
+    # each (i, j) asks the marginals once, and keeps the bits of their product
+    asked = []
+    ex, uni = get_marginal("exponential_std"), get_marginal("uniform_std")
+    counted = ec.Marginal(ex.name, ex.method, ex.transform, lambda k: asked.append(k) or ex.raw_moment(k))
+    law = ec.IndependentLaw(counted, uni)
+    want = {(i, j): ex.raw_moment(i) * uni.raw_moment(j) for i in range(6) for j in range(6)}
+    for _ in range(2):
+        assert {k: law.raw_moment(*k).hex() for k in want} == {k: v.hex() for k, v in want.items()}
+    assert len(asked) == len(want)
+
+
 def test_mixture_raw_moments_are_memoised_sums_over_components(monkeypatch):
     parts = [ec.GaussianLaw(0.8), ec.IndependentLaw("uniform_std", "exponential_std"),
              ec.GaussianLaw(-0.2)]
@@ -539,8 +551,9 @@ def test_discrete_sigma_squared_is_shift_and_scale_stable(shift, scale):
     if shift / scale <= 1e6])
 def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
     # each component's central moments are shifted to the mixture's mean, so
-    # components far from the origin do not cancel; the reference flattens
-    # the mixture into one set of rational atoms
+    # components far from the origin do not cancel, in the closed form and in
+    # the pipeline, which integrates F about that mean; the reference
+    # flattens the mixture into one set of rational atoms
     rng = derive_rng(2025, int(shift), int(scale * 1000))
     for _ in range(6):
         parts, weights = [], rng.random(int(rng.integers(2, 4))) + 0.2
@@ -564,6 +577,8 @@ def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
         assert abs(m.mu_x - mx) <= 4 * math.ulp(max(abs(x) for x in xs))
         assert abs(m.mu_y - my) <= 4 * math.ulp(max(abs(y) for y in ys))
         assert ec.sigma_squared(m) == pytest.approx(sigma2, rel=1e-9)
+        pipeline = ec.asymptotic_variance(ec.correlation_expansion(m), law)
+        assert pipeline == pytest.approx(sigma2, rel=1e-9)
 
 
 @pytest.mark.parametrize("shift, scale", [

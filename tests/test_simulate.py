@@ -576,12 +576,13 @@ def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
     assert not np.isfinite(sx).all() and len(blocks) == -(-2000 // rows)
     assert all(np.array_equal(s.xs, law.sample(20, derive_rng(2, i)).xs)
                for i, s in zip(range(lo, hi), explained[:hi - lo], strict=True))
-    # compute_rho_n's mean overflows on that replicate, and so do the
-    # experiment's, with the same warning
+    # compute_rho_n's mean overflows on that replicate, and the experiment
+    # names it by that typed error, with no warning before either
     i = lo + int(np.flatnonzero(~np.isfinite(sx))[0])
-    with pytest.raises(RuntimeWarning, match="overflow encountered in reduce"):
+    reason = "inconsistent moment set: non-finite mu_x"
+    with pytest.raises(ec.MomentError, match=f"^{reason}$"):
         ec.compute_rho_n(law.sample(20, derive_rng(2, i)))
-    with pytest.raises(RuntimeWarning, match="overflow encountered in reduce"):
+    with pytest.raises(ec.SimulationError, match=f"^replicate {i} failed: {reason}$"):
         ec.run_clt_experiment(cfg)
     # G_n(pi2) reads only the untouched ys: no warning, the plain law's report
     plain = ec.ExperimentConfig(ec.GaussianLaw(0.2), n=20, reps=2000, seed=2)
