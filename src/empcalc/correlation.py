@@ -41,7 +41,7 @@ import numpy as np
 from .empirical import PSD_EIGENVALUE_FLOOR
 from .errors import AffineDependenceError, DegenerateSampleError, MomentError
 from .expansion import AsymptoticExpansion, delta, from_mean
-from .functions import StatFunction, monomial, pi1, pi2
+from .functions import StatFunction, pi1, pi2
 from .sample import PairedSample
 
 # |rho| this close to 1 is indistinguishable from exact affine dependence
@@ -217,23 +217,22 @@ def correlation_expansion(m: BivariateMoments) -> AsymptoticExpansion:
 
         g(a, b, c, d, e) = (c - a b) / (sqrt(d - a^2) sqrt(e - b^2)),
 
-    because the sample correlation is shift-invariant.  The five are
-    one-term polynomials about (mu_x, mu_y), integrated from moments about
-    the mean, so no raw moment var + mu^2 is formed and a large shift costs
-    no precision.  Their means are 0, 0, cov_xy, var_x and var_y.  The
-    gradient is d_j g(P f) over those five functions; the slopes of u and v
-    are exactly 0 there, so the variance integrates uv, u^2 and v^2 only.
-    The influence differs from :func:`correlation_influence` by an additive
-    constant only; the value is exactly rho_from_moments(m).
+    because the sample correlation is shift-invariant.  The five are built
+    by the function algebra, and every polynomial law integrates them about
+    its mean, so for the law of ``m`` their moments are the central ones:
+    no raw moment var + mu^2 is formed and a large shift costs no precision.
+    Their means are 0, 0, cov_xy, var_x and var_y.  The gradient is
+    d_j g(P f) over those five functions; the slopes of u and v are exactly
+    0 there, so the variance integrates uv, u^2 and v^2 only.  The influence
+    differs from :func:`correlation_influence` by an additive constant only;
+    the value is exactly rho_from_moments(m).
     """
     _rho_checked(m)
-    at = m.mu_x, m.mu_y
-    lu, lv = f"pi1 + {-m.mu_x:g}", f"pi2 + {-m.mu_y:g}"  # the labels of pi1 - mu_x, pi2 - mu_y
+    u = pi1 - m.mu_x
+    v = pi2 - m.mu_y
     return delta(_rho_of_means, _rho_of_means_grad,
-                 from_mean(monomial(1, 0, at, lu), 0.0), from_mean(monomial(0, 1, at, lv), 0.0),
-                 from_mean(monomial(1, 1, at, f"({lu})*({lv})"), m.cov_xy),
-                 from_mean(monomial(2, 0, at, f"({lu})^2"), m.var_x),
-                 from_mean(monomial(0, 2, at, f"({lv})^2"), m.var_y)
+                 from_mean(u, 0.0), from_mean(v, 0.0), from_mean(u * v, m.cov_xy),
+                 from_mean(u ** 2, m.var_x), from_mean(v ** 2, m.var_y)
                  ).with_label("corr_influence_pipeline")
 
 

@@ -18,8 +18,9 @@ Moment oracles
 --------------
 :class:`MomentOracle` is the integration interface: ``expectation`` and
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
-for laws with exact moments E[(X - px)^i (Y - py)^j], integrating each
-polynomial with the moments about the point it is written at, and
+for laws with exact moments E[(X - px)^i (Y - py)^j]: Gamma does not change
+when f is shifted, so it writes every polynomial about the law's mean by the
+binomial theorem and integrates it with the moments there, and
 :class:`SamplingMoments` by averaging over one shared, seed-deterministic
 batch of draws (so a sampled Gamma matrix is an empirical Gram matrix,
 hence PSD).  ``_integrator(fs)`` alone chooses the route: the oracle
@@ -31,11 +32,11 @@ Integration counts
 ------------------
 Each oracle builds Gamma(f_i, g_j) as one matrix, ``_gamma(fs, gs)``, with no
 f_i * f_j built and no expectation called: C Sigma C^T over a polynomial
-family's monomials about one point, Sigma from the law's moments there
-(central ones for the correlation's uv, u^2 and v^2), the Gram matrix of
-centred atom values on a discrete law, and row by row on the sampling route,
-holding one row's centred values plus one entry's evaluation and product
-beyond the batch.
+family's monomials about the law's mean, Sigma from the central moments (for
+the correlation's uv, u^2 and v^2, those bivariate_moments() looked up), the
+Gram matrix of centred atom values on a discrete law, and row by row on the
+sampling route, holding one row's centred values plus one entry's evaluation
+and product beyond the batch.
 An expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
 there is none); only the sampling route builds the influence.
 """
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import EvaluationError, MomentError
 from .expansion import AsymptoticExpansion
-from .functions import ORIGIN, StatFunction, _binomial
+from .functions import StatFunction
 from .sample import PairedSample
 from .streams import derive_rng
 
@@ -128,10 +129,31 @@ class MomentOracle(ABC):
         return CovarianceEstimate(float(s @ self._gamma(fs, fs)[0] @ s), 0.0, "exact")
 
 
+def _poly_about(poly, to: tuple[float, float], at: tuple[float, float] = (0.0, 0.0)) -> dict:
+    """``poly``, sum c_ij (x - ax)^i (y - ay)^j about ``at``, written about ``to``:
+    each power of x - ax = (x - tx) + (tx - ax) expanded by the binomial theorem.
+    A coefficient float64 cannot hold raises a MomentError naming its (i, j)."""
+    dx, dy = to[0] - at[0], to[1] - at[1]
+    if not (dx or dy):
+        return poly
+    out: dict = {}
+    for (i, j), c in poly.items():
+        try:  # the terms (a, C(k, a) d^(k - a)) of (t + d)^k; only a = k if d is 0
+            xs, ys = ([(a, math.comb(k, a) * d ** (k - a)) for a in range(k + 1) if d or a == k]
+                      for k, d in ((i, dx), (j, dy)))
+        except OverflowError:
+            raise MomentError(f"{_MOMENT_DIVERGES}: the shift of ({i},{j}) about {at} "
+                              f"to {to} overflows float64") from None
+        for a, sx in xs:
+            for b, sy in ys:
+                out[a, b] = out.get((a, b), 0.0) + c * sx * sy
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
 def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[list, np.ndarray]:
     """The non-constant monomials of ``fs`` about ``at`` in order of first
     appearance, and C, their coefficients, a row per function."""
-    polys = [f._poly_about(at) for f in fs]
+    polys = [_poly_about(f.poly, at) for f in fs]
     basis: dict = {}
     for poly in polys:
         for k in poly:
@@ -146,20 +168,28 @@ def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[
 
 
 class PolynomialMomentOracle(MomentOracle):
-    """Exact moments for polynomial functions via moments about a point; any
-    other function goes to :meth:`sampling_oracle`, if there is one.  A
-    subclass implements ``raw_moment`` or ``moment_about``, each the other's default."""
+    """Exact moments for polynomial functions, each integrated about the law's
+    :meth:`mean`; any other function goes to :meth:`sampling_oracle`, if there
+    is one.  A subclass implements ``raw_moment`` or ``moment_about``, each the
+    other's default, and overrides :meth:`mean` if it is not (0, 0)."""
+
+    def mean(self) -> tuple[float, float]:
+        """(E X, E Y), the point every polynomial is integrated about."""
+        return 0.0, 0.0
 
     def raw_moment(self, i: int, j: int) -> float:
         """E[X^i Y^j], ``moment_about`` at the origin."""
+        if type(self).moment_about is PolynomialMomentOracle.moment_about:
+            raise MomentError(
+                f"{type(self).__name__} implements neither raw_moment nor moment_about")
         return self.moment_about(i, j, 0.0, 0.0)
 
     def moment_about(self, i: int, j: int, px: float, py: float) -> float:
-        """E[(X - px)^i (Y - py)^j]: ``raw_moment`` shifted by the binomial theorem."""
+        """E[(X - px)^i (Y - py)^j]: ``raw_moment`` over the terms of the binomial shift."""
         if not (px or py):
             return self.raw_moment(i, j)
-        xs, ys = _binomial(i, -px), _binomial(j, -py)
-        return sum(sx * sy * self.raw_moment(a, b) for a, sx in xs for b, sy in ys)
+        terms = _poly_about({(i, j): 1.0}, (0.0, 0.0), (px, py))
+        return sum(c * self.raw_moment(a, b) for (a, b), c in terms.items())
 
     def sampling_oracle(self) -> Optional[MomentOracle]:
         """A Monte Carlo fallback for functions without a polynomial form."""
@@ -178,14 +208,22 @@ class PolynomialMomentOracle(MomentOracle):
                 return fallback
         return self
 
-    def poly_expectation(self, poly, at: tuple[float, float] = ORIGIN) -> float:
-        """E[sum c_ij (X - px)^i (Y - py)^j] for ``poly`` about ``at`` = (px, py)."""
+    def _moments(self, keys, at: tuple[float, float]) -> list[float]:
+        """``moment_about(i, j, *at)`` for each (i, j) of ``keys``; a MomentError
+        names the first that is not finite."""
+        m = [self.moment_about(i, j, *at) for i, j in keys]
+        if not all(map(math.isfinite, m)):
+            i, j = next(k for k, v in zip(keys, m) if not math.isfinite(v))
+            name = f"moment ({i},{j}) about {at}" if at[0] or at[1] else f"raw moment ({i},{j})"
+            raise MomentError(f"{_MOMENT_DIVERGES}: {name}")
+        return m
+
+    def poly_expectation(self, poly) -> float:
+        """E[sum c_ij X^i Y^j], from the moments about the law's mean."""
+        at = self.mean()
+        poly = _poly_about(poly, at)
         total = 0.0
-        for (i, j), c in poly.items():
-            m = self.moment_about(i, j, *at)
-            if not math.isfinite(m):
-                name = f"raw moment ({i},{j})" if at == ORIGIN else f"moment ({i},{j}) about {at}"
-                raise MomentError(f"{_MOMENT_DIVERGES}: {name}")
+        for c, m in zip(poly.values(), self._moments(poly, at)):
             total += c * m
         return total
 
@@ -193,20 +231,18 @@ class PolynomialMomentOracle(MomentOracle):
         # a polynomial is exact here by definition, so only others ask for the route
         if f.poly is None:
             return self._integrator((f,)).expectation(f)
-        return self.poly_expectation(f.poly, f.at)
+        return self.poly_expectation(f.poly)
 
     def _gamma(self, fs, gs) -> tuple[np.ndarray, None]:
         """C_f Sigma C_g^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of ``fs``
-        and ``gs`` about the point p of fs[0], one lookup of M = ``moment_about`` at p each."""
-        px, py = p = fs[0].at
+        and ``gs`` about the law's mean p, one lookup of M = ``moment_about`` at p each."""
+        p = self.mean()
         rows, cf = _coefficients(fs, p)
         cols, cg = (rows, cf) if gs is fs else _coefficients(gs, p)
         keys: dict = {}  # exponent -> its index in m: the products', then the means'
         at = [keys.setdefault((i + k, j + l), len(keys)) for i, j in rows for k, l in cols]
         mr, mc = ([keys.setdefault(a, len(keys)) for a in basis] for basis in (rows, cols))
-        m = [self.moment_about(i, j, px, py) for i, j in keys]
-        if not all(map(math.isfinite, m)):
-            self.poly_expectation(dict.fromkeys(keys, 1.0), p)  # names the first
+        m = self._moments(keys, p)
         sigma = np.array([m[t] - m[a] * m[b] for t, (a, b) in zip(at, itertools.product(mr, mc))])
         value = cf @ sigma.reshape(len(rows), len(cols)) @ cg.T
         if gs is fs:

@@ -2,13 +2,12 @@
 
 A :class:`StatFunction` wraps a callable f(x, y) together with a label for
 diagnostics and, when available, an exact polynomial representation.  The
-polynomial form is a dict mapping (i, j) exponent pairs to coefficients about
-a point (px, py), the origin unless a builder such as :func:`monomial` chose
-another: f(x, y) = sum c_{ij} (x - px)^i (y - py)^j.  Sums, differences,
-products, scalar multiples, and nonnegative integer powers of polynomial
-functions stay polynomial, about the left operand's point (the right one is
-Taylor-shifted there), which lets moment oracles integrate them exactly; any
-function built another way simply carries ``poly=None`` and falls back to sampling.
+polynomial form is a dict mapping (i, j) exponent pairs to coefficients,
+f(x, y) = sum c_{ij} x^i y^j.  Sums, differences, products, scalar multiples,
+and nonnegative integer powers of polynomial functions stay polynomial, which
+lets moment oracles integrate them exactly, each about its own law's mean;
+any function built another way simply carries ``poly=None`` and falls back to
+sampling.
 
 The three coordinate projections used throughout the package are exported
 as module-level singletons:
@@ -20,7 +19,6 @@ as module-level singletons:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import EvaluationError
 
 Poly = Mapping[tuple[int, int], float]
-ORIGIN = (0.0, 0.0)
 
 
 def _poly_clean(d: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -55,11 +52,6 @@ def _poly_mul(a: Poly, b: Poly) -> dict[tuple[int, int], float]:
     return out if all(out.values()) else _poly_clean(out)
 
 
-def _binomial(i: int, d: float) -> list[tuple[int, float]]:
-    """(a, C(i, a) d^(i - a)) for a <= i, the terms of (t + d)^i; only a = i if d is 0."""
-    return [(a, math.comb(i, a) * d ** (i - a)) for a in range(i + 1) if d or a == i]
-
-
 def _needs_parens(label: str) -> bool:
     # crude but adequate: wrap anything that reads as a sum
     return (" + " in label) or (" - " in label)
@@ -77,19 +69,16 @@ class StatFunction:
     label : str
         Human-readable name used in diagnostics and error messages.
     poly : mapping or None
-        Exact polynomial representation ``{(i, j): c}`` about ``at``, or None
-        when the function is not known to be polynomial.
-    at : (float, float)
-        The point (px, py) of ``poly``, sum c_{ij} (x - px)^i (y - py)^j.
+        Exact polynomial representation ``{(i, j): c}``, sum c_{ij} x^i y^j,
+        or None when the function is not known to be polynomial.
     """
 
-    __slots__ = ("fn", "label", "poly", "at")
+    __slots__ = ("fn", "label", "poly")
 
-    def __init__(self, fn: Callable, label: str, poly: Optional[Poly] = None, at=ORIGIN):
+    def __init__(self, fn: Callable, label: str, poly: Optional[Poly] = None):
         self.fn = fn
         self.label = label
         self.poly = dict(poly) if poly is not None else None
-        self.at = at
 
     def __call__(self, x, y):
         out = self.fn(x, y)
@@ -109,17 +98,7 @@ class StatFunction:
 
     def with_label(self, label: str) -> "StatFunction":
         """Same function, new diagnostic label."""
-        return StatFunction(self.fn, label, self.poly, self.at)
-
-    def _poly_about(self, at: tuple[float, float]) -> dict[tuple[int, int], float]:
-        """``poly`` about the point ``at``, Taylor-shifted there by the binomial theorem."""
-        if self.at == at:
-            return self.poly
-        (dx, dy), out = (at[0] - self.at[0], at[1] - self.at[1]), {}
-        for (i, j), c in self.poly.items():
-            out = _poly_add(out, {(k, l): c * sx * sy for k, sx in _binomial(i, dx)
-                                  for l, sy in _binomial(j, dy)})
-        return out
+        return StatFunction(self.fn, label, self.poly)
 
     # -- algebra ---------------------------------------------------------
 
@@ -129,10 +108,10 @@ class StatFunction:
             return self._plus_number(c, f"{c:g}")
         poly = None
         if self.poly is not None and other.poly is not None:
-            poly = _poly_add(self.poly, other._poly_about(self.at))
+            poly = _poly_add(self.poly, other.poly)
         f, g = self.fn, other.fn
         return StatFunction(lambda x, y: f(x, y) + g(x, y),
-                            f"{self.label} + {other.label}", poly, self.at)
+                            f"{self.label} + {other.label}", poly)
 
     __radd__ = __add__
 
@@ -141,7 +120,7 @@ class StatFunction:
         f = self.fn
         wrap = _needs_parens(self.label) or self.label.startswith("-")
         label = f"-({self.label})" if wrap else f"-{self.label}"
-        return StatFunction(lambda x, y: -f(x, y), label, poly, self.at)
+        return StatFunction(lambda x, y: -f(x, y), label, poly)
 
     def __sub__(self, other) -> "StatFunction":
         if not isinstance(other, StatFunction):
@@ -154,28 +133,28 @@ class StatFunction:
         # as f(x, y) + c: the constant's callable broadcasts c + 0.0*(x+y)
         poly = _poly_add(self.poly, {(0, 0): c}) if self.poly is not None else None
         f = self.fn
-        return StatFunction(lambda x, y: f(x, y) + c, f"{self.label} + {c_label}", poly, self.at)
+        return StatFunction(lambda x, y: f(x, y) + c, f"{self.label} + {c_label}", poly)
 
     def __rsub__(self, other) -> "StatFunction":
         # constant(c) + (-self) with its poly and label, evaluated as c - f(x, y)
         c, neg, f = float(other), -self, self.fn
         poly = _poly_add({(0, 0): c}, neg.poly) if neg.poly is not None else None
-        return StatFunction(lambda x, y: c - f(x, y), f"{c:g} + {neg.label}", poly, self.at)
+        return StatFunction(lambda x, y: c - f(x, y), f"{c:g} + {neg.label}", poly)
 
     def __mul__(self, other) -> "StatFunction":
         if isinstance(other, StatFunction):
             poly = None
             if self.poly is not None and other.poly is not None:
-                poly = _poly_mul(self.poly, other._poly_about(self.at))
+                poly = _poly_mul(self.poly, other.poly)
             f, g = self.fn, other.fn
             la = f"({self.label})" if _needs_parens(self.label) else self.label
             lb = f"({other.label})" if _needs_parens(other.label) else other.label
-            return StatFunction(lambda x, y: f(x, y) * g(x, y), f"{la}*{lb}", poly, self.at)
+            return StatFunction(lambda x, y: f(x, y) * g(x, y), f"{la}*{lb}", poly)
         c = float(other)
         poly = _poly_scale(self.poly, c) if self.poly is not None else None
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
-        return StatFunction(lambda x, y: c * f(x, y), f"{c:g}*{la}", poly, self.at)
+        return StatFunction(lambda x, y: c * f(x, y), f"{c:g}*{la}", poly)
 
     def __rmul__(self, other) -> "StatFunction":
         return self.__mul__(other)
@@ -194,7 +173,7 @@ class StatFunction:
             poly = acc
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
-        return StatFunction(lambda x, y: f(x, y) ** k, f"{la}^{k}", poly, self.at)
+        return StatFunction(lambda x, y: f(x, y) ** k, f"{la}^{k}", poly)
 
 
 def constant(c: float) -> StatFunction:
@@ -203,19 +182,6 @@ def constant(c: float) -> StatFunction:
     # 0.0*(x+y) keeps shape and dtype under broadcasting on array input
     return StatFunction(lambda x, y: c + 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
                         f"{c:g}", {(0, 0): c})
-
-
-def _power_about(t, p: float, k: int):
-    # (t - p)^k; for k = 0, a 1 in the shape of t, as pi1 broadcasts y
-    return (t - p) ** k if k > 1 else t - p if k else 1.0 + 0.0 * np.asarray(t, dtype=float)
-
-
-def monomial(i: int, j: int, at: tuple[float, float], label: str) -> StatFunction:
-    """(x - px)^i (y - py)^j, the one-term polynomial about ``at`` built without the
-    algebra; its callable multiplies the two powers and broadcasts as ``pi1`` does."""
-    px, py = at
-    return StatFunction(lambda x, y: _power_about(x, px, i) * _power_about(y, py, j),
-                        label, {(i, j): 1.0}, at)
 
 
 pi1 = StatFunction(lambda x, y: x + 0.0 * np.asarray(y, dtype=float), "pi1", {(1, 0): 1.0})

@@ -211,10 +211,6 @@ class BivariateLaw(PolynomialMomentOracle):
         xs, ys = self.draw_block([rng], int(n))
         return PairedSample(xs[0], ys[0])
 
-    def mean(self) -> tuple[float, float]:
-        """(E X, E Y)."""
-        return 0.0, 0.0
-
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
         return self._central_moments()

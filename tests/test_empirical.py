@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
 from empcalc.empirical import CovarianceMatrix, SamplingMoments, _coefficients
-from empcalc.functions import monomial
 from empcalc.streams import derive_rng, derive_seed
 
 
@@ -648,27 +647,28 @@ def test_sampling_route_reports_the_stderr_of_the_sum():
 
 
 def test_polynomial_gamma_about_the_mean_is_central_moment_lookups():
-    # uv, u^2 and v^2 about a shifted mixture's mean: each expectation and each
-    # Gamma_F entry is read from the moments about the mean that
-    # bivariate_moments() looked up, so a shift of 1e4 cancels nothing
+    # uv, u^2 and v^2, built at the origin, under a shifted mixture: the law
+    # integrates them about its mean, where each expectation and each Gamma_F
+    # entry is read from the moments about the mean that bivariate_moments()
+    # looked up, so a shift of 1e4 cancels nothing
     s = 1e4
     law = ec.MixtureLaw([ec.DiscreteLaw([x + s for x in (0.1, 1.3, -0.7)], [y - s for y in (1.0, -0.4, 0.3)],
                                         [0.2, 0.5, 0.3]),
                          ec.DiscreteLaw([2.0 + s, -1.0 + s], [0.5 - s, 1.5 - s], [0.5, 0.5])],
                         [0.6, 0.4])
     m = law.bivariate_moments()
-    at = (m.mu_x, m.mu_y)
-    fs = [monomial(1, 1, at, "uv"), monomial(2, 0, at, "u^2"), monomial(0, 2, at, "v^2")]
+    u, v = ec.pi1 - m.mu_x, ec.pi2 - m.mu_y
+    fs = [u * v, u ** 2, v ** 2]
     assert [law.expectation(f) for f in fs] == [m.cov_xy, m.var_x, m.var_y]
     c, vx, vy = m.cov_xy, m.var_x, m.var_y
     want = [[m.m22 - c * c, m.m31 - c * vx, m.m13 - c * vy],
             [m.m31 - vx * c, m.m40 - vx * vx, m.m22 - vx * vy],
             [m.m13 - vy * c, m.m22 - vy * vx, m.m04 - vy * vy]]
     assert ec.gamma_matrix(fs, law).entries.tolist() == want
-    # a family that mixes points is integrated about its first function's point
+    # pi1 is integrated about the same mean
     mixed = ec.gamma_matrix([fs[0], ec.pi1], law).entries
     assert mixed[1, 1] == pytest.approx(vx, rel=1e-12)
-    assert mixed[0, 1] == pytest.approx(law.moment_about(2, 1, *at), rel=1e-12)
+    assert mixed[0, 1] == pytest.approx(law.moment_about(2, 1, m.mu_x, m.mu_y), rel=1e-12)
 
 
 def test_coefficients_are_the_polys_on_their_non_constant_monomials():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import empcalc as ec
-from empcalc.functions import StatFunction, constant, monomial
+from empcalc.functions import StatFunction, constant
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -149,36 +149,3 @@ def test_adding_a_number_matches_its_constant_function(f, c):
 ])
 def test_labels_carry_no_doubled_sign(f, label):
     assert f.label == label
-
-
-def _poly_value(f, x, y):
-    px, py = f.at
-    return sum(c * (x - px) ** i * (y - py) ** j for (i, j), c in f.poly.items())
-
-
-@pytest.mark.parametrize("i, j", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (3, 2)])
-def test_monomial_about_a_point_matches_the_algebra_at_the_origin(i, j):
-    # the one-term polynomial about (mx, my) evaluates like the raw-coordinate
-    # algebra's (pi1 - mx)^i (pi2 - my)^j, bit for bit, and broadcasts as pi1
-    mx, my = 0.75, -1.5
-    f = monomial(i, j, (mx, my), "m")
-    assert (f.poly, f.at) == ({(i, j): 1.0}, (mx, my))
-    raw = ((ec.pi1 - mx) ** i if i else constant(1.0)) * ((ec.pi2 - my) ** j if j else constant(1.0))
-    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 5))
-    assert f(xs, ys).tobytes() == raw(xs, ys).tobytes()
-    np.testing.assert_allclose(_poly_value(f, xs, ys), f(xs, ys), rtol=1e-12, atol=1e-12)
-    assert f(2.0, ys).shape == ys.shape and f(xs, 1.0).shape == xs.shape
-
-
-def test_algebra_at_a_point_stays_there_and_shifts_a_mixed_operand():
-    at = (0.5, -2.0)
-    u, v = monomial(1, 0, at, "u"), monomial(0, 1, at, "v")
-    h = 0.5 * u * v - 3.0 * u ** 2 + v + 1.0
-    assert h.at == at
-    assert h.poly == {(2, 0): -3.0, (1, 1): 0.5, (0, 1): 1.0, (0, 0): 1.0}
-    # a function at the origin on the right is Taylor-shifted to the left's point
-    mixed, origin_first = h + ec.pi1 * ec.pi2, ec.pi1 * ec.pi2 + h
-    assert (mixed.at, origin_first.at) == (at, (0.0, 0.0))
-    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 5))
-    for f in (h, mixed, origin_first, h * ec.pi1):
-        np.testing.assert_allclose(_poly_value(f, xs, ys), f(xs, ys), rtol=1e-12, atol=1e-12)

@@ -581,6 +581,70 @@ def test_mixture_of_shifted_discrete_laws_keeps_sigma_squared(shift, scale):
         assert pipeline == pytest.approx(sigma2, rel=1e-9)
 
 
+def _shifted_ci_mixture(s):
+    """CI's two-part discrete mixture shifted x + s, y - s, and its flattened
+    atoms as rationals: xs, ys and their weights."""
+    parts = [ec.DiscreteLaw([x + s for x in xs], [y - s for y in ys], w) for xs, ys, w in (
+        ([0.1, 1.3, -0.7, 2.2, 0.5], [1.0, -0.4, 0.3, 0.9, -1.1], [0.1, 0.2, 0.3, 0.25, 0.15]),
+        ([-1.0, 0.4, 2.5], [0.6, -0.8, 1.7], [0.3, 0.5, 0.2]))]
+    law = ec.MixtureLaw(parts, [0.6, 0.4])
+    xs, ys, w = [], [], []
+    for c, wc in zip(parts, law.weights):
+        xs += [Fraction(v) for v in c.atom_xs.tolist()]
+        ys += [Fraction(v) for v in c.atom_ys.tolist()]
+        w += [Fraction(wc) * Fraction(v) for v in c.atom_weights.tolist()]
+    return law, xs, ys, w
+
+
+@pytest.mark.parametrize("s", [1e3, 1e4, 1e6])
+def test_shifted_mixture_integrates_the_closed_form_influence_about_its_mean(s):
+    # correlation_influence is a polynomial in the raw coordinates; the
+    # mixture integrates it about its mean, where nothing cancels, so its
+    # variance is the sigma^2 of the flattened atoms
+    law, xs, ys, w = _shifted_ci_mixture(s)
+    sigma2 = _exact_atoms_means_and_sigma_squared(xs, ys, w)[2]
+    e = ec.AsymptoticExpansion(0.0, ec.correlation_influence(law.bivariate_moments()))
+    assert ec.asymptotic_variance(e, law) == pytest.approx(sigma2, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e3, 1e4, 1e6])
+def test_shifted_mixture_gamma_of_raw_polynomials_is_the_atoms_gram_matrix(s):
+    # p, pi1^2 and pi2^2 are written about the origin, and integrated about
+    # the mixture's mean: Gamma is the Gram matrix of the flattened atoms'
+    # centred values, in exact rational arithmetic
+    law, xs, ys, w = _shifted_ci_mixture(s)
+    total = sum(w)
+    w = [a / total for a in w]
+    vals = [[x * y for x, y in zip(xs, ys)], [x * x for x in xs], [y * y for y in ys]]
+    centred = [[v - sum(a * b for a, b in zip(w, row)) for v in row] for row in vals]
+    want = np.array([[float(sum(a * b * c for a, b, c in zip(w, ci, cj))) for cj in centred]
+                     for ci in centred])
+    got = ec.gamma_matrix([ec.p, ec.pi1 ** 2, ec.pi2 ** 2], law).entries
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_binomial_shift_beyond_float64_is_a_moment_error():
+    # C(i, a) d^(i - a) overflows as a Python number; the shift names the term
+    # and the point, whether a moment or a polynomial is shifted
+    law = ec.GaussianLaw(0.3)
+    with pytest.raises(ec.MomentError, match=r"\(3000,0\) about \(0\.5, 0\.0\)"):
+        law.moment_about(3000, 0, 0.5, 0.0)
+    with pytest.raises(ec.MomentError, match=r"\(1100,0\) about \(2\.0, 0\.0\)"):
+        law.moment_about(1100, 0, 2.0, 0.0)
+    mixture = ec.MixtureLaw([ec.DiscreteLaw([1.0, 3.0], [-1.0, 1.0], [0.5, 0.5])], [1.0])
+    assert mixture.mean() == (2.0, 0.0)
+    with pytest.raises(ec.MomentError, match=r"\(1100,0\) about \(0\.0, 0\.0\) to \(2\.0, 0\.0\)"):
+        mixture.expectation(ec.pi1 ** 1100)
+
+
+def test_an_oracle_without_a_moment_primitive_raises_before_recursing():
+    oracle = ec.PolynomialMomentOracle()
+    for call in (lambda: oracle.expectation(ec.pi1), lambda: oracle.raw_moment(1, 0),
+                 lambda: oracle.moment_about(1, 0, 1.0, 0.0)):
+        with pytest.raises(ec.MomentError, match="implements neither raw_moment nor moment_about"):
+            call()
+
+
 @pytest.mark.parametrize("shift, scale", [
     (shift, scale) for shift in (0.0, 1.0, 1e2, 1e4, 1e6) for scale in (1e-3, 1.0, 1e3)])
 def test_pipeline_quadratic_form_on_shifted_discrete_laws(shift, scale):
