@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in --law-json: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # a run too large to allocate is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     d = report.to_dict()

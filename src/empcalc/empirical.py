@@ -25,19 +25,19 @@ binomial theorem and integrates it with the moments there, and
 batch of draws (so a sampled Gamma matrix is an empirical Gram matrix,
 hence PSD).  ``_integrator(fs)`` alone chooses the route: the oracle
 itself, but for a polynomial oracle given a non-polynomial function its
-``sampling_oracle()`` for all of ``fs``, or, if it has none, a MomentError
-naming that function.
+``sampling_oracle()``, which every polynomial oracle has, for all of ``fs``.
 
 Integration counts
 ------------------
-Each oracle builds Gamma(f_i, g_j) as one matrix, ``_gamma(fs, gs)``, with no
-f_i * f_j built and no expectation called: C Sigma C^T over a polynomial
-family's monomials about the law's mean, Sigma from the central moments (for
-the correlation's uv, u^2 and v^2, those bivariate_moments() looked up), the
-Gram matrix of centred atom values on a discrete law, and row by row on the
-sampling route, holding one row's centred values plus one entry's evaluation
-and product beyond the batch.
-An expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
+Each oracle answers one covariance request, ``_gamma(fs)``: Gamma_F of a
+family, as one matrix, with no f_i * f_j built and no expectation called.
+It is C Sigma C^T over a polynomial family's monomials about the law's mean,
+Sigma from the central moments (for the correlation's uv, u^2 and v^2, those
+bivariate_moments() looked up), the Gram matrix of centred atom values on a
+discrete law, and row by row on the sampling route, holding one row's
+centred values plus one entry's evaluation and product beyond the batch.
+A single Gamma(f, g) is entry [0, 1] of the Gamma_F of (f, g), and an
+expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
 there is none); only the sampling route builds the influence.
 """
 
@@ -100,7 +100,8 @@ class CovarianceEstimate(NamedTuple):
 
 
 class MomentOracle(ABC):
-    """Integration interface; :meth:`_integrator` alone picks who integrates."""
+    """Integration interface; :meth:`_integrator` alone picks who integrates, and
+    :meth:`_gamma`, the matrix Gamma_F of a family, is the one covariance request."""
 
     @abstractmethod
     def expectation(self, f: StatFunction) -> float:
@@ -108,25 +109,24 @@ class MomentOracle(ABC):
 
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
         """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's;
-        the one entry of ``_gamma((f,), (g,))``, which takes f once for g = f."""
-        fs = (f,)
-        value, stderr = self._integrator((f, g))._gamma(fs, fs if g is f else (g,))
+        entry [0, -1] of ``_gamma((f, g))``, or of ``_gamma((f,))`` for g = f."""
+        value, stderr = self._integrator((f, g))._gamma((f,) if g is f else (f, g))
         if stderr is None:
-            return CovarianceEstimate(float(value[0, 0]), 0.0, "exact")
-        return CovarianceEstimate(float(value[0, 0]), float(stderr[0, 0]), "monte_carlo")
+            return CovarianceEstimate(float(value[0, -1]), 0.0, "exact")
+        return CovarianceEstimate(float(value[0, -1]), float(stderr[0, -1]), "monte_carlo")
 
     def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
         """The oracle that integrates every function of ``fs``: this one."""
         return self
 
     @abstractmethod
-    def _gamma(self, fs, gs) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Gamma(f_i, g_j) and its stderrs, None if exact; ``gs is fs`` asks for Gamma_F."""
+    def _gamma(self, fs) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Gamma_F = (Gamma(f_i, f_j)), exactly symmetric, and its stderrs, None if exact."""
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
         """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0."""
         s, fs = np.array([t for t, _ in terms]), [f for _, f in terms]
-        return CovarianceEstimate(float(s @ self._gamma(fs, fs)[0] @ s), 0.0, "exact")
+        return CovarianceEstimate(float(s @ self._gamma(fs)[0] @ s), 0.0, "exact")
 
 
 def _poly_about(poly, to: tuple[float, float], at: tuple[float, float] = (0.0, 0.0)) -> dict:
@@ -169,9 +169,9 @@ def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[
 
 class PolynomialMomentOracle(MomentOracle):
     """Exact moments for polynomial functions, each integrated about the law's
-    :meth:`mean`; any other function goes to :meth:`sampling_oracle`, if there
-    is one.  A subclass implements ``raw_moment`` or ``moment_about``, each the
-    other's default, and overrides :meth:`mean` if it is not (0, 0)."""
+    :meth:`mean`; any other function goes to :meth:`sampling_oracle`.  A subclass
+    implements :meth:`sampling_oracle` and ``raw_moment`` or ``moment_about``,
+    each the other's default, and overrides :meth:`mean` if it is not (0, 0)."""
 
     def mean(self) -> tuple[float, float]:
         """(E X, E Y), the point every polynomial is integrated about."""
@@ -191,22 +191,14 @@ class PolynomialMomentOracle(MomentOracle):
         terms = _poly_about({(i, j): 1.0}, (0.0, 0.0), (px, py))
         return sum(c * self.raw_moment(a, b) for (a, b), c in terms.items())
 
-    def sampling_oracle(self) -> Optional[MomentOracle]:
-        """A Monte Carlo fallback for functions without a polynomial form."""
-        return None
+    @abstractmethod
+    def sampling_oracle(self) -> MomentOracle:
+        """The Monte Carlo fallback for functions without a polynomial form."""
 
     def _integrator(self, fs: Sequence[StatFunction]) -> MomentOracle:
         """This oracle when every function of ``fs`` is polynomial, else the
-        sampling fallback for all of them, else a MomentError naming the first
-        function it cannot integrate."""
-        for f in fs:
-            if f.poly is None:
-                fallback = self.sampling_oracle()
-                if fallback is None:
-                    raise MomentError(
-                        f"{f.label} is not polynomial and this oracle cannot sample")
-                return fallback
-        return self
+        sampling fallback for all of them."""
+        return self if all(f.poly is not None for f in fs) else self.sampling_oracle()
 
     def _moments(self, keys, at: tuple[float, float]) -> list[float]:
         """``moment_about(i, j, *at)`` for each (i, j) of ``keys``; a MomentError
@@ -218,36 +210,30 @@ class PolynomialMomentOracle(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES}: {name}")
         return m
 
-    def poly_expectation(self, poly) -> float:
-        """E[sum c_ij X^i Y^j], from the moments about the law's mean."""
+    def expectation(self, f: StatFunction) -> float:
+        """E f(Z): sum c_ij E[(X - px)^i (Y - py)^j] over f's coefficients about the
+        law's mean (px, py) if f is polynomial, else the fallback's."""
+        if f.poly is None:
+            return self._integrator((f,)).expectation(f)
         at = self.mean()
-        poly = _poly_about(poly, at)
+        poly = _poly_about(f.poly, at)
         total = 0.0
         for c, m in zip(poly.values(), self._moments(poly, at)):
             total += c * m
         return total
 
-    def expectation(self, f: StatFunction) -> float:
-        # a polynomial is exact here by definition, so only others ask for the route
-        if f.poly is None:
-            return self._integrator((f,)).expectation(f)
-        return self.poly_expectation(f.poly)
-
-    def _gamma(self, fs, gs) -> tuple[np.ndarray, None]:
-        """C_f Sigma C_g^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of ``fs``
-        and ``gs`` about the law's mean p, one lookup of M = ``moment_about`` at p each."""
+    def _gamma(self, fs) -> tuple[np.ndarray, None]:
+        """C Sigma C^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of ``fs``
+        about the law's mean p, one lookup of M = ``moment_about`` at p each."""
         p = self.mean()
-        rows, cf = _coefficients(fs, p)
-        cols, cg = (rows, cf) if gs is fs else _coefficients(gs, p)
+        basis, c = _coefficients(fs, p)
         keys: dict = {}  # exponent -> its index in m: the products', then the means'
-        at = [keys.setdefault((i + k, j + l), len(keys)) for i, j in rows for k, l in cols]
-        mr, mc = ([keys.setdefault(a, len(keys)) for a in basis] for basis in (rows, cols))
+        at = [keys.setdefault((i + k, j + l), len(keys)) for i, j in basis for k, l in basis]
+        mb = [keys.setdefault(a, len(keys)) for a in basis]
         m = self._moments(keys, p)
-        sigma = np.array([m[t] - m[a] * m[b] for t, (a, b) in zip(at, itertools.product(mr, mc))])
-        value = cf @ sigma.reshape(len(rows), len(cols)) @ cg.T
-        if gs is fs:
-            value = 0.5 * (value + value.T)  # exactly symmetric
-        return value, None
+        sigma = np.array([m[t] - m[a] * m[b] for t, (a, b) in zip(at, itertools.product(mb, mb))])
+        value = c @ sigma.reshape(len(basis), len(basis)) @ c.T
+        return 0.5 * (value + value.T), None  # exactly symmetric
 
 
 class SamplingMoments(MomentOracle):
@@ -305,17 +291,16 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label})")
         return m
 
-    def _gamma(self, fs, gs) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma(f_i, g_j) and stderrs on the batch, row by row: f_i is centred once
-        and each g_j evaluated once (g_j = f_i reuses f_i's values) into its own
-        buffer for the product; for ``gs is fs`` only j >= i, mirrored."""
-        out = np.empty((2, len(fs), len(gs)))  # values, stderrs
+    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma_F and stderrs on the batch, row by row: f_i is centred once and
+        each f_j, j > i, evaluated once into its own buffer for the product
+        (f_i itself reuses its values); only j >= i, mirrored."""
+        out = np.empty((2, len(fs), len(fs)))  # values, stderrs
         for i, f in enumerate(fs):
             cf = self._centred(f)
-            for j, g in list(enumerate(gs))[i if gs is fs else 0:]:
-                out[:, i, j] = self._estimate(cf * cf if g is f else self._centred(g, cf), f, g)
-                if gs is fs:
-                    out[:, j, i] = out[:, i, j]
+            for j, g in enumerate(fs[i:], i):
+                out[:, i, j] = out[:, j, i] = self._estimate(
+                    cf * cf if g is f else self._centred(g, cf), f, g)
         return out[0], out[1]
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
@@ -385,14 +370,15 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     sampling fallback so that all entries share one batch of draws; a mix
     of exact and sampled entries could fail the PSD guarantee.  The route
     is chosen before any pair, and ``method`` is that of the entries.  An
-    error names the first pair, in row order, that fails on its own.
+    error names the first pair (f, g), in row order, whose own Gamma_F fails:
+    the one that ``covariance_estimate(f, g)`` integrates.
     """
     fs = list(fs)
     if not fs:
         raise MomentError("gamma_matrix needs at least one function")
     working = oracle._integrator(fs)
     try:
-        value, stderr = working._gamma(fs, fs)
+        value, stderr = working._gamma(fs)
     except MomentError:
         for f, g in [(f, g) for i, f in enumerate(fs) for g in fs[i:]]:
             try:

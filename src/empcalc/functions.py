@@ -166,11 +166,10 @@ class StatFunction:
         if not isinstance(k, int) or k < 0:
             raise EvaluationError("only nonnegative integer powers are supported")
         poly = None
-        if self.poly is not None:
-            acc = {(0, 0): 1.0}
-            for _ in range(k):
-                acc = _poly_mul(acc, self.poly)
-            poly = acc
+        if self.poly is not None:  # f^0 is the constant 1; f^k takes k - 1 products
+            poly = self.poly if k else {(0, 0): 1.0}
+            for _ in range(k - 1):
+                poly = _poly_mul(poly, self.poly)
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
         return StatFunction(lambda x, y: f(x, y) ** k, f"{la}^{k}", poly)

@@ -52,7 +52,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import PolynomialMomentOracle, SamplingMoments
+from .empirical import _MOMENT_DIVERGES, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -470,9 +470,7 @@ class DiscreteLaw(BivariateLaw):
         if math.isfinite(total):
             return total
         if not np.all(np.isfinite(vals)):
-            raise MomentError(
-                f"moment does not exist under this law at requested precision "
-                f"({label()}: non-finite at an atom)")
+            raise MomentError(f"{_MOMENT_DIVERGES} ({label()}: non-finite at an atom)")
         # finite values whose sum overflows: the same inf, with matmul's warning
         return float(self.atom_weights @ vals)
 
@@ -488,17 +486,16 @@ class DiscreteLaw(BivariateLaw):
     def moment_about(self, i, j, px, py):
         return self._weighted_mean((self.atom_xs - px) ** i * (self.atom_ys - py) ** j)
 
-    def _gamma(self, fs, gs):
-        """(V_f sqrt(w)) (V_g sqrt(w))^T, each row of V a function's atom values less
+    def _gamma(self, fs):
+        """(V sqrt(w)) (V sqrt(w))^T, each row of V a function's atom values less
         their weighted mean: a shift cancels there, not in E[fg] - E[f]E[g].  If an
         entry is not finite, the first pair whose f*g is non-finite at an atom is named."""
-        vf, af = self._centred(fs)
-        vg, ag = (vf, af) if gs is fs else self._centred(gs)
-        value = af @ ag.T
+        v, a = self._centred(fs)
+        value = a @ a.T
         if not np.isfinite(value).all():
-            for i, f in enumerate(fs):
-                for j, g in enumerate(gs):
-                    self._weighted_mean(vf[i] * vg[j], lambda: (f * g).label)
+            for f, vf in zip(fs, v):
+                for g, vg in zip(fs, v):
+                    self._weighted_mean(vf * vg, lambda: (f * g).label)
         return value, None  # only sums overflow
 
     def _centred(self, fs):

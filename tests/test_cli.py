@@ -296,6 +296,17 @@ def test_simulate_rejects_negative_seed(capsys):
     assert "error: --seed must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "lemma1"])
+def test_a_run_too_large_to_allocate_is_a_usage_error(capsys, command):
+    # the stream table for 1e15 replicates asks for 28.4 PiB: numpy refuses
+    # the allocation at once, and the CLI reports it as one error line
+    code, out, err = run_cli(capsys, command, "--law", "gaussian", "--rho", "0.5",
+                             "--n", "100", "--reps", "1000000000000000", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", err), err
+
+
 def test_simulate_failed_check_exits_one(capsys):
     # n=2 is legal but cannot pass; the report must still be emitted
     code, out, _ = run_cli(capsys, "simulate", "--law", "gaussian", "--rho", "0.5",

@@ -135,34 +135,6 @@ def test_gamma_moment_divergence_message():
         law.covariance_estimate(bad, bad)
 
 
-class _ExactOnlyGaussian(ec.PolynomialMomentOracle):
-    """gaussian(0.5) raw moments with no sampling fallback; counts raw moments."""
-
-    def __init__(self):
-        self.law = ec.GaussianLaw(0.5)
-        self.raw_calls = 0
-
-    def raw_moment(self, i, j):
-        self.raw_calls += 1
-        return self.law.raw_moment(i, j)
-
-
-def test_oracle_without_fallback_raises_one_error_for_a_non_polynomial_function():
-    oracle = _ExactOnlyGaussian()
-    cos1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
-    message = r"^cos\(pi1\) is not polynomial and this oracle cannot sample$"
-    with pytest.raises(ec.MomentError, match=message):
-        oracle.expectation(cos1)
-    with pytest.raises(ec.MomentError, match=message):
-        oracle.covariance_estimate(ec.pi1, cos1)
-    with pytest.raises(ec.MomentError, match=message):
-        ec.gamma_matrix([ec.pi1, ec.pi2, cos1], oracle)
-    # the route is chosen before any pair is integrated
-    assert oracle.raw_calls == 0
-    # polynomial families stay exact
-    assert oracle.covariance_estimate(ec.pi1, ec.pi2) == (0.5, 0.0, "exact")
-    assert ec.gamma_matrix([ec.pi1, ec.pi2], oracle).method == "exact"
-
 discrete_atoms = st.integers(min_value=2, max_value=6).flatmap(
     lambda k: st.tuples(
         st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -279,15 +251,10 @@ def exact_laws():
      "itself"),
     (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), ec.p, "itself"),
     (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), COS_PI1, "itself"),
-    (_ExactOnlyGaussian, COS_PI1, "error"),
 ], ids=["gaussian-polynomial", "gaussian-cos", "discrete-cos", "sampling-polynomial",
-        "sampling-cos", "exact-only-cos"])
+        "sampling-cos"])
 def test_integrator_chooses_each_oracles_route(make, f, route):
     oracle = make()
-    if route == "error":
-        with pytest.raises(ec.MomentError, match=r"^cos\(pi1\) is not polynomial"):
-            oracle._integrator((ec.pi1, f))
-        return
     want = oracle if route == "itself" else oracle.sampling_oracle()
     assert route == "itself" or isinstance(want, SamplingMoments)
     # a second call gives the same object: one cached fallback per law
@@ -415,6 +382,22 @@ def test_gamma_matrix_bits_equal_pairwise_covariances(index):
         assert_gamma_matrix_matches_pairwise(FAMILY, law)
 
 
+@pytest.mark.parametrize("index", range(5),
+                         ids=["gaussian", "independent", "mixture", "discrete", "sampling"])
+def test_covariance_estimate_is_an_entry_of_the_gamma_matrix(index):
+    # one request shape: Gamma(f, g) is entry [0, 1] of Gamma_F for F = (f, g),
+    # and Gamma(f, f) the 1-by-1 Gamma_F, bit for bit with the same provenance
+    oracle = (exact_laws() + [SamplingMoments(ec.GaussianLaw(0.5).sample, budget=5000)])[index]
+    fs = FAMILY + [COS_PI1, 2.0 * ec.pi1 ** 3 - ec.p + 1.0]
+    for f in fs:
+        for g in fs:
+            est = oracle.covariance_estimate(f, g)
+            m = ec.gamma_matrix([f] if g is f else [f, g], oracle)
+            assert est.value.hex() == m.entries[0, -1].hex(), (f.label, g.label)
+            assert est.method == m.method
+            assert (est.stderr == 0.0) == (est.method == "exact")
+
+
 def test_shifted_discrete_gamma_is_accurate():
     # CI's 5-atom law shifted x + 1e4, y - 1e4: E[fg] - E[f]E[g] would cancel
     # terms of 1e16 to leave entries of 1e8, a relative error near 1e-8;
@@ -438,7 +421,7 @@ def test_shifted_discrete_gamma_is_accurate():
     # the k-by-k product gamma_matrix takes; the whole family's Gamma has rank 4
     # (5 atoms), and at entries of 6e8 round-off alone breaks the absolute PSD
     # floor, so gamma_matrix itself is asked for the well-conditioned (p, pi1^2, pi2^2)
-    got = law._gamma(FAMILY, FAMILY)[0]
+    got = law._gamma(FAMILY)[0]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     got = ec.gamma_matrix(FAMILY[2:], law).entries
     assert np.abs(got - want[2:, 2:]).max() <= 1e-12 * np.abs(want).max()
@@ -463,6 +446,20 @@ def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
                 r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
                 r"this law at requested precision \(log\(x\): non-finite draw\)$")):
             ec.gamma_matrix(fs, mc)
+
+
+def test_a_covariance_fails_when_its_pairs_gamma_matrix_does():
+    # Gamma(pi1, g) is an entry of the Gamma_F of (pi1, g), so it fails with
+    # Gamma(g, g), here g^2 overflowing at an atom, and gamma_matrix names that pair
+    law = ec.DiscreteLaw([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.25, 0.5, 0.25])
+    g = ec.StatFunction(lambda x, y: np.where(x == 0.0, 1e200, 0.0) + 0.0 * y, "g")
+    message = r"this law at requested precision \(g\*g: non-finite at an atom\)$"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ec.MomentError, match=r"^moment does not exist under " + message):
+            law.covariance_estimate(ec.pi1, g)
+        with pytest.raises(ec.MomentError, match=(
+                r"^gamma failed for pair \(pi1, g\): moment does not exist under " + message)):
+            ec.gamma_matrix([ec.pi1, g], law)
 
 
 def test_sampling_gamma_matrix_holds_one_row_of_centred_values():

@@ -65,6 +65,22 @@ def test_power_of_projection():
     assert sq.poly == {(2, 0): 1.0}
 
 
+@pytest.mark.parametrize("f", [ec.pi1, ec.p - ec.pi2 ** 2, 0.5 * ec.pi1 - 2.0 * ec.pi2 + 3.0,
+                               (ec.pi1 + 1e-3) * (ec.pi2 - 7.0)], ids=repr)
+def test_power_is_the_repeated_product_bit_for_bit(f):
+    # f^k starts from f itself: the poly of f * f * ... * f, keys in its order and
+    # coefficients in its bits, with f^0 the constant 1 and the labels unchanged
+    product = ec.constant(1.0)
+    for k in range(5):
+        power = f ** k
+        want = {(0, 0): 1.0} if k == 0 else product.poly
+        assert list(power.poly.items()) == list(want.items())
+        assert [v.hex() for v in power.poly.values()] == [v.hex() for v in want.values()]
+        la = f"({f.label})" if " + " in f.label or " - " in f.label else f.label
+        assert power.label == f"{la}^{k}"
+        product = f if k == 0 else product * f
+
+
 @pytest.mark.parametrize("k", [-1, 2.0])
 def test_power_rejects_a_negative_or_non_integer_exponent(k):
     with pytest.raises(ec.EvaluationError, match="^only nonnegative integer powers are supported$"):
