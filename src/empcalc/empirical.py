@@ -34,8 +34,8 @@ family, as one matrix, with no f_i * f_j built and no expectation called.
 It is C Sigma C^T over a polynomial family's monomials about the law's mean,
 Sigma from the central moments (for the correlation's uv, u^2 and v^2, those
 bivariate_moments() looked up), the Gram matrix of centred atom values on a
-discrete law, and row by row on the sampling route, holding one row's
-centred values plus one entry's evaluation and product beyond the batch.
+discrete law, and on the sampling route two passes over each ``_CHUNK`` pairs
+of the batch, each evaluating every function: the means, then centred products.
 A single Gamma(f, g) is entry [0, 1] of the Gamma_F of (f, g), and an
 expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
 there is none); only the sampling route builds the influence.
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -58,6 +59,8 @@ from .sample import PairedSample
 from .streams import derive_rng
 
 DEFAULT_MC_BUDGET = 1_000_000
+# pairs of the Monte Carlo batch integrated at once, and of a block a law transforms
+_CHUNK = 32_768
 
 # matrix acceptance floors used by CovarianceMatrix validation
 SYMMETRY_RTOL = 1e-12
@@ -244,11 +247,12 @@ class SamplingMoments(MomentOracle):
     sampler : callable
         ``sampler(n, rng)`` returning a :class:`PairedSample`.
     budget : int
-        Batch size; the standard error of a covariance scales like
-        budget^{-1/2}.
+        Batch size, at least 2; the standard error of a covariance scales
+        like budget^{-1/2}.
     seed : int
-        Root seed of the batch stream.  Equal (seed, budget) pairs give
-        identical results, because the batch is drawn once and cached.
+        Non-negative root seed of the batch stream.  Equal (seed, budget) pairs
+        give identical results: the batch is drawn once (a law's adopts its draw
+        buffers), cached, and integrated in chunks of ``_CHUNK`` pairs.
 
     Once the batch is drawn, ``sampler`` is set to None: a law's bound
     ``sample`` would otherwise tie the law and its cached oracle in a
@@ -257,11 +261,14 @@ class SamplingMoments(MomentOracle):
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
                  budget: int = DEFAULT_MC_BUDGET, seed: int = 0):
-        if budget < 2:
-            raise MomentError(f"sampling budget must be >= 2, got {budget}")
+        try:
+            self.budget, self.seed = operator.index(budget), operator.index(seed)
+        except TypeError:
+            raise MomentError(f"sampling budget and seed must be integers, "
+                              f"got {budget!r} and {seed!r}") from None
+        if self.budget < 2 or self.seed < 0:
+            raise MomentError(f"sampling needs budget >= 2, seed >= 0, got {budget}, {seed}")
         self.sampler = sampler
-        self.budget = int(budget)
-        self.seed = int(seed)
         self._batch: Optional[PairedSample] = None
 
     def batch(self) -> PairedSample:
@@ -270,56 +277,61 @@ class SamplingMoments(MomentOracle):
             self.sampler = None
         return self._batch
 
-    def _values(self, f: StatFunction) -> np.ndarray:
+    def _chunks(self):
+        """(at, xs, ys) of the batch's pairs at..at + _CHUNK - 1, chunk by chunk."""
         s = self.batch()
-        vals = np.asarray(f(s.xs, s.ys), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}: non-finite draw)")
-        return vals
+        for at in range(0, s.n, _CHUNK):
+            yield at, s.xs[at:at + _CHUNK], s.ys[at:at + _CHUNK]
 
-    def _centred(self, f: StatFunction, times: Optional[np.ndarray] = None) -> np.ndarray:
-        """f on the batch less its mean, times ``times`` if given, in a new array."""
-        vals = self._values(f)
-        c = vals - vals.mean()
-        if times is not None:
-            c *= times
-        return c
+    def _means(self, fs) -> np.ndarray:
+        """The mean of each f on the batch, from its chunk sums; a MomentError
+        names the first f, in order, with a non-finite value."""
+        sums = np.zeros(len(fs))
+        for i, f in enumerate(fs):
+            for _, x, y in self._chunks():
+                vals = np.asarray(f(x, y), dtype=float)
+                if not np.isfinite(vals).all():
+                    raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}: non-finite draw)")
+                sums[i] += vals.sum()
+        return sums / self.batch().n
 
     def expectation(self, f: StatFunction) -> float:
-        m = float(self._values(f).mean())
+        m = float(self._means((f,))[0])
         if not math.isfinite(m):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label})")
         return m
 
     def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma_F and stderrs on the batch, row by row: f_i is centred once and
-        each f_j, j > i, evaluated once into its own buffer for the product
-        (f_i itself reuses its values); only j >= i, mirrored."""
+        """Gamma_F and stderrs on the batch in two passes over its chunks: the means,
+        then for each pair i <= j the sums of the products w of centred values and of
+        squares of w about its chunk mean, merged as Chan, Golub and LeVeque (1983) do."""
+        mean, r = self._means(fs), self.batch().n
+        i, j = np.triu_indices(len(fs))
+        total, m2, s, q = np.zeros((4, i.size))
+        for at, x, y in self._chunks():
+            c = [np.asarray(f(x, y), dtype=float) - m for f, m in zip(fs, mean)]
+            w = np.empty(x.size)
+            for p, (a, b) in enumerate(zip(i, j)):
+                np.multiply(c[a], c[b], out=w)
+                s[p] = w.sum()
+                w -= s[p] / w.size
+                np.multiply(w, w, out=w)
+                q[p] = w.sum()
+            d = s / w.size - total / max(at, 1)
+            m2 += q + d * d * (at * w.size / (at + w.size))
+            total += s
+        value, stderr = total / (r - 1), np.sqrt(m2 / (r - 1)) / math.sqrt(r)
+        ok = np.isfinite(value) & np.isfinite(stderr)
+        if not ok.all():
+            p = np.argmin(ok)  # the first pair, in row order, that failed
+            raise MomentError(f"{_MOMENT_DIVERGES} ({fs[i[p]].label}, {fs[j[p]].label})")
         out = np.empty((2, len(fs), len(fs)))  # values, stderrs
-        for i, f in enumerate(fs):
-            cf = self._centred(f)
-            for j, g in enumerate(fs[i:], i):
-                out[:, i, j] = out[:, j, i] = self._estimate(
-                    cf * cf if g is f else self._centred(g, cf), f, g)
+        out[:, i, j] = out[:, j, i] = value, stderr
         return out[0], out[1]
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
         """Gamma(h, h) of ``e``'s influence on the batch, with the stderr of the sum."""
         return self.covariance_estimate(e.influence, e.influence)
-
-    @staticmethod
-    def _estimate(w: np.ndarray, f: StatFunction, g: StatFunction) -> tuple[float, float]:
-        """Gamma(f, g) and its stderr from the products w of centred values; w is overwritten."""
-        r = w.size
-        s = w.sum()
-        value = float(s / (r - 1))
-        # w.std(ddof=1), in place on w: the same operations in numpy's order
-        w -= s / r
-        np.multiply(w, w, out=w)
-        stderr = math.sqrt(w.sum() / (r - 1)) / math.sqrt(r)
-        if not (math.isfinite(value) and math.isfinite(stderr)):
-            raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}, {g.label})")
-        return value, stderr
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,7 +52,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import _MOMENT_DIVERGES, PolynomialMomentOracle, SamplingMoments
+from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle, SamplingMoments
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -209,7 +209,7 @@ class BivariateLaw(PolynomialMomentOracle):
         if n < 2:  # before any draw, in PairedSample's words
             raise InputFormatError(f"need at least 2 paired observations, got {n}")
         xs, ys = self.draw_block([rng], int(n))
-        return PairedSample(xs[0], ys[0])
+        return PairedSample._adopt(xs[0], ys[0])
 
     def bivariate_moments(self) -> BivariateMoments:
         """Exact central moments through fourth order, about the law's mean."""
@@ -263,7 +263,8 @@ class GaussianLaw(BivariateLaw):
     def transform(self, raw, size):
         z1, ys = raw[:, :size]
         np.multiply(ys, math.sqrt(1.0 - self.rho_param ** 2), out=ys)
-        ys += self.rho_param * z1
+        for at in range(0, size, _CHUNK):  # no temporary of the block's size
+            ys[at:at + _CHUNK] += self.rho_param * z1[at:at + _CHUNK]
         return z1, ys
 
     def raw_moment(self, i: int, j: int) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
-from empcalc.empirical import CovarianceMatrix, SamplingMoments, _coefficients
+from empcalc.empirical import _CHUNK, CovarianceMatrix, SamplingMoments, _coefficients
 from empcalc.streams import derive_rng, derive_seed
 
 
@@ -327,16 +327,16 @@ def test_exact_gamma_matrix_builds_no_product_function(monkeypatch, index):
     assert products == []
 
 
-def test_sampling_gamma_matrix_evaluates_each_function_once_per_row():
-    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000, seed=3)
+def test_sampling_gamma_matrix_evaluates_each_function_twice_per_chunk():
+    # once for the means, once for the centred products: 2k per chunk, not k(k+1)/2 + k
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=_CHUNK + 1000, seed=3)
     calls = []
     ec.gamma_matrix([counting(f, calls) for f in FAMILY], mc)
-    # row i evaluates f_i once and each f_j, j > i, once: k(k+1)/2, not k(k+1)
-    assert len(calls) == 15
+    assert sorted(calls) == sorted([f.label for f in FAMILY] * 4)
     calls.clear()
     f = counting(ec.p, calls)
     mc.covariance_estimate(f, f)
-    assert calls == ["p"]
+    assert calls == ["p"] * 4
 
 
 def centred_gram(law, fs):
@@ -349,11 +349,6 @@ def centred_gram(law, fs):
 
 def reference_covariance(oracle, f, g):
     """Gamma(f, g) computed pair by pair, each function integrated afresh."""
-    if isinstance(oracle, SamplingMoments):
-        s = oracle.batch()
-        fv, gv = f(s.xs, s.ys), g(s.xs, s.ys)
-        w = (fv - fv.mean()) * (gv - gv.mean())
-        return float(w.sum() / (w.size - 1))
     return oracle.expectation(f * g) - oracle.expectation(f) * oracle.expectation(g)
 
 
@@ -427,9 +422,27 @@ def test_shifted_discrete_gamma_is_accurate():
     assert np.abs(got - want[2:, 2:]).max() <= 1e-12 * np.abs(want).max()
 
 
+def fsum_covariance(s, f, g):
+    """Gamma(f, g) on the batch ``s`` and its stderr, two-pass with math.fsum:
+    the mean of each function, then the products w of centred values."""
+    fv, gv = f(s.xs, s.ys), g(s.xs, s.ys)
+    r = fv.size
+    w = (fv - math.fsum(fv) / r) * (gv - math.fsum(gv) / r)
+    return (math.fsum(w) / (r - 1),
+            math.sqrt(math.fsum((w - math.fsum(w) / r) ** 2) / (r - 1)) / math.sqrt(r))
+
+
 def test_sampling_gamma_matrix_bits_equal_pairwise_covariances():
-    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=20_000)
-    assert_gamma_matrix_matches_pairwise(FAMILY[:3] + [COS_PI1] + FAMILY[3:], mc)
+    # three chunks, the last one short
+    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=2 * _CHUNK + 3000)
+    fs = FAMILY[:3] + [COS_PI1] + FAMILY[3:]
+    got = ec.gamma_matrix(fs, mc).entries
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            assert got[i, j].hex() == mc.covariance_estimate(f, g).value.hex(), (f.label, g.label)
+            # within round-off of the exact two-pass value, on the Cauchy-Schwarz scale
+            want = fsum_covariance(mc.batch(), f, g)[0]
+            assert abs(got[i, j] - want) <= 1e-14 * math.sqrt(got[i, i] * got[j, j])
 
 
 def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
@@ -462,22 +475,21 @@ def test_a_covariance_fails_when_its_pairs_gamma_matrix_does():
             ec.gamma_matrix([ec.pi1, g], law)
 
 
-def test_sampling_gamma_matrix_holds_one_row_of_centred_values():
-    budget = 250_000
-    mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=budget, seed=11)
-    mc.batch()
+def test_sampling_gamma_matrix_memory_does_not_grow_with_the_budget():
     fs = [ec.StatFunction(lambda x, y, a=a: np.cos(a * x), f"cos({a:g}*pi1)") + 0 * ec.pi2
           for a in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
-    tracemalloc.start()
-    try:
-        ec.gamma_matrix(fs, mc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one row's centred values, then an evaluation and its centred copy, plus
-    # a little for Python objects; pair by pair took 4 arrays, and holding
-    # every centred array takes more
-    assert peak <= 3 * 8 * budget + 64 * 1024
+    peaks = []
+    for budget in (250_000, 1_000_000):
+        mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=budget, seed=11)
+        mc.batch()
+        tracemalloc.start()
+        try:
+            ec.gamma_matrix(fs, mc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a chunk's centred values and evaluations, whatever the batch's length
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
 
 # ------------------------------------------------------- CovarianceMatrix
@@ -530,17 +542,34 @@ def test_sampling_moments_rejects_tiny_budget():
         SamplingMoments(gaussian_sampler(law), budget=1, seed=0)
 
 
+@pytest.mark.parametrize("budget, seed, message", [
+    (10, -1, r"^sampling needs budget >= 2, seed >= 0, got 10, -1$"),
+    (2.5, 0, r"^sampling budget and seed must be integers, got 2\.5 and 0$"),
+    (10, 1.5, r"^sampling budget and seed must be integers, got 10 and 1\.5$"),
+])
+def test_sampling_moments_rejects_a_bad_budget_or_seed_before_any_draw(budget, seed, message):
+    # a negative seed used to fail only at the first draw, and 2.5 and 1.5 were truncated
+    with pytest.raises(ec.MomentError, match=message):
+        SamplingMoments(ec.GaussianLaw(0.0).sample, budget=budget, seed=seed)
+
+
+def test_sampling_moments_takes_integer_like_budget_and_seed():
+    mc = SamplingMoments(ec.GaussianLaw(0.0).sample, budget=np.int64(10), seed=np.uint8(3))
+    assert (type(mc.budget), type(mc.seed)) == (int, int)
+    assert mc.batch().n == 10
+
+
 def test_stderr_is_the_standard_deviation_of_the_products_over_sqrt_budget():
     law = ec.GaussianLaw(0.6)
     mc = SamplingMoments(gaussian_sampler(law), budget=1_000_000, seed=123)
     s = mc.batch()
     cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
     for f, g in ((ec.p, ec.pi1), (ec.pi2, ec.pi2), (cos_pi1, ec.p)):
-        fv, gv = f(s.xs, s.ys), g(s.xs, s.ys)
-        w = (fv - fv.mean()) * (gv - gv.mean())
+        value, stderr = fsum_covariance(s, f, g)
         est = mc.covariance_estimate(f, g)
-        assert est.value == float(w.sum() / (w.size - 1))
-        assert est.stderr == float(w.std(ddof=1) / math.sqrt(w.size))
+        scale = math.sqrt(mc.covariance_estimate(f, f).value * mc.covariance_estimate(g, g).value)
+        assert abs(est.value - value) <= 1e-14 * scale
+        assert abs(est.stderr - stderr) <= 1e-14 * stderr
 
 
 def test_doubling_budget_halves_squared_stderr():

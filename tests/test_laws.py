@@ -7,6 +7,7 @@ and distribution functions; the package itself does not depend on it.
 
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -135,6 +136,36 @@ def test_samples_are_bit_identical_to_reference_draws():
             law = ec.IndependentLaw(name, name)
             assert np.array_equal(law.draw_block([derive_rng(5, n)], n)[0][0],
                                   _reference_draw(law, n, derive_rng(5, n))[0]), (name, n)
+
+
+@pytest.mark.parametrize("law", [ec.GaussianLaw(0.5), ec.IndependentLaw("uniform_std",
+                                                                         "exponential_std")],
+                         ids=["gaussian", "independent"])
+def test_a_large_sample_adopts_its_draw_buffers(law):
+    # the raw buffers, 16 bytes a pair, plus the finiteness check's 2: no copy of
+    # the batch and no temporary of its size, as a Monte Carlo fallback batch draws
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        s = law.sample(n, derive_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n + 64 * 1024
+    xs, ys = law.draw_block([derive_rng(8)], n)
+    assert np.array_equal(s.xs, xs[0]) and np.array_equal(s.ys, ys[0])
+    assert not (s.xs.flags.writeable or s.ys.flags.writeable)
+    with pytest.raises(ValueError):
+        s.xs[0] = 0.0
+
+
+def test_an_adopted_sample_is_checked_as_a_new_one_is():
+    for xs, ys, message in (([1.0, 2.0], [1.0], "differ in length: 2 vs 1"),
+                            ([1.0], [1.0], "at least 2 paired observations, got 1"),
+                            ([1.0, 2.0, 3.0], [1.0, np.inf, np.nan], "at index 1")):
+        for make in (ec.PairedSample, ec.PairedSample._adopt):
+            with pytest.raises(ec.InputFormatError, match=message):
+                make(np.array(xs), np.array(ys))
 
 
 def test_unknown_marginal_lists_available_names():
