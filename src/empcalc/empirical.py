@@ -11,8 +11,8 @@ a centered, root-n-scaled empirical average.  Its limiting covariance is
 and for any finite family f_1..f_k the vector (G_n(f_1), .., G_n(f_k))
 converges to a centered k-variate normal with covariance matrix
 Gamma(f_i, f_j).  This module evaluates G_n on data and computes Gamma
-either exactly (polynomial functions under a law with known raw moments)
-or by plain Monte Carlo integration with a reported standard error.
+exactly (polynomial functions under a law with known raw moments), on a
+law's Gauss rules, or by Monte Carlo integration, each with an error estimate.
 
 Moment oracles
 --------------
@@ -20,12 +20,13 @@ Moment oracles
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
 for laws with exact moments E[(X - px)^i (Y - py)^j]: Gamma does not change
 when f is shifted, so it writes every polynomial about the law's mean by the
-binomial theorem and integrates it with the moments there, and
-:class:`SamplingMoments` by averaging over one shared, seed-deterministic
-batch of draws (so a sampled Gamma matrix is an empirical Gram matrix,
-hence PSD).  ``_integrator(fs)`` alone chooses the route: the oracle
-itself, but for a polynomial oracle given a non-polynomial function its
-``sampling_oracle()``, which every polynomial oracle has, for all of ``fs``.
+binomial theorem and integrates it with the moments there;
+:class:`QuadratureMoments` on a law's coarse and fine product Gauss rules,
+with the fine value when the two agree; and :class:`SamplingMoments` by
+averaging over one seed-deterministic batch of a caller's sampler (an
+empirical Gram matrix, so PSD).  ``_integrator(fs)`` alone chooses the
+route, which its ``method`` names: the oracle itself, but for a polynomial
+oracle given a non-polynomial function its quadrature, for all of ``fs``.
 
 Integration counts
 ------------------
@@ -34,11 +35,11 @@ family, as one matrix, with no f_i * f_j built and no expectation called.
 It is C Sigma C^T over a polynomial family's monomials about the law's mean,
 Sigma from the central moments (for the correlation's uv, u^2 and v^2, those
 bivariate_moments() looked up), the Gram matrix of centred atom values on a
-discrete law, and on the sampling route two passes over each ``_CHUNK`` pairs
-of the batch, each evaluating every function: the means, then centred products.
-A single Gamma(f, g) is entry [0, 1] of the Gamma_F of (f, g), and an
-expansion's variance is s^T Gamma_F s over its non-zero slopes (0.0 if
-there is none); only the sampling route builds the influence.
+discrete law and on each Gauss rule, and on the sampling route two passes over
+each ``_CHUNK`` pairs of the batch, each evaluating every function: the means,
+then centred products.  A single Gamma(f, g) is entry [0, 1] of the Gamma_F of
+(f, g), and an expansion's variance is s^T Gamma_F s over its non-zero slopes
+(0.0 if there is none); only the sampling route builds the influence.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ from .streams import derive_rng
 DEFAULT_MC_BUDGET = 1_000_000
 # pairs of the Monte Carlo batch integrated at once, and of a block a law transforms
 _CHUNK = 32_768
+# nodes per axis of the coarse and fine Gauss rules (laggauss's weights are NaN
+# past 96 on numpy 2.4), and the largest gap between their values, relative to
+# max(1, max |value|): smooth functions agree to 4e-13, a jump or kink to 1e-3
+QUADRATURE_POINTS = (48, 96)
+QUADRATURE_RTOL = 1e-10
 
 # matrix acceptance floors used by CovarianceMatrix validation
 SYMMETRY_RTOL = 1e-12
@@ -93,30 +99,32 @@ def gn_eval(sample: PairedSample, f: StatFunction, mean_f: float) -> float:
 class CovarianceEstimate(NamedTuple):
     """A covariance value plus how it was obtained.
 
-    ``stderr`` is 0.0 for exact integration and a first-order Monte Carlo
-    standard error otherwise.
+    ``stderr`` is 0.0 for exact integration, the gap between the coarse and
+    fine Gauss rules' values, or a first-order Monte Carlo standard error.
     """
 
     value: float
     stderr: float
-    method: str  # "exact" or "monte_carlo"
+    method: str  # "exact", "quadrature" or "monte_carlo"
 
 
 class MomentOracle(ABC):
-    """Integration interface; :meth:`_integrator` alone picks who integrates, and
-    :meth:`_gamma`, the matrix Gamma_F of a family, is the one covariance request."""
+    """Integration interface; :meth:`_integrator` alone picks who integrates, by
+    ``method``, and :meth:`_gamma`, Gamma_F of a family, is the one covariance request."""
+
+    method = "exact"
 
     @abstractmethod
     def expectation(self, f: StatFunction) -> float:
         """E f(Z) under this oracle's law."""
 
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) = E[fg] - E[f]E[g]: exact when f and g are, else the fallback's;
-        entry [0, -1] of ``_gamma((f, g))``, or of ``_gamma((f,))`` for g = f."""
-        value, stderr = self._integrator((f, g))._gamma((f,) if g is f else (f, g))
-        if stderr is None:
-            return CovarianceEstimate(float(value[0, -1]), 0.0, "exact")
-        return CovarianceEstimate(float(value[0, -1]), float(stderr[0, -1]), "monte_carlo")
+        """Gamma(f, g) = E[fg] - E[f]E[g], by the integrator of (f, g): entry
+        [0, -1] of its ``_gamma((f, g))``, or of ``_gamma((f,))`` for g = f."""
+        working = self._integrator((f, g))
+        value, stderr = working._gamma((f,) if g is f else (f, g))
+        return CovarianceEstimate(float(value[0, -1]),
+                                  0.0 if stderr is None else float(stderr[0, -1]), working.method)
 
     def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
         """The oracle that integrates every function of ``fs``: this one."""
@@ -127,9 +135,12 @@ class MomentOracle(ABC):
         """Gamma_F = (Gamma(f_i, f_j)), exactly symmetric, and its stderrs, None if exact."""
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
-        """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0."""
+        """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0; its
+        error estimate is |s|^T E |s| over the entries' error estimates E."""
         s, fs = np.array([t for t, _ in terms]), [f for _, f in terms]
-        return CovarianceEstimate(float(s @ self._gamma(fs)[0] @ s), 0.0, "exact")
+        value, stderr = self._gamma(fs)
+        return CovarianceEstimate(float(s @ value @ s), 0.0 if stderr is None
+                                  else float(np.abs(s) @ stderr @ np.abs(s)), self.method)
 
 
 def _poly_about(poly, to: tuple[float, float], at: tuple[float, float] = (0.0, 0.0)) -> dict:
@@ -172,9 +183,11 @@ def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[
 
 class PolynomialMomentOracle(MomentOracle):
     """Exact moments for polynomial functions, each integrated about the law's
-    :meth:`mean`; any other function goes to :meth:`sampling_oracle`.  A subclass
-    implements :meth:`sampling_oracle` and ``raw_moment`` or ``moment_about``,
+    :meth:`mean`; a family with any other function, to the quadrature on its
+    :meth:`_rule`.  A subclass implements it and ``raw_moment`` or ``moment_about``,
     each the other's default, and overrides :meth:`mean` if it is not (0, 0)."""
+
+    _quadrature: Optional["QuadratureMoments"] = None
 
     def mean(self) -> tuple[float, float]:
         """(E X, E Y), the point every polynomial is integrated about."""
@@ -194,14 +207,17 @@ class PolynomialMomentOracle(MomentOracle):
         terms = _poly_about({(i, j): 1.0}, (0.0, 0.0), (px, py))
         return sum(c * self.raw_moment(a, b) for (a, b), c in terms.items())
 
-    @abstractmethod
-    def sampling_oracle(self) -> MomentOracle:
-        """The Monte Carlo fallback for functions without a polynomial form."""
+    def _rule(self, m: int) -> MomentOracle:
+        """The product Gauss rule of m nodes per axis, an exact oracle over its atoms."""
+        raise MomentError(f"{type(self).__name__} has no Gauss rule for a non-polynomial function")
 
     def _integrator(self, fs: Sequence[StatFunction]) -> MomentOracle:
-        """This oracle when every function of ``fs`` is polynomial, else the
-        sampling fallback for all of them."""
-        return self if all(f.poly is not None for f in fs) else self.sampling_oracle()
+        """This oracle if every function of ``fs`` is polynomial, else its quadrature."""
+        if all(f.poly is not None for f in fs):
+            return self
+        if self._quadrature is None:
+            self._quadrature = QuadratureMoments([self._rule(m) for m in QUADRATURE_POINTS])
+        return self._quadrature
 
     def _moments(self, keys, at: tuple[float, float]) -> list[float]:
         """``moment_about(i, j, *at)`` for each (i, j) of ``keys``; a MomentError
@@ -215,7 +231,7 @@ class PolynomialMomentOracle(MomentOracle):
 
     def expectation(self, f: StatFunction) -> float:
         """E f(Z): sum c_ij E[(X - px)^i (Y - py)^j] over f's coefficients about the
-        law's mean (px, py) if f is polynomial, else the fallback's."""
+        law's mean (px, py) if f is polynomial, else the quadrature's."""
         if f.poly is None:
             return self._integrator((f,)).expectation(f)
         at = self.mean()
@@ -239,8 +255,40 @@ class PolynomialMomentOracle(MomentOracle):
         return 0.5 * (value + value.T), None  # exactly symmetric
 
 
+class QuadratureMoments(MomentOracle):
+    """Moments on a law's coarse and fine Gauss rules, each an exact oracle over
+    its atoms: the fine value, and the gap between the two as its error.  A gap
+    above ``QUADRATURE_RTOL`` times max(1, max |value|), as of a jump or a kink
+    under a continuous law, raises a MomentError naming the function."""
+
+    method = "quadrature"
+
+    def __init__(self, rules: Sequence[MomentOracle]):
+        self.rules = rules
+
+    def expectation(self, f: StatFunction) -> float:
+        values = [np.array([[rule.expectation(f)]]) for rule in self.rules]
+        return float(self._checked(values, [f])[0][0, 0])
+
+    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray]:
+        return self._checked([rule._gamma(fs)[0] for rule in self.rules], fs)
+
+    def _checked(self, values, fs) -> tuple[np.ndarray, np.ndarray]:
+        """The fine values and the gaps; a MomentError names the first entry, in
+        row order, whose gap is too large: f, or f*g off the diagonal."""
+        (coarse, fine), (m, m2) = values, QUADRATURE_POINTS
+        gap = np.abs(fine - coarse)
+        bad = np.argwhere(gap > QUADRATURE_RTOL * max(1.0, float(np.abs(fine).max())))
+        if bad.size:
+            i, j = bad[0]
+            raise MomentError(f"{_MOMENT_DIVERGES} ({(fs[i] if i == j else fs[i] * fs[j]).label}: "
+                              f"the {m}- and {m2}-point Gauss rules differ by {gap[i, j]:.2g})")
+        return fine, gap
+
+
 class SamplingMoments(MomentOracle):
-    """Monte Carlo moments from one shared, seed-deterministic batch.
+    """Monte Carlo moments from one shared, seed-deterministic batch of a
+    caller's sampler; a law integrates without one.
 
     Parameters
     ----------
@@ -254,10 +302,9 @@ class SamplingMoments(MomentOracle):
         give identical results: the batch is drawn once (a law's adopts its draw
         buffers), cached, and integrated in chunks of ``_CHUNK`` pairs.
 
-    Once the batch is drawn, ``sampler`` is set to None: a law's bound
-    ``sample`` would otherwise tie the law and its cached oracle in a
-    reference cycle, keeping the batch alive until the cyclic collector runs.
     """
+
+    method = "monte_carlo"
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
                  budget: int = DEFAULT_MC_BUDGET, seed: int = 0):
@@ -274,7 +321,6 @@ class SamplingMoments(MomentOracle):
     def batch(self) -> PairedSample:
         if self._batch is None:
             self._batch = self.sampler(self.budget, derive_rng(self.seed))
-            self.sampler = None
         return self._batch
 
     def _chunks(self):
@@ -378,9 +424,9 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     """Gamma(f_i, f_j) for a family of functions, as a CovarianceMatrix.
 
     If the oracle integrates every listed function exactly, entries are
-    exact.  Otherwise the whole matrix is computed through the oracle's
-    sampling fallback so that all entries share one batch of draws; a mix
-    of exact and sampled entries could fail the PSD guarantee.  The route
+    exact.  Otherwise the whole matrix is computed on the oracle's Gauss
+    rules, or a bare sampling oracle's batch, shared by all entries; a mix
+    of exact and integrated entries could fail the PSD guarantee.  The route
     is chosen before any pair, and ``method`` is that of the entries.  An
     error names the first pair (f, g), in row order, whose own Gamma_F fails:
     the one that ``covariance_estimate(f, g)`` integrates.
@@ -390,7 +436,7 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
         raise MomentError("gamma_matrix needs at least one function")
     working = oracle._integrator(fs)
     try:
-        value, stderr = working._gamma(fs)
+        value = working._gamma(fs)[0]
     except MomentError:
         for f, g in [(f, g) for i, f in enumerate(fs) for g in fs[i:]]:
             try:
@@ -398,8 +444,7 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
             except MomentError as exc:
                 raise MomentError(f"gamma failed for pair ({f.label}, {g.label}): {exc}") from exc
         raise
-    return CovarianceMatrix(value, tuple(f.label for f in fs),
-                            "exact" if stderr is None else "monte_carlo")
+    return CovarianceMatrix(value, tuple(f.label for f in fs), working.method)
 
 
 def asymptotic_variance_estimate(e: AsymptoticExpansion, oracle: MomentOracle) -> CovarianceEstimate:

@@ -6,8 +6,8 @@ polynomial form is a dict mapping (i, j) exponent pairs to coefficients,
 f(x, y) = sum c_{ij} x^i y^j.  Sums, differences, products, scalar multiples,
 and nonnegative integer powers of polynomial functions stay polynomial, which
 lets moment oracles integrate them exactly, each about its own law's mean;
-any function built another way simply carries ``poly=None`` and falls back to
-sampling.
+any function built another way simply carries ``poly=None`` and is integrated
+on a law's Gauss rules.
 
 The three coordinate projections used throughout the package are exported
 as module-level singletons:

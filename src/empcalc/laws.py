@@ -6,8 +6,9 @@ raw moments are it at the origin, central moments at the law's mean.  The
 Gaussian (Isserlis recursion) and independent laws shift their closed-form
 raw moments by the binomial theorem, a mixture averages its components'
 moments about the same point, and a discrete law centres its atoms there.
-Functions without a polynomial form fall back to Monte Carlo integration on
-a deterministic batch.  ``bivariate_moments()`` looks up ten central
+Functions without a polynomial form are integrated on the law's product
+Gauss rules (Golub and Welsch, 1969), each a discrete law of its nodes and
+weights.  ``bivariate_moments()`` looks up ten central
 moments; a discrete law takes :func:`~empcalc.correlation.central_moments`
 of its atom arrays under the weighted mean.
 
@@ -45,6 +46,7 @@ rademacher          +-1 with probability 1/2 each
 from __future__ import annotations
 
 import math
+import operator
 from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Collection, Optional, Sequence
@@ -52,7 +54,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle, SamplingMoments
+from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -106,6 +108,27 @@ def _rademacher(u: np.ndarray) -> np.ndarray:
     return np.copysign(1.0, u, out=u)
 
 
+def _gauss_rule(path: str, scale: float = 1.0, shift: float = 0.0):
+    """rule(m): numpy.polynomial's m-point Gauss rule at ``path``, looked up on
+    first use, with its nodes scaled and shifted and its weights summing to 1."""
+    def rule(m: int):
+        x, w = operator.attrgetter(path)(np.polynomial)(m)
+        return scale * x + shift, w / w.sum()
+    return rule
+
+
+def _product_rule(rule_x, rule_y, transform=lambda raw, size: raw) -> "DiscreteLaw":
+    """The tensor product of two one-dimensional rules, its grid mapped by ``transform``."""
+    (x, wx), (y, wy) = rule_x, rule_y
+    return _rule_law(*transform(np.array([x.repeat(y.size), np.tile(y, x.size)]), x.size * y.size),
+                     np.outer(wx, wy).ravel())
+
+
+def _rule_law(xs: np.ndarray, ys: np.ndarray, w: np.ndarray) -> "DiscreteLaw":
+    """A rule's atoms of positive weight: products of weights near 1e-155 underflow to 0."""
+    return DiscreteLaw(xs[w > 0.0], ys[w > 0.0], w[w > 0.0])
+
+
 @dataclass(frozen=True)
 class Marginal:
     """A named standardized univariate law: sampler plus raw moments.
@@ -113,22 +136,26 @@ class Marginal:
     ``method`` names the Generator method (``random`` or
     ``standard_normal``) whose n values make n draws: the raw fill.
     ``transform`` works elementwise on an array of them, of any shape,
-    overwrites it with the draws and returns it.
+    overwrites it with the draws and returns it.  ``rule(m)`` is its m-point
+    Gauss rule, nodes and weights; without one, only polynomials integrate.
     """
 
     name: str
     method: str
     transform: Callable[[np.ndarray], np.ndarray]
     raw_moment: Callable[[int], float]
+    rule: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None
 
 
 MARGINALS: dict[str, Marginal] = {
-    "standard_normal": Marginal(
-        "standard_normal", "standard_normal", lambda z: z, _normal_double_factorial),
-    "uniform_std": Marginal("uniform_std", "random", _uniform_std, _uniform_std_moment),
-    "exponential_std": Marginal("exponential_std", "random", _exponential_std, _subfactorial),
-    "rademacher": Marginal(
-        "rademacher", "random", _rademacher, lambda k: 0.0 if k % 2 == 1 else 1.0),
+    "standard_normal": Marginal("standard_normal", "standard_normal", lambda z: z,
+                                _normal_double_factorial, _gauss_rule("hermite_e.hermegauss")),
+    "uniform_std": Marginal("uniform_std", "random", _uniform_std, _uniform_std_moment,
+                            _gauss_rule("legendre.leggauss", math.sqrt(3.0))),
+    "exponential_std": Marginal("exponential_std", "random", _exponential_std, _subfactorial,
+                                _gauss_rule("laguerre.laggauss", shift=-1.0)),
+    "rademacher": Marginal("rademacher", "random", _rademacher, lambda k: 0.0 if k % 2 else 1.0,
+                           lambda m: (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))),
 }
 
 
@@ -150,13 +177,12 @@ class BivariateLaw(PolynomialMomentOracle):
     order, and implements ``transform``; the default raw buffers, one row
     per method, and fills serve it.  A composite law overrides them all:
     ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
-    ``raw_moment`` or ``moment_about``; one whose mean is not 0 overrides
-    :meth:`mean`.  Non-polynomial functions go to :meth:`sampling_oracle`.
+    ``raw_moment`` or ``moment_about``, and ``_rule``; one whose mean is not
+    0 overrides :meth:`mean`.
     """
 
     kind: str = ""
     methods: tuple[str, ...] = ()
-    _fallback: Optional[SamplingMoments] = None
 
     def draw_block(self, rngs: Collection[np.random.Generator],
                    n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,16 +247,6 @@ class BivariateLaw(PolynomialMomentOracle):
             self.moment_about(i, j, mu_x, mu_y)
             for i, j in ((2, 0), (0, 2), (1, 1), (2, 2), (3, 1), (1, 3), (4, 0), (0, 4))))
 
-    def sampling_oracle(self) -> SamplingMoments:
-        """One ``SamplingMoments`` over :meth:`sample` (seed 0, default budget), cached.
-
-        Every non-polynomial expectation and covariance of this law shares
-        its batch.
-        """
-        if self._fallback is None:
-            self._fallback = SamplingMoments(self.sample)
-        return self._fallback
-
 
 class GaussianLaw(BivariateLaw):
     """Standard bivariate Gaussian with correlation rho, |rho| < 1.
@@ -266,6 +282,10 @@ class GaussianLaw(BivariateLaw):
         for at in range(0, size, _CHUNK):  # no temporary of the block's size
             ys[at:at + _CHUNK] += self.rho_param * z1[at:at + _CHUNK]
         return z1, ys
+
+    def _rule(self, m):
+        """The standard normal grid, mapped to (z1, rho z1 + sqrt(1 - rho^2) z2)."""
+        return _product_rule(*[MARGINALS["standard_normal"].rule(m)] * 2, self.transform)
 
     def raw_moment(self, i: int, j: int) -> float:
         """M(i, j): fills every missing M(a, b), a <= i and b <= j, b by b
@@ -313,6 +333,12 @@ class IndependentLaw(BivariateLaw):
             self._memo[i, j] = self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
         return self._memo[i, j]
 
+    def _rule(self, m):
+        """The tensor product of the marginals' m-point rules."""
+        if None in (self.marginal_x.rule, self.marginal_y.rule):
+            return super()._rule(m)  # a MomentError
+        return _product_rule(self.marginal_x.rule(m), self.marginal_y.rule(m))
+
 
 class MixtureLaw(BivariateLaw):
     """Finite mixture of bivariate laws with positive weights summing to 1.
@@ -322,13 +348,15 @@ class MixtureLaw(BivariateLaw):
     same stream; both stages are deterministic given the stream state.
 
     The raw buffers are the picks, a count of pairs filled per component,
-    and each component's own raw buffers, sized for every pair.  A fill
-    of k pairs appends each picked component's sub-batch to that
-    component's buffers.  The transform runs once per component over all
-    its pairs and scatters them to the positions that picked it: pairs
-    fill in position order, so a component's j-th pair goes to its j-th
-    pick.  A moment about a point is the weighted sum of the components'
-    moments about it; central ones centre each part at the mixture's mean.
+    and each component's own raw buffers, sized by its picks: a block fill
+    draws all rows' picks first (each row's stream keeps its order); as a
+    component, for every pair.  A fill of k pairs appends each picked
+    component's sub-batch to its buffers.  The transform runs once per
+    component over all its pairs and scatters them to the positions that
+    picked it: pairs fill in position order, so a component's j-th pair goes
+    to its j-th pick.  A moment about a point is the weighted sum of the
+    components' moments about it; central ones centre each part at the
+    mixture's mean.
     """
 
     kind = "mixture"
@@ -364,17 +392,23 @@ class MixtureLaw(BivariateLaw):
                 "weights": list(self.weights)}
 
     def _raw_buffers(self, size):
-        return (np.empty(size, dtype=np.intp), [0] * len(self.components),
-                [comp._raw_buffers(size) for comp in self.components])
+        return [np.empty(size, dtype=np.intp), [0] * len(self.components), None]
 
     def _fill_block(self, rngs, raw, n):
+        rngs = list(rngs)  # each row's generator, held from its picks to its fills
+        for rng, row in zip(rngs, raw[0].reshape(len(rngs), n)):
+            row[:] = self._cut.searchsorted(rng.random(n), side="right")
+        counts = np.bincount(raw[0], minlength=len(self.components)).tolist()
+        raw[2] = [comp._raw_buffers(k) for comp, k in zip(self.components, counts)]
         for row, rng in enumerate(rngs):
-            self._fill(rng, raw, row * n, n)
+            self._fill(rng, raw, row * n, n, picked=True)
 
-    def _fill(self, rng, raw, at, k):
+    def _fill(self, rng, raw, at, k, picked=False):
         picks, filled, parts = raw
         row = picks[at:at + k]
-        row[:] = self._cut.searchsorted(rng.random(k), side="right")
+        if not picked:  # as a component: picks come fill by fill, parts hold every pair
+            row[:] = self._cut.searchsorted(rng.random(k), side="right")
+            parts = raw[2] = parts or [comp._raw_buffers(picks.size) for comp in self.components]
         counts = np.bincount(row, minlength=len(self.components)).tolist()
         for c, comp in enumerate(self.components):
             if counts[c]:
@@ -406,6 +440,12 @@ class MixtureLaw(BivariateLaw):
             self._memo[key] = sum(w * c.moment_about(i, j, px, py)
                                   for w, c in zip(self.weights, self.components))
         return self._memo[key]
+
+    def _rule(self, m):
+        """The union of the components' m-point rules, each weighted by its part."""
+        rules = [c._rule(m) for c in self.components]
+        return _rule_law(*(np.concatenate(parts) for parts in zip(*(
+            (r.atom_xs, r.atom_ys, w * r.atom_weights) for w, r in zip(self.weights, rules)))))
 
 
 class DiscreteLaw(BivariateLaw):
@@ -457,6 +497,10 @@ class DiscreteLaw(BivariateLaw):
         """This law, for every function: its atoms integrate any callable."""
         return self
 
+    def _rule(self, m):
+        """This law: its atoms are exact at every m."""
+        return self
+
     def expectation(self, f: StatFunction) -> float:
         vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
         return self._weighted_mean(vals, lambda: f.label)
@@ -491,12 +535,13 @@ class DiscreteLaw(BivariateLaw):
         """(V sqrt(w)) (V sqrt(w))^T, each row of V a function's atom values less
         their weighted mean: a shift cancels there, not in E[fg] - E[f]E[g].  If an
         entry is not finite, the first pair whose f*g is non-finite at an atom is named."""
-        v, a = self._centred(fs)
-        value = a @ a.T
-        if not np.isfinite(value).all():
-            for f, vf in zip(fs, v):
-                for g, vg in zip(fs, v):
-                    self._weighted_mean(vf * vg, lambda: (f * g).label)
+        with np.errstate(invalid="ignore"):  # inf - inf or 0 * inf: named below
+            v, a = self._centred(fs)
+            value = a @ a.T
+            if not np.isfinite(value).all():
+                for f, vf in zip(fs, v):
+                    for g, vg in zip(fs, v):
+                        self._weighted_mean(vf * vg, lambda: (f * g).label)
         return value, None  # only sums overflow
 
     def _centred(self, fs):

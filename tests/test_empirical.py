@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
-from empcalc.empirical import _CHUNK, CovarianceMatrix, SamplingMoments, _coefficients
+from empcalc.empirical import (_CHUNK, QUADRATURE_RTOL, CovarianceMatrix, QuadratureMoments,
+                               SamplingMoments, _coefficients)
 from empcalc.streams import derive_rng, derive_seed
 
 
@@ -116,14 +117,14 @@ def test_gamma_monte_carlo_tracks_exact():
     assert abs(est.value - 0.5) < 4.0 * est.stderr + 1e-3
 
 
-def test_gamma_nonpolynomial_falls_back_to_sampling():
+def test_gamma_nonpolynomial_is_integrated_on_the_gauss_rules():
     law = ec.GaussianLaw(0.0)
     f = ec.StatFunction(lambda x, y: np.sin(np.asarray(x, dtype=float)), label="sin(x)")
     est = law.covariance_estimate(f, f)
-    assert est.method == "monte_carlo"
-    # Var sin(X) = (1 - e^-2)/2 + ((1 - e^-1)... ) under N(0,1): 0.5(1-e^-2) - 0
-    target = 0.5 * (1.0 - math.exp(-2.0))
-    assert est.value == pytest.approx(target, abs=4.0 * est.stderr + 1e-3)
+    assert est.method == "quadrature"
+    # Var sin(X) under N(0,1): E sin^2 X = (1 - e^-2)/2, and E sin X = 0
+    assert est.value == pytest.approx(0.5 * (1.0 - math.exp(-2.0)), abs=1e-13)
+    assert 0.0 <= est.stderr <= 1e-13
 
 
 def test_gamma_moment_divergence_message():
@@ -246,7 +247,7 @@ def exact_laws():
 
 @pytest.mark.parametrize("make, f, route", [
     (lambda: ec.GaussianLaw(0.5), ec.p, "itself"),
-    (lambda: ec.GaussianLaw(0.5), COS_PI1, "fallback"),
+    (lambda: ec.GaussianLaw(0.5), COS_PI1, "quadrature"),
     (lambda: ec.DiscreteLaw([0.1, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5]), COS_PI1,
      "itself"),
     (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), ec.p, "itself"),
@@ -255,9 +256,9 @@ def exact_laws():
         "sampling-cos"])
 def test_integrator_chooses_each_oracles_route(make, f, route):
     oracle = make()
-    want = oracle if route == "itself" else oracle.sampling_oracle()
-    assert route == "itself" or isinstance(want, SamplingMoments)
-    # a second call gives the same object: one cached fallback per law
+    want = oracle if route == "itself" else oracle._integrator((f,))
+    assert route == "itself" or isinstance(want, QuadratureMoments)
+    # a second call gives the same object: one cached quadrature per law
     assert oracle._integrator((ec.pi1, f)) is want
     assert oracle._integrator((f,)) is want
 
@@ -382,6 +383,8 @@ def test_gamma_matrix_bits_equal_pairwise_covariances(index):
 def test_covariance_estimate_is_an_entry_of_the_gamma_matrix(index):
     # one request shape: Gamma(f, g) is entry [0, 1] of Gamma_F for F = (f, g),
     # and Gamma(f, f) the 1-by-1 Gamma_F, bit for bit with the same provenance
+    # and the route's: exact for polynomials and on atoms, else the Gauss rules
+    # of a continuous law, whose gap is the stderr, or a bare sampler's batch
     oracle = (exact_laws() + [SamplingMoments(ec.GaussianLaw(0.5).sample, budget=5000)])[index]
     fs = FAMILY + [COS_PI1, 2.0 * ec.pi1 ** 3 - ec.p + 1.0]
     for f in fs:
@@ -389,8 +392,16 @@ def test_covariance_estimate_is_an_entry_of_the_gamma_matrix(index):
             est = oracle.covariance_estimate(f, g)
             m = ec.gamma_matrix([f] if g is f else [f, g], oracle)
             assert est.value.hex() == m.entries[0, -1].hex(), (f.label, g.label)
-            assert est.method == m.method
-            assert (est.stderr == 0.0) == (est.method == "exact")
+            polynomial = f.poly is not None and g.poly is not None
+            want = ("monte_carlo" if index == 4 else "exact" if index == 3 or polynomial
+                    else "quadrature")
+            assert est.method == m.method == want, (f.label, g.label)
+            if want == "exact":
+                assert est.stderr == 0.0
+            elif want == "quadrature":
+                assert 0.0 <= est.stderr <= QUADRATURE_RTOL * max(1.0, np.abs(m.entries).max())
+            else:
+                assert est.stderr > 0.0
 
 
 def test_shifted_discrete_gamma_is_accurate():
@@ -662,14 +673,15 @@ def test_merged_terms_give_the_variance_of_the_unmerged_sum(index):
         law.covariance_estimate(unmerged, unmerged).value, rel=1e-12)
 
 
-def test_sampling_route_reports_the_stderr_of_the_sum():
-    # no exact route for cos(pi1) under a Gaussian law: the fallback batch
-    # integrates the influence itself; Var cos(Z) = (1 - e^-1)^2 / 2
-    est = ec.asymptotic_variance_estimate(ec.from_mean(COS_PI1, math.exp(-0.5)),
-                                          ec.GaussianLaw(0.5))
-    assert est.method == "monte_carlo"
-    assert est.stderr > 0.0
-    assert est.value == pytest.approx((1.0 - math.exp(-1.0)) ** 2 / 2.0, abs=6 * est.stderr)
+def test_quadrature_route_reports_the_gap_of_the_sum():
+    # no exact route for cos(pi1) under a Gaussian law: the Gauss rules give
+    # s^T Gamma_F s, and the gap of the sum; Var cos(Z) = (1 - e^-1)^2 / 2
+    e = ec.delta(lambda a, b: 2.0 * a - b, lambda a, b: (2.0, -1.0),
+                 ec.from_mean(COS_PI1, math.exp(-0.5)), ec.from_mean(ec.pi1, 0.0))
+    est = ec.asymptotic_variance_estimate(e, ec.GaussianLaw(0.5))
+    assert est.method == "quadrature"
+    assert 0.0 <= est.stderr <= 1e-12
+    assert est.value == pytest.approx(2.0 * (1.0 - math.exp(-1.0)) ** 2 + 1.0, abs=1e-13)
 
 
 def test_polynomial_gamma_about_the_mean_is_central_moment_lookups():

@@ -5,6 +5,7 @@ scipy is used here purely as an independent oracle for marginal moments
 and distribution functions; the package itself does not depend on it.
 """
 
+import cmath
 import gc
 import math
 import tracemalloc
@@ -159,6 +160,22 @@ def test_a_large_sample_adopts_its_draw_buffers(law):
         s.xs[0] = 0.0
 
 
+def test_a_large_mixture_sample_sizes_each_components_buffers_by_its_picks():
+    # picks 8 bytes a pair, the components' raw buffers 16 in all, the draws 16,
+    # and the scatter's index and mask about 6: buffers sized for every pair
+    # in each component peaked at 61.8 bytes a pair
+    law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw("uniform_std", "exponential_std")],
+                        [0.6, 0.4])
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        law.sample(n, derive_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * n
+
+
 def test_an_adopted_sample_is_checked_as_a_new_one_is():
     for xs, ys, message in (([1.0, 2.0], [1.0], "differ in length: 2 vs 1"),
                             ([1.0], [1.0], "at least 2 paired observations, got 1"),
@@ -259,29 +276,149 @@ def test_gaussian_raw_moment_matches_recursive_memo():
     assert all(law._memo[key].hex() == recursive(*key).hex() for key in list(law._memo))
 
 
-def test_sampling_oracle_is_one_cached_fallback():
+def test_quadrature_is_one_cached_pair_of_gauss_rules():
+    # a family with a non-polynomial function is integrated on the law's
+    # 48- and 96-point product rules, built on first use and kept on the law
     law = ec.GaussianLaw(0.5)
-    first = law.sampling_oracle()
-    assert law.sampling_oracle() is first
-    assert (first.seed, first.budget) == (0, 1_000_000)
-    assert ec.GaussianLaw(0.5).sampling_oracle() is not first
+    cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+    first = law._integrator((ec.pi1, cos_pi1))
+    assert first.method == "quadrature"
+    assert law._integrator((cos_pi1,)) is first
+    assert [type(r) for r in first.rules] == [ec.DiscreteLaw] * 2
+    assert [r.atom_xs.size for r in first.rules] == [48 ** 2, 96 ** 2]
+    assert ec.GaussianLaw(0.5)._integrator((cos_pi1,)) is not first
 
 
-def test_dropped_law_frees_its_fallback_batch():
-    # the cached oracle lets go of the law's sampler once the batch is drawn,
-    # so no reference cycle keeps the batch waiting for the cyclic collector
+def test_dropped_law_frees_its_gauss_rules():
+    # the rules hold no reference back to the law, so no reference cycle
+    # keeps their atoms waiting for the cyclic collector
     gc.disable()
     try:
         law = ec.GaussianLaw(0.5)
         cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
         law.expectation(cos_pi1)
-        batch = law.sampling_oracle().batch()
-        assert law.sampling_oracle().sampler is None
-        refs = weakref.ref(law), weakref.ref(batch.xs), weakref.ref(batch.ys)
-        del law, batch
+        fine = law._integrator((cos_pi1,)).rules[1]
+        refs = weakref.ref(law), weakref.ref(fine), weakref.ref(fine.atom_xs)
+        del law, fine
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+COS_PI1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
+COS_PI2 = ec.StatFunction(lambda x, y: 0.0 * x + np.cos(y), "cos(pi2)")
+
+
+def _exponential_std_cf(t):
+    """E exp(i t (E - 1)) for a unit-rate exponential E."""
+    return cmath.exp(-1j * t) / (1.0 - 1j * t)
+
+
+# E cos X and E cos^2 X of each standardized marginal, in closed form
+COS_MOMENTS = {
+    "standard_normal": (math.exp(-0.5), 0.5 * (1.0 + math.exp(-2.0))),
+    "uniform_std": (math.sin(math.sqrt(3.0)) / math.sqrt(3.0),
+                    0.5 * (1.0 + math.sin(2.0 * math.sqrt(3.0)) / (2.0 * math.sqrt(3.0)))),
+    "exponential_std": (_exponential_std_cf(1.0).real, 0.5 * (1.0 + _exponential_std_cf(2.0).real)),
+    "rademacher": (math.cos(1.0), math.cos(1.0) ** 2),
+}
+
+
+def test_gaussian_lemma1_gram_on_the_gauss_rules():
+    rho = 0.5
+    c, var_cos = -rho * math.exp(-0.5), 0.5 * (1.0 + math.exp(-2.0)) - math.exp(-1.0)
+    want = [[1.0, rho, 0.0, 0.0], [rho, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0 + rho * rho, c], [0.0, 0.0, c, var_cos]]
+    m = ec.gamma_matrix([ec.pi1, ec.pi2, ec.p, COS_PI1], ec.GaussianLaw(rho))
+    assert m.method == "quadrature"
+    assert np.abs(m.entries - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(COS_MOMENTS))
+def test_each_marginals_cos_moments_on_its_rule(name):
+    mean, square = COS_MOMENTS[name]
+    law = ec.IndependentLaw(name, name)
+    assert law.expectation(COS_PI1) == pytest.approx(mean, abs=1e-12)
+    est = law.covariance_estimate(COS_PI1, COS_PI1)
+    assert est.method == "quadrature"
+    assert est.value == pytest.approx(square - mean * mean, abs=1e-12)
+    assert 0.0 <= est.stderr <= 1e-12
+
+
+def test_mixture_integrates_on_the_weighted_union_of_its_components_rules():
+    # the mixture of the mc_large_n workload, (pi1, pi2, cos pi1, cos pi2):
+    # per component, E f and E fg in closed form, weighted by its part
+    law = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw("uniform_std", "exponential_std")],
+                        [0.6, 0.4])
+    rho, e = 0.8, math.exp
+    cu, cu2 = COS_MOMENTS["uniform_std"]
+    ce, ce2 = COS_MOMENTS["exponential_std"]
+    y_cos_y = (cmath.exp(-1j) * ((1 - 1j) ** -2 - (1 - 1j) ** -1)).real  # E[(E-1) cos(E-1)]
+    gaussian = ([0.0, 0.0, e(-0.5), e(-0.5)],
+                [[1.0, rho, 0.0, 0.0], [rho, 1.0, 0.0, 0.0],
+                 [0.0, 0.0, 0.5 * (1 + e(-2.0)), 0.5 * (e(-1 - rho) + e(-1 + rho))],
+                 [0.0, 0.0, 0.5 * (e(-1 - rho) + e(-1 + rho)), 0.5 * (1 + e(-2.0))]])
+    independent = ([0.0, 0.0, cu, ce],
+                   [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, y_cos_y],
+                    [0.0, 0.0, cu2, cu * ce], [0.0, y_cos_y, cu * ce, ce2]])
+    mean = 0.6 * np.array(gaussian[0]) + 0.4 * np.array(independent[0])
+    want = 0.6 * np.array(gaussian[1]) + 0.4 * np.array(independent[1]) - np.outer(mean, mean)
+    fs = [ec.pi1, ec.pi2, COS_PI1, COS_PI2]
+    m = ec.gamma_matrix(fs, law)
+    assert m.method == "quadrature"
+    assert np.abs(m.entries - want).max() <= 1e-12
+    assert [law.expectation(f) for f in fs[2:]] == pytest.approx(mean[2:], abs=1e-12)
+    assert [r.atom_xs.size for r in law._integrator(fs).rules] == [2 * 48 ** 2, 2 * 96 ** 2]
+
+
+def test_a_rule_drops_the_atoms_whose_weight_underflows():
+    # exponential x exponential weights reach 3.8e-310; a part of 1e-15
+    # takes them below the least subnormal, to 0, which a discrete law refuses
+    law = ec.MixtureLaw([ec.IndependentLaw("exponential_std", "exponential_std"),
+                         ec.GaussianLaw(0.0)], [1e-15, 1.0 - 1e-15])
+    mean, _ = COS_MOMENTS["standard_normal"]
+    want = 1e-15 * COS_MOMENTS["exponential_std"][0] + (1.0 - 1e-15) * mean
+    assert law.expectation(COS_PI1) == pytest.approx(want, abs=1e-12)
+    rule = law._integrator((COS_PI1,)).rules[1]
+    assert 96 ** 2 < rule.atom_xs.size < 2 * 96 ** 2
+    assert (rule.atom_weights > 0.0).all()
+
+
+def test_a_jump_is_refused_under_a_continuous_law_and_exact_on_atoms():
+    jump = ec.StatFunction(lambda x, y: (x > 0.3) + 0.0 * y, "1{pi1 > 0.3}")
+    law = ec.GaussianLaw(0.5)
+    for call in (lambda: law.expectation(jump), lambda: law.covariance_estimate(jump, jump)):
+        with pytest.raises(ec.MomentError,
+                           match=r"\(1\{pi1 > 0\.3\}: the 48- and 96-point Gauss rules differ by"):
+            call()
+    with pytest.raises(ec.MomentError, match=r"^gamma failed for pair \(pi1, 1\{pi1 > 0\.3\}\)"):
+        ec.gamma_matrix([ec.pi1, jump], law)
+    atoms = ec.DiscreteLaw([0.1, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5])
+    est = atoms.covariance_estimate(jump, jump)
+    assert (est.value, est.method) == (pytest.approx(0.3 * 0.7, rel=1e-15), "exact")
+
+
+def test_a_marginal_without_a_gauss_rule_integrates_polynomials_only():
+    ex = get_marginal("exponential_std")
+    law = ec.IndependentLaw(ec.Marginal(ex.name, ex.method, ex.transform, ex.raw_moment),
+                            "uniform_std")
+    assert law.covariance_estimate(ec.pi1, ec.pi1) == (1.0, 0.0, "exact")
+    with pytest.raises(ec.MomentError, match="^IndependentLaw has no Gauss rule"):
+        law.expectation(COS_PI1)
+
+
+def test_a_non_polynomial_expectation_draws_no_batch():
+    # the rules of a fresh law take well under 1 MB; the 1M-pair batch took 16
+    ec.GaussianLaw(0.1).expectation(COS_PI1)  # numpy.polynomial, imported once
+    law = ec.GaussianLaw(0.5)
+    tracemalloc.start()
+    try:
+        got = law.expectation(COS_PI1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert peak < 1 << 20
 
 
 def test_gaussian_rejects_affine_rho():

@@ -695,14 +695,14 @@ def test_lemma1_rejects_function_of_wrong_shape():
 
 
 def test_lemma1_rejects_a_non_polynomial_function_of_the_wrong_shape():
-    # the Monte Carlo fallback evaluates it first, on its batch's first chunk
+    # the quadrature evaluates it first, on the 48 x 48 atoms of its coarse rule
     one = ec.StatFunction(lambda x, y: 1.0, "one")
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.5), n=50, reps=100, seed=1)
     with pytest.raises(ec.EvaluationError,
-                       match=r"^one returned shape \(\), expected \(32768,\)$"):
+                       match=r"^one returned shape \(\), expected \(2304,\)$"):
         ec.run_lemma1_experiment([ec.pi1, one], cfg)
 
-def test_lemma1_with_non_polynomial_function_draws_one_fallback_batch(monkeypatch):
+def test_lemma1_with_non_polynomial_function_draws_nothing_for_the_prediction(monkeypatch):
     law = ec.GaussianLaw(0.5)
     sizes = []
     real = law.sample
@@ -715,5 +715,6 @@ def test_lemma1_with_non_polynomial_function_draws_one_fallback_batch(monkeypatc
     cos1 = ec.StatFunction(lambda x, y: np.cos(x), "cos(pi1)")
     rep = ec.run_lemma1_experiment([ec.pi1, ec.pi2, ec.p, cos1],
                                    ec.ExperimentConfig(law, n=100, reps=100, seed=3))
-    assert sizes == [1_000_000]
-    assert rep.results["predicted_cov"][3][3] > 0.0
+    assert sizes == []
+    assert rep.results["predicted_cov"][3][3] == pytest.approx(
+        (1.0 - math.exp(-1.0)) ** 2 / 2.0, abs=1e-13)
