@@ -20,26 +20,27 @@ Moment oracles
 ``covariance_estimate``.  :class:`PolynomialMomentOracle` implements it
 for laws with exact moments E[(X - px)^i (Y - py)^j]: Gamma does not change
 when f is shifted, so it writes every polynomial about the law's mean by the
-binomial theorem and integrates it with the moments there;
-:class:`QuadratureMoments` on a law's coarse and fine product Gauss rules,
-with the fine value when the two agree; and :class:`SamplingMoments` by
-averaging over one seed-deterministic batch of a caller's sampler (an
-empirical Gram matrix, so PSD).  ``_integrator(fs)`` alone chooses the
-route, which its ``method`` names: the oracle itself, but for a polynomial
-oracle given a non-polynomial function its quadrature, for all of ``fs``.
+binomial theorem and integrates it with the moments there.  A family with any
+other function it integrates on its coarse and fine product Gauss rules, each
+a discrete law of nodes and weights built on first use and kept, with the fine
+value when the two agree.  :class:`SamplingMoments` averages over one
+seed-deterministic batch of a caller's sampler (an empirical Gram matrix, so
+PSD).
 
 Integration counts
 ------------------
 Each oracle answers one covariance request, ``_gamma(fs)``: Gamma_F of a
-family, as one matrix, with no f_i * f_j built and no expectation called.
-It is C Sigma C^T over a polynomial family's monomials about the law's mean,
-Sigma from the central moments (for the correlation's uv, u^2 and v^2, those
-bivariate_moments() looked up), the Gram matrix of centred atom values on a
-discrete law and on each Gauss rule, and on the sampling route two passes over
-each ``_CHUNK`` pairs of the batch, each evaluating every function: the means,
-then centred products.  A single Gamma(f, g) is entry [0, 1] of the Gamma_F of
-(f, g), and an expansion's variance is s^T Gamma_F s over its non-zero slopes
-(0.0 if there is none); only the sampling route builds the influence.
+family, as one matrix, with its error estimates and the route that took it
+("exact", "quadrature" or "monte_carlo"), with no f_i * f_j built and no
+expectation called.  It is C Sigma C^T over a polynomial family's monomials
+about the law's mean, Sigma from the central moments (for the correlation's
+uv, u^2 and v^2, those bivariate_moments() looked up), the Gram matrix of
+centred atom values on a discrete law and on each Gauss rule, and on the
+sampling route two passes over each ``_CHUNK`` pairs of the batch, each
+evaluating every function: the means, then centred products.  A single
+Gamma(f, g) is entry [0, 1] of the Gamma_F of (f, g), and an expansion's
+variance is s^T Gamma_F s over its non-zero slopes (0.0 if there is none);
+only the sampling route builds the influence.
 """
 
 from __future__ import annotations
@@ -109,38 +110,31 @@ class CovarianceEstimate(NamedTuple):
 
 
 class MomentOracle(ABC):
-    """Integration interface; :meth:`_integrator` alone picks who integrates, by
-    ``method``, and :meth:`_gamma`, Gamma_F of a family, is the one covariance request."""
-
-    method = "exact"
+    """Integration interface: :meth:`_gamma`, Gamma_F of a family with its error
+    estimates and the route that took it, is the one covariance request."""
 
     @abstractmethod
     def expectation(self, f: StatFunction) -> float:
         """E f(Z) under this oracle's law."""
 
     def covariance_estimate(self, f: StatFunction, g: StatFunction) -> CovarianceEstimate:
-        """Gamma(f, g) = E[fg] - E[f]E[g], by the integrator of (f, g): entry
-        [0, -1] of its ``_gamma((f, g))``, or of ``_gamma((f,))`` for g = f."""
-        working = self._integrator((f, g))
-        value, stderr = working._gamma((f,) if g is f else (f, g))
-        return CovarianceEstimate(float(value[0, -1]),
-                                  0.0 if stderr is None else float(stderr[0, -1]), working.method)
-
-    def _integrator(self, fs: Sequence[StatFunction]) -> "MomentOracle":
-        """The oracle that integrates every function of ``fs``: this one."""
-        return self
+        """Gamma(f, g) = E[fg] - E[f]E[g]: entry [0, -1] of ``_gamma((f, g))``, or
+        of ``_gamma((f,))`` for g = f, with its error estimate and route."""
+        value, error, method = self._gamma((f,) if g is f else (f, g))
+        return CovarianceEstimate(float(value[0, -1]), float(error[0, -1]), method)
 
     @abstractmethod
-    def _gamma(self, fs) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Gamma_F = (Gamma(f_i, f_j)), exactly symmetric, and its stderrs, None if exact."""
+    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray, str]:
+        """Gamma_F = (Gamma(f_i, f_j)), exactly symmetric, its error estimates
+        (zeros if exact) and its ``CovarianceEstimate.method``."""
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
         """s^T Gamma_F s over ``terms``, the (s_j, f_j) of ``e`` with s_j not 0; its
-        error estimate is |s|^T E |s| over the entries' error estimates E."""
+        error estimate is |s|^T E |s| over the entries' error estimates E, 0.0 if exact."""
         s, fs = np.array([t for t, _ in terms]), [f for _, f in terms]
-        value, stderr = self._gamma(fs)
-        return CovarianceEstimate(float(s @ value @ s), 0.0 if stderr is None
-                                  else float(np.abs(s) @ stderr @ np.abs(s)), self.method)
+        value, error, method = self._gamma(fs)
+        return CovarianceEstimate(float(s @ value @ s), 0.0 if method == "exact"
+                                  else float(np.abs(s) @ error @ np.abs(s)), method)
 
 
 def _poly_about(poly, to: tuple[float, float], at: tuple[float, float] = (0.0, 0.0)) -> dict:
@@ -183,11 +177,12 @@ def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[
 
 class PolynomialMomentOracle(MomentOracle):
     """Exact moments for polynomial functions, each integrated about the law's
-    :meth:`mean`; a family with any other function, to the quadrature on its
-    :meth:`_rule`.  A subclass implements it and ``raw_moment`` or ``moment_about``,
-    each the other's default, and overrides :meth:`mean` if it is not (0, 0)."""
+    :meth:`mean`; a family with any other function, on the law's coarse and fine
+    product Gauss rules (:meth:`_rule`), built on first use and kept.  A subclass
+    implements ``_rule`` and ``raw_moment`` or ``moment_about``, each the other's
+    default, and overrides :meth:`mean` if it is not (0, 0)."""
 
-    _quadrature: Optional["QuadratureMoments"] = None
+    _gauss_rules: Optional[list[MomentOracle]] = None
 
     def mean(self) -> tuple[float, float]:
         """(E X, E Y), the point every polynomial is integrated about."""
@@ -211,13 +206,21 @@ class PolynomialMomentOracle(MomentOracle):
         """The product Gauss rule of m nodes per axis, an exact oracle over its atoms."""
         raise MomentError(f"{type(self).__name__} has no Gauss rule for a non-polynomial function")
 
-    def _integrator(self, fs: Sequence[StatFunction]) -> MomentOracle:
-        """This oracle if every function of ``fs`` is polynomial, else its quadrature."""
-        if all(f.poly is not None for f in fs):
-            return self
-        if self._quadrature is None:
-            self._quadrature = QuadratureMoments([self._rule(m) for m in QUADRATURE_POINTS])
-        return self._quadrature
+    def _on_gauss_rules(self, integrate: Callable, fs) -> tuple[np.ndarray, np.ndarray]:
+        """``integrate(rule)`` on the coarse and fine rules: the fine value, and the
+        gap between the two as its error.  A gap above ``QUADRATURE_RTOL`` times
+        max(1, max |value|), as of a jump or a kink under a continuous law, raises a
+        MomentError naming the first entry, in row order: f, or f*g off the diagonal."""
+        if self._gauss_rules is None:
+            self._gauss_rules = [self._rule(m) for m in QUADRATURE_POINTS]
+        coarse, fine = [np.atleast_2d(integrate(rule)) for rule in self._gauss_rules]
+        gap = np.abs(fine - coarse)
+        bad = np.argwhere(gap > QUADRATURE_RTOL * max(1.0, float(np.abs(fine).max())))
+        if bad.size:
+            (i, j), (m, m2) = bad[0], QUADRATURE_POINTS
+            raise MomentError(f"{_MOMENT_DIVERGES} ({(fs[i] if i == j else fs[i] * fs[j]).label}: "
+                              f"the {m}- and {m2}-point Gauss rules differ by {gap[i, j]:.2g})")
+        return fine, gap
 
     def _moments(self, keys, at: tuple[float, float]) -> list[float]:
         """``moment_about(i, j, *at)`` for each (i, j) of ``keys``; a MomentError
@@ -231,9 +234,9 @@ class PolynomialMomentOracle(MomentOracle):
 
     def expectation(self, f: StatFunction) -> float:
         """E f(Z): sum c_ij E[(X - px)^i (Y - py)^j] over f's coefficients about the
-        law's mean (px, py) if f is polynomial, else the quadrature's."""
+        law's mean (px, py) if f is polynomial, else on the Gauss rules."""
         if f.poly is None:
-            return self._integrator((f,)).expectation(f)
+            return float(self._on_gauss_rules(lambda rule: rule.expectation(f), (f,))[0][0, 0])
         at = self.mean()
         poly = _poly_about(f.poly, at)
         total = 0.0
@@ -241,9 +244,12 @@ class PolynomialMomentOracle(MomentOracle):
             total += c * m
         return total
 
-    def _gamma(self, fs) -> tuple[np.ndarray, None]:
+    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray, str]:
         """C Sigma C^T, Sigma_ab = M(a + b) - M(a) M(b) over the monomials of ``fs``
-        about the law's mean p, one lookup of M = ``moment_about`` at p each."""
+        about the law's mean p, one lookup of M = ``moment_about`` at p each; a
+        family with a non-polynomial function, on the Gauss rules."""
+        if any(f.poly is None for f in fs):
+            return (*self._on_gauss_rules(lambda rule: rule._gamma(fs)[0], fs), "quadrature")
         p = self.mean()
         basis, c = _coefficients(fs, p)
         keys: dict = {}  # exponent -> its index in m: the products', then the means'
@@ -252,38 +258,7 @@ class PolynomialMomentOracle(MomentOracle):
         m = self._moments(keys, p)
         sigma = np.array([m[t] - m[a] * m[b] for t, (a, b) in zip(at, itertools.product(mb, mb))])
         value = c @ sigma.reshape(len(basis), len(basis)) @ c.T
-        return 0.5 * (value + value.T), None  # exactly symmetric
-
-
-class QuadratureMoments(MomentOracle):
-    """Moments on a law's coarse and fine Gauss rules, each an exact oracle over
-    its atoms: the fine value, and the gap between the two as its error.  A gap
-    above ``QUADRATURE_RTOL`` times max(1, max |value|), as of a jump or a kink
-    under a continuous law, raises a MomentError naming the function."""
-
-    method = "quadrature"
-
-    def __init__(self, rules: Sequence[MomentOracle]):
-        self.rules = rules
-
-    def expectation(self, f: StatFunction) -> float:
-        values = [np.array([[rule.expectation(f)]]) for rule in self.rules]
-        return float(self._checked(values, [f])[0][0, 0])
-
-    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray]:
-        return self._checked([rule._gamma(fs)[0] for rule in self.rules], fs)
-
-    def _checked(self, values, fs) -> tuple[np.ndarray, np.ndarray]:
-        """The fine values and the gaps; a MomentError names the first entry, in
-        row order, whose gap is too large: f, or f*g off the diagonal."""
-        (coarse, fine), (m, m2) = values, QUADRATURE_POINTS
-        gap = np.abs(fine - coarse)
-        bad = np.argwhere(gap > QUADRATURE_RTOL * max(1.0, float(np.abs(fine).max())))
-        if bad.size:
-            i, j = bad[0]
-            raise MomentError(f"{_MOMENT_DIVERGES} ({(fs[i] if i == j else fs[i] * fs[j]).label}: "
-                              f"the {m}- and {m2}-point Gauss rules differ by {gap[i, j]:.2g})")
-        return fine, gap
+        return 0.5 * (value + value.T), np.zeros(value.shape), "exact"  # exactly symmetric
 
 
 class SamplingMoments(MomentOracle):
@@ -303,8 +278,6 @@ class SamplingMoments(MomentOracle):
         buffers), cached, and integrated in chunks of ``_CHUNK`` pairs.
 
     """
-
-    method = "monte_carlo"
 
     def __init__(self, sampler: Callable[[int, np.random.Generator], PairedSample],
                  budget: int = DEFAULT_MC_BUDGET, seed: int = 0):
@@ -347,7 +320,7 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({f.label})")
         return m
 
-    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray]:
+    def _gamma(self, fs) -> tuple[np.ndarray, np.ndarray, str]:
         """Gamma_F and stderrs on the batch in two passes over its chunks: the means,
         then for each pair i <= j the sums of the products w of centred values and of
         squares of w about its chunk mean, merged as Chan, Golub and LeVeque (1983) do."""
@@ -373,7 +346,7 @@ class SamplingMoments(MomentOracle):
             raise MomentError(f"{_MOMENT_DIVERGES} ({fs[i[p]].label}, {fs[j[p]].label})")
         out = np.empty((2, len(fs), len(fs)))  # values, stderrs
         out[:, i, j] = out[:, j, i] = value, stderr
-        return out[0], out[1]
+        return out[0], out[1], "monte_carlo"
 
     def _variance_of_sum(self, terms, e: AsymptoticExpansion) -> CovarianceEstimate:
         """Gamma(h, h) of ``e``'s influence on the batch, with the stderr of the sum."""
@@ -423,38 +396,35 @@ class CovarianceMatrix:
 def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> CovarianceMatrix:
     """Gamma(f_i, f_j) for a family of functions, as a CovarianceMatrix.
 
-    If the oracle integrates every listed function exactly, entries are
-    exact.  Otherwise the whole matrix is computed on the oracle's Gauss
-    rules, or a bare sampling oracle's batch, shared by all entries; a mix
-    of exact and integrated entries could fail the PSD guarantee.  The route
-    is chosen before any pair, and ``method`` is that of the entries.  An
-    error names the first pair (f, g), in row order, whose own Gamma_F fails:
-    the one that ``covariance_estimate(f, g)`` integrates.
+    One ``_gamma`` request takes the whole matrix on one route, which
+    ``method`` names: exact if the oracle integrates every listed function
+    exactly, else the oracle's Gauss rules, or a bare sampling oracle's batch,
+    shared by all entries; a mix of exact and integrated entries could fail the
+    PSD guarantee.  An error names the first pair (f, g), in row order, whose
+    own Gamma_F fails: the one that ``covariance_estimate(f, g)`` integrates.
     """
     fs = list(fs)
     if not fs:
         raise MomentError("gamma_matrix needs at least one function")
-    working = oracle._integrator(fs)
     try:
-        value = working._gamma(fs)[0]
+        value, _, method = oracle._gamma(fs)
     except MomentError:
         for f, g in [(f, g) for i, f in enumerate(fs) for g in fs[i:]]:
             try:
-                working.covariance_estimate(f, g)
+                oracle.covariance_estimate(f, g)
             except MomentError as exc:
                 raise MomentError(f"gamma failed for pair ({f.label}, {g.label}): {exc}") from exc
         raise
-    return CovarianceMatrix(value, tuple(f.label for f in fs), working.method)
+    return CovarianceMatrix(value, tuple(f.label for f in fs), method)
 
 
 def asymptotic_variance_estimate(e: AsymptoticExpansion, oracle: MomentOracle) -> CovarianceEstimate:
     """Gamma(h, h) for the influence h = sum_j s_j f_j of an expansion, with
-    provenance: s^T Gamma_F s over the f_j of non-zero slope, integrated by the
-    oracle's ``_integrator`` for them (the sampling one integrates h itself);
-    with no such f_j, an exact 0.0, and nothing is integrated."""
+    provenance: s^T Gamma_F s from one ``_gamma`` request over the f_j of non-zero
+    slope (the sampling oracle asks it of h itself); with no such f_j, an exact
+    0.0, and nothing is integrated."""
     terms = [(s, f) for s, f in e.terms if s]
-    est = (oracle._integrator([f for _, f in terms])._variance_of_sum(terms, e) if terms
-           else CovarianceEstimate(0.0, 0.0, "exact"))
+    est = oracle._variance_of_sum(terms, e) if terms else CovarianceEstimate(0.0, 0.0, "exact")
     if est.value < PSD_EIGENVALUE_FLOOR:
         raise MomentError(f"negative asymptotic variance {est.value:g} "
                           f"for {e.label or e.influence.label}")

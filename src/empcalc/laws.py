@@ -493,10 +493,6 @@ class DiscreteLaw(BivariateLaw):
         idx = self._cut.searchsorted(u, side="right")
         return np.take(self.atom_xs, idx, out=u), self.atom_ys[idx]
 
-    def _integrator(self, fs):
-        """This law, for every function: its atoms integrate any callable."""
-        return self
-
     def _rule(self, m):
         """This law: its atoms are exact at every m."""
         return self
@@ -542,7 +538,7 @@ class DiscreteLaw(BivariateLaw):
                 for f, vf in zip(fs, v):
                     for g, vg in zip(fs, v):
                         self._weighted_mean(vf * vg, lambda: (f * g).label)
-        return value, None  # only sums overflow
+        return value, np.zeros(value.shape), "exact"  # only sums overflow
 
     def _centred(self, fs):
         """``fs`` on the atoms, a row each, and the rows less their means, times sqrt(w)."""

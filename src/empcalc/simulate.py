@@ -193,20 +193,28 @@ def run_clt_experiment(cfg: ExperimentConfig,
             "replicates cannot be standardized")
     n = cfg.n
     sqrt_n = math.sqrt(n)
+    # a constant column's centred sum of squares is at most n (n eps |mean|)^2,
+    # the rounding of its row mean: below 4 n eps^2 sum^2, a row is a candidate
+    rounding = 4.0 * n * np.finfo(float).eps ** 2
 
     def rho_rows(dx, dy, sx, sy):
         # rho_n per row, vectorised: centre on the means, sum / n as numpy's
         # mean divides (in place, the block is the loop's own), then sums of
-        # products; compute_rho_n, which explains a failure, takes moments
-        dx -= (sx / n)[:, np.newaxis]
-        dy -= (sy / n)[:, np.newaxis]
-        sxx = (dx * dx).sum(axis=1)
-        syy = (dy * dy).sum(axis=1)
-        den = np.sqrt(sxx * syy)
-        degenerate = (sxx <= 0.0) | (syy <= 0.0)
-        # a degenerate row fails the run; dividing there would only warn
-        rho_n = np.divide((dx * dy).sum(axis=1), den,
-                          out=np.zeros(len(dx)), where=~degenerate)
+        # products; compute_rho_n, which explains a failure, takes moments.
+        # Silent: a non-finite den or rho_n fails the run, as a degenerate row does
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx -= (sx / n)[:, np.newaxis]
+            dy -= (sy / n)[:, np.newaxis]
+            sxx = (dx * dx).sum(axis=1)
+            syy = (dy * dy).sum(axis=1)
+            den = np.sqrt(sxx * syy)
+            degenerate = (sxx <= 0.0) | (syy <= 0.0)
+            for d, ss, s in ((dx, sxx, sx), (dy, syy, sy)):
+                rows = np.flatnonzero(ss <= rounding * s * s)
+                if rows.size:  # rare: compare each candidate row's values exactly
+                    degenerate[rows] |= (d[rows] == d[rows, :1]).all(axis=1)
+            rho_n = np.divide((dx * dy).sum(axis=1), den,
+                              out=np.zeros(len(dx)), where=~degenerate)
         failed = degenerate.any() or not np.isfinite([den, rho_n]).all()
         return sqrt_n * (rho_n - rho_true), failed
 

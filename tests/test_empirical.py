@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
-from empcalc.empirical import (_CHUNK, QUADRATURE_RTOL, CovarianceMatrix, QuadratureMoments,
+from empcalc.empirical import (_CHUNK, QUADRATURE_POINTS, QUADRATURE_RTOL, CovarianceMatrix,
                                SamplingMoments, _coefficients)
 from empcalc.streams import derive_rng, derive_seed
 
@@ -245,22 +245,29 @@ def exact_laws():
     ]
 
 
-@pytest.mark.parametrize("make, f, route", [
-    (lambda: ec.GaussianLaw(0.5), ec.p, "itself"),
+@pytest.mark.parametrize("make, f, method", [
+    (lambda: ec.GaussianLaw(0.5), ec.p, "exact"),
     (lambda: ec.GaussianLaw(0.5), COS_PI1, "quadrature"),
     (lambda: ec.DiscreteLaw([0.1, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5]), COS_PI1,
-     "itself"),
-    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), ec.p, "itself"),
-    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), COS_PI1, "itself"),
+     "exact"),
+    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), ec.p, "monte_carlo"),
+    (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000), COS_PI1, "monte_carlo"),
 ], ids=["gaussian-polynomial", "gaussian-cos", "discrete-cos", "sampling-polynomial",
         "sampling-cos"])
-def test_integrator_chooses_each_oracles_route(make, f, route):
+def test_each_request_names_its_oracles_route(monkeypatch, make, f, method):
     oracle = make()
-    want = oracle if route == "itself" else oracle._integrator((f,))
-    assert route == "itself" or isinstance(want, QuadratureMoments)
-    # a second call gives the same object: one cached quadrature per law
-    assert oracle._integrator((ec.pi1, f)) is want
-    assert oracle._integrator((f,)) is want
+    built = []
+    if isinstance(oracle, ec.GaussianLaw):
+        rule = oracle._rule
+        monkeypatch.setattr(oracle, "_rule", lambda m: built.append(m) or rule(m))
+    for fs in ((ec.pi1, f), (f,), (f, ec.pi1)):
+        value, error, got = oracle._gamma(fs)
+        assert got == method and value.shape == error.shape == (len(fs), len(fs))
+        assert (error == 0.0).all() if method == "exact" else (error >= 0.0).all()
+    assert oracle.covariance_estimate(f, f).method == method
+    assert ec.gamma_matrix([ec.pi1, f], oracle).method == method
+    # a Gaussian law builds its two Gauss rules once, on the first request that needs them
+    assert built == (list(QUADRATURE_POINTS) if method == "quadrature" else [])
 
 
 def count_expectations(monkeypatch, law):
@@ -671,6 +678,19 @@ def test_merged_terms_give_the_variance_of_the_unmerged_sum(index):
     unmerged = b.value * f + a.value * g + (-3.0) * f
     assert ec.asymptotic_variance(e, law) == pytest.approx(
         law.covariance_estimate(unmerged, unmerged).value, rel=1e-12)
+
+
+def test_sampling_expansion_variance_is_the_covariance_of_its_influence():
+    # the sampling oracle integrates the influence h itself, not s^T Gamma_F s:
+    # the variance is Gamma(h, h) on the batch, with the stderr of the sum
+    law = ec.GaussianLaw(0.5)
+    e = ec.correlation_expansion(law.bivariate_moments())
+    mc = SamplingMoments(law.sample, budget=20_000, seed=11)
+    est = ec.asymptotic_variance_estimate(e, mc)
+    want = mc.covariance_estimate(e.influence, e.influence)
+    assert (est.value.hex(), est.stderr.hex(), est.method) == (
+        want.value.hex(), want.stderr.hex(), "monte_carlo")
+    assert est.stderr > 0.0
 
 
 def test_quadrature_route_reports_the_gap_of_the_sum():

@@ -281,12 +281,17 @@ def test_quadrature_is_one_cached_pair_of_gauss_rules():
     # 48- and 96-point product rules, built on first use and kept on the law
     law = ec.GaussianLaw(0.5)
     cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
-    first = law._integrator((ec.pi1, cos_pi1))
-    assert first.method == "quadrature"
-    assert law._integrator((cos_pi1,)) is first
-    assert [type(r) for r in first.rules] == [ec.DiscreteLaw] * 2
-    assert [r.atom_xs.size for r in first.rules] == [48 ** 2, 96 ** 2]
-    assert ec.GaussianLaw(0.5)._integrator((cos_pi1,)) is not first
+    assert law._gauss_rules is None
+    assert law._gamma((ec.pi1, cos_pi1))[2] == "quadrature"
+    first = law._gauss_rules
+    law.expectation(cos_pi1)
+    assert law._gamma((cos_pi1,))[2] == "quadrature"
+    assert law._gauss_rules is first
+    assert [type(r) for r in first] == [ec.DiscreteLaw] * 2
+    assert [r.atom_xs.size for r in first] == [48 ** 2, 96 ** 2]
+    other = ec.GaussianLaw(0.5)
+    other.expectation(cos_pi1)
+    assert other._gauss_rules is not first
 
 
 def test_dropped_law_frees_its_gauss_rules():
@@ -297,7 +302,7 @@ def test_dropped_law_frees_its_gauss_rules():
         law = ec.GaussianLaw(0.5)
         cos_pi1 = ec.StatFunction(lambda x, y: np.cos(x) + 0.0 * y, "cos(pi1)")
         law.expectation(cos_pi1)
-        fine = law._integrator((cos_pi1,)).rules[1]
+        fine = law._gauss_rules[1]
         refs = weakref.ref(law), weakref.ref(fine), weakref.ref(fine.atom_xs)
         del law, fine
         assert [r() for r in refs] == [None, None, None]
@@ -368,7 +373,7 @@ def test_mixture_integrates_on_the_weighted_union_of_its_components_rules():
     assert m.method == "quadrature"
     assert np.abs(m.entries - want).max() <= 1e-12
     assert [law.expectation(f) for f in fs[2:]] == pytest.approx(mean[2:], abs=1e-12)
-    assert [r.atom_xs.size for r in law._integrator(fs).rules] == [2 * 48 ** 2, 2 * 96 ** 2]
+    assert [r.atom_xs.size for r in law._gauss_rules] == [2 * 48 ** 2, 2 * 96 ** 2]
 
 
 def test_a_rule_drops_the_atoms_whose_weight_underflows():
@@ -379,7 +384,7 @@ def test_a_rule_drops_the_atoms_whose_weight_underflows():
     mean, _ = COS_MOMENTS["standard_normal"]
     want = 1e-15 * COS_MOMENTS["exponential_std"][0] + (1.0 - 1e-15) * mean
     assert law.expectation(COS_PI1) == pytest.approx(want, abs=1e-12)
-    rule = law._integrator((COS_PI1,)).rules[1]
+    rule = law._gauss_rules[1]
     assert 96 ** 2 < rule.atom_xs.size < 2 * 96 ** 2
     assert (rule.atom_weights > 0.0).all()
 
@@ -574,7 +579,8 @@ def test_discrete_integrates_opaque_callables_exactly():
     f = ec.StatFunction(lambda x, y: np.exp(np.asarray(x)), label="exp(x)")
     direct = 0.25 * math.exp(-1.0) + 0.5 * 1.0 + 0.25 * math.exp(2.0)
     assert law.expectation(f) == pytest.approx(direct, rel=1e-14)
-    assert law._integrator((f,)) is law
+    # the law integrates f on its own atoms, exactly, and builds no Gauss rule
+    assert law._gamma((f,))[2] == "exact" and law._gauss_rules is None
     # the inherited covariance takes the exact branch through the callable
     est = law.covariance_estimate(f, f)
     assert est.method == "exact" and est.stderr == 0.0

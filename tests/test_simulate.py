@@ -686,6 +686,31 @@ def test_flagged_block_whose_replicates_pass_alone_fails_the_run(monkeypatch):
     assert blocks == [327, 327]
 
 
+def test_a_constant_column_is_degenerate_in_the_kernel():
+    # replicate 1314 draws twenty x = 0.1: its row mean is off by rounding, so
+    # the centred sum of squares is 3.9e-33, not 0, and the kernel's rho_n
+    # would be 3.3e-17; the row is flagged, as compute_rho_n refuses it
+    law = ec.DiscreteLaw([0.1, 0.7, 0.1], [1.0, -0.4, 0.3], [0.45, 0.25, 0.3])
+    expected = _per_replicate_failure(law, 20, 0, 2000, ec.compute_rho_n)
+    assert expected == "replicate 1314 failed: degenerated marginal"
+    with pytest.raises(ec.SimulationError) as info:
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=20, reps=2000, seed=0))
+    assert str(info.value) == expected
+    assert isinstance(info.value.__cause__, ec.DegenerateSampleError)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_product_of_sums_of_squares_warns_nothing():
+    # at scale 1e76 sxx * syy overflows: the block fails with its typed error
+    # alone; compute_rho_n's moments do not overflow, so each replicate passes
+    s = 1e76
+    law = ec.DiscreteLaw([s * x for x in (0.1, 1.3, -0.7, 2.2)], [s * y for y in (1.0, -0.4, 0.3, 0.9)],
+                         [0.1, 0.3, 0.35, 0.25])
+    with pytest.raises(ec.SimulationError,
+                       match=r"^replicates 0 to 15 failed as a block, but each passes alone$"):
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=2000, reps=100, seed=1))
+
+
 def test_lemma1_rejects_function_of_wrong_shape():
     scalar = ec.StatFunction(lambda x, y: 1.0, "one", {(0, 0): 1.0})
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.2), n=50, reps=100, seed=1)
