@@ -52,7 +52,10 @@ def _law_from_args(args) -> BivariateLaw:
                   if value is not None]
         if others:
             raise InputFormatError(f"--law-json cannot be combined with {', '.join(others)}")
-        return law_from_spec(json.loads(args.law_json))
+        try:  # only the decoder recurses this deep: law_from_spec bounds its depth
+            return law_from_spec(json.loads(args.law_json))
+        except RecursionError:
+            raise InputFormatError("--law-json nests too deeply to decode") from None
     if args.law == "gaussian":
         if args.rho is None:
             raise InputFormatError("--law gaussian requires --rho")

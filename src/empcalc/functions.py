@@ -19,6 +19,8 @@ as module-level singletons:
 
 from __future__ import annotations
 
+import numbers
+import operator
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -163,8 +165,9 @@ class StatFunction:
         return self * (1.0 / float(c))
 
     def __pow__(self, k: int) -> "StatFunction":
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, numbers.Integral) or k < 0:  # numpy integers and bools too
             raise EvaluationError("only nonnegative integer powers are supported")
+        k = operator.index(k)
         poly = None
         if self.poly is not None:  # f^0 is the constant 1; f^k takes k - 1 products
             poly = self.poly if k else {(0, 0): 1.0}

@@ -60,6 +60,7 @@ from .functions import StatFunction
 from .sample import PairedSample
 
 WEIGHT_SUM_TOL = 1e-12
+_MAX_MIXTURE_DEPTH = 32  # mixtures a law spec nests: each takes a few stack frames
 
 
 def _normal_double_factorial(k: int) -> float:
@@ -546,7 +547,7 @@ class DiscreteLaw(BivariateLaw):
         return v, (v - (v @ self.atom_weights)[:, None]) * np.sqrt(self.atom_weights)
 
 
-def law_from_spec(spec: dict) -> BivariateLaw:
+def law_from_spec(spec: dict, _depth: int = 0) -> BivariateLaw:
     """Build a law from its JSON-ready description (inverse of describe())."""
     if not isinstance(spec, dict):
         raise InputFormatError(f"law spec must be a mapping, got {type(spec).__name__}")
@@ -557,7 +558,9 @@ def law_from_spec(spec: dict) -> BivariateLaw:
         if kind == "independent":
             return IndependentLaw(spec["marginal_x"], spec["marginal_y"])
         if kind == "mixture":
-            comps = [law_from_spec(c) for c in spec["components"]]
+            if _depth == _MAX_MIXTURE_DEPTH:
+                raise InputFormatError(f"law spec nests more than {_MAX_MIXTURE_DEPTH} mixtures")
+            comps = [law_from_spec(c, _depth + 1) for c in spec["components"]]
             return MixtureLaw(comps, spec["weights"])
         if kind == "discrete":
             return DiscreteLaw(spec["xs"], spec["ys"], spec["weights"])

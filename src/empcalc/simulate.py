@@ -21,7 +21,7 @@ Both compare replicates with the standard normal through
 
 Both run one serial loop over blocks of replicates, :func:`_replicates`,
 and differ only in the row reduction they pass it and the per-sample
-routine that explains a failure.  A block holds about 32k draws per
+routine that explains a failed row.  A block holds about 32k draws per
 coordinate (rows = 32768 // n replicates, at least one).
 Replicate i draws its values from the generator stream derived from
 (seed, i), in the order a single ``law.sample`` call takes them, into row
@@ -30,13 +30,11 @@ and each block draws from its slice.  So how replicates are grouped into
 blocks never changes a value.  The law transforms the whole block at once
 and rho_n or G_n(f) is reduced across the block; that row reduction is
 the one correlation not taken by ``rho_from_moments`` of a moment set,
-as rho_true and :func:`compute_rho_n` are.  The block kernels only
-detect failures: a block fails when its row sums are not all finite (a
-non-finite draw makes its row's sum non-finite) or when its reduction
-flags a degenerate or non-finite row.  The per-sample routines explain
-it: the block's replicates are drawn again, one sample each, and the
-first that ``PairedSample``, ``compute_rho_n`` or ``gn_eval`` rejects
-names the run's failure.  Only a failing block pays for the extra draw.
+as rho_true and :func:`compute_rho_n` are.  The block kernels only mask
+their degenerate or non-finite rows.  Those and the rows whose sums are
+not finite, as a non-finite draw makes them, are drawn again, one sample
+each: the first that ``PairedSample``, ``compute_rho_n`` or ``gn_eval``
+rejects names the run's failure.  Only a failed row pays a second draw.
 """
 
 from __future__ import annotations
@@ -121,45 +119,35 @@ def ks_statistic(values, cdf: Callable) -> float:
                             np.abs(f_vals - (i - 1) / m)).max())
 
 
-def _explain(cfg: ExperimentConfig, streams: BlockStreams, lo: int,
-             explain: Callable) -> None:
-    """Draw the block's replicates again, one sample each, and raise
-    SimulationError at the first that ``explain`` rejects."""
-    for i, rng in enumerate(streams, lo):
-        try:
-            explain(cfg.law.sample(cfg.n, rng))
-        except EmpcalcError as exc:
-            raise SimulationError(f"replicate {i} failed: {exc}") from exc
-
-
 def _replicates(cfg: ExperimentConfig, reduce: Callable, explain: Callable) -> np.ndarray:
     """The replicates of a run, block by block in replicate order.
 
-    ``reduce(xs, ys, sx, sy)`` takes a block's draws and row sums and
-    returns the block's values, one per row, and whether any row failed.
-    A block whose sums are not all finite, or that ``reduce`` flags, is
-    explained by :func:`_explain`; an EmpcalcError from ``reduce`` is
-    charged to the block's first replicate.
+    ``reduce(xs, ys, sx, sy)`` takes a block's draws and row sums and returns
+    its values and a mask of its failed rows.  Those and the rows whose sums
+    are not finite are drawn again, one sample each, for ``explain``: the
+    first it rejects, or a failed row it accepts, fails the run.  An
+    EmpcalcError from ``reduce`` is charged to the block's first replicate.
     """
     streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
     rows = max(1, _BLOCK_ELEMENTS // cfg.n)
     out = []
     for lo in range(0, cfg.reps, rows):
-        block = streams[lo:lo + rows]
-        xs, ys = cfg.law.draw_block(block, cfg.n)
-        # silent: a row holding +inf and -inf sums to nan, finite draws may overflow
+        xs, ys = cfg.law.draw_block(streams[lo:lo + rows], cfg.n)
+        # silent: a row holding +inf and -inf sums to nan, finite draws may
+        # overflow, and a failed row is named by its typed error alone
         with np.errstate(over="ignore", invalid="ignore"):
             sx, sy = xs.sum(axis=1), ys.sum(axis=1)
-        if not (np.isfinite(sx).all() and np.isfinite(sy).all()):
-            _explain(cfg, block, lo, explain)
-        try:
-            values, failed = reduce(xs, ys, sx, sy)
-        except EmpcalcError as exc:
-            raise SimulationError(f"replicate {lo} failed: {exc}") from exc
-        if failed:
-            _explain(cfg, block, lo, explain)
-            raise SimulationError(f"replicates {lo} to {lo + len(block) - 1} failed "
-                                  "as a block, but each passes alone")
+            try:
+                values, failed = reduce(xs, ys, sx, sy)
+            except EmpcalcError as exc:
+                raise SimulationError(f"replicate {lo} failed: {exc}") from exc
+        for i in lo + np.flatnonzero(failed | ~(np.isfinite(sx) & np.isfinite(sy))):
+            try:  # replicate i alone, drawn from its one-row block of streams
+                explain(cfg.law.sample(cfg.n, *streams[i:i + 1]))
+            except EmpcalcError as exc:
+                raise SimulationError(f"replicate {i} failed: {exc}") from exc
+            if failed[i - lo]:  # a row visited for its sums alone goes on
+                raise SimulationError(f"replicate {i} failed in its block only")
         out.append(values)
     return np.concatenate(out)
 
@@ -200,26 +188,23 @@ def run_clt_experiment(cfg: ExperimentConfig,
     def rho_rows(dx, dy, sx, sy):
         # rho_n per row, vectorised: centre on the means, sum / n as numpy's
         # mean divides (in place, the block is the loop's own), then sums of
-        # products; compute_rho_n, which explains a failure, takes moments.
-        # Silent: a non-finite den or rho_n fails the run, as a degenerate row does
-        with np.errstate(over="ignore", invalid="ignore"):
-            dx -= (sx / n)[:, np.newaxis]
-            dy -= (sy / n)[:, np.newaxis]
-            sxx = (dx * dx).sum(axis=1)
-            syy = (dy * dy).sum(axis=1)
-            den = np.sqrt(sxx * syy)
-            degenerate = (sxx <= 0.0) | (syy <= 0.0)
-            for d, ss, s in ((dx, sxx, sx), (dy, syy, sy)):
-                rows = np.flatnonzero(ss <= rounding * s * s)
-                if rows.size:  # rare: compare each candidate row's values exactly
-                    degenerate[rows] |= (d[rows] == d[rows, :1]).all(axis=1)
-            rho_n = np.divide((dx * dy).sum(axis=1), den,
-                              out=np.zeros(len(dx)), where=~degenerate)
-        failed = degenerate.any() or not np.isfinite([den, rho_n]).all()
-        return sqrt_n * (rho_n - rho_true), failed
+        # products; compute_rho_n, which explains a failed row, takes moments.
+        dx -= (sx / n)[:, np.newaxis]
+        dy -= (sy / n)[:, np.newaxis]
+        sxx = (dx * dx).sum(axis=1)
+        syy = (dy * dy).sum(axis=1)
+        den = np.sqrt(sxx * syy)
+        big = ~np.isfinite(den)  # sxx * syy overflows, as the moments' product need not
+        den[big] = np.sqrt(sxx[big]) * np.sqrt(syy[big])
+        degenerate = (sxx <= 0.0) | (syy <= 0.0)
+        for d, ss, s in ((dx, sxx, sx), (dy, syy, sy)):
+            rows = np.flatnonzero(ss <= rounding * s * s)
+            if rows.size:  # rare: compare each candidate row's values exactly
+                degenerate[rows] |= (d[rows] == d[rows, :1]).all(axis=1)
+        rho_n = np.divide((dx * dy).sum(axis=1), den, out=np.zeros(len(dx)), where=~degenerate)
+        return sqrt_n * (rho_n - rho_true), degenerate | ~np.isfinite(den) | ~np.isfinite(rho_n)
 
     t = _replicates(cfg, rho_rows, compute_rho_n)
-    emp_mean = float(t.mean())
     emp_var = float(t.var(ddof=1))
     ks = ks_statistic(t / math.sqrt(predicted), standard_normal_cdf)
     var_rel_err = abs(emp_var - predicted) / predicted
@@ -235,7 +220,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
          "variance_rtol": variance_rtol, "ks_tol": ks_tol},
         {"rho_true": rho_true,
          "predicted_sigma2": predicted,
-         "empirical_mean": emp_mean,
+         "empirical_mean": float(t.mean()),
          "empirical_variance": emp_var,
          "ks_distance": ks},
         checks, cfg.seed)
@@ -270,7 +255,7 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
         for j, (f, mu) in enumerate(zip(fs, means)):
             vals = np.asarray(f(xs, ys), dtype=float)
             g[:, j] = (vals.sum(axis=1) - n * mu) / sqrt_n
-        return g, not np.isfinite(g).all()
+        return g, ~np.isfinite(g).all(axis=1)
 
     g = _replicates(cfg, gn_rows, lambda s: [gn_eval(s, f, mu) for f, mu in zip(fs, means)])
     emp_cov = np.atleast_2d(np.cov(g, rowvar=False, ddof=1))
@@ -278,13 +263,10 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
 
     degenerate = [j for j in range(len(fs))
                   if predicted.entries[j, j] < DEGENERATE_VARIANCE_FLOOR]
-    ks_per_coord: list[Optional[float]] = []
-    for j in range(len(fs)):
-        if j in degenerate:
-            ks_per_coord.append(None)
-        else:
-            sd = math.sqrt(predicted.entries[j, j])
-            ks_per_coord.append(ks_statistic(g[:, j] / sd, standard_normal_cdf))
+    ks_per_coord: list[Optional[float]] = [
+        None if j in degenerate
+        else ks_statistic(g[:, j] / math.sqrt(predicted.entries[j, j]), standard_normal_cdf)
+        for j in range(len(fs))]
     live_ks = [k for k in ks_per_coord if k is not None]
 
     checks = [

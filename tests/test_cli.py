@@ -232,6 +232,18 @@ def test_variance_invalid_law_json(capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("depth, reason", [
+    (350, "law spec nests more than 32 mixtures"),
+    (600, "--law-json nests too deeply to decode"),
+])
+def test_deeply_nested_law_json_is_usage_error(capsys, depth, reason):
+    # a gaussian in one-component mixtures: a typed error, never a RecursionError
+    spec = ('{"kind":"mixture","weights":[1.0],"components":[' * depth
+            + '{"kind":"gaussian","rho":0.5}' + "]}" * depth)
+    code, out, err = run_cli(capsys, "variance", "--law-json", spec)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_variance_mixture_flag_needs_json(capsys):
     code, _, err = run_cli(capsys, "variance", "--law", "mixture")
     assert code == 2

@@ -81,10 +81,18 @@ def test_power_is_the_repeated_product_bit_for_bit(f):
         product = f if k == 0 else product * f
 
 
-@pytest.mark.parametrize("k", [-1, 2.0])
+@pytest.mark.parametrize("k", [-1, 2.0, np.int64(-2), np.float64(2.0), "2"])
 def test_power_rejects_a_negative_or_non_integer_exponent(k):
     with pytest.raises(ec.EvaluationError, match="^only nonnegative integer powers are supported$"):
         ec.pi1 ** k
+
+
+def test_power_takes_any_integer_type_as_its_int():
+    # numpy integers and bools are integers by operator.index, as ExperimentConfig takes them
+    for k, want in ((np.int64(2), 2), (np.uint8(3), 3), (True, 1), (False, 0)):
+        got, ref = ec.pi1 ** k, ec.pi1 ** want
+        assert (got.label, got.poly) == (ref.label, ref.poly)
+        assert got(np.array([1.5, -2.0]), np.zeros(2)).tolist() == [1.5 ** want, (-2.0) ** want]
 
 
 def test_labels_are_informative():

@@ -1065,6 +1065,15 @@ def test_law_spec_rejects_values_of_the_wrong_type(spec):
         ec.law_from_spec(spec)
 
 
+def test_law_spec_nests_at_most_32_mixtures():
+    spec = {"kind": "gaussian", "rho": 0.5}
+    for _ in range(32):
+        spec = {"kind": "mixture", "weights": [1.0], "components": [spec]}
+    assert ec.law_from_spec(spec).bivariate_moments() == ec.GaussianLaw(0.5).bivariate_moments()
+    with pytest.raises(ec.InputFormatError, match="^law spec nests more than 32 mixtures$"):
+        ec.law_from_spec({"kind": "mixture", "weights": [1.0], "components": [spec]})
+
+
 def test_law_spec_keeps_the_laws_own_errors():
     with pytest.raises(ec.AffineDependenceError, match="gaussian rho"):
         ec.law_from_spec({"kind": "gaussian", "rho": 1.0})

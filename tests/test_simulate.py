@@ -363,7 +363,7 @@ def _loop_blocks(cfg, explain=_accept):
 
     def keep(xs, ys, sx, sy):
         blocks.append((xs, ys, sx, sy))
-        return np.zeros(len(xs)), False
+        return np.zeros(len(xs)), np.zeros(len(xs), bool)
 
     simulate._replicates(cfg, keep, explain)
     return blocks
@@ -380,7 +380,7 @@ def test_block_rows_follow_n():
 
         law = SimpleNamespace(draw_block=no_draws)
         simulate._replicates(SimpleNamespace(law=law, n=n, reps=reps, seed=0),
-                             lambda xs, *_: (xs[:, 0], False), _accept)
+                             lambda xs, *_: (xs[:, 0], np.zeros(len(xs), bool)), _accept)
         return drawn
 
     assert rows(100, 2000)[0] == 327
@@ -565,20 +565,22 @@ def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
     cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
     streams = BlockStreams(2, (), 0, 2000)
     rows = simulate._BLOCK_ELEMENTS // 20
-    lo, hi = next((lo, lo + rows) for lo in range(0, 2000, rows)
-                  if (law.draw_block(streams[lo:lo + rows], 20)[0][:, 0] > 1e300).any())
-    # the first block whose sums are not finite has its replicates drawn
-    # again as samples: each passes the draw check, and the loop reduces it
+    overflowing = [lo + int(row) for lo in range(0, 2000, rows)
+                   for row in np.flatnonzero(
+                       law.draw_block(streams[lo:lo + rows], 20)[0][:, 0] > 1e300)]
+    # only the rows whose sums are not finite are drawn again as samples:
+    # each passes the draw check, and the loop reduces every block
     explained = []
     blocks = _loop_blocks(cfg, explained.append)
-    xs, ys, sx, sy = blocks[lo // rows]
-    assert xs.shape == (hi - lo, 20) and np.isfinite(xs).all()
-    assert not np.isfinite(sx).all() and len(blocks) == -(-2000 // rows)
+    assert len(blocks) == -(-2000 // rows)
+    assert all(np.isfinite(xs).all() for xs, *_ in blocks)
+    sums = np.concatenate([sx for _, _, sx, _ in blocks])
+    assert np.flatnonzero(~np.isfinite(sums)).tolist() == overflowing != []
     assert all(np.array_equal(s.xs, law.sample(20, derive_rng(2, i)).xs)
-               for i, s in zip(range(lo, hi), explained[:hi - lo], strict=True))
-    # compute_rho_n's mean overflows on that replicate, and the experiment
+               for i, s in zip(overflowing, explained, strict=True))
+    # compute_rho_n's mean overflows on the first, and the experiment
     # names it by that typed error, with no warning before either
-    i = lo + int(np.flatnonzero(~np.isfinite(sx))[0])
+    i = overflowing[0]
     reason = "inconsistent moment set: non-finite mu_x"
     with pytest.raises(ec.MomentError, match=f"^{reason}$"):
         ec.compute_rho_n(law.sample(20, derive_rng(2, i)))
@@ -639,51 +641,56 @@ def _raise_on(law, n, seed, k, real):
 
 def test_clt_failing_block_is_explained_by_compute_rho_n(monkeypatch):
     law = ec.IndependentLaw("rademacher", "uniform_std")
-    first = int(_per_replicate_failure(law, 10, 6, 5000, ec.compute_rho_n).split()[1])
-    # blocks of first - 1 rows: replicate k = first - 1 opens the second
-    # block, whose next row is the first degenerate one
-    k = first - 1
-    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 10 * k)
+    k = int(_per_replicate_failure(law, 10, 6, 5000, ec.compute_rho_n).split()[1])
+    # blocks of k - 1 rows: the first flagged replicate, k, is the second
+    # row of the second block, and compute_rho_n's message names the run's failure
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 10 * (k - 1))
     monkeypatch.setattr(simulate, "compute_rho_n", _raise_on(law, 10, 6, k, ec.compute_rho_n))
     with pytest.raises(ec.SimulationError) as info:
         ec.run_clt_experiment(ec.ExperimentConfig(law, n=10, reps=5000, seed=6))
-    assert k > 0 and str(info.value) == f"replicate {k} failed: sentinel"
+    assert k > 1 and str(info.value) == f"replicate {k} failed: sentinel"
 
 
 def test_lemma1_failing_block_is_explained_by_gn_eval(monkeypatch):
     capped = ec.StatFunction(lambda x, y: np.where(x > 3.5, np.inf, x), "capped", {(1, 0): 1.0})
     fs = [ec.pi2, capped]
     law = ec.GaussianLaw(0.2)
-    first = int(_per_replicate_failure(
+    k = int(_per_replicate_failure(
         law, 20, 6, 2000, lambda s: [ec.gn_eval(s, f, law.expectation(f)) for f in fs]
     ).split()[1])
-    k = first - 1
-    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 20 * k)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 20 * (k - 1))
     monkeypatch.setattr(simulate, "gn_eval", _raise_on(law, 20, 6, k, ec.gn_eval))
     with pytest.raises(ec.SimulationError) as info:
         ec.run_lemma1_experiment(fs, ec.ExperimentConfig(law, n=20, reps=2000, seed=6))
-    assert k > 0 and str(info.value) == f"replicate {k} failed: sentinel"
+    assert k > 1 and str(info.value) == f"replicate {k} failed: sentinel"
 
 
 def test_flagged_block_whose_replicates_pass_alone_fails_the_run(monkeypatch):
-    # the kernel flags the degenerate rows; compute_rho_n accepts every sample
-    monkeypatch.setattr(simulate, "compute_rho_n", lambda s: 0.0)
+    # the kernel flags the degenerate rows; compute_rho_n accepts every sample,
+    # so the first flagged replicate fails the run alone
     law = ec.IndependentLaw("rademacher", "rademacher")
+    expected = _per_replicate_failure(law, 2, 0, 100, ec.compute_rho_n)
+    assert expected == "replicate 2 failed: degenerated marginal"
+    monkeypatch.setattr(simulate, "compute_rho_n", lambda s: 0.0)
     with pytest.raises(ec.SimulationError,
-                       match=r"^replicates 0 to 99 failed as a block, but each passes alone$"):
+                       match=r"^replicate 2 failed in its block only$"):
         ec.run_clt_experiment(ec.ExperimentConfig(law, n=2, reps=100, seed=0))
-    # a reduction that flags the second block, of rows 327 to 653 at n = 100
-    blocks = []
+    # a reduction that flags rows 5 and 9 of the second block, of rows 327 to 653 at n = 100
+    blocks, explained = [], []
 
     def flag_second(xs, ys, sx, sy):
         blocks.append(len(xs))
-        return np.zeros(len(xs)), len(blocks) == 2
+        failed = np.zeros(len(xs), bool)
+        failed[[5, 9]] = len(blocks) == 2
+        return np.zeros(len(xs)), failed
 
     cfg = ec.ExperimentConfig(ec.GaussianLaw(0.3), n=100, reps=1000, seed=1)
     with pytest.raises(ec.SimulationError,
-                       match=r"^replicates 327 to 653 failed as a block, but each passes alone$"):
-        simulate._replicates(cfg, flag_second, _accept)
+                       match=r"^replicate 332 failed in its block only$"):
+        simulate._replicates(cfg, flag_second, explained.append)
     assert blocks == [327, 327]
+    assert len(explained) == 1
+    assert np.array_equal(explained[0].xs, cfg.law.sample(100, derive_rng(1, 332)).xs)
 
 
 def test_a_constant_column_is_degenerate_in_the_kernel():
@@ -701,14 +708,33 @@ def test_a_constant_column_is_degenerate_in_the_kernel():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_product_of_sums_of_squares_warns_nothing():
-    # at scale 1e76 sxx * syy overflows: the block fails with its typed error
-    # alone; compute_rho_n's moments do not overflow, so each replicate passes
-    s = 1e76
-    law = ec.DiscreteLaw([s * x for x in (0.1, 1.3, -0.7, 2.2)], [s * y for y in (1.0, -0.4, 0.3, 0.9)],
-                         [0.1, 0.3, 0.35, 0.25])
-    with pytest.raises(ec.SimulationError,
-                       match=r"^replicates 0 to 15 failed as a block, but each passes alone$"):
-        ec.run_clt_experiment(ec.ExperimentConfig(law, n=2000, reps=100, seed=1))
+    # at scale 1e76 sxx * syy overflows, as compute_rho_n's moments do not:
+    # the kernel roots each sum apart there, and the run ends with no warning
+    def law(s):
+        return ec.DiscreteLaw([s * x for x in (0.1, 1.3, -0.7, 2.2)],
+                              [s * y for y in (1.0, -0.4, 0.3, 0.9)], [0.1, 0.3, 0.35, 0.25])
+
+    got, want = (ec.run_clt_experiment(ec.ExperimentConfig(law(s), n=2000, reps=100, seed=1))
+                 .results["empirical_variance"] for s in (1e76, 1.0))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+@pytest.mark.parametrize("law, n, seed, reps, expected", [
+    (ec.IndependentLaw("rademacher", "uniform_std"), 10, 6, 5000,
+     "replicate 471 failed: degenerated marginal"),
+    (ec.IndependentLaw("rademacher", "rademacher"), 2, 0, 100,
+     "replicate 2 failed: degenerated marginal"),
+    (ec.DiscreteLaw([0.1, 0.7, 0.1], [1.0, -0.4, 0.3], [0.45, 0.25, 0.3]), 20, 0, 2000,
+     "replicate 1314 failed: degenerated marginal"),
+])
+def test_a_failing_run_draws_one_sample_again(monkeypatch, law, n, seed, reps, expected):
+    # only the first flagged replicate is drawn again, not the rows before it
+    drawn = []
+    real = law.sample
+    monkeypatch.setattr(law, "sample", lambda n, rng: drawn.append(n) or real(n, rng))
+    with pytest.raises(ec.SimulationError, match=f"^{expected}$"):
+        ec.run_clt_experiment(ec.ExperimentConfig(law, n=n, reps=reps, seed=seed))
+    assert drawn == [n]
 
 
 def test_lemma1_rejects_function_of_wrong_shape():

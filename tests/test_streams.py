@@ -153,7 +153,7 @@ def test_mixture_blocks_in_the_replicate_loop_match_single_samples(monkeypatch):
     cfg = ec.ExperimentConfig(law=law, n=n, reps=reps, seed=seed)
 
     def keep(xs, ys, sx, sy):
-        return np.stack([xs, ys], axis=-1), False
+        return np.stack([xs, ys], axis=-1), np.zeros(len(xs), bool)
 
     rows = simulate._replicates(cfg, keep, lambda sample: None)
     assert rows.shape == (reps, n, 2)
