@@ -40,7 +40,8 @@ sampling route two passes over each ``_CHUNK`` pairs of the batch, each
 evaluating every function: the means, then centred products.  A single
 Gamma(f, g) is entry [0, 1] of the Gamma_F of (f, g), and an expansion's
 variance is s^T Gamma_F s over its non-zero slopes (0.0 if there is none);
-only the sampling route builds the influence.
+only the sampling route builds the influence.  :func:`gamma_matrix` makes one
+request, failing or not: a failure is that request's own MomentError.
 """
 
 from __future__ import annotations
@@ -400,21 +401,13 @@ def gamma_matrix(fs: Sequence[StatFunction], oracle: MomentOracle) -> Covariance
     ``method`` names: exact if the oracle integrates every listed function
     exactly, else the oracle's Gauss rules, or a bare sampling oracle's batch,
     shared by all entries; a mix of exact and integrated entries could fail the
-    PSD guarantee.  An error names the first pair (f, g), in row order, whose
-    own Gamma_F fails: the one that ``covariance_estimate(f, g)`` integrates.
+    PSD guarantee.  A failure is the request's own MomentError, which names the
+    function or product it failed on, as ``covariance_estimate`` words it.
     """
     fs = list(fs)
     if not fs:
         raise MomentError("gamma_matrix needs at least one function")
-    try:
-        value, _, method = oracle._gamma(fs)
-    except MomentError:
-        for f, g in [(f, g) for i, f in enumerate(fs) for g in fs[i:]]:
-            try:
-                oracle.covariance_estimate(f, g)
-            except MomentError as exc:
-                raise MomentError(f"gamma failed for pair ({f.label}, {g.label}): {exc}") from exc
-        raise
+    value, _, method = oracle._gamma(fs)
     return CovarianceMatrix(value, tuple(f.label for f in fs), method)
 
 

@@ -60,7 +60,7 @@ from .functions import StatFunction
 from .sample import PairedSample
 
 WEIGHT_SUM_TOL = 1e-12
-_MAX_MIXTURE_DEPTH = 32  # mixtures a law spec nests: each takes a few stack frames
+_MAX_MIXTURE_DEPTH = 32  # mixtures a law nests: each takes a few stack frames
 
 
 def _normal_double_factorial(k: int) -> float:
@@ -357,7 +357,8 @@ class MixtureLaw(BivariateLaw):
     picked it: pairs fill in position order, so a component's j-th pair goes
     to its j-th pick.  A moment about a point is the weighted sum of the
     components' moments about it; central ones centre each part at the
-    mixture's mean.
+    mixture's mean.  A mixture nests at most ``_MAX_MIXTURE_DEPTH`` mixtures,
+    itself included: ``depth`` is 1 plus its deepest component's.
     """
 
     kind = "mixture"
@@ -379,6 +380,9 @@ class MixtureLaw(BivariateLaw):
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InputFormatError(
                 f"mixture weights sum to {sum(weights)!r}, not 1 within {WEIGHT_SUM_TOL}")
+        self.depth = 1 + max((c.depth for c in components if isinstance(c, MixtureLaw)), default=0)
+        if self.depth > _MAX_MIXTURE_DEPTH:
+            raise InputFormatError(f"mixture nests more than {_MAX_MIXTURE_DEPTH} mixtures")
         self.components = components
         self.weights = weights
         self._memo: dict[tuple[int, int, float, float], float] = {}
@@ -531,13 +535,13 @@ class DiscreteLaw(BivariateLaw):
     def _gamma(self, fs):
         """(V sqrt(w)) (V sqrt(w))^T, each row of V a function's atom values less
         their weighted mean: a shift cancels there, not in E[fg] - E[f]E[g].  If an
-        entry is not finite, the first pair whose f*g is non-finite at an atom is named."""
+        entry is not finite, the first pair i <= j whose f*g is non-finite at an atom is named."""
         with np.errstate(invalid="ignore"):  # inf - inf or 0 * inf: named below
             v, a = self._centred(fs)
             value = a @ a.T
             if not np.isfinite(value).all():
-                for f, vf in zip(fs, v):
-                    for g, vg in zip(fs, v):
+                for i, (f, vf) in enumerate(zip(fs, v)):
+                    for g, vg in zip(fs[i:], v[i:]):
                         self._weighted_mean(vf * vg, lambda: (f * g).label)
         return value, np.zeros(value.shape), "exact"  # only sums overflow
 

@@ -1,6 +1,7 @@
 """Tests for G_n evaluation, the covariance functional, and moment oracles."""
 
 import math
+import re
 import tracemalloc
 import types
 
@@ -208,7 +209,9 @@ def test_gamma_matrix_error_names_the_pair():
     bad = ec.StatFunction(
         lambda x, y: np.where(np.abs(np.asarray(x)) > 1.0, np.nan, 0.0),
         label="hole")
-    with pytest.raises(ec.MomentError, match=r"pair \(pi1, hole\)"):
+    with pytest.raises(ec.MomentError, match=(
+            r"^moment does not exist under this law at requested precision "
+            r"\(pi1\*hole: non-finite at an atom\)$")):
         ec.gamma_matrix([ec.pi1, bad], law)
 
 
@@ -470,27 +473,66 @@ def test_gamma_matrix_names_the_first_failing_pair_on_both_routes():
     mc = SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000, seed=3)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ec.MomentError, match=(
-                r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
-                r"this law at requested precision \(pi1\*log\(x\): non-finite at an atom\)$")):
+                r"^moment does not exist under this law at requested precision "
+                r"\(pi1\*log\(x\): non-finite at an atom\)$")):
             ec.gamma_matrix(fs, discrete)
         with pytest.raises(ec.MomentError, match=(
-                r"^gamma failed for pair \(pi1, log\(x\)\): moment does not exist under "
-                r"this law at requested precision \(log\(x\): non-finite draw\)$")):
+                r"^moment does not exist under this law at requested precision "
+                r"\(log\(x\): non-finite draw\)$")):
             ec.gamma_matrix(fs, mc)
 
 
 def test_a_covariance_fails_when_its_pairs_gamma_matrix_does():
     # Gamma(pi1, g) is an entry of the Gamma_F of (pi1, g), so it fails with
-    # Gamma(g, g), here g^2 overflowing at an atom, and gamma_matrix names that pair
+    # Gamma(g, g), here g^2 overflowing at an atom, and gamma_matrix raises the same error
     law = ec.DiscreteLaw([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.25, 0.5, 0.25])
     g = ec.StatFunction(lambda x, y: np.where(x == 0.0, 1e200, 0.0) + 0.0 * y, "g")
     message = r"this law at requested precision \(g\*g: non-finite at an atom\)$"
     with np.errstate(over="ignore"):
         with pytest.raises(ec.MomentError, match=r"^moment does not exist under " + message):
             law.covariance_estimate(ec.pi1, g)
-        with pytest.raises(ec.MomentError, match=(
-                r"^gamma failed for pair \(pi1, g\): moment does not exist under " + message)):
+        with pytest.raises(ec.MomentError, match=r"^moment does not exist under " + message):
             ec.gamma_matrix([ec.pi1, g], law)
+
+
+LOG_X = ec.StatFunction(lambda x, y: np.log(x), "log(x)")
+JUMP = ec.StatFunction(lambda x, y: (x > 0.3) + 0.0 * y, "1{pi1 > 0.3}")
+# each route with a family it integrates, and a function that fails it
+FAILING_ROUTES = {
+    "polynomial": (lambda: ec.GaussianLaw(0.5), [ec.pi1, ec.pi2], ec.pi1 ** 200,
+                   "raw moment (400,0)"),
+    "gauss-rules": (lambda: ec.GaussianLaw(0.5), [ec.pi1, COS_PI1], JUMP,
+                    "the 48- and 96-point Gauss rules differ by"),
+    "discrete": (lambda: ec.DiscreteLaw([0.0, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5]),
+                 [ec.pi1, COS_PI1], LOG_X, "non-finite at an atom"),
+    "sampling": (lambda: SamplingMoments(ec.GaussianLaw(0.5).sample, budget=1000, seed=3),
+                 [ec.pi1, COS_PI1], LOG_X, "non-finite draw"),
+}
+
+
+@pytest.mark.parametrize("make, good, bad, reason", FAILING_ROUTES.values(),
+                         ids=FAILING_ROUTES.keys())
+def test_gamma_matrix_makes_one_request_failing_or_not(monkeypatch, make, good, bad, reason):
+    oracle, calls = make(), []
+    gamma = oracle._gamma
+    monkeypatch.setattr(oracle, "_gamma", lambda fs: calls.append(len(fs)) or gamma(fs))
+    ec.gamma_matrix(good, oracle)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ec.MomentError, match=re.escape(reason)):
+            ec.gamma_matrix([ec.pi1, ec.p, bad, ec.pi2], oracle)
+    assert calls == [2, 4]
+
+
+@pytest.mark.parametrize("make, good, bad, reason", FAILING_ROUTES.values(),
+                         ids=FAILING_ROUTES.keys())
+def test_gamma_matrix_words_a_failure_as_covariance_estimate_does(make, good, bad, reason):
+    oracle = make()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ec.MomentError, match=re.escape(reason)) as whole:
+            ec.gamma_matrix([ec.pi1, bad], oracle)
+        with pytest.raises(ec.MomentError) as pair:
+            oracle.covariance_estimate(ec.pi1, bad)
+    assert str(whole.value) == str(pair.value)
 
 
 def test_sampling_gamma_matrix_memory_does_not_grow_with_the_budget():

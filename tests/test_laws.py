@@ -396,7 +396,9 @@ def test_a_jump_is_refused_under_a_continuous_law_and_exact_on_atoms():
         with pytest.raises(ec.MomentError,
                            match=r"\(1\{pi1 > 0\.3\}: the 48- and 96-point Gauss rules differ by"):
             call()
-    with pytest.raises(ec.MomentError, match=r"^gamma failed for pair \(pi1, 1\{pi1 > 0\.3\}\)"):
+    with pytest.raises(ec.MomentError, match=(
+            r"^moment does not exist under this law at requested precision \(pi1\*1\{pi1 > 0\.3\}: "
+            r"the 48- and 96-point Gauss rules differ by 0\.018\)$")):
         ec.gamma_matrix([ec.pi1, jump], law)
     atoms = ec.DiscreteLaw([0.1, 1.3, -0.7], [1.0, -0.4, 0.3], [0.2, 0.3, 0.5])
     est = atoms.covariance_estimate(jump, jump)
@@ -1072,6 +1074,18 @@ def test_law_spec_nests_at_most_32_mixtures():
     assert ec.law_from_spec(spec).bivariate_moments() == ec.GaussianLaw(0.5).bivariate_moments()
     with pytest.raises(ec.InputFormatError, match="^law spec nests more than 32 mixtures$"):
         ec.law_from_spec({"kind": "mixture", "weights": [1.0], "components": [spec]})
+
+
+def test_a_mixture_built_directly_nests_at_most_32_mixtures():
+    # a typed error at construction, never a RecursionError from mean() on a 350-deep chain
+    inner = ec.MixtureLaw([ec.GaussianLaw(0.1), ec.GaussianLaw(0.5)], [0.25, 0.75])
+    law = inner
+    with pytest.raises(ec.InputFormatError, match="^mixture nests more than 32 mixtures$"):
+        for _ in range(349):
+            law = ec.MixtureLaw([law], [1.0])
+    # the deepest chain that was built integrates as its innermost mixture
+    assert (inner.depth, law.depth) == (1, 32)
+    assert law.bivariate_moments() == inner.bivariate_moments()
 
 
 def test_law_spec_keeps_the_laws_own_errors():
