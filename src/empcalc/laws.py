@@ -233,9 +233,13 @@ class BivariateLaw(PolynomialMomentOracle):
         """JSON-ready echo of the law's construction parameters."""
 
     def sample(self, n: int, rng: np.random.Generator) -> PairedSample:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InputFormatError(f"n must be an integer, got {n!r}") from None
         if n < 2:  # before any draw, in PairedSample's words
             raise InputFormatError(f"need at least 2 paired observations, got {n}")
-        xs, ys = self.draw_block([rng], int(n))
+        xs, ys = self.draw_block([rng], n)
         return PairedSample._adopt(xs[0], ys[0])
 
     def bivariate_moments(self) -> BivariateMoments:
@@ -268,7 +272,9 @@ class GaussianLaw(BivariateLaw):
 
     def __init__(self, rho: float):
         rho = float(rho)
-        if not math.isfinite(rho) or abs(rho) >= 1.0 - AFFINE_RHO_TOL:
+        if not math.isfinite(rho):
+            raise InputFormatError(f"gaussian rho must be finite, got {rho!r}")
+        if abs(rho) >= 1.0 - AFFINE_RHO_TOL:
             raise AffineDependenceError(
                 f"affine dependence, asymptotics excluded (gaussian rho = {rho!r})")
         self.rho_param = rho
@@ -349,16 +355,16 @@ class MixtureLaw(BivariateLaw):
     same stream; both stages are deterministic given the stream state.
 
     The raw buffers are the picks, a count of pairs filled per component,
-    and each component's own raw buffers, sized by its picks: a block fill
-    draws all rows' picks first (each row's stream keeps its order); as a
-    component, for every pair.  A fill of k pairs appends each picked
-    component's sub-batch to its buffers.  The transform runs once per
-    component over all its pairs and scatters them to the positions that
-    picked it: pairs fill in position order, so a component's j-th pair goes
-    to its j-th pick.  A moment about a point is the weighted sum of the
-    components' moments about it; central ones centre each part at the
-    mixture's mean.  A mixture nests at most ``_MAX_MIXTURE_DEPTH`` mixtures,
-    itself included: ``depth`` is 1 plus its deepest component's.
+    and each component's own raw buffers, which the first fill makes: sized
+    by its picks if it covers every pair, else for every pair.  A fill of k
+    pairs draws k picks, then appends each picked component's sub-batch.
+    The transform runs once per component over all its pairs and scatters
+    them to the positions that picked it: pairs fill in position order, so
+    a component's j-th pair goes to its j-th pick.  A moment about a point
+    is the weighted sum of the components' moments about it; central ones
+    centre each part at the mixture's mean.  A mixture nests at most
+    ``_MAX_MIXTURE_DEPTH`` mixtures, itself included: ``depth`` is 1 plus
+    its deepest component's.
     """
 
     kind = "mixture"
@@ -400,21 +406,17 @@ class MixtureLaw(BivariateLaw):
         return [np.empty(size, dtype=np.intp), [0] * len(self.components), None]
 
     def _fill_block(self, rngs, raw, n):
-        rngs = list(rngs)  # each row's generator, held from its picks to its fills
-        for rng, row in zip(rngs, raw[0].reshape(len(rngs), n)):
-            row[:] = self._cut.searchsorted(rng.random(n), side="right")
-        counts = np.bincount(raw[0], minlength=len(self.components)).tolist()
-        raw[2] = [comp._raw_buffers(k) for comp, k in zip(self.components, counts)]
-        for row, rng in enumerate(rngs):
-            self._fill(rng, raw, row * n, n, picked=True)
+        for r, rng in enumerate(rngs):
+            self._fill(rng, raw, r * n, n)
 
-    def _fill(self, rng, raw, at, k, picked=False):
+    def _fill(self, rng, raw, at, k):
         picks, filled, parts = raw
         row = picks[at:at + k]
-        if not picked:  # as a component: picks come fill by fill, parts hold every pair
-            row[:] = self._cut.searchsorted(rng.random(k), side="right")
-            parts = raw[2] = parts or [comp._raw_buffers(picks.size) for comp in self.components]
+        row[:] = self._cut.searchsorted(rng.random(k), side="right")
         counts = np.bincount(row, minlength=len(self.components)).tolist()
+        if parts is None:  # later fills' picks are not drawn yet: exact sizes only for a lone fill
+            parts = raw[2] = [comp._raw_buffers(c if k == picks.size else picks.size)
+                              for comp, c in zip(self.components, counts)]
         for c, comp in enumerate(self.components):
             if counts[c]:
                 comp._fill(rng, parts[c], filled[c], counts[c])
@@ -509,16 +511,13 @@ class DiscreteLaw(BivariateLaw):
     def _weighted_mean(self, vals: np.ndarray,
                        label: Callable[[], str] = lambda: "moment") -> float:
         """sum_i w_i vals_i; ``label()`` names the values if one is not finite."""
-        # One reduction, which raises no floating-point warning.  The weights
-        # are positive and finite, so a non-finite value always makes the
-        # total non-finite, and only then are the values scanned.
+        # One reduction, with no floating-point warning.  The weights are positive
+        # and finite, so a non-finite value makes the total non-finite; only then
+        # are the values scanned.  Finite values whose sum overflows give its inf.
         total = float(np.vdot(self.atom_weights, vals))
-        if math.isfinite(total):
-            return total
-        if not np.all(np.isfinite(vals)):
+        if not math.isfinite(total) and not np.all(np.isfinite(vals)):
             raise MomentError(f"{_MOMENT_DIVERGES} ({label()}: non-finite at an atom)")
-        # finite values whose sum overflows: the same inf, with matmul's warning
-        return float(self.atom_weights @ vals)
+        return total
 
     def _central_moments(self) -> BivariateMoments:
         return central_moments(self._weighted_mean, self.atom_xs, self.atom_ys)

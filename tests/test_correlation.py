@@ -40,6 +40,10 @@ def test_moments_reject_jensen_violation():
     # m40 < var_x^2 is impossible for any law
     with pytest.raises(ec.MomentError, match="inconsistent moment set"):
         BivariateMoments(0, 0, 2.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 3.0)
+    # the slack is relative 1e-9: a shortfall of 1e-7 is refused, one of 1e-10 is rounding
+    with pytest.raises(ec.MomentError, match="inconsistent moment set: m40"):
+        BivariateMoments(0, 0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0 - 1e-7, 3.0)
+    BivariateMoments(0, 0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0 - 1e-10, 3.0)
 
 
 def test_moments_reject_negative_m22():

@@ -18,7 +18,7 @@ import scipy.stats as sps
 
 import empcalc as ec
 from empcalc.laws import MARGINALS, get_marginal
-from empcalc.streams import derive_rng
+from empcalc.streams import BlockStreams, derive_rng
 
 
 # ------------------------------------------------------------- marginals
@@ -174,6 +174,27 @@ def test_a_large_mixture_sample_sizes_each_components_buffers_by_its_picks():
     finally:
         tracemalloc.stop()
     assert peak <= 50 * n
+
+
+def test_a_mixture_block_holds_one_rows_generator_at_a_time():
+    # at n = 2 a generator outweighs its row's pairs: a fill that held every
+    # row's generator from its picks to its fills peaked at about 13 MB
+    flat = ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw("uniform_std", "exponential_std")],
+                         [0.6, 0.4])
+    nested = ec.MixtureLaw([ec.GaussianLaw(0.8),
+                            ec.MixtureLaw([ec.IndependentLaw("rademacher", "uniform_std"),
+                                           ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
+                                          [0.5, 0.5])],
+                           [0.6, 0.4])
+    for law in (flat, nested):
+        streams = BlockStreams(3, (), 0, 16384)
+        tracemalloc.start()
+        try:
+            law.draw_block(streams, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, law.describe()
 
 
 def test_an_adopted_sample_is_checked_as_a_new_one_is():
@@ -433,6 +454,15 @@ def test_gaussian_rejects_affine_rho():
         with pytest.raises(ec.AffineDependenceError):
             ec.GaussianLaw(rho)
     ec.GaussianLaw(0.999)  # still admissible
+    ec.GaussianLaw(1.0 - 1e-10)  # as is a rho 100 times the tolerance from 1
+
+
+def test_gaussian_rejects_a_rho_that_is_not_finite():
+    for rho, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ec.InputFormatError, match=f"^gaussian rho must be finite, got {text}$"):
+            ec.GaussianLaw(rho)
+    with pytest.raises(ec.InputFormatError, match="^gaussian rho must be finite, got nan$"):
+        ec.law_from_spec({"kind": "gaussian", "rho": math.nan})
 
 
 def test_gaussian_sample_statistics():
@@ -562,6 +592,15 @@ def test_sample_rejects_fewer_than_two_pairs_before_drawing(n):
         ec.GaussianLaw(0.5).sample(n, rng)
     # no draw was made: the stream is where a fresh one starts
     assert rng.random() == derive_rng(3).random()
+
+
+def test_sample_takes_its_n_as_an_integer():
+    law = ec.GaussianLaw(0.5)
+    for n in (5.9, "5", 5.0):
+        with pytest.raises(ec.InputFormatError, match=f"^n must be an integer, got {n!r}$"):
+            law.sample(n, derive_rng(3))
+    s = law.sample(np.int64(5), derive_rng(3))
+    assert s.n == 5 and np.array_equal(s.xs, law.sample(5, derive_rng(3)).xs)
 
 
 # ------------------------------------------------------------ DiscreteLaw
