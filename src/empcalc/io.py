@@ -17,17 +17,16 @@ gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
 Reading is done in one pass; bytes that are not UTF-8 are an error.  One
 U+FEFF byte-order mark at the start of the first line is ignored, for
 paths and file objects alike; anywhere else it is a non-numeric cell.  A
-row parser (the csv module, one row at a
-time) reads up to and including the first data row, which settles the
-header.  The rest is read in blocks of whole lines, about 1 MiB each, and
-np.loadtxt parses each block.  A block that np.loadtxt rejects, or that
-does not give two columns, goes to the row parser, and the next block
-goes to np.loadtxt again.  Such blocks hold quoted cells, whitespace-only
-or comma-only lines, wrong column counts, non-numeric cells, carriage
-returns that do not end a line, or tokens such as ``1_0`` that float()
-accepts and np.loadtxt does not.  The values, and every error
-with its 1-based physical line number, are the same as if the row parser
-had read the whole input.
+row parser (the csv module, one row at a time) reads up to and including
+the first data row, which settles the header.  The rest is read in blocks
+of whole lines, about 1 MiB each, and np.loadtxt parses each block's lines
+as the file object split them.  A block that np.loadtxt rejects, or that
+does not give two columns, goes to the row parser, and the next block goes
+to np.loadtxt again: blocks with quoted cells, blank, whitespace-only or
+comma-only lines, wrong column counts, non-numeric cells, a carriage return
+or newline inside a line, or tokens such as ``1_0``.  The values, and every
+error with its 1-based physical line number (also for a record the csv
+module refuses), are those of the row parser reading the whole input.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import csv
 import io as _io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -58,11 +56,6 @@ _BOM = "\ufeff"
 # Rows formatted by one %-operation and written by one write() call.
 _WRITE_ROWS = 8192
 _ROW_FORMAT = "%.17g,%.17g\n"
-
-# A carriage return with more text after it on the same line, or a bare
-# carriage return ending a line.  np.loadtxt may split such text into
-# lines differently from the row parser, so it is left to the row parser.
-_INNER_CR = re.compile(r"\r[^\r\n]")
 
 
 def read_paired_csv(source: PathOrFile) -> PairedSample:
@@ -106,23 +99,17 @@ def _parse(fh) -> PairedSample:
 
 
 def _load_block(block: list[str]):
-    """The (k, 2) values of a block of lines, or None if the row parser must take it.
+    """The (k, 2) values of the lines as read, or None if the row parser must take them.
 
-    An empty result means the block held only blank lines.
+    np.loadtxt refuses a line with a carriage return or newline before its end.
     """
-    text = "".join(block)
-    if "\r" in text and _INNER_CR.search(text):
-        return None
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            values = np.loadtxt(_io.StringIO(text), delimiter=",", comments=None,
-                                ndmin=2)
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
-    if values.size == 0:
-        return values.reshape(0, 2)
     return values if values.shape[1] == 2 else None
 
 
@@ -133,47 +120,50 @@ def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
     Blank rows are skipped.  With ``header_allowed`` the first non-blank
     row is skipped if both of its cells are non-numeric, and reading ends
     after the first data row.  Otherwise reading ends with the record that
-    reaches line ``stop``, or at the end of ``lines``.  Error line numbers
-    count from ``line_offset``.
+    reaches line ``stop``, or at the end of ``lines``.  Error line numbers,
+    also those of a record the csv module refuses, count from ``line_offset``.
     """
     xs: list[float] = []
     ys: list[float] = []
     first_row_only = header_allowed
     reader = csv.reader(lines)
-    for row in reader:
-        try:
-            x, y = row
-            x = float(x)
-            y = float(y)
-        except ValueError:
-            # Parse the row again with its cells stripped, as float() does
-            # not strip every character that str.strip() does.  This path
-            # also settles blank rows, the header row and errors.
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                x = None
-            else:
-                line = line_offset + reader.line_num
-                if len(cells) != 2:
-                    raise InputFormatError(
-                        f"line {line}: expected 2 columns, got {len(cells)}") from None
-                try:
-                    x = float(cells[0])
-                    y = float(cells[1])
-                except ValueError:
-                    bad = [c for c in cells if not _is_number(c)]
-                    if not (header_allowed and len(bad) == 2):
-                        raise InputFormatError(
-                            f"line {line}: non-numeric value {bad[0]!r}") from None
+    try:
+        for row in reader:
+            try:
+                x, y = row
+                x = float(x)
+                y = float(y)
+            except ValueError:
+                # Parse the row again with its cells stripped, as float() does
+                # not strip every character that str.strip() does.  This path
+                # also settles blank rows, the header row and errors.
+                cells = [c.strip() for c in row]
+                if not any(cells):
                     x = None
-                header_allowed = False
-        if x is not None:
-            xs.append(x)
-            ys.append(y)
-            if first_row_only:
+                else:
+                    line = line_offset + reader.line_num
+                    if len(cells) != 2:
+                        raise InputFormatError(
+                            f"line {line}: expected 2 columns, got {len(cells)}") from None
+                    try:
+                        x = float(cells[0])
+                        y = float(cells[1])
+                    except ValueError:
+                        bad = [c for c in cells if not _is_number(c)]
+                        if not (header_allowed and len(bad) == 2):
+                            raise InputFormatError(
+                                f"line {line}: non-numeric value {bad[0]!r}") from None
+                        x = None
+                    header_allowed = False
+            if x is not None:
+                xs.append(x)
+                ys.append(y)
+                if first_row_only:
+                    break
+            if reader.line_num >= stop:
                 break
-        if reader.line_num >= stop:
-            break
+    except csv.Error as exc:
+        raise InputFormatError(f"line {line_offset + reader.line_num}: {exc}") from None
     return xs, ys, reader.line_num
 
 

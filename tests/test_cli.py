@@ -135,6 +135,11 @@ def test_estimate_reports_bad_line_number(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error: line 3: non-numeric value 'oops'" in err
+    # a record the csv module refuses is an input error with its line too
+    path = write_csv(tmp_path, "x,y\n1,2\n" + "a" * 200_000 + ",1\n3,4\n5,6\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: field larger than field limit (131072)\n"
 
 
 def test_estimate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):

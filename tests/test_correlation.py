@@ -44,6 +44,9 @@ def test_moments_reject_jensen_violation():
     with pytest.raises(ec.MomentError, match="inconsistent moment set: m40"):
         BivariateMoments(0, 0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0 - 1e-7, 3.0)
     BivariateMoments(0, 0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0 - 1e-10, 3.0)
+    # m04 < var_y^2 likewise
+    with pytest.raises(ec.MomentError, match=r"^inconsistent moment set: m04 = 1 < var_y\^2 = 1$"):
+        BivariateMoments(0, 0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0 - 1e-7)
 
 
 def test_moments_reject_negative_m22():
@@ -280,6 +283,13 @@ def test_sigma_squared_gaussian_closed_form_grid():
 def test_sigma_squared_affine_case_excluded():
     m = BivariateMoments(0, 0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 3.0, 3.0)
     with pytest.raises(ec.AffineDependenceError, match="affine dependence"):
+        ec.sigma_squared(m)
+
+
+def test_sigma_squared_rejects_a_negative_value():
+    # each moment passes its own check, but together they give sigma^2 < 0
+    m = BivariateMoments(0, 0, 1.0, 1.0, 0.9, 0.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ec.MomentError, match=r"^inconsistent moment set: sigma\^2 = -1\.395 < 0$"):
         ec.sigma_squared(m)
 
 

@@ -50,6 +50,8 @@ def test_gn_eval_nonfinite_evaluation_message():
     with np.errstate(divide="ignore"):
         with pytest.raises(ec.EvaluationError, match="non-finite evaluation"):
             ec.gn_eval(s, f, 0.0)
+    with pytest.raises(ec.EvaluationError, match=r"^non-finite mean for pi1$"):
+        ec.gn_eval(s, ec.pi1, float("nan"))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -179,6 +181,8 @@ def test_gamma_matrix_single_function():
     m = ec.gamma_matrix([ec.pi1], ec.GaussianLaw(0.2))
     np.testing.assert_allclose(m.entries, [[1.0]], rtol=1e-14)
     assert m.labels == ("pi1",)
+    with pytest.raises(ec.MomentError, match=r"^gamma_matrix needs at least one function$"):
+        ec.gamma_matrix([], ec.GaussianLaw(0.2))
 
 
 def test_gamma_matrix_duplicated_function_is_rank_one():
@@ -557,6 +561,14 @@ def test_sampling_gamma_matrix_memory_does_not_grow_with_the_budget():
 def test_covariance_matrix_rejects_asymmetry():
     with pytest.raises(ec.MomentError, match="asymmetric"):
         CovarianceMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), ("a", "b"))
+
+
+def test_covariance_matrix_rejects_a_wrong_shape_or_label_count():
+    with pytest.raises(ec.MomentError,
+                       match=r"^covariance matrix must be square, got shape \(2, 3\)$"):
+        CovarianceMatrix(np.zeros((2, 3)), ("a", "b"))
+    with pytest.raises(ec.MomentError, match=r"^label count does not match matrix size$"):
+        CovarianceMatrix(np.eye(2), ("a",))
 
 
 def test_covariance_matrix_rejects_negative_eigenvalue():

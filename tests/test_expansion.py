@@ -157,6 +157,13 @@ def test_value_must_be_finite():
         AsymptoticExpansion(float("nan"), ec.pi1)
     with pytest.raises(ec.ExpansionError):
         AsymptoticExpansion(float("inf"), ec.pi1)
+    with pytest.raises(ec.ExpansionError, match=r"^non-finite mean for pi1: nan$"):
+        from_mean(ec.pi1, float("nan"))
+
+
+def test_influence_must_be_a_stat_function():
+    with pytest.raises(ec.ExpansionError, match=r"^influence must be a StatFunction$"):
+        AsymptoticExpansion(0.0, "h")
 
 
 def test_operator_sugar_matches_combinators():
@@ -171,6 +178,12 @@ def test_operator_sugar_matches_combinators():
         np.testing.assert_allclose(
             infl_values(via_op, GRID), infl_values(via_fn, GRID), rtol=1e-15
         )
+    # a number on either side is a constant expansion: only the value moves
+    e = from_mean(ec.pi1, 0.0)
+    law = ec.GaussianLaw(0.5)
+    for via_op, value in [(2.0 - e, 2.0), (e + 1.0, 1.0), (1.0 + e, 1.0)]:
+        assert via_op.value == value
+        assert ec.asymptotic_variance(via_op, law) == pytest.approx(1.0, rel=1e-14)
 
 
 means = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)

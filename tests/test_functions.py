@@ -57,6 +57,8 @@ def test_arithmetic_on_functions():
     assert (ec.pi1 + 1.0)(3.0, 0.0) == 4.0
     assert (1.0 - ec.pi1)(3.0, 0.0) == -2.0
     assert (-ec.pi1)(3.0, 0.0) == -3.0
+    half = ec.pi1 / 2
+    assert (half.label, half.poly) == ("0.5*pi1", {(1, 0): 0.5})
 
 
 def test_power_of_projection():

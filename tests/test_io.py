@@ -124,25 +124,28 @@ def reference_row_parser(fh):
     xs, ys = [], []
     header_allowed = True
     reader = csv.reader(fh)
-    for row in reader:
-        line = reader.line_num
-        cells = [c.strip() for c in row]
-        if not any(cells):
-            continue
-        if len(cells) != 2:
-            raise ec.InputFormatError(f"line {line}: expected 2 columns, got {len(cells)}")
-        try:
-            x = float(cells[0])
-            y = float(cells[1])
-        except ValueError:
-            bad = cells[0] if not _is_number(cells[0]) else cells[1]
-            if header_allowed and not (_is_number(cells[0]) or _is_number(cells[1])):
-                header_allowed = False
+    try:
+        for row in reader:
+            line = reader.line_num
+            cells = [c.strip() for c in row]
+            if not any(cells):
                 continue
-            raise ec.InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
-        header_allowed = False
-        xs.append(x)
-        ys.append(y)
+            if len(cells) != 2:
+                raise ec.InputFormatError(f"line {line}: expected 2 columns, got {len(cells)}")
+            try:
+                x = float(cells[0])
+                y = float(cells[1])
+            except ValueError:
+                bad = cells[0] if not _is_number(cells[0]) else cells[1]
+                if header_allowed and not (_is_number(cells[0]) or _is_number(cells[1])):
+                    header_allowed = False
+                    continue
+                raise ec.InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
+            header_allowed = False
+            xs.append(x)
+            ys.append(y)
+    except csv.Error as exc:
+        raise ec.InputFormatError(f"line {reader.line_num}: {exc}") from None
     if len(xs) < 2:
         raise ec.InputFormatError(f"need at least 2 data rows, got {len(xs)}")
     return ec.PairedSample(xs, ys)
@@ -160,7 +163,7 @@ def outcome(read, text, newline):
     """The parsed values as bytes, or the error type and message."""
     try:
         s = read(io.StringIO(text, newline=newline))
-    except (ec.InputFormatError, csv.Error) as exc:
+    except ec.InputFormatError as exc:
         return type(exc), str(exc)
     return s.xs.tobytes(), s.ys.tobytes()
 
@@ -198,12 +201,14 @@ def csv_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(csv_texts(), st.sampled_from([1, 7, 40, 200]), st.sampled_from(["\n", ""]))
+@given(csv_texts(), st.sampled_from([1, 7, 40, 200]),
+       st.sampled_from(["\n", "", None, "\r\n", "\r"]))
 def test_block_reader_matches_row_parser(text, block_chars, newline):
-    """Values, or the error and its line number, equal the row parser's for any block size.
+    r"""Values, or the error and its line number, equal the row parser's for any block size.
 
-    ``newline=""`` splits lines as a file opened by path does, the default as
-    io.StringIO does.
+    ``newline=""`` splits lines as a file opened by path does, ``"\n"`` as
+    io.StringIO does by default, ``None`` as a text file that translates
+    line ends does, and ``"\r\n"`` and ``"\r"`` only at those ends.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ec_io, "_BLOCK_CHARS", block_chars)
@@ -263,6 +268,16 @@ def test_read_unseekable_stream_reports_line_past_first_block(monkeypatch):
     with pytest.raises(ec.InputFormatError, match=r"^line 61: non-numeric value 'oops'$"):
         ec.read_paired_csv(stream)
 
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("x,y\n1,2\n3,4\r5,6\n", "new-line character seen in unquoted field"),
+    ("x,y\n1,2\n" + "a" * 200_000 + ",1\n3,4\n", "field larger than field limit (131072)"),
+], ids=["carriage return inside a line", "cell over the field limit"])
+def test_read_a_record_the_csv_module_refuses_is_an_input_error(text, reason):
+    # a StringIO splits lines only at \n, so the first text's line 3 holds a carriage return
+    with pytest.raises(ec.InputFormatError, match=rf"^line 3: {re.escape(reason)}"):
+        parse(text)
 
 
 def test_quoted_record_across_block_end(monkeypatch):

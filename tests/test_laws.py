@@ -395,6 +395,13 @@ def test_mixture_integrates_on_the_weighted_union_of_its_components_rules():
     assert np.abs(m.entries - want).max() <= 1e-12
     assert [law.expectation(f) for f in fs[2:]] == pytest.approx(mean[2:], abs=1e-12)
     assert [r.atom_xs.size for r in law._gauss_rules] == [2 * 48 ** 2, 2 * 96 ** 2]
+    # a discrete component's rule is its own atoms
+    xs, weights = [0.1, 1.3, -0.7], [0.2, 0.3, 0.5]
+    law = ec.MixtureLaw([ec.DiscreteLaw(xs, [1.0, -0.4, 0.3], weights), ec.GaussianLaw(0.5)],
+                        [0.4, 0.6])
+    want = 0.4 * sum(w * math.cos(x) for x, w in zip(xs, weights)) + 0.6 * math.exp(-0.5)
+    assert law.expectation(COS_PI1) == pytest.approx(want, abs=1e-15)
+    assert ec.gamma_matrix([ec.pi1, COS_PI1], law).method == "quadrature"
 
 
 def test_a_rule_drops_the_atoms_whose_weight_underflows():
