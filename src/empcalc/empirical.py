@@ -159,6 +159,12 @@ def _poly_about(poly, to: tuple[float, float], at: tuple[float, float] = (0.0, 0
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def _check_exponents(i, j) -> None:
+    """A MomentError naming (i, j) unless both are integers >= 0."""
+    if not (hasattr(i, "__index__") and hasattr(j, "__index__") and i >= 0 and j >= 0):
+        raise MomentError(f"moment ({i},{j}): exponents must be integers >= 0")
+
+
 def _coefficients(fs: Sequence[StatFunction], at: tuple[float, float]) -> tuple[list, np.ndarray]:
     """The non-constant monomials of ``fs`` about ``at`` in order of first
     appearance, and C, their coefficients, a row per function."""
@@ -200,6 +206,7 @@ class PolynomialMomentOracle(MomentOracle):
         """E[(X - px)^i (Y - py)^j]: ``raw_moment`` over the terms of the binomial shift."""
         if not (px or py):
             return self.raw_moment(i, j)
+        _check_exponents(i, j)
         terms = _poly_about({(i, j): 1.0}, (0.0, 0.0), (px, py))
         return sum(c * self.raw_moment(a, b) for (a, b), c in terms.items())
 

@@ -25,13 +25,13 @@ to CPU-specific SIMD code.
 
 Every law draws in two parts, one for the stream and one for the
 arithmetic.  The raw fill takes row r's values from generator r, in the
-order a single sample takes them, into the law's raw buffers: a leaf law
-looks up its ``methods`` on Generator once per block, then in one loop
-over the rows fills n values of each into the row's view of its buffer;
-a mixture, row by row, draws n pick-uniforms, then fills each picked
-component's buffers in declaration order.  The transform then maps the
-whole block to (xs, ys) at once: :meth:`BivariateLaw.draw_block`, of
-which :meth:`BivariateLaw.sample` is the one-row case.
+order a single sample takes them, into the law's raw buffers: one
+``_fill`` per row, the row's n pairs from its generator alone.  A leaf
+law fills n values of each of its ``methods`` in turn; a mixture draws
+n pick-uniforms, then fills each picked component's buffers in
+declaration order.  The transform then maps the whole block to (xs, ys)
+at once: :meth:`BivariateLaw.draw_block`, of which
+:meth:`BivariateLaw.sample` is the one-row case.
 
 The four named marginals are pre-standardized to mean 0, variance 1:
 
@@ -54,7 +54,7 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from .correlation import AFFINE_RHO_TOL, BivariateMoments, central_moments, corrected_mean
-from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle
+from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle, _check_exponents
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
@@ -176,8 +176,8 @@ class BivariateLaw(PolynomialMomentOracle):
     Sampling is split into a raw fill and a transform.  A leaf law names
     in ``methods`` the Generator methods one pair consumes, in stream
     order, and implements ``transform``; the default raw buffers, one row
-    per method, and fills serve it.  A composite law overrides them all:
-    ``_raw_buffers``, ``_fill_block``, ``_fill``.  Subclasses implement
+    per method, and ``_fill`` serve it.  A composite law overrides both
+    ``_raw_buffers`` and ``_fill``.  Subclasses implement
     ``raw_moment`` or ``moment_about``, and ``_rule``; one whose mean is not
     0 overrides :meth:`mean`.
     """
@@ -191,16 +191,17 @@ class BivariateLaw(PolynomialMomentOracle):
         pairs drawn from rngs[r] alone, in the order a single sample takes.
         Both arrays are the caller's own, to overwrite if it likes.
 
-        One raw fill, :meth:`_fill_block`, iterates the sized ``rngs``
-        once, in row order: the Monte Carlo experiments pass a slice of the
-        :class:`~empcalc.streams.BlockStreams` hashed once for the whole
-        run, which builds each row's generator only when its row is
-        reached.  One transform follows.  The experiments check the
+        The raw fill iterates the sized ``rngs`` once, in row order, one
+        :meth:`_fill` of n pairs per row: the Monte Carlo experiments pass
+        a slice of the :class:`~empcalc.streams.BlockStreams` hashed once
+        for the whole run, which builds each row's generator only when its
+        row is reached.  One transform follows.  The experiments check the
         returned rows for non-finite draws through the row sums.
         """
         rows = len(rngs)
         raw = self._raw_buffers(rows * n)
-        self._fill_block(rngs, raw, n)
+        for r, rng in enumerate(rngs):
+            self._fill(rng, raw, r * n, n)
         xs, ys = self.transform(raw, rows * n)
         return xs.reshape(rows, n), ys.reshape(rows, n)
 
@@ -208,18 +209,12 @@ class BivariateLaw(PolynomialMomentOracle):
         """Raw buffers for up to ``size`` pairs."""
         return np.empty((len(self.methods), size))
 
-    def _fill_block(self, rngs: Collection[np.random.Generator], raw, n: int) -> None:
-        """Fill row r of ``raw``, pairs r*n..(r+1)*n-1, from rngs[r], in one loop."""
-        fills = [getattr(np.random.Generator, method) for method in self.methods]
-        for rng, *row in zip(rngs, *(buf.reshape(len(rngs), n) for buf in raw)):
-            for fill, out in zip(fills, row):
-                fill(rng, out=out)
-
     def _fill(self, rng: np.random.Generator, raw, at: int, k: int) -> None:
-        """Fill pairs at..at+k-1 of ``raw`` from ``rng``, as a mixture
-        component: k values of each of ``methods`` in turn."""
-        for method, buf in zip(self.methods, raw):
-            getattr(rng, method)(out=buf[at:at + k])
+        """Fill pairs at..at+k-1 of ``raw`` from ``rng`` alone: a row of a
+        block, or a mixture component's share of one; k values of each of
+        ``methods`` in turn."""
+        for m, method in enumerate(self.methods):
+            getattr(rng, method)(out=raw[m, at:at + k])
 
     @abstractmethod
     def transform(self, raw, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +292,7 @@ class GaussianLaw(BivariateLaw):
     def raw_moment(self, i: int, j: int) -> float:
         """M(i, j): fills every missing M(a, b), a <= i and b <= j, b by b
         then a by a, so both operands of an entry are in the memo before it."""
-        if i < 0 or j < 0:
-            return 0.0
+        _check_exponents(i, j)
         memo = self._memo
         if (i, j) not in memo:
             get, rho = memo.get, self.rho_param
@@ -336,6 +330,7 @@ class IndependentLaw(BivariateLaw):
                 self.marginal_y.transform(raw[1, :size]))
 
     def raw_moment(self, i: int, j: int) -> float:
+        _check_exponents(i, j)
         if (i, j) not in self._memo:
             self._memo[i, j] = self.marginal_x.raw_moment(i) * self.marginal_y.raw_moment(j)
         return self._memo[i, j]
@@ -404,10 +399,6 @@ class MixtureLaw(BivariateLaw):
 
     def _raw_buffers(self, size):
         return [np.empty(size, dtype=np.intp), [0] * len(self.components), None]
-
-    def _fill_block(self, rngs, raw, n):
-        for r, rng in enumerate(rngs):
-            self._fill(rng, raw, r * n, n)
 
     def _fill(self, rng, raw, at, k):
         picks, filled, parts = raw

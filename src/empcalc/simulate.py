@@ -55,7 +55,7 @@ from .errors import (DegenerateSampleError, EmpcalcError, EvaluationError,
 from .functions import StatFunction
 from .io import CheckResult, Report
 from .laws import BivariateLaw
-from .streams import BlockStreams
+from .streams import MAX_STREAMS, BlockStreams
 
 DEFAULT_VARIANCE_RTOL = 0.10
 DEFAULT_KS_TOL = 0.03
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise InputFormatError(f"n ≥ 2 required, got {self.n}")
         if self.reps < 100:
             raise InputFormatError(f"reps ≥ 100 required, got {self.reps}")
+        if self.reps > MAX_STREAMS:
+            raise InputFormatError(f"reps ≤ 2**32 required, got {self.reps}")
         if self.seed < 0:
             raise InputFormatError(f"seed must be >= 0, got {self.seed}")
 
@@ -128,7 +130,7 @@ def _replicates(cfg: ExperimentConfig, reduce: Callable, explain: Callable) -> n
     first it rejects, or a failed row it accepts, fails the run.  An
     EmpcalcError from ``reduce`` is charged to the block's first replicate.
     """
-    streams = BlockStreams(cfg.seed, (), 0, cfg.reps)
+    streams = BlockStreams(cfg.seed, cfg.reps)
     rows = max(1, _BLOCK_ELEMENTS // cfg.n)
     out = []
     for lo in range(0, cfg.reps, rows):

@@ -9,16 +9,17 @@ The stream named by (seed, key) is numpy's: the PCG64 generator that
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``
 builds.  The package reproduces SeedSequence's hash (pool size 4) itself,
 in fixed 32-bit arithmetic that runs on Python integers for one stream
-and on uint32 arrays for a block of streams whose keys differ only in
-the last element; the tests check it against numpy's SeedSequence.
-The hash state after a seed's own words is cached per seed, so a stream
-or a block hashes only its key words and the output.  PCG64 takes the
-four hashed 64-bit words from an ``ISeedSequence`` subclass, made on the
-first draw, and applies its own seeding step; a block of streams
-(:class:`BlockStreams`) keeps only those words, 32 bytes per stream, and
-builds each row's generator only when its row is reached.  A Monte Carlo
-run hashes the streams of all its replicates once, as one block, and
-each block of replicates draws from a slice of it, a view of its words.
+and on uint32 arrays for the replicate streams of a run, whose keys are
+their row indices, one uint32 word each; the tests check it against
+numpy's SeedSequence.  The hash state after a seed's own words is cached
+per seed, so a stream or a block hashes only its key words and the
+output.  PCG64 takes the four hashed 64-bit words from an
+``ISeedSequence`` subclass, made on the first draw, and applies its own
+seeding step; a block of streams (:class:`BlockStreams`) keeps only those
+words, 32 bytes per stream, and builds each row's generator only when its
+row is reached.  A Monte Carlo run hashes the streams of all its
+replicates once, as one block, and each block of replicates draws from a
+slice of it, a view of its words.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 # streams hashed per pass: the hash's temporaries take about 100 bytes per
 # stream, so a long block is hashed in pieces of this many rows
 _HASH_ROWS = 1 << 16
+# streams a block holds: a row's key is one uint32 word, which past 2^32 - 1 wraps to 0
+MAX_STREAMS = 1 << 32
 
 
 def _words(value: int) -> list[int]:
@@ -165,31 +168,27 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class BlockStreams:
-    """The generators ``derive_rng(seed, *key, i)`` for i in lo..hi-1.
+    """The generators ``derive_rng(seed, i)`` for i in 0..reps-1.
 
-    Their seed words are hashed as one block, in passes of at most
-    ``_HASH_ROWS`` keys of one uint32 width, so a block crossing 2^32 takes
-    two passes at least.  The block keeps four uint64 words, 32 bytes, per
-    row.  ``len`` is the row count.  Iteration yields each row's generator
-    in row order, built only when reached, so a block holds one generator
-    at a time; every iteration starts the streams afresh.  A slice is the
-    block of the rows it names, a view of these words with nothing hashed
-    again: rows lo..hi-1 of ``BlockStreams(seed, key, 0, reps)`` are
-    ``BlockStreams(seed, key, lo, hi)``.
+    Their seed words are hashed as one block, each row's index one uint32
+    key word, in passes of at most ``_HASH_ROWS`` rows; so a block holds at
+    most 2^32 rows, and ``reps`` outside 0..2^32 is a ValueError.  The block
+    keeps four uint64 words, 32 bytes, per row.  ``len`` is the row count.
+    Iteration yields each row's generator in row order, built only when
+    reached, so a block holds one generator at a time; every iteration
+    starts the streams afresh.  A slice is the block of the rows it names,
+    a view of these words with nothing hashed again.
     """
 
     __slots__ = ("_words",)
 
-    def __init__(self, seed: int, key: tuple, lo: int, hi: int):
-        self._words = np.empty((max(hi - lo, 0), 4), dtype=np.uint64)
-        at = 0
-        while lo < hi:
-            width = len(_words(lo))
-            end = min(hi, 1 << (32 * width), lo + _HASH_ROWS)
-            index = np.arange(lo, end, dtype=np.uint64 if end <= 1 << 64 else object)
-            last = [((index >> (32 * j)) & _M32).astype(np.uint32) for j in range(width)]
-            self._words[at:at + end - lo] = _generate_state(seed, key, last)
-            at, lo = at + end - lo, end
+    def __init__(self, seed: int, reps: int):
+        if not 0 <= reps <= MAX_STREAMS:
+            raise ValueError(f"a block holds 0 to 2**32 streams, got {reps}")
+        self._words = np.empty((reps, 4), dtype=np.uint64)
+        for lo in range(0, reps, _HASH_ROWS):
+            index = np.arange(lo, min(reps, lo + _HASH_ROWS), dtype=np.uint32)
+            self._words[lo:lo + index.size] = _generate_state(seed, (), [index])
 
     def __len__(self) -> int:
         return len(self._words)

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -210,6 +211,13 @@ def test_variance_gaussian_requires_rho(capsys):
     assert "--rho" in err
 
 
+def test_variance_independent_requires_both_marginals(capsys):
+    code, out, err = run_cli(capsys, "variance", "--law", "independent", "--mx", "uniform_std")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --law independent requires --mx and --my\n"
+
+
 def test_variance_mixture_via_law_json(capsys):
     spec = json.dumps({
         "kind": "mixture",
@@ -315,13 +323,30 @@ def test_simulate_rejects_negative_seed(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "lemma1"])
 def test_a_run_too_large_to_allocate_is_a_usage_error(capsys, command):
-    # the stream table for 1e15 replicates asks for 28.4 PiB: numpy refuses
+    # one replicate of 1e15 pairs asks for 14.2 PiB of raw draws: numpy refuses
     # the allocation at once, and the CLI reports it as one error line
     code, out, err = run_cli(capsys, command, "--law", "gaussian", "--rho", "0.5",
-                             "--n", "100", "--reps", "1000000000000000", "--seed", "1")
+                             "--n", "1000000000000000", "--reps", "100", "--seed", "1")
     assert code == 2
     assert out == ""
-    assert re.fullmatch(r"error: Unable to allocate [^\n]*\n", err), err
+    assert re.fullmatch(r"error: Unable to allocate 14\.2 PiB [^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "lemma1"])
+def test_more_replicates_than_stream_keys_is_a_usage_error(capsys, command):
+    # a replicate's stream key is one uint32 word: the bound is checked
+    # before the stream table of 4294967297 rows, 128 GiB, is asked for
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, "--law", "gaussian", "--rho", "0.5",
+                                 "--n", "100", "--reps", "4294967297")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert code == 2
+    assert out == ""
+    assert err == "error: reps ≤ 2**32 required, got 4294967297\n"
 
 
 def test_simulate_failed_check_exits_one(capsys):

@@ -187,7 +187,7 @@ def test_a_mixture_block_holds_one_rows_generator_at_a_time():
                                           [0.5, 0.5])],
                            [0.6, 0.4])
     for law in (flat, nested):
-        streams = BlockStreams(3, (), 0, 16384)
+        streams = BlockStreams(3, 16384)
         tracemalloc.start()
         try:
             law.draw_block(streams, 2)
@@ -295,6 +295,34 @@ def test_gaussian_raw_moment_matches_recursive_memo():
         key: value.hex() for key, value in memo.items()}
     # every other entry of the table is the recursion's value too
     assert all(law._memo[key].hex() == recursive(*key).hex() for key in list(law._memo))
+
+
+_EXPONENT_LAWS = {
+    "gaussian": ec.GaussianLaw(0.5),
+    "independent": ec.IndependentLaw("exponential_std", "uniform_std"),
+    "mixture": ec.MixtureLaw([ec.GaussianLaw(0.5),
+                              ec.IndependentLaw("exponential_std", "uniform_std")], [0.5, 0.5]),
+    "mixture_with_discrete": ec.MixtureLaw([ec.GaussianLaw(0.5),
+                                            ec.DiscreteLaw([1.0, 2.0], [1.0, 1.0], [0.5, 0.5])],
+                                           [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("law", _EXPONENT_LAWS.values(), ids=_EXPONENT_LAWS.keys())
+def test_a_negative_or_fractional_exponent_is_a_moment_error(law):
+    # these gave 0.0, 1.0 (the subfactorial of -1), 0.5, the int 0 from an
+    # empty binomial shift, and a bare TypeError
+    for call, key in ((lambda: law.raw_moment(-1, 0), "-1,0"),
+                      (lambda: law.raw_moment(0, -2), "0,-2"),
+                      (lambda: law.raw_moment(1.5, 0), "1.5,0"),
+                      (lambda: law.moment_about(-1, 0, 1.0, 0.0), "-1,0"),
+                      (lambda: law.moment_about(0, 1.5, 0.5, -0.25), "0,1.5")):
+        with pytest.raises(ec.MomentError,
+                           match=rf"^moment \({key}\): exponents must be integers >= 0$"):
+            call()
+    assert law.raw_moment(np.int64(2), np.int64(0)) == law.raw_moment(2, 0)  # numpy ints pass
+    # a discrete law alone keeps its exact negative powers of atoms
+    assert ec.DiscreteLaw([1.0, 2.0], [1.0, 1.0], [0.5, 0.5]).raw_moment(-1, 0) == 0.75
 
 
 def test_quadrature_is_one_cached_pair_of_gauss_rules():
@@ -705,6 +733,8 @@ def test_discrete_validation_errors():
         ec.DiscreteLaw([0.0, 1.0], [0.0, 1.0], [1.5, -0.5])
     with pytest.raises(ec.InputFormatError, match="sum"):
         ec.DiscreteLaw([0.0, 1.0], [0.0, 1.0], [0.6, 0.6])
+    with pytest.raises(ec.InputFormatError, match="^non-finite atom or weight$"):
+        ec.DiscreteLaw([math.nan, 1.0], [0.0, 1.0], [0.5, 0.5])
 
 
 def test_discrete_sampling_hits_only_atoms():

@@ -78,6 +78,9 @@ def test_config_validation_messages():
         ec.ExperimentConfig(law, n=1, reps=100)
     with pytest.raises(ec.InputFormatError, match="reps ≥ 100 required"):
         ec.ExperimentConfig(law, n=100, reps=50)
+    with pytest.raises(ec.InputFormatError, match=r"^reps ≤ 2\*\*32 required, got 4294967297$"):
+        ec.ExperimentConfig(law, n=100, reps=2 ** 32 + 1)
+    assert ec.ExperimentConfig(law, n=100, reps=2 ** 32).reps == 2 ** 32
     with pytest.raises(ec.InputFormatError, match="seed must be >= 0, got -1"):
         ec.ExperimentConfig(law, n=100, reps=100, seed=-1)
     with pytest.raises(ec.InputFormatError, match="BivariateLaw"):
@@ -563,7 +566,7 @@ def test_row_whose_finite_draws_overflow_passes_the_draw_check(monkeypatch):
     monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 60)
     law = _OverflowGaussian(0.2)
     cfg = ec.ExperimentConfig(law, n=20, reps=2000, seed=2)
-    streams = BlockStreams(2, (), 0, 2000)
+    streams = BlockStreams(2, 2000)
     rows = simulate._BLOCK_ELEMENTS // 20
     overflowing = [lo + int(row) for lo in range(0, 2000, rows)
                    for row in np.flatnonzero(

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,31 +45,45 @@ def test_derive_rng_and_seed_match_numpy(seed, key):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, key=st.lists(KEY_VALUES, max_size=2).map(tuple),
-       lo=st.one_of(st.integers(0, 1000), st.integers(2 ** 32 - 20, 2 ** 32 + 5),
-                    st.integers(2 ** 64 - 20, 2 ** 64 + 5)),
-       size=st.integers(0, 40))
-def test_block_rows_match_numpy(seed, key, lo, size):
-    rngs = BlockStreams(seed, key, lo, lo + size)
+@given(seed=SEEDS, size=st.integers(0, 40))
+def test_block_rows_match_numpy(seed, size):
+    rngs = BlockStreams(seed, size)
     assert len(rngs) == size
-    for i, rng in zip(range(lo, lo + size), rngs):
-        assert_same_stream(rng, seed, key + (i,))
+    for i, rng in enumerate(rngs):
+        assert_same_stream(rng, seed, (i,))
 
 
-@pytest.mark.parametrize("lo, hi", [(2 ** 32 - 3, 2 ** 32 + 3), (2 ** 64 - 2, 2 ** 64 + 2)])
-def test_block_across_a_key_width_change(lo, hi):
-    rngs = BlockStreams(5, (), lo, hi)
-    for i, rng in zip(range(lo, hi), rngs):
-        assert_same_stream(rng, 5, (i,))
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 130])
+def test_the_last_row_key_matches_numpy(seed):
+    # the last two rows of a 2^32-row block, hashed through the block's
+    # per-row key path; the block itself would hold 128 GiB of seed words
+    index = np.array([2 ** 32 - 2, 2 ** 32 - 1], dtype=np.uint32)
+    words = streams._generate_state(seed, (), [index])
+    for i, row in zip(index.tolist(), words):
+        assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(i,))
+                              .generate_state(4, np.uint64)), (seed, i)
+        assert_same_stream(next(streams._generators(row[np.newaxis])), seed, (i,))
 
 
-@pytest.mark.parametrize("lo", [0, 2 ** 32 - 10])
-def test_block_longer_than_one_hash_pass(monkeypatch, lo):
+@pytest.mark.parametrize("reps", [-1, 2 ** 32 + 1, 2 ** 64])
+def test_a_block_holds_at_most_2_32_streams(reps):
+    # past 2^32 - 1 a uint32 row index would wrap to 0 and repeat streams
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^a block holds 0 to 2\*\*32 streams, got {reps}$"):
+            BlockStreams(1, reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_block_longer_than_one_hash_pass(monkeypatch):
     monkeypatch.setattr(streams, "_HASH_ROWS", 7)
-    rngs = BlockStreams(5, (1,), lo, lo + 30)
+    rngs = BlockStreams(5, 30)
     assert len(rngs) == 30
-    for i, rng in zip(range(lo, lo + 30), rngs):
-        assert_same_stream(rng, 5, (1, i))
+    for i, rng in enumerate(rngs):
+        assert_same_stream(rng, 5, (i,))
 
 
 @pytest.mark.parametrize("words", range(1, 7))
@@ -86,20 +101,18 @@ def assert_same_block(block, ref):
         assert np.array_equal(rng.random(3), want.random(3))
 
 
-@pytest.mark.parametrize("base, size, lo, hi", [
-    (0, 40, 0, 40), (0, 40, 7, 23), (0, 40, 39, 40), (0, 40, 12, 12), (0, 40, 40, 40),
-    (2 ** 32 - 10, 20, 4, 15), (2 ** 32 - 10, 20, 10, 20), (2 ** 32 - 10, 20, 5, 5)])
-def test_slices_of_a_run_are_the_blocks_they_name(base, size, lo, hi):
-    run = BlockStreams(3, (2,), base, base + size)
+@pytest.mark.parametrize("lo, hi", [(0, 40), (7, 23), (39, 40), (12, 12), (40, 40)])
+def test_slices_of_a_run_are_the_blocks_they_name(lo, hi):
+    run = BlockStreams(3, 40)
     block = run[lo:hi]
     assert isinstance(block, BlockStreams)
     assert np.shares_memory(block._words, run._words) or lo == hi
-    assert_same_block(block, BlockStreams(3, (2,), base + lo, base + hi))
+    assert_same_block(block, [derive_rng(3, i) for i in range(lo, hi)])
     assert_same_block(block, list(run)[lo:hi])
 
 
 def test_block_rows_are_distinct_generators_and_iteration_restarts():
-    block = BlockStreams(1, (), 0, 3)
+    block = BlockStreams(1, 3)
     rngs = list(block)
     assert len({id(r.bit_generator) for r in rngs}) == 3
     first = [r.random() for r in rngs]
@@ -118,7 +131,7 @@ def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
     # the seed words are a real ISeedSequence subclass, not a registered one
-    rng = next(iter(BlockStreams(1, (), 0, 1)))
+    rng = next(iter(BlockStreams(1, 1)))
     assert np.random.bit_generator.ISeedSequence in type(rng.bit_generator.seed_seq).__mro__
 
 
@@ -138,7 +151,7 @@ def test_invalid_seeds_and_keys_are_rejected():
     with pytest.raises(TypeError):
         derive_rng(1.5)
     with pytest.raises(ValueError):
-        BlockStreams(1, (), -2, 3)
+        BlockStreams(1, -1)
 
 
 def test_mixture_blocks_in_the_replicate_loop_match_single_samples(monkeypatch):
