@@ -142,17 +142,27 @@ def central_moments(mean: Callable, x, y) -> BivariateMoments:
     its atoms.  Each mean is corrected once by its residuals' mean (Chan,
     Golub and LeVeque, 1983), which keeps it within about an ulp of the
     largest value at any shift.  Then u = x - mu_x and v = y - mu_y, and
-    every moment is the mean of a product of u^2, v^2 and uv.  Data beyond
-    the float range reach a moment as inf or nan: the typed error, no warning.
+    every moment is the mean of a product of u^2, v^2 and uv.  Three column
+    buffers hold them: uv, then v^2 over v and u^2 over u; each fourth-order
+    product goes into one scratch column, so a sample's moments take four
+    columns, not six.  Data beyond the float range reach a moment as inf or
+    nan: the typed error, no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mu_x, mu_y = corrected_mean(mean, x), corrected_mean(mean, y)
         u, v = x - mu_x, y - mu_y
-        uu, vv, uv = u * u, v * v, u * v
+        uv = u * v
+        vv = np.multiply(v, v, out=v)
+        uu = np.multiply(u, u, out=u)
+        scratch = np.empty_like(uv)
+
+        def product_mean(a, b):
+            return mean(np.multiply(a, b, out=scratch))
+
         return BivariateMoments(
             mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
-            m22=mean(uu * vv), m31=mean(uu * uv), m13=mean(uv * vv),
-            m40=mean(uu * uu), m04=mean(vv * vv))
+            m22=product_mean(uu, vv), m31=product_mean(uu, uv), m13=product_mean(uv, vv),
+            m40=product_mean(uu, uu), m04=product_mean(vv, vv))
 
 
 def compute_rho_n(s: PairedSample) -> float:

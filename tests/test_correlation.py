@@ -6,6 +6,7 @@ oracles in scratch scripts) before the implementation was written.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -202,6 +203,51 @@ def test_rho_n_is_rho_from_moments_of_the_sample_bitwise(shift, scale):
             warnings.simplefilter("ignore")  # a small sample's kurtosis warning
             want = ec.rho_from_moments(ec.estimate_moments(s))
         assert ec.compute_rho_n(s).hex() == want.hex(), (i, n)
+
+
+def _straight_central_moments(mean, x, y):
+    """The moments as a fresh array per product: the formula central_moments keeps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_x = mean(x)
+        mu_x = mu_x + mean(x - mu_x)
+        mu_y = mean(y)
+        mu_y = mu_y + mean(y - mu_y)
+        u, v = x - mu_x, y - mu_y
+        uu, vv, uv = u * u, v * v, u * v
+        return (mu_x, mu_y, mean(uu), mean(vv), mean(uv), mean(uu * vv), mean(uu * uv),
+                mean(uv * vv), mean(uu * uu), mean(vv * vv))
+
+
+_MOMENT_FIELDS = ("mu_x", "mu_y", "var_x", "var_y", "cov_xy", "m22", "m31", "m13", "m40", "m04")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.01, 1.0)),
+                min_size=2, max_size=60),
+       st.sampled_from([0.0, 1e3, -1e6, 1e9]),
+       st.sampled_from([1e-3, 1.0, 1e3]),
+       st.booleans())
+def test_central_moments_keep_the_bits_of_the_straight_formula(rows, shift, scale, weighted):
+    # the column buffers reuse u for u^2, v for v^2 and one scratch column for
+    # every fourth-order product: the same products in the same operand order
+    xs = np.array([r[0] for r in rows]) * scale + shift
+    ys = np.array([r[1] for r in rows]) * scale - shift
+    if weighted:
+        w = np.array([r[2] for r in rows])
+        law = ec.DiscreteLaw(xs, ys, w / w.sum())
+        mean, xs, ys = law._weighted_mean, law.atom_xs, law.atom_ys
+    else:
+        def mean(a):
+            return float(a.mean())
+    want = [float(v) for v in _straight_central_moments(mean, xs, ys)]
+    try:
+        BivariateMoments(*want)
+    except ec.EmpcalcError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            correlation.central_moments(mean, xs, ys)
+        return
+    got = correlation.central_moments(mean, xs, ys)
+    assert [getattr(got, f).hex() for f in _MOMENT_FIELDS] == [v.hex() for v in want]
 
 
 # ----------------------------------------------------- correlation_influence

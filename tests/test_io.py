@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,35 @@ class _RecordingWriter:
     def write(self, text):
         self.calls.append(text)
         return len(text)
+
+
+@pytest.mark.parametrize("cell", ["%.17g", '"%.17g"'], ids=["plain", "quoted"])
+def test_a_large_file_is_read_and_reduced_in_few_columns(tmp_path, cell):
+    # reading holds the float64 parts and the two columns joined from them,
+    # which the sample adopts, and one block of lines: 38 bytes a row.  Row-
+    # parsed blocks kept as lists of Python floats, and the columns copied once
+    # more, peaked at 51 bytes a row (plain) and 100 (all quoted).  The ten
+    # moment means take u^2, v^2, uv and one scratch column, 32 bytes a row
+    # beyond the sample; a fresh array per product took 48.
+    n = 200_000
+    rng = np.random.default_rng(3)
+    path = tmp_path / "big.csv"
+    row = f"{cell},{cell}\n"
+    path.write_text("x,y\n" + "".join(row % p for p in zip(rng.standard_normal(n).tolist(),
+                                                            rng.standard_normal(n).tolist())))
+    tracemalloc.start()
+    try:
+        s = ec.read_paired_csv(str(path))
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        ec.estimate_moments(s)
+        moments_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert s.n == n
+    assert read_peak <= 44 * n
+    assert moments_peak <= 40 * n
 
 
 def test_block_writer_memory_is_bounded(monkeypatch):

@@ -139,6 +139,34 @@ def test_samples_are_bit_identical_to_reference_draws():
                                   _reference_draw(law, n, derive_rng(5, n))[0]), (name, n)
 
 
+@pytest.mark.parametrize("law", [ec.GaussianLaw(0.45),
+                                 ec.IndependentLaw("uniform_std", "exponential_std"),
+                                 ec.IndependentLaw("standard_normal", "uniform_std")],
+                         ids=["gaussian", "equal-methods", "mixed-methods"])
+def test_block_rows_are_bit_identical_to_reference_draws(law):
+    # a leaf block is filled row-major, one Generator call per run of equal
+    # methods on the row's contiguous sub-block: each row of a many-row block
+    # must still be its own generator's reference sample
+    for rows, n in ((2, 1), (3, 2), (5, 37), (4, 513)):
+        xs, ys = law.draw_block(BlockStreams(11, rows), n)
+        assert xs.shape == ys.shape == (rows, n)
+        for r in range(rows):
+            want_xs, want_ys = _reference_draw(law, n, derive_rng(11, r))
+            assert np.array_equal(xs[r], want_xs) and np.array_equal(ys[r], want_ys), (rows, n, r)
+
+
+def test_a_leaf_law_calls_its_generator_once_per_run_of_equal_methods():
+    gen = np.random.Generator
+    laws = {ec.GaussianLaw(0.5): ((gen.standard_normal, slice(0, 2)),),
+            ec.IndependentLaw("uniform_std", "rademacher"): ((gen.random, slice(0, 2)),),
+            ec.IndependentLaw("standard_normal", "uniform_std"):
+                ((gen.standard_normal, slice(0, 1)), (gen.random, slice(1, 2))),
+            ec.DiscreteLaw([0.0, 1.0], [1.0, 0.0], [0.5, 0.5]): ((gen.random, slice(0, 1)),)}
+    for law, runs in laws.items():
+        assert law._runs == runs, law.describe()
+        assert law._runs is law._runs  # built once per law
+
+
 @pytest.mark.parametrize("law", [ec.GaussianLaw(0.5), ec.IndependentLaw("uniform_std",
                                                                          "exponential_std")],
                          ids=["gaussian", "independent"])
@@ -323,6 +351,36 @@ def test_a_negative_or_fractional_exponent_is_a_moment_error(law):
     assert law.raw_moment(np.int64(2), np.int64(0)) == law.raw_moment(2, 0)  # numpy ints pass
     # a discrete law alone keeps its exact negative powers of atoms
     assert ec.DiscreteLaw([1.0, 2.0], [1.0, 1.0], [0.5, 0.5]).raw_moment(-1, 0) == 0.75
+
+
+def test_a_mixture_memo_never_answers_a_float_exponent():
+    # 2.0 hashes as 2: once moment_about(2, ...) was memoised, moment_about(2.0, ...)
+    # returned its 1.01 instead of the parts' exponent error
+    for int_first in (False, True):
+        law = ec.MixtureLaw([ec.GaussianLaw(0.5),
+                             ec.IndependentLaw("uniform_std", "exponential_std")], [0.5, 0.5])
+        if int_first:
+            assert law.moment_about(2, 0, 0.1, 0.0) == pytest.approx(1.01, rel=1e-15)
+        with pytest.raises(ec.MomentError,
+                           match=r"^moment \(2\.0,0\): exponents must be integers >= 0$"):
+            law.moment_about(2.0, 0, 0.1, 0.0)
+        assert law.moment_about(2, 0, 0.1, 0.0) == pytest.approx(1.01, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_discrete_power_that_is_not_finite_names_its_moment():
+    # a negative atom to the 1.5 and a zero atom to the -1 warned from numpy's
+    # power, then raised a MomentError that named no exponent
+    law = ec.DiscreteLaw([0.0, -1.0, 2.0], [1.0, 1.0, -1.0], [0.25, 0.25, 0.5])
+    for i, key in ((1.5, "1.5,0"), (-1, "-1,0")):
+        with pytest.raises(ec.MomentError,
+                           match=rf"^moment does not exist .* \(moment \({key}\): non-finite at an atom\)$"):
+            law.raw_moment(i, 0)
+    with pytest.raises(ec.MomentError, match=r"\(moment \(0,-1\): non-finite at an atom\)$"):
+        law.moment_about(0, -1, 0.0, 1.0)
+    # exact negative integer powers of non-zero atoms stay
+    assert law.moment_about(-1, 0, 1.0, 0.0) == 0.25 * -1.0 + 0.25 * -0.5 + 0.5 * 1.0
+    assert ec.DiscreteLaw([1.0, -2.0], [1.0, 3.0], [0.5, 0.5]).raw_moment(-1, 2) == 0.5 - 2.25
 
 
 def test_quadrature_is_one_cached_pair_of_gauss_rules():
