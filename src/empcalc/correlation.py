@@ -142,27 +142,31 @@ def central_moments(mean: Callable, x, y) -> BivariateMoments:
     its atoms.  Each mean is corrected once by its residuals' mean (Chan,
     Golub and LeVeque, 1983), which keeps it within about an ulp of the
     largest value at any shift.  Then u = x - mu_x and v = y - mu_y, and
-    every moment is the mean of a product of u^2, v^2 and uv.  Three column
-    buffers hold them: uv, then v^2 over v and u^2 over u; each fourth-order
-    product goes into one scratch column, so a sample's moments take four
-    columns, not six.  Data beyond the float range reach a moment as inf or
-    nan: the typed error, no warning.
+    every moment is the mean of a product of u^2, v^2 and uv.  Three columns
+    hold them, beyond x and y: u, v and a product column w.  v is squared in
+    place once uv has been taken, and uv v^2 is taken over w; then w is
+    made uv again from y, u is squared in place, and w takes uu uv, uu vv,
+    uu uu and vv vv in turn.  Each product is the straight formula's, in
+    its operand order, so the bits are its bits; a sample's moments take
+    three columns, not six.  Data beyond the float range reach a moment as
+    inf or nan: the typed error, no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mu_x, mu_y = corrected_mean(mean, x), corrected_mean(mean, y)
         u, v = x - mu_x, y - mu_y
-        uv = u * v
+        w = u * v
+        cov_xy = mean(w)
         vv = np.multiply(v, v, out=v)
+        var_y = mean(vv)
+        m13 = mean(np.multiply(w, vv, out=w))
+        uv = np.multiply(u, np.subtract(y, mu_y, out=w), out=w)
         uu = np.multiply(u, u, out=u)
-        scratch = np.empty_like(uv)
-
-        def product_mean(a, b):
-            return mean(np.multiply(a, b, out=scratch))
-
+        var_x = mean(uu)
+        m31 = mean(np.multiply(uu, uv, out=w))
         return BivariateMoments(
-            mu_x=mu_x, mu_y=mu_y, var_x=mean(uu), var_y=mean(vv), cov_xy=mean(uv),
-            m22=product_mean(uu, vv), m31=product_mean(uu, uv), m13=product_mean(uv, vv),
-            m40=product_mean(uu, uu), m04=product_mean(vv, vv))
+            mu_x=mu_x, mu_y=mu_y, var_x=var_x, var_y=var_y, cov_xy=cov_xy,
+            m22=mean(np.multiply(uu, vv, out=w)), m31=m31, m13=m13,
+            m40=mean(np.multiply(uu, uu, out=w)), m04=mean(np.multiply(vv, vv, out=w)))
 
 
 def compute_rho_n(s: PairedSample) -> float:

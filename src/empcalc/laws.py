@@ -26,12 +26,12 @@ to CPU-specific SIMD code.
 Every law draws in two parts, one for the stream and one for the
 arithmetic.  The raw fill takes row r's values from generator r, in the
 order a single sample takes them, into the law's raw buffers.  A leaf
-law with a run of equal methods fills rows of up to 512 pairs into a
-row-major block: row r holds n values of each of its ``methods`` in turn,
-and each run is one Generator call on the row's contiguous sub-block,
-whose 2n values are the bits of two calls of n.  One copy of the block's
-transpose gives the transform one buffer per method.  Every other fill is
-one ``_fill`` per row: a leaf law's n values of each method in turn, or a
+law of two or more methods, all one, fills a row-major block: row r
+holds n values of each of its ``methods`` in turn, drawn by one
+Generator call on the row's contiguous sub-block, whose 2n values are
+the bits of two calls of n.  One copy of the block's transpose gives the
+transform one buffer per method.  Every other fill is one ``_fill`` per
+row: a leaf law's n values of each method in turn, or a
 mixture's n pick-uniforms, then each picked component's share in
 declaration order.  The transform then maps the whole block to (xs, ys)
 at once: :meth:`BivariateLaw.draw_block`, of which
@@ -49,13 +49,10 @@ rademacher          +-1 with probability 1/2 each
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import operator
 from abc import abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
@@ -68,10 +65,6 @@ from .sample import PairedSample
 
 WEIGHT_SUM_TOL = 1e-12
 _MAX_MIXTURE_DEPTH = 32  # mixtures a law nests: each takes a few stack frames
-# Longest row filled row-major.  Per row the fill saves one call of about
-# 1.3 us and copies 2n values; on 2 vCPUs the two broke even between n = 512
-# and 768, and the copy cost up to 10% at n = 2000.
-_ROW_MAJOR_MAX_N = 512
 
 
 def _normal_double_factorial(k: int) -> float:
@@ -216,36 +209,25 @@ class BivariateLaw(PolynomialMomentOracle):
     def _fill_rows(self, rngs: Collection[np.random.Generator], n: int):
         """The raw buffers of len(rngs) rows of n pairs, row r from rngs[r].
 
-        A leaf law with a run of equal methods fills rows of at most
-        ``_ROW_MAJOR_MAX_N`` pairs into a (rows, len(methods), n) block,
-        row-major: one Generator call per run on the row's contiguous
-        sub-block, as 2n values from one call are the bits of two calls of
-        n.  One copy of the block's transpose then gives the transform its
-        (len(methods), rows * n) buffers.  Any other law, or a longer row,
-        takes one :meth:`_fill` per row: there the calls saved are fewer
-        than, or cost less than, the copy.
+        A leaf law of two or more methods, all one, as a gaussian law or an
+        independent law of two uniform-driven marginals, fills a
+        (rows, len(methods), n) block, row-major: one Generator call per row
+        on its contiguous (len(methods), n) sub-block, as 2n values from one
+        call are the bits of two calls of n.  One copy of the block's
+        transpose then gives the transform its (len(methods), rows * n)
+        buffers; for one row it is a view.  Any other law takes one
+        :meth:`_fill` per row.
         """
-        runs = self._runs
-        if len(runs) == len(self.methods) or n > _ROW_MAJOR_MAX_N:
-            raw = self._raw_buffers(len(rngs) * n)
-            for r, rng in enumerate(rngs):
-                self._fill(rng, raw, r * n, n)
-            return raw
-        block = np.empty((len(rngs), len(self.methods), n))
-        for row, rng in zip(block, rngs):
-            for method, part in runs:
-                method(rng, out=row[part])
-        return np.ascontiguousarray(block.transpose(1, 0, 2)).reshape(len(self.methods), -1)
-
-    @cached_property
-    def _runs(self) -> tuple:
-        """(unbound Generator method, slice of ``methods``) for each run of equal methods."""
-        runs, at = [], 0
-        for method, group in itertools.groupby(self.methods):
-            k = len(tuple(group))
-            runs.append((getattr(np.random.Generator, method), slice(at, at + k)))
-            at += k
-        return tuple(runs)
+        if len(self.methods) > 1 and len(set(self.methods)) == 1:
+            draw = getattr(np.random.Generator, self.methods[0])
+            block = np.empty((len(rngs), len(self.methods), n))
+            for row, rng in zip(block, rngs):
+                draw(rng, out=row)
+            return np.ascontiguousarray(block.transpose(1, 0, 2)).reshape(len(self.methods), -1)
+        raw = self._raw_buffers(len(rngs) * n)
+        for r, rng in enumerate(rngs):
+            self._fill(rng, raw, r * n, n)
+        return raw
 
     def _raw_buffers(self, size: int):
         """Raw buffers for up to ``size`` pairs."""
@@ -563,13 +545,11 @@ class DiscreteLaw(BivariateLaw):
         return self._mu
 
     def moment_about(self, i, j, px, py):
-        """The atoms' weighted mean of (x - px)^i (y - py)^j.  A negative or
-        fractional exponent takes its powers under np.errstate, which would
-        cost a natural one a third of its call: a power that is not finite at
-        an atom, as of a negative atom to the 1.5 or a zero atom to the -1,
-        is the MomentError naming moment (i,j), with no warning."""
-        natural = hasattr(i, "__index__") and hasattr(j, "__index__") and i >= 0 and j >= 0
-        with contextlib.nullcontext() if natural else np.errstate(all="ignore"):
+        """The atoms' weighted mean of (x - px)^i (y - py)^j.  A power that is
+        not finite at an atom, as of a negative atom to the 1.5, a zero atom to
+        the -1 or an atom near 1e100 to the 4th, is the MomentError naming
+        moment (i,j), with no warning."""
+        with np.errstate(all="ignore"):
             vals = (self.atom_xs - px) ** i * (self.atom_ys - py) ** j
         return self._weighted_mean(vals, lambda: f"moment ({i},{j})")
 

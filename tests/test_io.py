@@ -362,8 +362,8 @@ def test_a_large_file_is_read_and_reduced_in_few_columns(tmp_path, cell):
     # which the sample adopts, and one block of lines: 38 bytes a row.  Row-
     # parsed blocks kept as lists of Python floats, and the columns copied once
     # more, peaked at 51 bytes a row (plain) and 100 (all quoted).  The ten
-    # moment means take u^2, v^2, uv and one scratch column, 32 bytes a row
-    # beyond the sample; a fresh array per product took 48.
+    # moment means take three columns, u, v and one product column, 24 bytes
+    # a row beyond the sample; a fresh array per product took 48.
     n = 200_000
     rng = np.random.default_rng(3)
     path = tmp_path / "big.csv"
@@ -382,7 +382,7 @@ def test_a_large_file_is_read_and_reduced_in_few_columns(tmp_path, cell):
         tracemalloc.stop()
     assert s.n == n
     assert read_peak <= 44 * n
-    assert moments_peak <= 40 * n
+    assert moments_peak <= 28 * n
 
 
 def test_block_writer_memory_is_bounded(monkeypatch):
