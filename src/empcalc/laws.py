@@ -37,6 +37,10 @@ declaration order.  The transform then maps the whole block to (xs, ys)
 at once: :meth:`BivariateLaw.draw_block`, of which
 :meth:`BivariateLaw.sample` is the one-row case.
 
+Atom and component picks map uniforms to bins through a guide table,
+:class:`_Bins`, built on a law's first draw: one lookup and one
+comparison a value, with exactly ``searchsorted``'s index.
+
 The four named marginals are pre-standardized to mean 0, variance 1:
 
 ==================  =============================================
@@ -132,6 +136,47 @@ def _product_rule(rule_x, rule_y, transform=lambda raw, size: raw) -> "DiscreteL
 def _rule_law(xs: np.ndarray, ys: np.ndarray, w: np.ndarray) -> "DiscreteLaw":
     """A rule's atoms of positive weight: products of weights near 1e-155 underflow to 0."""
     return DiscreteLaw(xs[w > 0.0], ys[w > 0.0], w[w > 0.0])
+
+
+class _Bins:
+    """The bin of each uniform u in [0, 1) under positive weights summing to
+    about 1: ``searchsorted(cut, u, side="right")`` of their cumulative sums,
+    found by a guide table (Chen and Asau, 1974; Devroye, 1986, III.2.4).
+
+    The cut ends at exactly 1.0, and interior cuts are clipped there, so it
+    is sorted even where a sum of weights rounds above 1; no comparison with
+    a u < 1 changes.  The table, built on the first lookup, has G cells, the
+    smallest power of two >= 4 bins, and ``guide[c]`` counts the cuts <= c/G.
+    u*G is exact, so cell c = floor(u*G) holds u, and its bin is guide[c],
+    plus 1 if u >= cut[guide[c]], unless two or more cuts lie inside the
+    cell: only the uniforms in such crowded cells take ``searchsorted``.
+    There are at most (bins - 1)/2 of them, under an eighth of [0, 1).
+    """
+
+    def __init__(self, weights):
+        cut = np.cumsum(weights)
+        np.minimum(cut, 1.0, out=cut)
+        cut[-1] = 1.0  # guard the top bin against rounding in the cumsum
+        self.cut = cut
+        self._table = None
+
+    def __call__(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The bins of ``u``, written to ``out`` if given."""
+        if self._table is None:
+            g = 1 << (4 * self.cut.size - 1).bit_length()
+            edges = np.arange(g + 1) / g
+            guide = self.cut.searchsorted(edges[:-1], side="right")
+            crowded = self.cut.searchsorted(edges[1:], side="left") - guide >= 2
+            self._table = float(g), guide, crowded if crowded.any() else None
+        g, guide, crowded = self._table
+        cell = (u * g).astype(np.intp)
+        idx = guide[cell]
+        hit = () if crowded is None else np.flatnonzero(crowded[cell])
+        del cell  # before the looked-up cuts: two 8-byte temporaries at a time, not three
+        idx = np.add(idx, u >= self.cut[idx], out=idx if out is None else out)
+        if len(hit):
+            idx[hit] = self.cut.searchsorted(u[hit], side="right")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -372,6 +417,8 @@ class MixtureLaw(BivariateLaw):
     Sampling first draws one uniform per observation to pick components,
     then draws each component's sub-batch in declaration order from the
     same stream; both stages are deterministic given the stream state.
+    A pick is the first component whose cumulative weight, clipped at 1,
+    is above its uniform, found by the law's :class:`_Bins` a row at a time.
 
     The raw buffers are the picks, a count of pairs filled per component,
     and each component's own raw buffers, which the first fill makes: sized
@@ -412,9 +459,7 @@ class MixtureLaw(BivariateLaw):
         self.weights = weights
         self._memo: dict[tuple, float] = {}
         self._mu: Optional[tuple[float, float]] = None
-        cut = np.cumsum(weights)
-        cut[-1] = 1.0  # guard the top bin against rounding in the cumsum
-        self._cut = cut
+        self._bins = _Bins(weights)
 
     def describe(self) -> dict:
         return {"kind": "mixture",
@@ -427,7 +472,7 @@ class MixtureLaw(BivariateLaw):
     def _fill(self, rng, raw, at, k):
         picks, filled, parts = raw
         row = picks[at:at + k]
-        row[:] = self._cut.searchsorted(rng.random(k), side="right")
+        self._bins(rng.random(k), out=row)
         counts = np.bincount(row, minlength=len(self.components)).tolist()
         if parts is None:  # later fills' picks are not drawn yet: exact sizes only for a lone fill
             parts = raw[2] = [comp._raw_buffers(c if k == picks.size else picks.size)
@@ -479,6 +524,12 @@ class DiscreteLaw(BivariateLaw):
     point centres the atoms there.  So the class is an independent
     cross-check oracle, sharing no code path with the polynomial moment
     bookkeeping; a covariance matrix is a Gram matrix of centred atom values.
+
+    Sampling maps a block's uniforms to atoms by cumulative weight through
+    a guide table (:class:`_Bins`); ``searchsorted`` takes only those in a
+    cell crowded with cuts, as by a run of tiny weights.  The table is built
+    on the first draw, as the Gauss rules' laws of up to 9216 atoms are
+    integrated, never sampled.
     """
 
     kind = "discrete"
@@ -501,8 +552,7 @@ class DiscreteLaw(BivariateLaw):
         self.atom_xs = xs
         self.atom_ys = ys
         self.atom_weights = w / w.sum()
-        self._cut = np.cumsum(self.atom_weights)
-        self._cut[-1] = 1.0
+        self._bins = _Bins(self.atom_weights)
         self._mu: Optional[tuple[float, float]] = None
 
     def describe(self) -> dict:
@@ -513,7 +563,7 @@ class DiscreteLaw(BivariateLaw):
 
     def transform(self, raw, size):
         u = raw[0, :size]
-        idx = self._cut.searchsorted(u, side="right")
+        idx = self._bins(u)
         return np.take(self.atom_xs, idx, out=u), self.atom_ys[idx]
 
     def _rule(self, m):

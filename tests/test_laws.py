@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats as sps
+from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
-from empcalc.laws import MARGINALS, get_marginal
+from empcalc.laws import MARGINALS, _Bins, get_marginal
 from empcalc.streams import BlockStreams, derive_rng
 
 
@@ -102,7 +103,7 @@ def _reference_draw(law, n, rng):
         if law.kind == "independent":
             xs = marginal[law.marginal_x.name](k)
             return xs, marginal[law.marginal_y.name](k)
-        idx = np.searchsorted(law._cut, rng.random(k), side="right")
+        idx = np.searchsorted(law._bins.cut, rng.random(k), side="right")
         if law.kind == "discrete":
             return law.atom_xs[idx], law.atom_ys[idx]
         xs, ys = np.empty(k), np.empty(k)
@@ -115,15 +116,25 @@ def _reference_draw(law, n, rng):
     return draw(law, n)
 
 
+# 8 atoms, so a guide table of 32 cells; the cuts 0.2 and 0.21 share cell 6
+EIGHT_ATOMS = ec.DiscreteLaw([0.1, 1.3, -0.7, 2.2, 0.5, -1.4, 0.9, -0.2],
+                             [1.0, -0.4, 0.3, 0.9, -1.1, 0.6, -0.8, 1.7],
+                             [0.2, 0.01, 0.01, 0.15, 0.2, 0.13, 0.2, 0.1])
+
+
+def _nested_mixture():
+    return ec.MixtureLaw([ec.GaussianLaw(0.8),
+                          ec.MixtureLaw([ec.IndependentLaw("rademacher", "uniform_std"),
+                                         ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
+                                        [0.5, 0.5])],
+                         [0.6, 0.4])
+
+
 def test_samples_are_bit_identical_to_reference_draws():
     names = sorted(MARGINALS)
     laws = [ec.GaussianLaw(0.45), ec.GaussianLaw(-0.9)]
     laws += [ec.IndependentLaw(a, b) for a in names for b in names]
-    laws.append(ec.MixtureLaw([ec.GaussianLaw(0.8),
-                               ec.MixtureLaw([ec.IndependentLaw("rademacher", "uniform_std"),
-                                              ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
-                                             [0.5, 0.5])],
-                              [0.6, 0.4]))
+    laws.append(_nested_mixture())
     laws.append(ec.DiscreteLaw([0.0, 1.0, -2.0], [1.0, -1.0, 0.5], [0.2, 0.3, 0.5]))
     for law in laws:
         # 100_001 for the mixture: one long one-row block, as a Monte Carlo fallback batch
@@ -141,12 +152,18 @@ def test_samples_are_bit_identical_to_reference_draws():
 
 @pytest.mark.parametrize("law", [ec.GaussianLaw(0.45),
                                  ec.IndependentLaw("uniform_std", "exponential_std"),
-                                 ec.IndependentLaw("standard_normal", "uniform_std")],
-                         ids=["gaussian", "equal-methods", "mixed-methods"])
+                                 ec.IndependentLaw("standard_normal", "uniform_std"),
+                                 EIGHT_ATOMS,
+                                 ec.MixtureLaw([ec.GaussianLaw(0.8), ec.IndependentLaw(
+                                     "uniform_std", "exponential_std")], [0.6, 0.4]),
+                                 _nested_mixture()],
+                         ids=["gaussian", "equal-methods", "mixed-methods", "discrete",
+                              "mixture", "nested-mixture"])
 def test_block_rows_are_bit_identical_to_reference_draws(law):
     # a leaf block whose methods are one is filled row-major, one Generator
-    # call per row on its contiguous sub-block: each row of a many-row block
-    # must still be its own generator's reference sample
+    # call per row on its contiguous sub-block, and atom and component picks
+    # go through the guide table: each row of a many-row block must still be
+    # its own generator's reference sample, whose picks take searchsorted
     for rows, n in ((2, 1), (3, 2), (5, 37), (4, 513)):
         xs, ys = law.draw_block(BlockStreams(11, rows), n)
         assert xs.shape == ys.shape == (rows, n)
@@ -211,6 +228,90 @@ def test_a_mixture_block_holds_one_rows_generator_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20, law.describe()
+
+
+def _weights(kind, k, seed):
+    """k positive weights of one of four shapes, summing to about 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "tiny":  # log-uniform down to 1e-300
+        w = 10.0 ** -rng.uniform(0.0, 300.0, k)
+    elif kind == "crowded":  # runs of 1e-9 weights between ordinary ones
+        w = np.where(rng.random(k) < 0.7, 1e-9, rng.random(k) + 0.01)
+    else:
+        w = rng.random(k) + 1e-3
+    w = w / w.sum()
+    if kind == "unnormalised":  # as mixture weights: their sum within 1e-12 of 1
+        w = w * (1.0 + rng.uniform(-1e-12, 1e-12))
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 4096), kind=st.sampled_from(["plain", "tiny", "crowded", "unnormalised"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_bin_lookup_is_searchsorted(k, kind, seed):
+    w = _weights(kind, k, seed)
+    bins = _Bins(w)
+    cum = np.cumsum(w)
+    cut = bins.cut
+    # sorted, ending at 1.0, every interior cut below 1 the cumulative sum itself
+    assert cut[-1] == 1.0 and np.all(cut[:-1] <= cut[1:])
+    assert np.array_equal(cut[:-1][cum[:-1] < 1.0], cum[:-1][cum[:-1] < 1.0])
+    u = np.random.default_rng(seed).random(1000)
+    assert np.array_equal(bins(u), cut.searchsorted(u, side="right"))
+    g = int(bins._table[0])
+    assert g >= 4 * k > g // 2 and g & (g - 1) == 0
+    # 0, every cut below 1 and the double just below it, every cell edge k/G, 1 - 2^-53
+    edges = np.concatenate([[0.0, 1.0 - 2.0 ** -53], cut[cut < 1.0], np.nextafter(cut, 0.0),
+                            np.arange(g) / g])
+    assert np.array_equal(bins(edges), cut.searchsorted(edges, side="right"))
+
+
+def test_a_crowded_cell_takes_searchsorted_for_its_draws_alone():
+    bins = EIGHT_ATOMS._bins
+    u = derive_rng(4).random(100_000)
+    assert np.array_equal(bins(u), bins.cut.searchsorted(u, side="right"))
+    g, guide, crowded = bins._table
+    assert g == 32 and np.flatnonzero(crowded).tolist() == [6]
+    # 16 cells: the cut 0.25 is cell 4's lower edge, not a second cut inside cell 3
+    edge = _Bins([0.2, 0.05, 0.75])
+    assert edge(u).tolist() == edge.cut.searchsorted(u, side="right").tolist()
+    assert edge._table[0] == 16 and edge._table[2] is None
+
+
+def test_a_mixture_cut_is_sorted_where_its_weights_sum_above_one():
+    # within the 1e-12 check, and the second cumulative sum rounds above the last
+    law = ec.MixtureLaw([ec.GaussianLaw(0.1), ec.GaussianLaw(0.2), ec.GaussianLaw(0.3)],
+                        [0.5, 0.5 + 9e-13, 1e-15])
+    assert law._bins.cut.tolist() == [0.5, 1.0, 1.0]
+    u = derive_rng(6).random(10_000)
+    assert np.array_equal(law._bins(u), (u[:, None] >= np.cumsum(law.weights)).sum(axis=1))
+
+
+def test_the_guide_table_is_built_on_the_first_draw():
+    # a Gauss rule's law of 9216 atoms is integrated, never sampled: no table
+    rule = ec.GaussianLaw(0.5)._rule(96)
+    assert rule.atom_weights.size == 9216 and rule._bins._table is None
+    law = ec.DiscreteLaw([0.0, 1.0, -2.0], [1.0, -1.0, 0.5], [0.2, 0.3, 0.5])
+    assert law._bins._table is None
+    law.sample(2, derive_rng(1))
+    assert law._bins._table is not None
+
+
+def test_a_large_discrete_sample_peaks_at_26_bytes_a_pair():
+    # the raw uniforms, 8 bytes a pair, become the xs; the lookup holds two more
+    # 8-byte arrays at a time (scaled uniforms, cells, indices, looked-up cuts),
+    # a comparison of 1 and the crowded cell's few indices; then the ys, 8.
+    # searchsorted's indices peaked at 24
+    n = 1_000_000
+    law = ec.DiscreteLaw(EIGHT_ATOMS.atom_xs, EIGHT_ATOMS.atom_ys, EIGHT_ATOMS.atom_weights)
+    tracemalloc.start()
+    try:
+        s = law.sample(n, derive_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n
+    assert np.array_equal(s.xs, _reference_draw(law, n, derive_rng(8))[0])
 
 
 def test_an_adopted_sample_is_checked_as_a_new_one_is():
