@@ -135,7 +135,7 @@ def cmd_lemma1(args) -> Report:
 
 def cmd_check(args) -> Report:
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",")]
         except ValueError:

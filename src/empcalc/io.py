@@ -20,13 +20,15 @@ paths and file objects alike; anywhere else it is a non-numeric cell.  A
 row parser (the csv module, one row at a time) reads up to and including
 the first data row, which settles the header.  The rest is read in blocks
 of whole lines, about 1 MiB each, and np.loadtxt parses each block's lines
-as the file object split them.  A block that np.loadtxt rejects, or that
-does not give two columns, goes to the row parser, and the next block goes
-to np.loadtxt again: blocks with quoted cells, blank, whitespace-only or
-comma-only lines, wrong column counts, non-numeric cells, a carriage return
-or newline inside a line, or tokens such as ``1_0``.  The values, and every
-error with its 1-based physical line number (also for a record the csv
-module refuses), are those of the row parser reading the whole input.
+as the file object split them.  A block that np.loadtxt rejects, that
+does not give two columns or that holds a value that is not finite goes to
+the row parser, and the next block goes to np.loadtxt again: blocks with
+quoted cells, blank, whitespace-only or comma-only lines, wrong column
+counts, non-numeric cells, a carriage return or newline inside a line,
+tokens such as ``1_0``, or ``nan``, ``inf`` and ``1e999``, which overflows.
+The values, and every error with its 1-based physical line number (also
+for a record the csv module refuses or a value that is not finite), are
+those of the row parser reading the whole input.
 Every block is kept as float64 arrays, a row-parsed block's values
 converted as soon as it is read, and the sample adopts the two columns
 joined from them: 16 bytes a row for the parts and 16 for the columns.
@@ -105,6 +107,7 @@ def _load_block(block: list[str]):
     """The (k, 2) values of the lines as read, or None if the row parser must take them.
 
     np.loadtxt refuses a line with a carriage return or newline before its end.
+    A non-finite value goes to the row parser too, which names its line.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
@@ -113,7 +116,7 @@ def _load_block(block: list[str]):
             values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
-    return values if values.shape[1] == 2 else None
+    return values if values.shape[1] == 2 and np.isfinite(values).all() else None
 
 
 def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
@@ -123,12 +126,14 @@ def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
     Blank rows are skipped.  With ``header_allowed`` the first non-blank
     row is skipped if both of its cells are non-numeric, and reading ends
     after the first data row.  Otherwise reading ends with the record that
-    reaches line ``stop``, or at the end of ``lines``.  Error line numbers,
-    also those of a record the csv module refuses, count from ``line_offset``.
+    reaches line ``stop``, or at the end of ``lines``.  A value that is not
+    finite is an error, as a non-numeric one is.  Error line numbers, also
+    those of a record the csv module refuses, count from ``line_offset``.
     """
     xs: list[float] = []
     ys: list[float] = []
     first_row_only = header_allowed
+    isfinite = math.isfinite
     reader = csv.reader(lines)
     try:
         for row in reader:
@@ -159,6 +164,10 @@ def _read_rows(lines, line_offset: int = 0, header_allowed: bool = False,
                         x = None
                     header_allowed = False
             if x is not None:
+                if not (isfinite(x) and isfinite(y)):
+                    bad = row[0] if not isfinite(x) else row[1]
+                    raise InputFormatError(f"line {line_offset + reader.line_num}: "
+                                           f"non-finite value {bad.strip()!r}")
                 xs.append(x)
                 ys.append(y)
                 if first_row_only:
@@ -221,8 +230,10 @@ class Report:
     """What one command produced, for the library and the command line alike.
 
     ``config`` echoes what determines the numbers, and nothing else, so
-    equal inputs give equal bytes on any machine.  ``to_dict`` fixes the
-    key order {command, config, results, checks, seed} for diffability.
+    equal inputs give equal bytes for one numpy build on one CPU; another
+    machine can differ in the last bits of sampled values (see ``laws``).
+    ``to_dict`` fixes the key order {command, config, results, checks,
+    seed} for diffability.
     """
 
     command: str

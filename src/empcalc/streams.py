@@ -7,17 +7,16 @@ extend the key path instead of consuming draws from a shared generator.
 
 The stream named by (seed, key) is numpy's: the PCG64 generator that
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``
-builds.  The package reproduces SeedSequence's hash (pool size 4) itself,
-in fixed 32-bit arithmetic that runs on Python integers for one stream
-and on uint32 arrays for the replicate streams of a run, whose keys are
-their row indices, one uint32 word each; the tests check it against
-numpy's SeedSequence.  The hash state after a seed's own words is cached
-per seed, so a stream or a block hashes only its key words and the
-output.  PCG64 takes the four hashed 64-bit words from an
-``ISeedSequence`` subclass, made on the first draw, and applies its own
-seeding step; a block of streams (:class:`BlockStreams`) keeps only those
-words, 32 bytes per stream, and builds each row's generator only when its
-row is reached.  A Monte Carlo run hashes the streams of all its
+builds, and :func:`derive_rng` and :func:`derive_seed` make one stream
+that way.  A Monte Carlo run needs one stream per replicate, keyed by its
+row index, and numpy's SeedSequence builds those one object at a time.  So
+:class:`BlockStreams` reproduces SeedSequence's hash (pool size 4) itself,
+in fixed 32-bit arithmetic on uint32 arrays, each row's index one key
+word; the tests check every row against numpy's SeedSequence.  A block
+keeps the four hashed 64-bit words, 32 bytes per stream, and builds each
+row's generator only when its row is reached: PCG64 takes the words from
+an ``ISeedSequence`` subclass, made on the first draw, and applies its
+own seeding step.  A Monte Carlo run hashes the streams of all its
 replicates once, as one block, and each block of replicates draws from a
 slice of it, a view of its words.
 """
@@ -78,20 +77,13 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-def _mix_in(pool: list, words, consts) -> None:
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+def _generate_state(seed: int, index: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for
+    each i of the uint32 array ``index``, one row each.
 
-
-@functools.lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool after hashing the run words of ``seed``, and the
-    hash constant it continues from.
-
-    The run words are zero-padded to the pool size.  SeedSequence pads
-    only when a key follows; without one its hash reads missing pool
-    words as zeros, so padding always hashes the same.
+    SeedSequence pads the seed's words with zeros to the pool size, as a
+    key follows them, hashes the first four into the pool, and then mixes
+    in the seed's further words and the key.
     """
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))
@@ -101,20 +93,9 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    _mix_in(pool, run[_POOL_SIZE:], consts)
-    return tuple(pool), next(consts)[0]
-
-
-def _generate_state(seed: int, key, last=()) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``.
-
-    ``last`` holds the words of a further key element given per row, as
-    uint32 arrays.  Returns shape (4,) when ``last`` is empty, else (rows, 4).
-    """
-    pool, const = _seed_pool(seed)
-    pool = list(pool)
-    consts = _hash_constants(const, _MULT_A)
-    _mix_in(pool, [w for k in key for w in _words(k)] + list(last), consts)
+    for word in run[_POOL_SIZE:] + [index]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
     out = np.array([_hashmix(pool[i % _POOL_SIZE], consts)
                     for i in range(2 * _POOL_SIZE)], dtype="<u4").T
@@ -127,8 +108,7 @@ def _generate_state(seed: int, key, last=()) -> np.ndarray:
 def _seed_words_class() -> type:
     """``_SeedWords``, the numpy ``ISeedSequence`` that hands PCG64 the four
     uint64 words its SeedSequence would generate.  Made on the first draw,
-    so that commands which draw nothing never load numpy.random; the
-    module serves it by name, so a derived generator pickles."""
+    so that commands which draw nothing never load numpy.random."""
     class _SeedWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray):
             self.words = words
@@ -138,20 +118,14 @@ def _seed_words_class() -> type:
                 raise ValueError("derived streams only provide PCG64's four uint64 seed words")
             return self.words
 
-    _SeedWords.__qualname__ = "_SeedWords"
     return _SeedWords
 
 
-def __getattr__(name: str):
-    if name == "_SeedWords":
-        return _seed_words_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """A fresh PCG64 generator for each row of seed words, in row order."""
-    seed_words, generator, pcg64 = _seed_words_class(), np.random.Generator, np.random.PCG64
-    return (generator(pcg64(seed_words(w))) for w in words)
+def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
+    """numpy's SeedSequence of (seed, key), for integers only: numpy would
+    take None for fresh entropy and hash a string key as another stream."""
+    return np.random.SeedSequence(operator.index(seed),
+                                  spawn_key=tuple(map(operator.index, key)))
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -160,11 +134,15 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     The derivation is counter-based: the key path is SeedSequence's spawn
     key, never a count of draws from a parent generator.  Two calls with
     equal arguments produce independent generator objects in identical
-    states.  The generator's ``bit_generator.seed_seq`` holds only its
-    seed words, so ``Generator.spawn`` is unavailable: extend the key
-    path instead.
+    states.
     """
-    return next(_generators(_generate_state(seed, key)[np.newaxis]))
+    return np.random.default_rng(_seed_sequence(seed, key))
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """Collapse (seed, key path) to a single integer seed for sub-experiments:
+    the first uint64 word of that stream's SeedSequence."""
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 class BlockStreams:
@@ -177,7 +155,8 @@ class BlockStreams:
     Iteration yields each row's generator in row order, built only when
     reached, so a block holds one generator at a time; every iteration
     starts the streams afresh.  A slice is the block of the rows it names,
-    a view of these words with nothing hashed again.
+    a view of these words with nothing hashed again.  A row's generator
+    holds only its seed words, so it neither pickles nor spawns.
     """
 
     __slots__ = ("_words",)
@@ -188,7 +167,7 @@ class BlockStreams:
         self._words = np.empty((reps, 4), dtype=np.uint64)
         for lo in range(0, reps, _HASH_ROWS):
             index = np.arange(lo, min(reps, lo + _HASH_ROWS), dtype=np.uint32)
-            self._words[lo:lo + index.size] = _generate_state(seed, (), [index])
+            self._words[lo:lo + index.size] = _generate_state(seed, index)
 
     def __len__(self) -> int:
         return len(self._words)
@@ -199,9 +178,5 @@ class BlockStreams:
         return block
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        return _generators(self._words)
-
-
-def derive_seed(seed: int, *key: int) -> int:
-    """Collapse (seed, key path) to a single integer seed for sub-experiments."""
-    return int(_generate_state(seed, key)[0])
+        seed_words, generator, pcg64 = _seed_words_class(), np.random.Generator, np.random.PCG64
+        return (generator(pcg64(seed_words(w))) for w in self._words)

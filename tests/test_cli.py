@@ -481,6 +481,13 @@ def test_check_non_integer_criteria(capsys):
     assert "comma-separated integers" in err
 
 
+def test_check_empty_criteria_is_a_usage_error(capsys):
+    # an empty list is not "all criteria": it exits 2 before any criterion runs
+    code, out, err = run_cli(capsys, "check", "--criteria", "")
+    assert (code, out) == (2, "")
+    assert "--criteria must be comma-separated integers, got ''" in err
+
+
 # ----------------------------------------------------------- output modes
 
 def test_output_flag_writes_file_and_keeps_stdout_clean(tmp_path, capsys):

@@ -143,6 +143,9 @@ def reference_row_parser(fh):
                     continue
                 raise ec.InputFormatError(f"line {line}: non-numeric value {bad!r}") from None
             header_allowed = False
+            if not (math.isfinite(x) and math.isfinite(y)):
+                bad = cells[0] if not math.isfinite(x) else cells[1]
+                raise ec.InputFormatError(f"line {line}: non-finite value {bad!r}")
             xs.append(x)
             ys.append(y)
     except csv.Error as exc:
@@ -250,6 +253,17 @@ def test_read_first_row_with_one_non_numeric_cell_is_an_error(tmp_path, first, b
     for source in sources(tmp_path, first + "\n3,4\n5,6\n"):
         with pytest.raises(ec.InputFormatError,
                            match=rf"^line 1: non-numeric value {re.escape(repr(bad))}$"):
+            ec.read_paired_csv(source)
+
+
+@pytest.mark.parametrize("cell", ["nan", " -inf ", "Infinity", "1e999", '"nan"'])
+def test_a_non_finite_cell_names_its_line(tmp_path, cell):
+    # line 4 lies past the first data row, in a block np.loadtxt reads whole
+    text = f"x,y\n1,2\n2,3\n{cell},4\n4,5\n"
+    bad = cell.strip().strip('"')
+    for source in sources(tmp_path, text):
+        with pytest.raises(ec.InputFormatError,
+                           match=rf"^line 4: non-finite value {re.escape(repr(bad))}$"):
             ec.read_paired_csv(source)
 
 

@@ -1,7 +1,8 @@
 """Stream derivation against numpy's own SeedSequence and PCG64.
 
-``streams.py`` reproduces SeedSequence's hash instead of calling it, so
-every derived generator is compared here with the one numpy builds from
+``derive_rng`` and ``derive_seed`` call numpy's SeedSequence; ``BlockStreams``
+reproduces its hash on arrays instead.  So every derived generator is
+compared here with the one numpy builds from
 ``SeedSequence(seed, spawn_key=key)``: the PCG64 (state, inc) and the
 first draws.
 """
@@ -58,11 +59,14 @@ def test_the_last_row_key_matches_numpy(seed):
     # the last two rows of a 2^32-row block, hashed through the block's
     # per-row key path; the block itself would hold 128 GiB of seed words
     index = np.array([2 ** 32 - 2, 2 ** 32 - 1], dtype=np.uint32)
-    words = streams._generate_state(seed, (), [index])
+    words = streams._generate_state(seed, index)
     for i, row in zip(index.tolist(), words):
         assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(i,))
                               .generate_state(4, np.uint64)), (seed, i)
-        assert_same_stream(next(streams._generators(row[np.newaxis])), seed, (i,))
+    block = BlockStreams(seed, 0)
+    block._words = words  # the block's generators of these two rows
+    for i, rng in zip(index.tolist(), block):
+        assert_same_stream(rng, seed, (i,))
 
 
 @pytest.mark.parametrize("reps", [-1, 2 ** 32 + 1, 2 ** 64])
@@ -150,6 +154,12 @@ def test_invalid_seeds_and_keys_are_rejected():
         derive_rng(1, 2, -3)
     with pytest.raises(TypeError):
         derive_rng(1.5)
+    # numpy's SeedSequence would take None for fresh entropy and hash "3" as a string
+    for seed, key in [(None, ()), (1, ("3",)), (1, (2, [1, 2]))]:
+        with pytest.raises(TypeError):
+            derive_rng(seed, *key)
+        with pytest.raises(TypeError):
+            derive_seed(seed, *key)
     with pytest.raises(ValueError):
         BlockStreams(1, -1)
 
@@ -176,7 +186,18 @@ def test_mixture_blocks_in_the_replicate_loop_match_single_samples(monkeypatch):
         assert np.array_equal(rows[i, :, 1], s.ys), i
 
 
+def test_derived_generators_carry_numpys_seed_sequence():
+    for seed, key in [(0, ()), (7, (1,)), (2 ** 130, (3, 2 ** 64))]:
+        rng = derive_rng(seed, *key)
+        seed_seq = rng.bit_generator.seed_seq
+        assert type(seed_seq) is np.random.SeedSequence
+        assert (seed_seq.entropy, seed_seq.spawn_key) == (seed, key)
+        # so a derived generator spawns the streams (seed, *key, j)
+        for j, child in enumerate(rng.spawn(2)):
+            assert_same_stream(child, seed, key + (j,))
+
+
 def test_seed_words_serve_only_pcg64():
-    seed_seq = derive_rng(1, 2).bit_generator.seed_seq
+    seed_seq = next(iter(BlockStreams(1, 3)[2:])).bit_generator.seed_seq
     with pytest.raises(ValueError):
         seed_seq.generate_state(8, np.uint32)
