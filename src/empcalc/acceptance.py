@@ -215,7 +215,7 @@ ALL_CRITERIA = {
 
 
 def run_acceptance(numbers=None, seed: int = DEFAULT_SEED) -> Report:
-    """Run the selected criteria (all by default) in the order given.
+    """Run the selected criteria (all by default) in the order given, each once.
 
     Returns the ``check`` report: per criterion its number, name, verdict
     and checks, and every check again at the top level, prefixed with
@@ -223,9 +223,11 @@ def run_acceptance(numbers=None, seed: int = DEFAULT_SEED) -> Report:
     stderr as it finishes.
     """
     numbers = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
-    for num in numbers:
+    for i, num in enumerate(numbers):
         if num not in ALL_CRITERIA:
             raise InputFormatError(f"unknown acceptance criterion {num}; valid: 1..7")
+        if num in numbers[:i]:
+            raise InputFormatError(f"acceptance criterion {num} is given twice")
     criteria, checks = [], []
     for num in numbers:
         fn = ALL_CRITERIA[num]

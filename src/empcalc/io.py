@@ -9,10 +9,18 @@ significant digits, which round-trips IEEE doubles exactly, so
 write -> read -> write is byte-stable.
 
 Writing goes in blocks of ``_WRITE_ROWS`` rows.  Each block is copied
-into one reused (rows, 2) buffer, formatted by a single %-operation and
-written by one write() call, so at most one block of text (about 330 KB)
-is held at a time, never the whole file.  ``%.17g`` on a Python float
-gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
+into one reused (rows, 2) buffer, formatted by a numpy kernel and written
+by one write() call, so at most one block of text (about 330 KB) is held
+at a time, never the whole file; the kernel's arrays for a block peak at
+about 7 MB.  The kernel gives each value the bytes of ``%.17g``: it
+scales |v| by 10**(16 - e) as a double-double (Dekker's error-free
+product with a table of 10**p to about 2**-106), checks that the
+unrounded product lies in [1e16, 1e17), rounds it to 17 digits, drops
+trailing zeros and lays the digits out as %g does.  A value whose
+rounding it cannot prove goes to ``%.17g`` itself, one value at a time:
+subnormals and |v| below 1e-291, the few doubles just under the largest,
+and near decimal ties where 10**p is not exact.  ``%.17g`` on a Python
+float gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
 
 Reading is done in one pass; bytes that are not UTF-8 are an error.  One
 U+FEFF byte-order mark at the start of the first line is ignored, for
@@ -37,6 +45,7 @@ joined from them: 16 bytes a row for the parts and 16 for the columns.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
 import json
 import math
@@ -58,9 +67,17 @@ _BLOCK_CHARS = 1 << 20
 # A byte-order mark, ignored once at the start of the input.
 _BOM = "\ufeff"
 
-# Rows formatted by one %-operation and written by one write() call.
+# Rows formatted and written by one write() call.
 _WRITE_ROWS = 8192
-_ROW_FORMAT = "%.17g,%.17g\n"
+
+# The powers of ten in the writer's table, and the |v| its kernel formats.
+_P_MIN, _P_MAX = -292, 308
+_V_MIN, _V_MAX = 1e-291, 1.79e308
+
+# Each value is laid out from a 32-byte source row: 0 '-', 1 '0', 2 '.',
+# 3-19 the 17 digits, 20 'e', 21 the exponent's sign, 24-27 the exponent
+# as 4 digits, 28 the separator and 31 a NUL byte that pads templates.
+_ROW, _SEP, _PAD = 32, 28, 31
 
 
 def read_paired_csv(source: PathOrFile) -> PairedSample:
@@ -190,8 +207,12 @@ def _is_number(token: str) -> bool:
 def write_paired_csv(sample: PairedSample, dest: PathOrFile) -> None:
     """Write a PairedSample as CSV with an x,y header, 17 significant digits.
 
-    Rows are formatted and written ``_WRITE_ROWS`` at a time, so memory
-    beyond the sample stays at one block of text whatever the row count.
+    Each row is ``"%.17g,%.17g\\n" % (x, y)`` byte for byte.  Rows are
+    formatted and written ``_WRITE_ROWS`` at a time, so memory beyond the
+    sample stays at one block of text whatever the row count.  A numpy
+    kernel makes the digits: it rounds an error-free scaled product, so
+    its digits are the correctly rounded ones that ``%.17g`` prints, and
+    the values whose rounding it cannot prove go to ``%.17g`` itself.
     """
     if hasattr(dest, "write"):
         _write(sample, dest)
@@ -208,7 +229,114 @@ def _write(sample: PairedSample, fh) -> None:
         block = pairs[:n - lo]
         block[:, 0] = sample.xs[lo:lo + len(block)]
         block[:, 1] = sample.ys[lo:lo + len(block)]
-        fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+        fh.write(_format(block.ravel()).decode("ascii"))
+
+
+def _fallback(value: float) -> str:
+    """``%.17g`` of one value the kernel cannot prove."""
+    return "%.17g" % value
+
+
+def _split(x: np.ndarray):
+    """x = hi + lo exactly, each with at most 26 significant bits."""
+    hi = ((x.view(np.uint64) + np.uint64(1 << 26)) & np.uint64(0xFFFFFFFFF8000000)).view(float)
+    return hi, x - hi
+
+
+@functools.cache
+def _tables():
+    """The kernel's tables, built on the first write, never at import."""
+    # 10**p = num / den = hi + lo, each part correctly rounded by int division.
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        hi.append(num / den)
+        n, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - n * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    quads = [b"%04d" % i for i in range(10000)]
+    trailing = np.array([4] + [4 - len(q.rstrip(b"0")) for q in quads[1:]])
+    # A template per (sign, layout, significant digits): the source-row bytes
+    # of the value and its separator.  Layouts are %g's fixed notation for
+    # exponents -4..16, then d.ddde±XX and d.ddde±XXX.
+    digits, templates = list(range(3, 20)), []
+    for minus in ([], [0]):
+        for x in range(-4, 19):
+            for sig in range(1, 18):
+                if x < 0:
+                    body = [1, 2] + [1] * (-1 - x) + digits[:sig]
+                elif x < 17:
+                    body = digits[:x + 1] + ([2] + digits[x + 1:sig] if sig > x + 1 else [])
+                else:  # x = 17 and 18 stand for two- and three-digit exponents
+                    body = digits[:1] + ([2] + digits[1:sig] if sig > 1 else [])
+                    body += [20, 21, 26, 27] if x == 17 else [20, 21, 25, 26, 27]
+                templates.append(minus + body + [_SEP])
+    templates += [list(range(n)) + [_SEP] for n in range(1, 25)]  # a fallback's own text
+    index = np.full((len(templates), 25), _PAD, np.intp)
+    for row, t in zip(index, templates):
+        row[:len(t)] = t
+    base = np.zeros((2, _ROW), np.uint8)
+    base[:, :3] = list(b"-0.")
+    base[:, 20] = ord("e")
+    base[:, _SEP] = list(b",\n")
+    return hi, lo, np.frombuffer(b"".join(quads), np.uint32), trailing, index, base
+
+
+def _scaled(v, e, hi, lo):
+    """v * 10**(16 - e) as h + l, and whether it lies in [1e16, 1e17), with a margin of 1e-3."""
+    p = 16 - e - _P_MIN
+    t = hi[p]
+    (v1, v2), (t1, t2) = _split(v), _split(t)
+    h = v * t  # Dekker's product: the parenthesised sum is v * t - h exactly
+    l = ((((v1 * t1 - h) + v1 * t2) + v2 * t1) + v2 * t2) + v * lo[p]
+    return h, l, ((h - 1e16) + l >= -1e-3) & ((h - 1e17) + l < 1e-3)
+
+
+def _format(a: np.ndarray) -> bytes:
+    """``%.17g`` of each of the values, a comma after even positions, a newline after odd."""
+    hi, lo, quads, trailing, index, base = _tables()
+    v = np.abs(a)
+    kernel = (v >= _V_MIN) & (v < _V_MAX)
+    w = np.where(kernel, v, 1.0)
+    e = np.floor(np.log10(w)).astype(np.int64)
+    h, l, inside = _scaled(w, e, hi, lo)
+    # log10 can be one off near a power of ten: retry once on the other side.
+    redo = np.flatnonzero(~inside)
+    if len(redo):
+        e[redo] += np.where(h[redo] <= 1e16, -1, 1)
+        h[redo], l[redo], inside[redo] = _scaled(w[redo], e[redo], hi, lo)
+    # h is an even integer, and h + l is exact where 10**p is (p in 0..22),
+    # so rint rounds a tie to even as %.17g does; elsewhere a near tie falls back.
+    tie = (np.abs(l - np.floor(l) - 0.5) <= 1e-6) & ((e < -6) | (e > 16))
+    fallback = (v != 0) & ~(kernel & inside & ~tie)
+    # The 17 digits as one integer, and 0 for zeros and values not inside.
+    mant = (h.astype(np.int64) + np.rint(l).astype(np.int64)) * (inside & (v != 0))
+    top = mant == 10 ** 17  # rounded up to the next power of ten
+    mant -= top * 9 * 10 ** 16
+    e += top
+    high, low = np.divmod(mant, 10 ** 8)
+    lead, high = np.divmod(high, 10 ** 8)
+    chunks = np.stack(np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4), axis=1)
+    src = np.empty((len(a), _ROW), np.uint8)
+    src.reshape(-1, 2, _ROW)[:] = base
+    words = src.view(np.uint32)
+    words[:, 1:5] = quads[chunks]
+    words[:, 6] = quads[np.abs(e)]
+    src[:, 3] = lead + ord("0")
+    src[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    c1, c2, c3, c4 = chunks.T  # trailing zero digits; 16 leave one digit
+    zeros = trailing[c4] + (c4 == 0) * (trailing[c3] + (c3 == 0) * (
+        trailing[c2] + (c2 == 0) * trailing[c1]))
+    layout = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    k = (np.signbit(a) * 23 + layout) * 17 + 16 - zeros
+    for i in np.flatnonzero(fallback):  # the value's own text, from byte 0
+        text = _fallback(float(a[i])).encode()
+        src[i, :len(text)] = list(text)
+        k[i] = 2 * 23 * 17 + len(text) - 1
+    take = index[k]  # each value's template, moved to its row; NUL pads drop out
+    take += np.arange(0, src.size, _ROW)[:, None]
+    out = src.ravel().take(take)
+    return out[out != 0].tobytes()
 
 
 @dataclass(frozen=True)

@@ -475,6 +475,15 @@ def test_check_unknown_criterion(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("criteria, repeated", [("1,1", 1), ("4,1,4", 4)])
+def test_check_repeated_criterion_is_a_usage_error(capsys, criteria, repeated):
+    # a repeated number exits 2 before any criterion runs, not once for each time given
+    code, out, err = run_cli(capsys, "check", "--criteria", criteria)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: acceptance criterion {repeated} is given twice"
+    assert "criterion 1 (" not in err and "criterion 4 (" not in err
+
+
 def test_check_non_integer_criteria(capsys):
     code, _, err = run_cli(capsys, "check", "--criteria", "one")
     assert code == 2

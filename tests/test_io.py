@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
 from empcalc import io as ec_io
+from empcalc.cli import main
 
 
 def parse(text: str):
@@ -333,8 +334,23 @@ def test_write_read_write_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# The writer's kernel at its edges: subnormals and the extremes (which fall
+# back to %.17g), the %g layout's switches to and from e-notation at 1e-5,
+# 1e-4, 1e16 and 1e17 with both neighbours, two- and three-digit exponents,
+# one value with each count of significant digits from 1 to 17, and exact
+# decimal ties at the 18th digit: 2**50 + 0.25 and + 0.75, where the scaled
+# product is exact and rounds half to even, and some multiples of 2**-25,
+# where 10**p is not exact and the tie falls back to %.17g.
+# 1e-280 is the double 9.9999999999999996e-281: scaled by 10**296 it rounds
+# to 1e16 at 16 digits, so its exponent must come from the unrounded product.
+_LAYOUT_EDGES = [1e-5, 1e-4, 1e16, 1e17]
 EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-               -1.7976931348623157e308, 0.1, 1e16, 1e17, 1.0 / 3.0]
+               -1.7976931348623157e308, 0.1, 1e16, 1e17, 1.0 / 3.0,
+               1e-280, 1e100, 1e-100, 0.5, 2.0 ** 53,
+               *np.nextafter(_LAYOUT_EDGES, 0.0).tolist(), *_LAYOUT_EDGES,
+               *np.nextafter(_LAYOUT_EDGES, math.inf).tolist(),
+               *(float("1234567890123456789"[:k] + "e-3") for k in range(1, 18)),
+               2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, *(k * 2.0 ** -25 for k in range(1, 31, 2))]
 
 
 def per_row_csv(s):
@@ -349,16 +365,84 @@ def test_block_writer_matches_per_row_format(tmp_path, monkeypatch, block, extra
     monkeypatch.setattr(ec_io, "_WRITE_ROWS", block)
     n = 2 * block + 3 if extra is None else block + extra
     for length in (2, n):
-        values = np.resize(EDGE_VALUES, length)
-        s = ec.PairedSample(values, values[::-1] * -1.0)
-        assert isinstance(s.xs[0], np.float64)
-        expected = per_row_csv(s)
-        buf = io.StringIO()
-        ec.write_paired_csv(s, buf)
-        assert buf.getvalue() == expected
-        path = tmp_path / f"block_{length}.csv"
-        ec.write_paired_csv(s, str(path))
-        assert path.read_bytes() == expected.encode()
+        for start in range(0, len(EDGE_VALUES), length):  # every edge value in both columns
+            values = np.resize(np.roll(EDGE_VALUES, -start), length)
+            s = ec.PairedSample(values, values[::-1] * -1.0)
+            assert isinstance(s.xs[0], np.float64)
+            expected = per_row_csv(s)
+            buf = io.StringIO()
+            ec.write_paired_csv(s, buf)
+            assert buf.getvalue() == expected
+            path = tmp_path / f"block_{length}.csv"
+            ec.write_paired_csv(s, str(path))
+            assert path.read_bytes() == expected.encode()
+
+
+def test_writer_takes_the_exponent_from_the_unrounded_product():
+    assert 9.9999999999999996e-281 == 1e-280
+    assert ec_io._format(np.array([1e-280, -1e-280])) == \
+        b"9.9999999999999996e-281,-9.9999999999999996e-281\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=64), st.integers(0, 2 ** 32 - 1))
+def test_writer_matches_per_row_format_on_bit_patterns(patterns, seed):
+    """Any finite double, in a sample of more than one block."""
+    drawn = np.random.default_rng(seed).integers(0, 2 ** 64, 2 * ec_io._WRITE_ROWS + 64,
+                                                 dtype=np.uint64)
+    values = np.concatenate([np.array(patterns, dtype=np.uint64), drawn]).view(np.float64)
+    values = values[np.isfinite(values)]
+    half = len(values) // 2
+    s = ec.PairedSample(values[:half], values[half:2 * half])
+    assert s.n > ec_io._WRITE_ROWS
+    buf = io.StringIO()
+    ec.write_paired_csv(s, buf)
+    assert buf.getvalue() == per_row_csv(s)
+
+
+def test_writer_matches_per_row_format_around_every_power_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    values = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, math.inf)])
+    s = ec.PairedSample(values, -values[::-1])
+    buf = io.StringIO()
+    ec.write_paired_csv(s, buf)
+    assert buf.getvalue() == per_row_csv(s)
+
+
+def test_writer_formats_bulk_values_without_the_fallback(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return "%.17g" % value
+
+    monkeypatch.setattr(ec_io, "_fallback", counted)
+    tens = [float(f"1e{k}") for k in range(-290, 309)]
+    values = np.resize([0.0, -0.0, *range(-1000, 1001), *tens, 0.25, -1.5, 123.456], 4000)
+    s = ec.PairedSample(values, values[::-1])
+    buf = io.StringIO()
+    ec.write_paired_csv(s, buf)
+    assert buf.getvalue() == per_row_csv(s)
+    assert calls == []
+    # a subnormal takes it, and so does a near decimal tie where 10**p is not
+    # exact: 2.1162656931557834e+25 scaled by 10**-9 is within 1e-6 of k + 1/2
+    s = ec.PairedSample([5e-324, 1.0], [2.0, 2.1162656931557834e+25])
+    buf = io.StringIO()
+    ec.write_paired_csv(s, buf)
+    assert buf.getvalue() == per_row_csv(s)
+    assert calls == [5e-324, 2.1162656931557834e+25]
+
+
+def test_commands_that_write_nothing_build_no_writer_tables(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{i * i % 7}\n" for i in range(40)))
+    ec_io._tables.cache_clear()
+    assert main(["variance", "--law", "gaussian", "--rho", "0.5"]) == 0
+    assert main(["estimate", "--input", str(data)]) == 0
+    capsys.readouterr()
+    assert ec_io._tables.cache_info().currsize == 0
+    ec.write_paired_csv(ec.PairedSample([1.0, 2.0], [3.0, 4.0]), io.StringIO())
+    assert ec_io._tables.cache_info().currsize == 1
 
 
 class _RecordingWriter:
