@@ -22,21 +22,30 @@ subnormals and |v| below 1e-291, the few doubles just under the largest,
 and near decimal ties where 10**p is not exact.  ``%.17g`` on a Python
 float gives the same bytes as ``format(x, ".17g")`` on a numpy float64.
 
-Reading is done in one pass; bytes that are not UTF-8 are an error.  One
-U+FEFF byte-order mark at the start of the first line is ignored, for
-paths and file objects alike; anywhere else it is a non-numeric cell.  A
-row parser (the csv module, one row at a time) reads up to and including
-the first data row, which settles the header.  The rest is read in blocks
-of whole lines, about 1 MiB each, and np.loadtxt parses each block's lines
-as the file object split them.  A block that np.loadtxt rejects, that
-does not give two columns or that holds a value that is not finite goes to
-the row parser, and the next block goes to np.loadtxt again: blocks with
-quoted cells, blank, whitespace-only or comma-only lines, wrong column
-counts, non-numeric cells, a carriage return or newline inside a line,
-tokens such as ``1_0``, or ``nan``, ``inf`` and ``1e999``, which overflows.
-The values, and every error with its 1-based physical line number (also
-for a record the csv module refuses or a value that is not finite), are
-those of the row parser reading the whole input.
+Bytes that are not UTF-8 are an error.  One U+FEFF byte-order mark at
+the start of the first line is ignored, for paths and file objects
+alike; anywhere else it is a non-numeric cell.  A row parser (the csv
+module, one row at a time) reads up to and including the first data row,
+which settles the header.  Given a str or os.PathLike path to a regular
+file, one np.loadtxt call then parses the rest of the file from its
+absolute path, skipping the lines already read, in numpy's own chunks.
+A bytes path, a FIFO such as /dev/stdin fed by a pipe (opened again, it
+would lose what the first handle buffered) and a name ending in .gz,
+.bz2, .xz or .lzma (numpy decompresses by suffix) do not go that way.
+If the call fails, or its rows are not two finite columns, the rest is
+read as a file object's is, from where the row parser stopped, so a file
+valid but for its last lines has its rows parsed twice.  A file object's
+rest is read in blocks of whole lines, about 1 MiB each, and np.loadtxt
+parses each block's lines as the file object split them.  A block that
+np.loadtxt rejects, that does not give two columns or that holds a value
+that is not finite goes to the row parser, and the next block goes to
+np.loadtxt again: blocks with quoted cells, blank, whitespace-only or
+comma-only lines, wrong column counts, non-numeric cells, a carriage
+return or newline inside a line, tokens such as ``1_0``, or ``nan``,
+``inf`` and ``1e999``, which overflows.  The values, and every error with
+its 1-based physical line number (also for a record the csv module
+refuses or a value that is not finite), are those of the row parser
+reading the whole input.
 Every block is kept as float64 arrays, a row-parsed block's values
 converted as soon as it is read, and the sample adopts the two columns
 joined from them: 16 bytes a row for the parts and 16 for the columns.
@@ -49,6 +58,8 @@ import functools
 import io as _io
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -67,6 +78,9 @@ _BLOCK_CHARS = 1 << 20
 # A byte-order mark, ignored once at the start of the input.
 _BOM = "\ufeff"
 
+# Path suffixes that np.loadtxt decompresses by.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 # Rows formatted and written by one write() call.
 _WRITE_ROWS = 8192
 
@@ -84,19 +98,39 @@ def read_paired_csv(source: PathOrFile) -> PairedSample:
     """Parse a two-column CSV into a PairedSample.
 
     Errors carry 1-based physical line numbers.  ``source`` is a path,
-    read as UTF-8, or a readable text file object.
+    read as UTF-8, or a readable text file object.  After the first data
+    row, a str or ``os.PathLike`` path to a regular file not named
+    ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma`` is parsed by one np.loadtxt
+    call; if that call rejects the rows, they are read in blocks as a file
+    object's are, so a large file whose last line holds a quoted cell is
+    parsed about twice over.  Values and errors are the same either way.
     """
     try:
         if hasattr(source, "read"):
             return _parse(source)
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse(fh)
+            return _parse(fh, _plain_path(source, fh))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"input is not UTF-8 text: cannot decode byte "
                                f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
-def _parse(fh) -> PairedSample:
+def _plain_path(source, fh) -> Optional[str]:
+    """The absolute path np.loadtxt may open for the rest of ``fh``, or None.
+
+    numpy refuses a bytes path, decompresses by suffix whatever the bytes
+    are, and takes a relative ``scheme://...`` name for a URL.  A FIFO,
+    such as /dev/stdin fed by a pipe, opened a second time would lose the
+    rows ``fh`` buffered.
+    """
+    path = None if isinstance(source, int) else os.fspath(source)  # an int is a descriptor
+    if (not isinstance(path, str) or path.endswith(_COMPRESSED)
+            or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)):
+        return None
+    return path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
+
+
+def _parse(fh, path: Optional[str] = None) -> PairedSample:
     lines = iter(fh.readline, "")
     if first := next(lines, ""):
         lines = chain([first.removeprefix(_BOM)], lines)
@@ -104,33 +138,40 @@ def _parse(fh) -> PairedSample:
     # row, so the header rule lives in one place.
     xs, ys, line_offset = _read_rows(lines, header_allowed=True)
     x_parts, y_parts = [xs], [ys]
-    while block := fh.readlines(_BLOCK_CHARS):
-        values = _load_block(block)
-        if values is None:
-            # A quoted record that runs past the block's end is read whole.
-            xs, ys, used = _read_rows(chain(block, lines), line_offset, stop=len(block))
-        else:
-            xs, ys, used = values[:, 0], values[:, 1], len(block)
-        x_parts.append(xs)
-        y_parts.append(ys)
-        line_offset += used
+    if path is not None and (values := _load_block(path, line_offset)) is not None:
+        x_parts.append(values[:, 0])
+        y_parts.append(values[:, 1])
+    else:
+        while block := fh.readlines(_BLOCK_CHARS):
+            values = _load_block(block)
+            if values is None:
+                # A quoted record that runs past the block's end is read whole.
+                xs, ys, used = _read_rows(chain(block, lines), line_offset, stop=len(block))
+            else:
+                xs, ys, used = values[:, 0], values[:, 1], len(block)
+            x_parts.append(xs)
+            y_parts.append(ys)
+            line_offset += used
     xs = np.concatenate(x_parts)
     if len(xs) < 2:
         raise InputFormatError(f"need at least 2 data rows, got {len(xs)}")
     return PairedSample._adopt(xs, np.concatenate(y_parts))
 
 
-def _load_block(block: list[str]):
-    """The (k, 2) values of the lines as read, or None if the row parser must take them.
+def _load_block(block: Union[list[str], str], skiprows: int = 0):
+    """The (k, 2) values of the lines, or of a path's lines after the first
+    ``skiprows``, or None if the row parser must take them.
 
-    np.loadtxt refuses a line with a carriage return or newline before its end.
-    A non-finite value goes to the row parser too, which names its line.
+    np.loadtxt refuses a line with a carriage return or newline before its
+    end, and a path's bytes that are not UTF-8.  A non-finite value goes to
+    the row parser too, which names its line.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2,
+                                skiprows=skiprows, encoding="utf-8")
         except ValueError:
             return None
     return values if values.shape[1] == 2 and np.isfinite(values).all() else None

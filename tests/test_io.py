@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -305,6 +309,135 @@ def test_quoted_record_across_block_end(monkeypatch):
     assert s.ys.tolist() == [2.0, 4.0, 6.0]
     with pytest.raises(ec.InputFormatError, match=r"^line 6: non-numeric value 'oops'$"):
         parse(text + "7,oops\n")
+
+def read_path_outcome(read, path):
+    """``outcome`` for a path: the values as bytes, or the error type and message."""
+    try:
+        s = read(path)
+    except ec.InputFormatError as exc:
+        return type(exc), str(exc)
+    return s.xs.tobytes(), s.ys.tobytes()
+
+
+def reference_from_path(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return reference_row_parser(fh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_path_reader_matches_row_parser(text):
+    """Read by path, where np.loadtxt may take every row after the first data
+    row in one pass, the values or the error equal the row parser's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (read_path_outcome(ec.read_paired_csv, path)
+                == read_path_outcome(reference_from_path, path))
+
+
+@pytest.fixture
+def path_loads(monkeypatch):
+    """The paths handed to np.loadtxt, each checked absolute and a regular file
+    before numpy opens it."""
+    loads = []
+    load_block = ec_io._load_block
+
+    def recording(block, skiprows=0):
+        if isinstance(block, str):
+            assert os.path.isabs(block) and os.path.isfile(block), block
+            loads.append(block)
+        return load_block(block, skiprows)
+
+    monkeypatch.setattr(ec_io, "_load_block", recording)
+    return loads
+
+
+def sample_text(n):
+    return "x,y\n" + "".join(f"{i},{2 * i + 1}\n" for i in range(n))
+
+
+def assert_sample(s, n):
+    assert s.xs.tolist() == list(map(float, range(n)))
+    assert s.ys.tolist() == [2.0 * i + 1 for i in range(n)]
+
+
+def test_a_relative_path_is_read_in_one_pass_by_its_absolute_name(tmp_path, monkeypatch,
+                                                                   path_loads):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("sample.csv").write_text(sample_text(50))
+    for source in ("sample.csv", pathlib.Path("sample.csv")):
+        assert_sample(ec.read_paired_csv(source), 50)
+    assert path_loads == [str(tmp_path / "sample.csv")] * 2
+
+
+class _BytesPath:
+    def __init__(self, path):
+        self._path = os.fsencode(path)
+
+    def __fspath__(self):
+        return self._path
+
+
+def test_a_bytes_path_or_a_descriptor_is_read_in_blocks(tmp_path, path_loads):
+    path = tmp_path / "sample.csv"
+    path.write_text(sample_text(50))
+    for source in (os.fsencode(path), _BytesPath(path), os.open(path, os.O_RDONLY)):
+        assert_sample(ec.read_paired_csv(source), 50)
+    assert path_loads == []
+
+
+@pytest.mark.parametrize("name", ["sample.csv.gz", "sample.csv.xz", "sample.csv.bz2",
+                                  "sample.csv.lzma"])
+def test_a_plain_file_named_as_compressed_is_read_in_blocks(tmp_path, path_loads, name):
+    # numpy would decompress it by its suffix, and fail on plain text
+    path = tmp_path / name
+    path.write_text(sample_text(50))
+    assert_sample(ec.read_paired_csv(str(path)), 50)
+    assert path_loads == []
+
+
+def test_a_fifo_path_is_read_in_blocks(tmp_path, path_loads):
+    # a second open of the FIFO would miss the rows the first handle buffered
+    path = tmp_path / "sample.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(sample_text(3000),), daemon=True)
+    writer.start()
+    try:
+        assert_sample(ec.read_paired_csv(str(path)), 3000)
+    finally:
+        writer.join(timeout=10)
+    assert path_loads == []
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_mebibyte_is_an_input_error(tmp_path,
+                                                                            path_loads):
+    data = sample_text(100_000).encode() + b"7,\xe9\n"
+    assert len(data) > 1 << 20
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    stream = io.TextIOWrapper(io.BufferedReader(_Pipe(data)), encoding="utf-8")
+    messages = []
+    for source in (str(path), stream):
+        with pytest.raises(ec.InputFormatError) as exc:
+            ec.read_paired_csv(source)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("input is not UTF-8 text: cannot decode byte 0xe9 (")
+    assert path_loads == [str(path)]
+
+
+def test_a_quoted_cell_on_the_last_line_sends_the_rows_to_the_block_reader(tmp_path,
+                                                                          path_loads):
+    path = tmp_path / "sample.csv"
+    path.write_text(sample_text(2000) + '"2000",4001\n')
+    assert_sample(ec.read_paired_csv(str(path)), 2001)
+    assert path_loads == [str(path)]
+    with open(path, "a") as fh:
+        fh.write("7,oops\n")
+    with pytest.raises(ec.InputFormatError, match=r"^line 2003: non-numeric value 'oops'$"):
+        ec.read_paired_csv(str(path))
 
 # ----------------------------------------------------------------- write
 
