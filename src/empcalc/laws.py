@@ -66,6 +66,7 @@ from .empirical import _CHUNK, _MOMENT_DIVERGES, PolynomialMomentOracle, _check_
 from .errors import AffineDependenceError, EmpcalcError, InputFormatError, MomentError
 from .functions import StatFunction
 from .sample import PairedSample
+from .streams import BlockStreams
 
 WEIGHT_SUM_TOL = 1e-12
 _MAX_MIXTURE_DEPTH = 32  # mixtures a law nests: each takes a few stack frames
@@ -238,15 +239,19 @@ class BivariateLaw(PolynomialMomentOracle):
                    n: int) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys), each of shape (len(rngs), n): row r holds n i.i.d.
         pairs drawn from rngs[r] alone, in the order a single sample takes.
-        Both arrays are the caller's own, to overwrite if it likes.
+        Both arrays are the caller's own, to overwrite if it likes.  An rng
+        that is not a numpy Generator is an InputFormatError, before any draw.
 
         The raw fill, :meth:`_fill_rows`, iterates the sized ``rngs`` once,
-        in row order: the Monte Carlo experiments pass a slice of the
-        :class:`~empcalc.streams.BlockStreams` hashed once for the whole
-        run, which builds each row's generator only when its row is
-        reached.  One transform follows.  The experiments check the
-        returned rows for non-finite draws through the row sums.
+        in row order, done with each row before the next: the Monte Carlo
+        experiments pass a slice of their run's :class:`~empcalc.streams.
+        BlockStreams`, whose one Generator is set to each row's stream in
+        turn.  One transform follows; the experiments check the returned
+        rows for non-finite draws through the row sums.
         """
+        if not isinstance(rngs, BlockStreams):  # a Monte Carlo run's rows go unchecked
+            if bad := [type(r).__name__ for r in rngs if not isinstance(r, np.random.Generator)]:
+                raise InputFormatError(f"draws need a numpy Generator, got {bad[0]}")
         rows = len(rngs)
         xs, ys = self.transform(self._fill_rows(rngs, n), rows * n)
         return xs.reshape(rows, n), ys.reshape(rows, n)

@@ -24,17 +24,18 @@ and differ only in the row reduction they pass it and the per-sample
 routine that explains a failed row.  A block holds about 32k draws per
 coordinate (rows = 32768 // n replicates, at least one).
 Replicate i draws its values from the generator stream derived from
-(seed, i), in the order a single ``law.sample`` call takes them, into row
-i of its block; a run hashes all its streams once (:class:`BlockStreams`)
-and each block draws from its slice.  So how replicates are grouped into
-blocks never changes a value.  The law transforms the whole block at once
-and rho_n or G_n(f) is reduced across the block; that row reduction is
-the one correlation not taken by ``rho_from_moments`` of a moment set,
-as rho_true and :func:`compute_rho_n` are.  The block kernels only mask
-their degenerate or non-finite rows.  Those and the rows whose sums are
-not finite, as a non-finite draw makes them, are drawn again, one sample
-each: the first that ``PairedSample``, ``compute_rho_n`` or ``gn_eval``
-rejects names the run's failure.  Only a failed row pays a second draw.
+(seed, i), in the order a single ``law.sample`` call takes them, into row i
+of its block; a run seeds all its streams once (:class:`BlockStreams`) and
+each block draws from its slice, through one Generator set to each row's
+stream in turn.  So how replicates are grouped never changes a value.  The
+law transforms the whole block at once and rho_n or G_n(f) is reduced
+across the block; that row reduction is the one correlation not taken by
+``rho_from_moments`` of a moment set, as rho_true and
+:func:`compute_rho_n` are.  The block kernels only mask their degenerate
+or non-finite rows.  Those and the rows whose sums are not finite, as a
+non-finite draw makes them, are drawn again, one sample each: the first
+that ``PairedSample``, ``compute_rho_n`` or ``gn_eval`` rejects names the
+run's failure.  Only a failed row pays a second draw.
 """
 
 from __future__ import annotations

@@ -9,25 +9,23 @@ The stream named by (seed, key) is numpy's: the PCG64 generator that
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``
 builds, and :func:`derive_rng` and :func:`derive_seed` make one stream
 that way.  A Monte Carlo run needs one stream per replicate, keyed by its
-row index, and numpy's SeedSequence builds those one object at a time.  So
-:class:`BlockStreams` reproduces SeedSequence's hash (pool size 4) itself,
-in fixed 32-bit arithmetic on uint32 arrays, each row's index one key
-word; the tests check every row against numpy's SeedSequence.  A block
-keeps the four hashed 64-bit words, 32 bytes per stream, and builds each
-row's generator only when its row is reached: PCG64 takes the words from
-an ``ISeedSequence`` subclass, made on the first draw, and applies its
-own seeding step.  A Monte Carlo run hashes the streams of all its
-replicates once, as one block, and each block of replicates draws from a
-slice of it, a view of its words.
+row index, and numpy builds those one object at a time.  So
+:class:`BlockStreams` reproduces SeedSequence's hash (pool size 4) and
+PCG64's seeding (O'Neill, 2014) on arrays, and writes each row's seeded
+state into one Generator as its row is reached; the tests check every row
+against numpy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import operator
 from typing import Iterator
 
 import numpy as np
+
+from .errors import EmpcalcError
 
 _M32 = 0xFFFF_FFFF
 _POOL_SIZE = 4
@@ -35,9 +33,10 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-# streams hashed per pass: the hash's temporaries take about 100 bytes per
-# stream, so a long block is hashed in pieces of this many rows
-_HASH_ROWS = 1 << 16
+# PCG64's LCG multiplier 0x2360ED051FC65DA44385DF649FCCF645, as 32-bit limbs
+_PCG_MULT = np.array([0x9FCC_F645, 0x4385_DF64, 0x1FC6_5DA4, 0x2360_ED05], dtype=np.uint64)
+# streams hashed and seeded per pass, 330 bytes of temporaries each: 2^16 ran 2.5 times slower
+_HASH_ROWS = 1 << 14
 # streams a block holds: a row's key is one uint32 word, which past 2^32 - 1 wraps to 0
 MAX_STREAMS = 1 << 32
 
@@ -78,8 +77,8 @@ def _mix(x, y):
 
 
 def _generate_state(seed: int, index: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for
-    each i of the uint32 array ``index``, one row each.
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(8)`` as uint64, one
+    column for each i of the uint32 array ``index``.
 
     SeedSequence pads the seed's words with zeros to the pool size, as a
     key follows them, hashes the first four into the pool, and then mixes
@@ -97,28 +96,58 @@ def _generate_state(seed: int, index: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
-    out = np.array([_hashmix(pool[i % _POOL_SIZE], consts)
-                    for i in range(2 * _POOL_SIZE)], dtype="<u4").T
-    # uint32 word pairs read as little-endian uint64s, one C-ordered row per
-    # stream: a view, so the hash holds no uint64 copy of its words
-    return np.ascontiguousarray(out).view("<u8").astype(np.uint64, copy=False)
+    return np.array([_hashmix(pool[i % _POOL_SIZE], consts)
+                     for i in range(2 * _POOL_SIZE)], dtype=np.uint64)
+
+
+def _carried(cols: np.ndarray) -> np.ndarray:
+    """The 32-bit limbs, lowest first, of sum_k cols[k] 2^(32k) mod 2^128."""
+    for k in range(3):
+        cols[k + 1] += cols[k] >> 32
+    return cols & _M32
+
+
+def _seeded(words: np.ndarray) -> np.ndarray:
+    """PCG64's (state_lo, state_hi, inc_lo, inc_hi) per column of uint32 words (s_hi, s_lo,
+    i_hi, i_lo): inc = 2i + 1, state = ((inc + s) M + inc) mod 2^128, on 32-bit limbs."""
+    s, i = words[[2, 3, 0, 1]], words[[6, 7, 4, 5]]
+    inc = _carried(i << 1)
+    inc[0] |= 1
+    a, cols = _carried(inc + s), inc.copy()
+    for p in range(4):  # a_p m_q into columns p + q, p + q + 1: each sums at most 8 limbs
+        prod = a[p] * _PCG_MULT[:4 - p, None]
+        cols[p:] += prod & _M32
+        cols[p + 1:] += prod[:3 - p] >> 32
+    return np.concatenate([_carried(cols), inc]).T.astype("<u4", order="C").view("<u8")
 
 
 @functools.cache
-def _seed_words_class() -> type:
-    """``_SeedWords``, the numpy ``ISeedSequence`` that hands PCG64 the four
-    uint64 words its SeedSequence would generate.  Made on the first draw,
-    so that commands which draw nothing never load numpy.random."""
+def _placeholder() -> np.random.bit_generator.ISeedSequence:
+    """The ``ISeedSequence`` of zeros, which cannot spawn, that builds a block's PCG64.
+    Made on the first draw, so commands that draw nothing never load numpy.random, once
+    :func:`_bind` reads a PCG64 that numpy seeded as :func:`_seeded`'s words."""
     class _SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError("derived streams only provide PCG64's four uint64 seed words")
-            return self.words
+            return np.zeros(n_words, dtype)
 
-    return _SeedWords
+    seed_seq = np.random.SeedSequence(2 ** 100 + 7)
+    rng, words, half = _bind(np.random.PCG64(seed_seq))
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 7}
+    want = _seeded(seed_seq.generate_state(8)[:, None].astype(np.uint64))[0]
+    if words.tolist() != want.tolist() or half.value != 1 | 7 << 32:
+        raise EmpcalcError(f"numpy {np.__version__} keeps PCG64's state in a layout "
+                           "BlockStreams cannot write")
+    return _SeedWords()
+
+
+def _bind(pcg=None) -> tuple:
+    """(a Generator on ``pcg``, by default a placeholder-seeded PCG64, a view of its 4 state
+    words, its buffered 32-bit half): numpy's C state is {(state, inc) *, int, uint32}."""
+    pcg = pcg or np.random.PCG64(_placeholder())
+    address = pcg.ctypes.state_address
+    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    return (np.random.Generator(pcg), np.frombuffer(words, dtype=np.uint64),
+            ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p)))
 
 
 def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
@@ -146,37 +175,47 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 class BlockStreams:
-    """The generators ``derive_rng(seed, i)`` for i in 0..reps-1.
+    """The streams ``derive_rng(seed, i)`` for i in 0..reps-1.
 
     Their seed words are hashed as one block, each row's index one uint32
-    key word, in passes of at most ``_HASH_ROWS`` rows; so a block holds at
-    most 2^32 rows, and ``reps`` outside 0..2^32 is a ValueError.  The block
-    keeps four uint64 words, 32 bytes, per row.  ``len`` is the row count.
-    Iteration yields each row's generator in row order, built only when
-    reached, so a block holds one generator at a time; every iteration
-    starts the streams afresh.  A slice is the block of the rows it names,
-    a view of these words with nothing hashed again.  A row's generator
-    holds only its seed words, so it neither pickles nor spawns.
+    key word, and seeded as PCG64 seeds them, in passes of at most
+    ``_HASH_ROWS`` rows; so a block holds at most 2^32 rows, and ``reps``
+    outside 0..2^32 is a ValueError.  The block keeps each row's PCG64
+    (state, inc), 32 bytes; a slice is the block of the rows it names, a
+    view of these words.  Iteration writes each row's words in turn into
+    one placeholder-seeded Generator, which neither pickles nor spawns and
+    holds a row's stream until the next row is reached: ``list(block)`` is
+    one object.  An iteration begun while another is open binds its own.
     """
 
-    __slots__ = ("_words",)
+    __slots__ = ("_states", "_free")
 
     def __init__(self, seed: int, reps: int):
         if not 0 <= reps <= MAX_STREAMS:
             raise ValueError(f"a block holds 0 to 2**32 streams, got {reps}")
-        self._words = np.empty((reps, 4), dtype=np.uint64)
+        self._states = np.empty((reps, 4), dtype=np.uint64)
         for lo in range(0, reps, _HASH_ROWS):
             index = np.arange(lo, min(reps, lo + _HASH_ROWS), dtype=np.uint32)
-            self._words[lo:lo + index.size] = _generate_state(seed, index)
+            self._states[lo:lo + index.size] = _seeded(_generate_state(seed, index))
+        self._free = []  # the run's Generators and their state views, when no iteration holds them
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._states)
 
     def __getitem__(self, rows: slice) -> "BlockStreams":
         block = object.__new__(BlockStreams)
-        block._words = self._words[rows]
+        block._states, block._free = self._states[rows], self._free
         return block
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        seed_words, generator, pcg64 = _seed_words_class(), np.random.Generator, np.random.PCG64
-        return (generator(pcg64(seed_words(w))) for w in self._words)
+        try:  # a Generator of the run that no open iteration holds
+            rng, words, half = bound = self._free.pop()
+        except IndexError:
+            rng, words, half = bound = _bind()
+        try:
+            for row in self._states:
+                words[...] = row
+                half.value = 0
+                yield rng
+        finally:
+            self._free.append(bound)

@@ -8,6 +8,9 @@ and distribution functions; the package itself does not depend on it.
 import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -170,6 +173,27 @@ def test_block_rows_are_bit_identical_to_reference_draws(law):
         for r in range(rows):
             want_xs, want_ys = _reference_draw(law, n, derive_rng(11, r))
             assert np.array_equal(xs[r], want_xs) and np.array_equal(ys[r], want_ys), (rows, n, r)
+
+
+@pytest.mark.parametrize("rng", ["np.random.RandomState(1)", "None", "7"])
+def test_sample_and_draw_block_refuse_what_is_not_a_generator(rng):
+    # numpy's unbound Generator methods crashed the interpreter on a
+    # RandomState or None, so each case runs in a process of its own
+    code = f"""
+import numpy as np, pytest, empcalc as ec
+laws = [ec.GaussianLaw(0.5), ec.IndependentLaw("uniform_std", "exponential_std"),
+        ec.MixtureLaw([ec.GaussianLaw(0.8), ec.DiscreteLaw([0.0, 2.0], [1.0, -1.0], [0.3, 0.7])],
+                      [0.6, 0.4])]
+for law in laws:
+    good = np.random.default_rng(1)
+    state = good.bit_generator.state
+    for call in (lambda: law.sample(10, {rng}), lambda: law.draw_block([good, {rng}], 10)):
+        with pytest.raises(ec.InputFormatError, match="^draws need a numpy Generator, got "):
+            call()
+    assert good.bit_generator.state == state  # refused before any draw
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("law", [ec.GaussianLaw(0.5), ec.IndependentLaw("uniform_std",

@@ -1,13 +1,16 @@
 """Stream derivation against numpy's own SeedSequence and PCG64.
 
 ``derive_rng`` and ``derive_seed`` call numpy's SeedSequence; ``BlockStreams``
-reproduces its hash on arrays instead.  So every derived generator is
+reproduces its hash and PCG64's seeding on arrays instead, and sets one
+Generator to each row's stream in turn.  So every derived generator is
 compared here with the one numpy builds from
-``SeedSequence(seed, spawn_key=key)``: the PCG64 (state, inc) and the
-first draws.
+``SeedSequence(seed, spawn_key=key)``: the PCG64 (state, inc), the buffered
+32-bit half and the first draws.
 """
 
+import itertools
 import os
+import re
 import pickle
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import empcalc as ec
 from empcalc import simulate, streams
+from empcalc.errors import EmpcalcError
 from empcalc.streams import BlockStreams, derive_rng, derive_seed
 
 SEEDS = st.one_of(st.integers(0, 2 ** 32 + 5), st.integers(0, 2 ** 130))
@@ -60,13 +64,37 @@ def test_the_last_row_key_matches_numpy(seed):
     # per-row key path; the block itself would hold 128 GiB of seed words
     index = np.array([2 ** 32 - 2, 2 ** 32 - 1], dtype=np.uint32)
     words = streams._generate_state(seed, index)
-    for i, row in zip(index.tolist(), words):
-        assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(i,))
-                              .generate_state(4, np.uint64)), (seed, i)
+    for i, column in zip(index.tolist(), words.T):
+        assert np.array_equal(column, np.random.SeedSequence(seed, spawn_key=(i,))
+                              .generate_state(8)), (seed, i)
     block = BlockStreams(seed, 0)
-    block._words = words  # the block's generators of these two rows
+    block._states = streams._seeded(words)  # the block's streams of these two rows
     for i, rng in zip(index.tolist(), block):
         assert_same_stream(rng, seed, (i,))
+
+
+class _FixedWords(np.random.bit_generator.ISeedSequence):
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+EDGE_WORD = st.sampled_from([0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+SEED_WORDS = st.lists(st.one_of(EDGE_WORD, st.integers(0, 2 ** 64 - 1)), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(SEED_WORDS, min_size=1, max_size=4))
+def test_seeding_arithmetic_matches_pcg64_on_any_words(rows):
+    # carries through every limb: the edge words make inc + s and the
+    # product's columns overflow 32 bits
+    words = np.array(rows, dtype=np.uint64)
+    limbs = np.stack([words & 0xFFFF_FFFF, words >> 32], axis=2).reshape(-1, 8).T
+    for row, (state_lo, state_hi, inc_lo, inc_hi) in zip(words, streams._seeded(limbs).tolist()):
+        want = np.random.PCG64(_FixedWords(row)).state["state"]
+        assert (want["state"], want["inc"]) == (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo)
 
 
 @pytest.mark.parametrize("reps", [-1, 2 ** 32 + 1, 2 ** 64])
@@ -98,29 +126,87 @@ def test_run_entropy_padding_with_and_without_a_key(words):
         assert_same_stream(derive_rng(seed, *key), seed, key)
 
 
-def assert_same_block(block, ref):
-    assert len(block) == len(ref)
+def assert_same_rows(block, ref):
+    # ref iterated alongside block: a second open iteration of the same run
+    # binds its own generator, so drawing from one leaves the other's row alone
+    rows = 0
     for rng, want in zip(block, ref):
+        assert rng is not want
         assert rng.bit_generator.state == want.bit_generator.state
         assert np.array_equal(rng.random(3), want.random(3))
+        rows += 1
+    assert rows == len(block)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 40), (7, 23), (39, 40), (12, 12), (40, 40)])
 def test_slices_of_a_run_are_the_blocks_they_name(lo, hi):
     run = BlockStreams(3, 40)
     block = run[lo:hi]
-    assert isinstance(block, BlockStreams)
-    assert np.shares_memory(block._words, run._words) or lo == hi
-    assert_same_block(block, [derive_rng(3, i) for i in range(lo, hi)])
-    assert_same_block(block, list(run)[lo:hi])
+    assert isinstance(block, BlockStreams) and len(block) == hi - lo
+    assert np.shares_memory(block._states, run._states) or lo == hi
+    for i, rng in enumerate(block, lo):
+        assert_same_stream(rng, 3, (i,))
+    assert_same_rows(block, itertools.islice(run, lo, hi))
 
 
-def test_block_rows_are_distinct_generators_and_iteration_restarts():
+def test_block_rows_share_one_generator_and_iteration_restarts():
+    # a yielded generator holds its row's stream until the next row is reached
     block = BlockStreams(1, 3)
     rngs = list(block)
-    assert len({id(r.bit_generator) for r in rngs}) == 3
-    first = [r.random() for r in rngs]
+    assert len({id(r) for r in rngs}) == 1
+    assert next(iter(block[1:])) is rngs[0]  # slices share the run's generator
+    first = [r.random() for r in block]
+    assert first == [derive_rng(1, i).random() for i in range(3)]
     assert [r.random() for r in block] == first
+
+
+def test_zipped_iterations_of_a_block_yield_each_rows_stream_on_both_sides():
+    block = BlockStreams(4, 5)
+    for i, (a, b) in enumerate(zip(block, block)):
+        assert a is not b
+        assert_same_stream(a, 4, (i,))
+        assert_same_stream(b, 4, (i,))
+
+
+def test_an_odd_count_of_32_bit_draws_leaves_nothing_for_the_next_row():
+    # PCG64 hands out a 64-bit output in two 32-bit halves and buffers the
+    # second: a row that takes an odd count leaves one half buffered, which
+    # the next row must not draw
+    for i, rng in enumerate(BlockStreams(6, 4)):
+        ref = reference_rng(6, (i,))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                              ref.integers(0, 2 ** 32, 3, dtype=np.uint32)), i
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_a_block_row_refuses_to_spawn():
+    rng = next(iter(BlockStreams(1, 2)))
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+    with pytest.raises(TypeError):
+        rng.bit_generator.spawn(1)
+
+
+@pytest.mark.parametrize("wrong", ["swapped halves", "no buffered half"])
+def test_a_state_layout_other_than_numpys_is_refused(monkeypatch, wrong):
+    bind = streams._bind
+
+    def wrong_views(pcg=None):
+        rng, words, half = bind(pcg)
+        if wrong == "swapped halves":
+            return rng, words[[1, 0, 3, 2]], half
+        return rng, words, type(half)(0)
+
+    monkeypatch.setattr(streams, "_bind", wrong_views)
+    streams._placeholder.cache_clear()
+    try:
+        with pytest.raises(EmpcalcError, match=rf"^numpy {re.escape(np.__version__)} keeps "):
+            next(iter(BlockStreams(1, 1)))
+    finally:
+        monkeypatch.undo()
+        streams._placeholder.cache_clear()
+    assert_same_stream(next(iter(BlockStreams(1, 1))), 1, (0,))
 
 
 def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
@@ -195,9 +281,3 @@ def test_derived_generators_carry_numpys_seed_sequence():
         # so a derived generator spawns the streams (seed, *key, j)
         for j, child in enumerate(rng.spawn(2)):
             assert_same_stream(child, seed, key + (j,))
-
-
-def test_seed_words_serve_only_pcg64():
-    seed_seq = next(iter(BlockStreams(1, 3)[2:])).bit_generator.seed_seq
-    with pytest.raises(ValueError):
-        seed_seq.generate_state(8, np.uint32)
