@@ -12,8 +12,9 @@ that way.  A Monte Carlo run needs one stream per replicate, keyed by its
 row index, and numpy builds those one object at a time.  So
 :class:`BlockStreams` reproduces SeedSequence's hash (pool size 4) and
 PCG64's seeding (O'Neill, 2014) on arrays, and writes each row's seeded
-state into one Generator as its row is reached; the tests check every row
-against numpy.
+state into one Generator as its row is reached, in the order numpy's build
+keeps the halves of a 128-bit word; the tests check every row against
+numpy.
 """
 
 from __future__ import annotations
@@ -122,31 +123,36 @@ def _seeded(words: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _placeholder() -> np.random.bit_generator.ISeedSequence:
-    """The ``ISeedSequence`` of zeros, which cannot spawn, that builds a block's PCG64.
-    Made on the first draw, so commands that draw nothing never load numpy.random, once
-    :func:`_bind` reads a PCG64 that numpy seeded as :func:`_seeded`'s words."""
+def _layout() -> tuple:
+    """(the zero ``ISeedSequence``, which cannot spawn, that builds a block's PCG64, the order
+    of the halves of numpy's 128-bit words: low first for native 128-bit integers on a
+    little-endian host, high first for numpy's emulated {high, low} or a big-endian host),
+    read on the first draw, so commands that draw nothing never load numpy.random."""
     class _SeedWords(np.random.bit_generator.ISeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype)
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("derived streams only provide PCG64's four uint64 seed words")
+            return np.zeros(4, np.uint64)
 
     seed_seq = np.random.SeedSequence(2 ** 100 + 7)
-    rng, words, half = _bind(np.random.PCG64(seed_seq))
-    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 7}
-    want = _seeded(seed_seq.generate_state(8)[:, None].astype(np.uint64))[0]
-    if words.tolist() != want.tolist() or half.value != 1 | 7 << 32:
-        raise EmpcalcError(f"numpy {np.__version__} keeps PCG64's state in a layout "
-                           "BlockStreams cannot write")
-    return _SeedWords()
+    pcg = np.random.PCG64(seed_seq)
+    pcg.state = {**pcg.state, "has_uint32": 1, "uinteger": 7}
+    _, words, half = _bind(pcg)
+    half.value = 0
+    want = _seeded(seed_seq.generate_state(8)[:, None].astype(np.uint64)).reshape(2, 2)
+    for order in (slice(None), slice(None, None, -1)):
+        if np.array_equal(words[:, order], want) and pcg.state["has_uint32"] == 0:
+            return _SeedWords(), order
+    raise EmpcalcError(f"numpy {np.__version__} keeps PCG64's state in an unknown layout")
 
 
-def _bind(pcg=None) -> tuple:
-    """(a Generator on ``pcg``, by default a placeholder-seeded PCG64, a view of its 4 state
-    words, its buffered 32-bit half): numpy's C state is {(state, inc) *, int, uint32}."""
-    pcg = pcg or np.random.PCG64(_placeholder())
+def _bind(pcg: np.random.PCG64, order: slice = slice(None)) -> tuple:
+    """(a Generator on ``pcg``, a view of its state and inc as rows of two uint64 halves in
+    ``order``, the 64 bits that hold its buffered 32-bit half): numpy's C state is
+    {(state, inc) *, int, uint32}."""
     address = pcg.ctypes.state_address
     words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
-    return (np.random.Generator(pcg), np.frombuffer(words, dtype=np.uint64),
+    return (np.random.Generator(pcg), np.frombuffer(words, np.uint64).reshape(2, 2)[:, order],
             ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p)))
 
 
@@ -182,13 +188,13 @@ class BlockStreams:
     ``_HASH_ROWS`` rows; so a block holds at most 2^32 rows, and ``reps``
     outside 0..2^32 is a ValueError.  The block keeps each row's PCG64
     (state, inc), 32 bytes; a slice is the block of the rows it names, a
-    view of these words.  Iteration writes each row's words in turn into
-    one placeholder-seeded Generator, which neither pickles nor spawns and
-    holds a row's stream until the next row is reached: ``list(block)`` is
-    one object.  An iteration begun while another is open binds its own.
+    view of these words.  Each iteration binds one Generator, which neither
+    pickles nor spawns, and writes each row's words into it in turn: it holds
+    a row's stream until that iteration yields again, so ``list(block)`` is
+    one object, and another iteration, of the block or a slice, binds its own.
     """
 
-    __slots__ = ("_states", "_free")
+    __slots__ = ("_states",)
 
     def __init__(self, seed: int, reps: int):
         if not 0 <= reps <= MAX_STREAMS:
@@ -197,25 +203,19 @@ class BlockStreams:
         for lo in range(0, reps, _HASH_ROWS):
             index = np.arange(lo, min(reps, lo + _HASH_ROWS), dtype=np.uint32)
             self._states[lo:lo + index.size] = _seeded(_generate_state(seed, index))
-        self._free = []  # the run's Generators and their state views, when no iteration holds them
 
     def __len__(self) -> int:
         return len(self._states)
 
     def __getitem__(self, rows: slice) -> "BlockStreams":
         block = object.__new__(BlockStreams)
-        block._states, block._free = self._states[rows], self._free
+        block._states = self._states[rows]
         return block
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        try:  # a Generator of the run that no open iteration holds
-            rng, words, half = bound = self._free.pop()
-        except IndexError:
-            rng, words, half = bound = _bind()
-        try:
-            for row in self._states:
-                words[...] = row
-                half.value = 0
-                yield rng
-        finally:
-            self._free.append(bound)
+        seed_words, order = _layout()
+        rng, words, half = _bind(np.random.PCG64(seed_words), order)
+        for row in self._states.reshape(-1, 2, 2):
+            words[...] = row
+            half.value = 0
+            yield rng

@@ -154,7 +154,9 @@ def test_block_rows_share_one_generator_and_iteration_restarts():
     block = BlockStreams(1, 3)
     rngs = list(block)
     assert len({id(r) for r in rngs}) == 1
-    assert next(iter(block[1:])) is rngs[0]  # slices share the run's generator
+    kept = next(iter(block[:1]))
+    list(block[1:])  # each iteration binds its own: another leaves a kept row's generator alone
+    assert kept is not rngs[0] and kept.random() == derive_rng(1, 0).random()
     first = [r.random() for r in block]
     assert first == [derive_rng(1, i).random() for i in range(3)]
     assert [r.random() for r in block] == first
@@ -188,25 +190,45 @@ def test_a_block_row_refuses_to_spawn():
         rng.bit_generator.spawn(1)
 
 
-@pytest.mark.parametrize("wrong", ["swapped halves", "no buffered half"])
-def test_a_state_layout_other_than_numpys_is_refused(monkeypatch, wrong):
+def with_views(monkeypatch, change):
+    # every PCG64 the module binds, the layout check's included, is seen through changed views
     bind = streams._bind
+    monkeypatch.setattr(streams, "_bind", lambda pcg, order=slice(None): change(*bind(pcg, order)))
+    streams._layout.cache_clear()
 
-    def wrong_views(pcg=None):
-        rng, words, half = bind(pcg)
-        if wrong == "swapped halves":
-            return rng, words[[1, 0, 3, 2]], half
+
+@pytest.mark.parametrize("wrong", ["state and inc swapped", "no buffered half"])
+def test_a_state_layout_other_than_numpys_is_refused(monkeypatch, wrong):
+    def change(rng, words, half):
+        if wrong == "state and inc swapped":
+            return rng, words[::-1], half
         return rng, words, type(half)(0)
 
-    monkeypatch.setattr(streams, "_bind", wrong_views)
-    streams._placeholder.cache_clear()
+    with_views(monkeypatch, change)
     try:
         with pytest.raises(EmpcalcError, match=rf"^numpy {re.escape(np.__version__)} keeps "):
             next(iter(BlockStreams(1, 1)))
     finally:
         monkeypatch.undo()
-        streams._placeholder.cache_clear()
+        streams._layout.cache_clear()
     assert_same_stream(next(iter(BlockStreams(1, 1))), 1, (0,))
+
+
+def test_a_layout_that_keeps_the_high_half_first_is_written_high_half_first(monkeypatch):
+    # numpy's emulated 128-bit struct, {high, low}, and a big-endian host both
+    # keep each 128-bit word's high half first: seen through a view that
+    # swaps the halves, the rows must still be numpy's streams
+    with_views(monkeypatch, lambda rng, words, half: (rng, words[:, ::-1], half))
+    try:
+        assert streams._layout()[1] == slice(None, None, -1)
+        for i, rng in enumerate(BlockStreams(6, 4)):
+            ref = reference_rng(6, (i,))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                                  ref.integers(0, 2 ** 32, 3, dtype=np.uint32)), i
+    finally:
+        monkeypatch.undo()
+        streams._layout.cache_clear()
 
 
 def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
@@ -281,3 +303,9 @@ def test_derived_generators_carry_numpys_seed_sequence():
         # so a derived generator spawns the streams (seed, *key, j)
         for j, child in enumerate(rng.spawn(2)):
             assert_same_stream(child, seed, key + (j,))
+
+
+def test_seed_words_serve_only_pcg64():
+    seed_seq = next(iter(BlockStreams(1, 3)[2:])).bit_generator.seed_seq
+    with pytest.raises(ValueError):
+        seed_seq.generate_state(8, np.uint32)
