@@ -89,7 +89,7 @@ def gn_eval(sample: PairedSample, f: StatFunction, mean_f: float) -> float:
         raise EvaluationError("empty sample")
     if not math.isfinite(float(mean_f)):
         raise EvaluationError(f"non-finite mean for {f.label}")
-    vals = np.asarray(f(sample.xs, sample.ys), dtype=float)
+    vals = f(sample.xs, sample.ys)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"non-finite evaluation of {f.label}")
     g = float((vals.sum() - n * float(mean_f)) / math.sqrt(n))
@@ -316,7 +316,7 @@ class SamplingMoments(MomentOracle):
         sums = np.zeros(len(fs))
         for i, f in enumerate(fs):
             for _, x, y in self._chunks():
-                vals = np.asarray(f(x, y), dtype=float)
+                vals = f(x, y)
                 if not np.isfinite(vals).all():
                     raise MomentError(f"{_MOMENT_DIVERGES} ({f.label}: non-finite draw)")
                 sums[i] += vals.sum()
@@ -336,7 +336,7 @@ class SamplingMoments(MomentOracle):
         i, j = np.triu_indices(len(fs))
         total, m2, s, q = np.zeros((4, i.size))
         for at, x, y in self._chunks():
-            c = [np.asarray(f(x, y), dtype=float) - m for f, m in zip(fs, mean)]
+            c = [f(x, y) - m for f, m in zip(fs, mean)]
             w = np.empty(x.size)
             for p, (a, b) in enumerate(zip(i, j)):
                 np.multiply(c[a], c[b], out=w)

@@ -83,17 +83,13 @@ class StatFunction:
         self.poly = dict(poly) if poly is not None else None
 
     def __call__(self, x, y):
-        out = self.fn(x, y)
-        try:  # the common case: three arrays of one shape
-            if out.shape == x.shape == y.shape:
-                return out
-        except AttributeError:
-            pass
-        expected = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if np.shape(out) != expected:
-            raise EvaluationError(
-                f"{self.label} returned shape {np.shape(out)}, expected {expected}")
-        return out
+        if not (type(x) is type(y) is np.ndarray and x.dtype == y.dtype == float
+                and x.shape == y.shape):  # the fast path: float64 arrays of one shape
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.asarray(self.fn(x, y), dtype=float)
+        if out.shape != x.shape:
+            raise EvaluationError(f"{self.label} returned shape {out.shape}, expected {x.shape}")
+        return out.copy() if out is x or out is y else out
 
     def __repr__(self) -> str:
         return f"StatFunction({self.label})"
@@ -131,8 +127,7 @@ class StatFunction:
         return self + (-other)
 
     def _plus_number(self, c: float, c_label: str) -> "StatFunction":
-        # self + constant(c) with the constant's poly and label, evaluated
-        # as f(x, y) + c: the constant's callable broadcasts c + 0.0*(x+y)
+        # self + constant(c) with the constant's poly and label, evaluated as f(x, y) + c
         poly = _poly_add(self.poly, {(0, 0): c}) if self.poly is not None else None
         f = self.fn
         return StatFunction(lambda x, y: f(x, y) + c, f"{self.label} + {c_label}", poly)
@@ -181,11 +176,9 @@ class StatFunction:
 def constant(c: float) -> StatFunction:
     """The constant function (x, y) -> c, polynomial of degree zero."""
     c = float(c)
-    # 0.0*(x+y) keeps shape and dtype under broadcasting on array input
-    return StatFunction(lambda x, y: c + 0.0 * (np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-                        f"{c:g}", {(0, 0): c})
+    return StatFunction(lambda x, y: np.full(x.shape, c), f"{c:g}", {(0, 0): c})
 
 
-pi1 = StatFunction(lambda x, y: x + 0.0 * np.asarray(y, dtype=float), "pi1", {(1, 0): 1.0})
-pi2 = StatFunction(lambda x, y: y + 0.0 * np.asarray(x, dtype=float), "pi2", {(0, 1): 1.0})
-p = StatFunction(lambda x, y: np.asarray(x, dtype=float) * np.asarray(y, dtype=float), "p", {(1, 1): 1.0})
+pi1 = StatFunction(lambda x, y: x, "pi1", {(1, 0): 1.0})
+pi2 = StatFunction(lambda x, y: y, "pi2", {(0, 1): 1.0})
+p = StatFunction(lambda x, y: x * y, "p", {(1, 1): 1.0})

@@ -576,8 +576,7 @@ class DiscreteLaw(BivariateLaw):
         return self
 
     def expectation(self, f: StatFunction) -> float:
-        vals = np.asarray(f(self.atom_xs, self.atom_ys), dtype=float)
-        return self._weighted_mean(vals, lambda: f.label)
+        return self._weighted_mean(f(self.atom_xs, self.atom_ys), lambda: f.label)
 
     def _weighted_mean(self, vals: np.ndarray,
                        label: Callable[[], str] = lambda: "moment") -> float:
@@ -623,7 +622,7 @@ class DiscreteLaw(BivariateLaw):
 
     def _centred(self, fs):
         """``fs`` on the atoms, a row each, and the rows less their means, times sqrt(w)."""
-        v = np.array([f(self.atom_xs, self.atom_ys) for f in fs], dtype=float)
+        v = np.array([f(self.atom_xs, self.atom_ys) for f in fs])
         return v, (v - (v @ self.atom_weights)[:, None]) * np.sqrt(self.atom_weights)
 
 

@@ -256,8 +256,7 @@ def run_lemma1_experiment(fs: Sequence[StatFunction], cfg: ExperimentConfig,
         # because a non-finite one makes gamma_matrix raise
         g = np.empty((len(xs), len(fs)))
         for j, (f, mu) in enumerate(zip(fs, means)):
-            vals = np.asarray(f(xs, ys), dtype=float)
-            g[:, j] = (vals.sum(axis=1) - n * mu) / sqrt_n
+            g[:, j] = (f(xs, ys).sum(axis=1) - n * mu) / sqrt_n
         return g, ~np.isfinite(g).all(axis=1)
 
     g = _replicates(cfg, gn_rows, lambda s: [gn_eval(s, f, mu) for f, mu in zip(fs, means)])
