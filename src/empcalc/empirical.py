@@ -87,12 +87,16 @@ def gn_eval(sample: PairedSample, f: StatFunction, mean_f: float) -> float:
     n = int(np.asarray(sample.xs).size)
     if n == 0:
         raise EvaluationError("empty sample")
-    if not math.isfinite(float(mean_f)):
+    try:
+        mean_f = float(mean_f)
+    except (TypeError, ValueError):
+        raise EvaluationError(f"the mean of {f.label} is not a number: {mean_f!r}") from None
+    if not math.isfinite(mean_f):
         raise EvaluationError(f"non-finite mean for {f.label}")
     vals = f(sample.xs, sample.ys)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"non-finite evaluation of {f.label}")
-    g = float((vals.sum() - n * float(mean_f)) / math.sqrt(n))
+    g = float((vals.sum() - n * mean_f) / math.sqrt(n))
     if not math.isfinite(g):
         raise EvaluationError(f"G_n({f.label}) is not finite: its sum overflows")
     return g

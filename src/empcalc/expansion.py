@@ -114,9 +114,13 @@ def from_mean(f: StatFunction, mean: float) -> AsymptoticExpansion:
     The sample mean of f(Z_i) equals  mean + n^{-1/2} G_n(f)  exactly, so
     the influence is f itself and no remainder is dropped.
     """
-    if not math.isfinite(float(mean)):
+    try:
+        mean = float(mean)
+    except (TypeError, ValueError):
+        raise ExpansionError(f"the mean of {f.label} is not a number: {mean!r}") from None
+    if not math.isfinite(mean):
         raise ExpansionError(f"non-finite mean for {f.label}: {mean!r}")
-    return AsymptoticExpansion(float(mean), f)
+    return AsymptoticExpansion(mean, f)
 
 
 def delta(g: Callable[..., float], grad: Callable[..., Sequence[float]],

@@ -54,6 +54,19 @@ def _poly_mul(a: Poly, b: Poly) -> dict[tuple[int, int], float]:
     return out if all(out.values()) else _poly_clean(out)
 
 
+def _poly_pow(a: Poly, k: int) -> Poly:
+    """a^k for k >= 1: up to k = 4 the repeated product a*a*...*a, whose bits the low
+    powers have always had; above, the square of a^(k // 2), times a if k is odd."""
+    if k <= 4:
+        out = a
+        for _ in range(k - 1):
+            out = _poly_mul(out, a)
+        return out
+    half = _poly_pow(a, k // 2)
+    out = _poly_mul(half, half)
+    return _poly_mul(out, a) if k % 2 else out
+
+
 def _needs_parens(label: str) -> bool:
     # crude but adequate: wrap anything that reads as a sum
     return (" + " in label) or (" - " in label)
@@ -100,9 +113,16 @@ class StatFunction:
 
     # -- algebra ---------------------------------------------------------
 
+    def _number(self, op: str, other) -> float:
+        """``other`` as the float of ``self op other``, or the EvaluationError naming it."""
+        try:
+            return float(other)
+        except (TypeError, ValueError):
+            raise EvaluationError(f"{self.label} {op} {other!r}: the operand is not a number") from None
+
     def __add__(self, other) -> "StatFunction":
         if not isinstance(other, StatFunction):
-            c = float(other)
+            c = self._number("+", other)
             return self._plus_number(c, f"{c:g}")
         poly = None
         if self.poly is not None and other.poly is not None:
@@ -122,7 +142,7 @@ class StatFunction:
 
     def __sub__(self, other) -> "StatFunction":
         if not isinstance(other, StatFunction):
-            c = float(other)
+            c = self._number("-", other)
             return self._plus_number(-c, f"{-c:g}")
         return self + (-other)
 
@@ -134,7 +154,7 @@ class StatFunction:
 
     def __rsub__(self, other) -> "StatFunction":
         # constant(c) + (-self) with its poly and label, evaluated as c - f(x, y)
-        c, neg, f = float(other), -self, self.fn
+        c, neg, f = self._number("-", other), -self, self.fn
         poly = _poly_add({(0, 0): c}, neg.poly) if neg.poly is not None else None
         return StatFunction(lambda x, y: c - f(x, y), f"{c:g} + {neg.label}", poly)
 
@@ -147,7 +167,7 @@ class StatFunction:
             la = f"({self.label})" if _needs_parens(self.label) else self.label
             lb = f"({other.label})" if _needs_parens(other.label) else other.label
             return StatFunction(lambda x, y: f(x, y) * g(x, y), f"{la}*{lb}", poly)
-        c = float(other)
+        c = self._number("*", other)
         poly = _poly_scale(self.poly, c) if self.poly is not None else None
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
@@ -156,18 +176,24 @@ class StatFunction:
     def __rmul__(self, other) -> "StatFunction":
         return self.__mul__(other)
 
-    def __truediv__(self, c) -> "StatFunction":
-        return self * (1.0 / float(c))
+    def __truediv__(self, other) -> "StatFunction":
+        if isinstance(other, StatFunction):
+            raise EvaluationError(f"{self.label} / {other.label}: division by a function is not supported")
+        c = self._number("/", other)
+        if c == 0.0:
+            raise EvaluationError(f"{self.label} / {other!r}: division by zero")
+        return self * (1.0 / c)
+
+    def __rtruediv__(self, other):
+        raise EvaluationError(f"{other!r} / {self.label}: division by a function is not supported")
 
     def __pow__(self, k: int) -> "StatFunction":
         if not isinstance(k, numbers.Integral) or k < 0:  # numpy integers and bools too
             raise EvaluationError("only nonnegative integer powers are supported")
         k = operator.index(k)
         poly = None
-        if self.poly is not None:  # f^0 is the constant 1; f^k takes k - 1 products
-            poly = self.poly if k else {(0, 0): 1.0}
-            for _ in range(k - 1):
-                poly = _poly_mul(poly, self.poly)
+        if self.poly is not None:  # f^0 is the constant 1
+            poly = _poly_pow(self.poly, k) if k else {(0, 0): 1.0}
         f = self.fn
         la = f"({self.label})" if _needs_parens(self.label) else self.label
         return StatFunction(lambda x, y: f(x, y) ** k, f"{la}^{k}", poly)

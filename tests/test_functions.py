@@ -174,3 +174,83 @@ def test_adding_a_number_matches_its_constant_function(f, c):
 ])
 def test_labels_carry_no_doubled_sign(f, label):
     assert f.label == label
+
+
+_INPUTS = [1.5, 2, True, np.array([3]), np.array([-0.5]), np.arange(4) - 1,
+           np.array([True, False, True, True]), np.linspace(-1.0, 1.0, 4)]
+
+
+@pytest.mark.parametrize("f", [ec.pi1, ec.pi2, ec.p, constant(2.5), (ec.pi1 - 0.3) * (ec.pi2 + 0.2),
+                               1.0 - 2.0 * ec.pi1 ** 3 + ec.p / 4,
+                               StatFunction(lambda x, y: np.cos(x), "cos(pi1)")], ids=repr)
+def test_any_inputs_give_the_bits_of_explicitly_broadcast_float64_arrays(f):
+    # __call__ takes scalars, (1,)- and (n,)-shaped inputs, ints and bools to float64
+    # arrays of their broadcast shape, so no function broadcasts or casts for itself
+    for x in _INPUTS:
+        for y in _INPUTS:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            xb, yb = (np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)) for v in (x, y))
+            got, want = f(x, y), f(xb, yb)
+            assert (got.dtype, got.shape) == (np.float64, shape)
+            assert got.tobytes() == want.tobytes(), (x, y)
+
+
+def test_an_indicator_integrates_on_a_discrete_law_as_its_float64_values():
+    law = ec.DiscreteLaw([0.1, 1.3, -0.7, 2.2, 0.5], [1.0, -0.4, 0.3, 0.9, -1.1],
+                         [0.1, 0.2, 0.3, 0.25, 0.15])
+    above = StatFunction(lambda x, y: x > 0.3, "1{pi1 > 0.3}")
+    as_float = StatFunction(lambda x, y: np.where(x > 0.3, 1.0, 0.0), "1{pi1 > 0.3}")
+    assert law.expectation(above) == law.expectation(as_float) == pytest.approx(0.6, abs=1e-15)
+    got, want = (ec.gamma_matrix([f, ec.pi2], law) for f in (above, as_float))
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.entries[0, 0] == pytest.approx(0.24, abs=1e-15)
+
+
+def test_a_call_never_hands_back_an_input_array():
+    x, y = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+    for f, arg in ((ec.pi1, x), (ec.pi2, y), (ec.pi1.with_label("x"), x),
+                   (StatFunction(lambda x, y: y, "second"), y)):
+        out = f(x, y)
+        assert out is not arg
+        out[0] = -1.0
+        assert x.tolist() == [1.0, 2.0, 3.0] and y.tolist() == [4.0, 5.0, 6.0]
+    assert ec.pi1(x, y) is not x
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ec.pi1 / ec.pi2, ec.EvaluationError,
+     r"^pi1 / pi2: division by a function is not supported$"),
+    (lambda: 1.0 / ec.pi1, ec.EvaluationError,
+     r"^1\.0 / pi1: division by a function is not supported$"),
+    (lambda: ec.pi1 / 0, ec.EvaluationError, r"^pi1 / 0: division by zero$"),
+    (lambda: ec.from_mean(ec.pi1, "a"), ec.ExpansionError, r"^the mean of pi1 is not a number: 'a'$"),
+    (lambda: ec.gn_eval(ec.PairedSample([0.0, 1.0], [1.0, 2.0]), ec.pi1, None), ec.EvaluationError,
+     r"^the mean of pi1 is not a number: None$"),
+], ids=["function/function", "number/function", "function/0", "from_mean", "gn_eval"])
+def test_a_bad_operand_is_a_typed_error_that_names_it(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_a_huge_power_takes_about_two_products_a_bit(monkeypatch):
+    import empcalc.functions as functions
+    calls = []
+    mul = functions._poly_mul
+    monkeypatch.setattr(functions, "_poly_mul", lambda a, b: calls.append(1) or mul(a, b))
+    for k in (2 ** 70, 2 ** 70 - 1):
+        calls.clear()
+        assert (ec.pi1 ** k).poly == {(k, 0): 1.0}
+        assert len(calls) <= 2 * 71
+
+
+@pytest.mark.parametrize("f", [ec.pi1 + 2 * ec.pi2 - 0.5, 0.3 * ec.pi1 - 0.7 * ec.pi2 + 0.1,
+                               (ec.pi1 + 1e-3) * (ec.pi2 - 7.0)], ids=repr)
+def test_a_power_by_squaring_is_the_repeated_product(f):
+    product = f
+    for k in range(2, 9):
+        product = product * f
+        power = (f ** k).poly
+        want = product.poly if k > 2 else (f * f).poly
+        assert power.keys() == want.keys()
+        for key, v in want.items():
+            assert abs(power[key] - v) <= 1e-15 * abs(v), (k, key)

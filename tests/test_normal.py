@@ -9,7 +9,8 @@ import empcalc as ec
 
 
 def test_cdf_absolute_error_bound():
-    # documented bound for the approximation: 7.5e-8 absolute
+    # 0.5 erfc(-x / sqrt(2)) is exact up to rounding, not an approximation: it agrees
+    # with scipy to 2.2e-16 here; 7.5e-8 is the looser bound the KS checks need
     x = np.linspace(-8.5, 8.5, 200_001)
     err = np.abs(ec.standard_normal_cdf(x) - sps.norm.cdf(x))
     assert float(err.max()) <= 7.5e-8
@@ -28,6 +29,22 @@ def test_cdf_is_monotone():
     vals = ec.standard_normal_cdf(x)
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+
+def test_cdf_lower_tail_relative_error():
+    # Each side rounds the erfc argument t = -x / sqrt(2) to a relative error d <= eps
+    # (the constant and one operation, eps / 2 each).  erfc(t) > 2 exp(-t^2) / (sqrt(pi)
+    # (t + sqrt(t^2 + 2))) gives |d ln erfc(t) / d ln t| < 2 t^2 + 1 = x^2 + 1, so each
+    # side is off by at most (x^2 + 1) eps, plus an ulp or two of erfc itself: against
+    # scipy, (2 x^2 + 6) eps.  At x = -37, Phi(x) = 5.7e-300 is still a normal float.
+    eps = np.finfo(float).eps
+    x = np.linspace(-37.0, 0.0, 200_001)
+    want = sps.norm.cdf(x)
+    assert want.min() > np.finfo(float).tiny
+    rel = np.abs(ec.standard_normal_cdf(x) - want) / want
+    worst = int(np.argmax(rel / (2.0 * x * x + 6.0)))
+    assert rel[worst] <= (2.0 * x[worst] ** 2 + 6.0) * eps, (x[worst], rel[worst])
 
 
 @given(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
