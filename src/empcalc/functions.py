@@ -9,6 +9,12 @@ lets moment oracles integrate them exactly, each about its own law's mean;
 any function built another way simply carries ``poly=None`` and is integrated
 on a law's Gauss rules.
 
+Calling a function is the one place its inputs and output are shaped: x and
+y become float64 arrays of their broadcast shape, ``fn`` is called once on
+them, and its result is cast to float64 and must have that shape.  So ``fn``
+may be written for its own coordinates alone (``lambda x, y: np.cos(x)``, or
+an indicator ``lambda x, y: x > 0``), and a call never hands back an input.
+
 The three coordinate projections used throughout the package are exported
 as module-level singletons:
 
@@ -78,9 +84,9 @@ class StatFunction:
     Parameters
     ----------
     fn : callable
-        Vectorized evaluation ``fn(x, y)``; must accept floats or numpy
-        arrays and return their broadcast shape.  Calling the function
-        checks this and raises EvaluationError otherwise.
+        Vectorized evaluation ``fn(x, y)``.  The call passes it x and y as
+        float64 arrays of one shape and casts what it returns to float64; a
+        result of any other shape, as a scalar, raises EvaluationError.
     label : str
         Human-readable name used in diagnostics and error messages.
     poly : mapping or None
