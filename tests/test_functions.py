@@ -181,8 +181,9 @@ _INPUTS = [1.5, 2, True, np.array([3]), np.array([-0.5]), np.arange(4) - 1,
 
 
 @pytest.mark.parametrize("f", [ec.pi1, ec.pi2, ec.p, constant(2.5), (ec.pi1 - 0.3) * (ec.pi2 + 0.2),
-                               1.0 - 2.0 * ec.pi1 ** 3 + ec.p / 4,
-                               StatFunction(lambda x, y: np.cos(x), "cos(pi1)")], ids=repr)
+                               1.0 - 2.0 * ec.pi1 ** 3 + ec.p / 4, ec.pi1 - ec.pi2,
+                               StatFunction(lambda x, y: np.cos(x), "cos(pi1)"),
+                               StatFunction(lambda x, y: x > y, "1{pi1 > pi2}")], ids=repr)
 def test_any_inputs_give_the_bits_of_explicitly_broadcast_float64_arrays(f):
     # __call__ takes scalars, (1,)- and (n,)-shaped inputs, ints and bools to float64
     # arrays of their broadcast shape, so no function broadcasts or casts for itself
@@ -223,10 +224,11 @@ def test_a_call_never_hands_back_an_input_array():
     (lambda: 1.0 / ec.pi1, ec.EvaluationError,
      r"^1\.0 / pi1: division by a function is not supported$"),
     (lambda: ec.pi1 / 0, ec.EvaluationError, r"^pi1 / 0: division by zero$"),
+    (lambda: ec.pi1 * None, ec.EvaluationError, r"^pi1 \* None: the operand is not a number$"),
     (lambda: ec.from_mean(ec.pi1, "a"), ec.ExpansionError, r"^the mean of pi1 is not a number: 'a'$"),
     (lambda: ec.gn_eval(ec.PairedSample([0.0, 1.0], [1.0, 2.0]), ec.pi1, None), ec.EvaluationError,
      r"^the mean of pi1 is not a number: None$"),
-], ids=["function/function", "number/function", "function/0", "from_mean", "gn_eval"])
+], ids=["function/function", "number/function", "function/0", "function*None", "from_mean", "gn_eval"])
 def test_a_bad_operand_is_a_typed_error_that_names_it(make, error, message):
     with pytest.raises(error, match=message):
         make()
@@ -236,11 +238,16 @@ def test_a_huge_power_takes_about_two_products_a_bit(monkeypatch):
     import empcalc.functions as functions
     calls = []
     mul = functions._poly_mul
-    monkeypatch.setattr(functions, "_poly_mul", lambda a, b: calls.append(1) or mul(a, b))
+
+    def counted(a, b):  # fails at once, where k - 1 products would never return
+        calls.append(1)
+        assert len(calls) <= 2 * 71, "more than two products a bit of k"
+        return mul(a, b)
+
+    monkeypatch.setattr(functions, "_poly_mul", counted)
     for k in (2 ** 70, 2 ** 70 - 1):
         calls.clear()
         assert (ec.pi1 ** k).poly == {(k, 0): 1.0}
-        assert len(calls) <= 2 * 71
 
 
 @pytest.mark.parametrize("f", [ec.pi1 + 2 * ec.pi2 - 0.5, 0.3 * ec.pi1 - 0.7 * ec.pi2 + 0.1,
