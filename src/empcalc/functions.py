@@ -61,8 +61,8 @@ def _poly_mul(a: Poly, b: Poly) -> dict[tuple[int, int], float]:
 
 
 def _poly_pow(a: Poly, k: int) -> Poly:
-    """a^k for k >= 1: up to k = 4 the repeated product a*a*...*a, whose bits the low
-    powers have always had; above, the square of a^(k // 2), times a if k is odd."""
+    """a^k for k >= 1: up to k = 4 the repeated product a*a*...*a, so low powers keep
+    its bits; above, the square of a^(k // 2), times a if k is odd."""
     if k <= 4:
         out = a
         for _ in range(k - 1):
@@ -124,7 +124,8 @@ class StatFunction:
         try:
             return float(other)
         except (TypeError, ValueError):
-            raise EvaluationError(f"{self.label} {op} {other!r}: the operand is not a number") from None
+            raise EvaluationError(
+                f"{self.label} {op} {other!r}: the operand is not a number") from None
 
     def __add__(self, other) -> "StatFunction":
         if not isinstance(other, StatFunction):
@@ -184,7 +185,8 @@ class StatFunction:
 
     def __truediv__(self, other) -> "StatFunction":
         if isinstance(other, StatFunction):
-            raise EvaluationError(f"{self.label} / {other.label}: division by a function is not supported")
+            raise EvaluationError(
+                f"{self.label} / {other.label}: division by a function is not supported")
         c = self._number("/", other)
         if c == 0.0:
             raise EvaluationError(f"{self.label} / {other!r}: division by zero")
