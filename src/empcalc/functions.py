@@ -104,7 +104,10 @@ class StatFunction:
     def __call__(self, x, y):
         if not (type(x) is type(y) is np.ndarray and x.dtype == y.dtype == float
                 and x.shape == y.shape):  # the fast path: float64 arrays of one shape
-            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            try:
+                x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            except ValueError as exc:  # inputs that do not broadcast, or are not numbers
+                raise EvaluationError(f"{self.label}: {exc}") from None
         out = np.asarray(self.fn(x, y), dtype=float)
         if out.shape != x.shape:
             raise EvaluationError(f"{self.label} returned shape {out.shape}, expected {x.shape}")

@@ -225,10 +225,12 @@ def test_a_call_never_hands_back_an_input_array():
      r"^1\.0 / pi1: division by a function is not supported$"),
     (lambda: ec.pi1 / 0, ec.EvaluationError, r"^pi1 / 0: division by zero$"),
     (lambda: ec.pi1 * None, ec.EvaluationError, r"^pi1 \* None: the operand is not a number$"),
+    (lambda: ec.pi1(np.ones(2), np.ones(3)), ec.EvaluationError, r"^pi1: shape mismatch"),
     (lambda: ec.from_mean(ec.pi1, "a"), ec.ExpansionError, r"^the mean of pi1 is not a number: 'a'$"),
     (lambda: ec.gn_eval(ec.PairedSample([0.0, 1.0], [1.0, 2.0]), ec.pi1, None), ec.EvaluationError,
      r"^the mean of pi1 is not a number: None$"),
-], ids=["function/function", "number/function", "function/0", "function*None", "from_mean", "gn_eval"])
+], ids=["function/function", "number/function", "function/0", "function*None",
+        "unbroadcastable", "from_mean", "gn_eval"])
 def test_a_bad_operand_is_a_typed_error_that_names_it(make, error, message):
     with pytest.raises(error, match=message):
         make()
