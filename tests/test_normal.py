@@ -31,7 +31,6 @@ def test_cdf_is_monotone():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-
 def test_cdf_lower_tail_relative_error():
     # Each side rounds the erfc argument t = -x / sqrt(2) to a relative error d <= eps
     # (the constant and one operation, eps / 2 each).  erfc(t) > 2 exp(-t^2) / (sqrt(pi)
